@@ -4,10 +4,6 @@ Entropy values are reported in nats unless --bits is given, in which case
 the affected CSV columns are renamed with a _bits suffix so files stay
 self-describing. CSV numbers carry 17 significant digits and round-trip
 exactly. Exit codes: 0 success, 1 invalid input, 2 verification failure.
-
-The ENTROPY_LAB_THREADS environment variable caps the number of worker
-threads used for per-N computations; output ordering is deterministic
-regardless.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,15 +26,6 @@ _BITS_RENAME = {"S_N": "S_N_bits", "S_over_logN": "S_over_logN_bits"}
 
 def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("ENTROPY_LAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise specio.SpecFormatError(f"ENTROPY_LAB_THREADS={raw!r} is not an integer")
-    return max(1, value)
 
 
 def _open_out(path):
@@ -79,8 +65,7 @@ def cmd_scan(args) -> int:
     spec = specio.load_spec(args.set)
     grid = scaling.default_grid(args.nmin, args.nmax, args.ratio)
     K = spec.resolve_set(n_max=args.nmax)
-    records = scaling.scan(K, grid, mode=args.mode, eig_cap=args.eig_cap,
-                           threads=_threads_from_env())
+    records = scaling.scan(K, grid, mode=args.mode, eig_cap=args.eig_cap)
     out = _open_out(args.out)
     try:
         write_scan_csv(records, out, bits=args.bits)

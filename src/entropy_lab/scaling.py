@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +97,8 @@ def _as_symbol(source) -> SymbolFunction:
     raise TypeError(f"cannot scan a {type(source).__name__}")
 
 
-def scan(source, n_grid, mode: str = "both", eig_cap: int = DEFAULT_EIG_CAP,
-         threads: int = 1) -> list[ScanRecord]:
+def scan(source, n_grid, mode: str = "both",
+         eig_cap: int = DEFAULT_EIG_CAP) -> list[ScanRecord]:
     """Sweep block sizes and collect (S_N, P_N) records.
 
     ``mode`` is "entropy", "proxy", or "both". Entropy needs the O(N^3)
@@ -107,8 +106,7 @@ def scan(source, n_grid, mode: str = "both", eig_cap: int = DEFAULT_EIG_CAP,
     the O(N) coefficient formula. Coefficients are computed once up to the
     largest N and shared. In entropy modes the eigenvalue route for P_N is
     checked against the coefficient route and a disagreement beyond 1e-6
-    relative raises VerificationError. Records come back sorted by N
-    regardless of thread count.
+    relative raises VerificationError. Records come back in grid order.
     """
     grid = [int(n) for n in n_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -127,7 +125,8 @@ def scan(source, n_grid, mode: str = "both", eig_cap: int = DEFAULT_EIG_CAP,
     coeffs = fourier_coefficients(f, grid[-1] - 1)
     proxies = dict(zip(grid, proxy_scan(coeffs, grid)))
 
-    def one(n: int) -> ScanRecord:
+    records = []
+    for n in grid:
         t0 = time.perf_counter()
         p_direct = proxies[n]
         s_val = None
@@ -139,15 +138,9 @@ def scan(source, n_grid, mode: str = "both", eig_cap: int = DEFAULT_EIG_CAP,
                     f"proxy routes disagree at N={n}: eigenvalue route "
                     f"{res.proxy!r} vs coefficient route {p_direct!r}"
                 )
-        return ScanRecord(n=n, entropy=s_val, proxy=p_direct,
-                          wall_time=time.perf_counter() - t0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, grid))
-    else:
-        records = [one(n) for n in grid]
-    return sorted(records, key=lambda r: r.n)
+        records.append(ScanRecord(n=n, entropy=s_val, proxy=p_direct,
+                                  wall_time=time.perf_counter() - t0))
+    return records
 
 
 def _series(records, series: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,22 +1,19 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from entropy_lab import cli, scaling, specio
 from entropy_lab.torus_sets import canonicalize
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "entropy_lab.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def write_spec(path, payload):
@@ -127,21 +124,37 @@ def test_round_trip_cantor_scan_bit_identical(tmp_path):
         assert row["P_N"] == f"{rec.proxy:.17g}"
 
 
-def test_scan_deterministic_across_thread_counts(tmp_path):
+def test_scan_deterministic_run_to_run(tmp_path):
     spec = write_spec(tmp_path / "set.json",
                       {"version": 1, "type": "intervals",
                        "intervals": [[0.1, 0.35], [0.5, 0.8]]})
     outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}.csv"
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.csv"
         res = run_cli("scan", "--set", spec, "--nmin", "2", "--nmax", "32",
-                      "--out", str(out),
-                      env_extra={"ENTROPY_LAB_THREADS": threads})
+                      "--out", str(out))
         assert res.returncode == 0
         rows = list(csv.DictReader(out.open()))
         outs.append([(r["N"], r["S_N"], r["P_N"], r["S_over_logN"],
                       r["P_over_logN"]) for r in rows])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("intervals", [[[0.3, 0.55]],                 # real path
+                                       [[0.0, 0.25], [0.5, 0.75]]])  # complex path
+def test_scan_exits_2_when_eigensolve_fails(tmp_path, monkeypatch, capsys, intervals):
+    spec = write_spec(tmp_path / "set.json",
+                      {"version": 1, "type": "intervals", "intervals": intervals})
+
+    def broken(mat):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    code = cli.main(["scan", "--set", spec, "--nmin", "8", "--nmax", "16",
+                     "--mode", "both", "--out", str(tmp_path / "scan.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: eigendecomposition failed for N=8")
 
 
 def test_fit_recovers_synthetic_power_law(tmp_path):

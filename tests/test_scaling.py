@@ -74,11 +74,11 @@ def test_scan_validation():
         scan(HALF, [2], mode="everything")
 
 
-def test_scan_threaded_matches_serial():
+def test_scan_repeat_is_bit_identical():
     grid = default_grid(4, 64)
-    serial = scan(HALF, grid, mode="both", threads=1)
-    threaded = scan(HALF, grid, mode="both", threads=4)
-    for a, b in zip(serial, threaded):
+    first = scan(HALF, grid, mode="both")
+    second = scan(HALF, grid, mode="both")
+    for a, b in zip(first, second):
         assert a.n == b.n
         assert a.entropy == b.entropy        # bit-identical values
         assert a.proxy == b.proxy

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from entropy_lab.toeplitz import (
+    EigensolveError,
     EntropyDomainError,
     SymbolFunction,
+    ToeplitzRestriction,
     block_entropy,
     build_restriction,
     entropy_density,
@@ -19,9 +21,35 @@ from entropy_lab.toeplitz import (
     restriction_from_coefficients,
     spectrum,
 )
-from entropy_lab.torus_sets import canonicalize, full_torus, random_interval_set
+from entropy_lab.torus_sets import (
+    CantorSpec,
+    canonicalize,
+    cantor_generate,
+    full_torus,
+    random_interval_set,
+)
 
 HALF = canonicalize([(0.0, 0.5)])
+# Symmetric about 0.425: the spectrum is taken on the real path.
+TRANSLATED = canonicalize([(0.3, 0.55)])
+# q(1) = 0, so the first row fixes no centre: the complex path.
+TWO_QUARTERS = canonicalize([(0.0, 0.25), (0.5, 0.75)])
+
+
+def _three_intervals(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        K = random_interval_set(rng)
+        if K.interval_count == 3:
+            return K
+
+
+# Asymmetric: the complex path.
+THREE = _three_intervals(3)
+
+# Jin-Korepin constant of the single-interval asymptotics
+# S_N = (1/3) ln(2 N sin(pi L)) + UPSILON (J. Stat. Phys. 116, 2004).
+UPSILON = 0.4950179
 
 # Frozen from the closed-form eigenvalues 1/2 +- 1/pi of the 2x2 block:
 # S_2 = 2 * eta_tilde(1/2 + 1/pi).
@@ -99,6 +127,13 @@ def test_build_restriction_entries():
     np.testing.assert_allclose(two.matrix, expect, atol=1e-15)
     with pytest.raises(ValueError):
         build_restriction(f, 0)
+
+
+def test_restriction_validation():
+    with pytest.raises(ValueError, match="does not match order"):
+        ToeplitzRestriction(order=3, row=np.array([0.5, 0.1j]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ToeplitzRestriction(order=2, row=np.array([0.5 + 1e-3j, 0.1j]))
 
 
 def test_constant_symbol_restriction_is_scaled_identity():
@@ -239,3 +274,92 @@ def test_symbol_validation():
         SymbolFunction((0.0, 0.5, 0.4, 1.0), (1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         SymbolFunction((0.1, 1.0), (1.0,))        # must start at 0
+
+
+def _spy_eigh(monkeypatch, result=None):
+    """Record the dtype of every matrix np.linalg.eigh is given; ``result``
+    may replace its return value."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(mat):
+        seen.append(mat.dtype)
+        out = eigh(mat)
+        return out if result is None else result(*out)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+@pytest.mark.parametrize("K, dtype", [(TRANSLATED, np.float64),
+                                      (THREE, np.complex128),
+                                      (TWO_QUARTERS, np.complex128)])
+def test_spectrum_path_choice(monkeypatch, K, dtype):
+    seen = _spy_eigh(monkeypatch)
+    lam = spectrum(build_restriction(SymbolFunction.indicator(K), 64))
+    assert seen == [dtype]
+    assert lam.shape == (64,)
+
+
+@pytest.mark.parametrize("K", [TRANSLATED, THREE])
+def test_spectrum_eigh_failure_raises(monkeypatch, K):
+    def broken(mat):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(EigensolveError, match="eigendecomposition failed for N=32"):
+        spectrum(build_restriction(SymbolFunction.indicator(K), 32))
+
+
+@pytest.mark.parametrize("K", [TRANSLATED, THREE])
+def test_spectrum_residual_gate_catches_shifted_eigenvalues(monkeypatch, K):
+    seen = _spy_eigh(monkeypatch, result=lambda w, v: (w + 1e-6, v))
+    with pytest.raises(EigensolveError, match="eigenpair residual"):
+        spectrum(build_restriction(SymbolFunction.indicator(K), 32))
+    assert len(seen) == 1
+
+
+def test_real_path_matches_complex_solve(monkeypatch):
+    rng = np.random.default_rng(17)
+    sets = [canonicalize([(0.0, length)]).translate(float(rng.uniform()))
+            for length in (0.5, 0.25, 0.7)]
+    sets += [cantor_generate(spec).translate(float(rng.uniform()))
+             for spec in (CantorSpec(0.25, 1.0, 5), CantorSpec(1.0 / 3.0, 0.9, 4))]
+    seen = _spy_eigh(monkeypatch)
+    for K in sets:
+        restriction = build_restriction(SymbolFunction.indicator(K), 256)
+        lam = spectrum(restriction)
+        ref = np.clip(np.linalg.eigvalsh(restriction.matrix), 0.0, 1.0)
+        assert np.max(np.abs(lam - ref)) <= 1e-10
+        assert abs(np.sum(eta_tilde(lam)) - np.sum(eta_tilde(ref))) <= 1e-10
+    assert seen == [np.float64] * len(sets)
+
+
+@pytest.mark.parametrize("length, n, gate", [(0.5, 256, 1e-6), (0.5, 1024, 3e-8),
+                                             (0.25, 256, 6e-6), (0.25, 1024, 3.5e-7)])
+def test_jin_korepin_single_interval(length, n, gate):
+    # Gates are four times the residuals measured at freeze time:
+    # 2.5e-7, 7.7e-9 (L = 1/2) and 1.5e-6, 8.7e-8 (L = 1/4).
+    phi = float(np.random.default_rng(n).uniform())
+    K = canonicalize([(phi, phi + length)])
+    s = block_entropy(SymbolFunction.indicator(K), n)
+    assert abs(s - (math.log(2 * n * math.sin(math.pi * length)) / 3 + UPSILON)) <= gate
+
+
+def test_real_path_charges_weyl_bound(monkeypatch):
+    # Centred half-interval row plus Im r(2) sized to use 0.9 of the
+    # real-path budget, so Weyl's bound is 4.5e-10.
+    n = 32
+    k = np.arange(n)
+    row = np.where(k == 0, 0.5, np.sin(0.5 * np.pi * k) / (np.pi * np.maximum(k, 1)))
+    row = row.astype(complex)
+    weyl = 0.9e-9 * 0.5
+    row[2] += 1j * weyl / (2 * n - 1)
+    restriction = ToeplitzRestriction(order=n, row=row)
+    top = float(np.max(np.linalg.eigvalsh(restriction.matrix)))
+    # An eigenvalue shift that passes the gate alone but not with the bound.
+    delta = 1e-8 * top - weyl / 2
+    seen = _spy_eigh(monkeypatch, result=lambda w, v: (w + delta, v))
+    with pytest.raises(EigensolveError, match="real-path bound 4.5e-10"):
+        spectrum(restriction)
+    assert seen == [np.float64]
