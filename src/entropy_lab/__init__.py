@@ -15,10 +15,12 @@ from .torus_sets import (
     TorusIntervalSet,
     TorusSetError,
     canonicalize,
+    cantor_depth_policy,
     cantor_generate,
     empty_set,
     fermi_sea,
     full_torus,
+    predicted_alpha,
 )
 from .toeplitz import (
     EntropyResult,
@@ -50,12 +52,10 @@ from .scaling import (
     ScanRecord,
     VerificationError,
     bound_envelope,
-    cantor_depth_policy,
     check_monotonicity,
     check_subadditivity,
     default_grid,
     fit_exponent,
-    predicted_alpha,
     scan,
 )
 from .oracle import (

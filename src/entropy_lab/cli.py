@@ -3,12 +3,20 @@
 Entropy values are reported in nats unless --bits is given, in which case
 the affected CSV columns are renamed with a _bits suffix so files stay
 self-describing. CSV numbers carry 17 significant digits and round-trip
-exactly. Exit codes: 0 success, 1 invalid input, 2 verification failure.
+exactly. Exit codes: 0 success, 1 invalid input (one "error:" line on
+stderr, also when a request is too large to allocate), 2 verification
+failure.
+
+``verify`` and ``fit`` hold no checks of their own: they call the
+cross-checks and gates in ``scaling`` (the same functions the acceptance
+tests call, at larger sizes); this module only chooses the sizes, reads and
+writes files, and maps errors to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -16,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import fejer, oracle, scaling, specio, toeplitz, torus_sets
+from . import fejer, scaling, specio, toeplitz, torus_sets
 
 LOG2 = math.log(2.0)
 
@@ -28,8 +36,20 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path``, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
+def _write_json(obj, path) -> None:
+    with _output(path) as out:
+        json.dump(obj, out, indent=2)
+        out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +86,8 @@ def cmd_scan(args) -> int:
     grid = scaling.default_grid(args.nmin, args.nmax, args.ratio)
     K = spec.resolve_set(n_max=args.nmax)
     records = scaling.scan(K, grid, mode=args.mode, eig_cap=args.eig_cap)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         write_scan_csv(records, out, bits=args.bits)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -120,41 +136,6 @@ def _parse_window(text):
         raise specio.SpecFormatError(f"bad --window {text!r}, expected LO:HI") from exc
 
 
-def fit_report(records, window=None, series="auto", cantor=None) -> dict:
-    fits = {}
-    for model in scaling.MODELS:
-        f = scaling.fit_exponent(records, model, window=window, series=series)
-        fits[model] = {
-            "slope": f.slope,
-            "intercept": f.intercept,
-            "residual_rms": f.residual_rms,
-            "r_squared": f.r_squared,
-            "local_slopes": list(f.local_slopes),
-        }
-        window = f.window      # lock all models to the same resolved window
-    ratio = abs(fits["logsq"]["slope"]) / abs(fits["log"]["slope"]) \
-        if fits["log"]["slope"] else float("inf")
-    report = {
-        "window": list(window),
-        "series": series,
-        "n_points": len([r for r in records if window[0] <= r.n <= window[1]]),
-        "fits": fits,
-        "alpha": fits["power"]["slope"],
-        "flags": {
-            "log_r2_ok": fits["log"]["r_squared"] >= 0.995,
-            "logsq_over_log_ratio": ratio,
-            "log_dominates_logsq": ratio < 0.1,
-        },
-    }
-    if cantor is not None:
-        target = scaling.predicted_alpha(
-            torus_sets.CantorSpec(cantor["q"], cantor["a"]))
-        report["predicted_alpha"] = target
-        report["flags"]["alpha_error"] = abs(report["alpha"] - target)
-        report["flags"]["alpha_ok"] = abs(report["alpha"] - target) <= 0.1
-    return report
-
-
 def cmd_fit(args) -> int:
     records = read_scan_csv(args.csv)
     cantor = None
@@ -164,15 +145,9 @@ def cmd_fit(args) -> int:
             cantor = {"q": spec.cantor_ratio, "a": spec.cantor_amplitude}
         elif spec.metadata and {"q", "a"} <= set(spec.metadata):
             cantor = {"q": spec.metadata["q"], "a": spec.metadata["a"]}
-    report = fit_report(records, window=_parse_window(args.window),
-                        series=args.series, cantor=cantor)
-    out = _open_out(args.out)
-    try:
-        json.dump(report, out, indent=2)
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    report = scaling.fit_report(records, window=_parse_window(args.window),
+                               series=args.series, cantor=cantor)
+    _write_json(report, args.out)
     return 0
 
 
@@ -180,107 +155,20 @@ def cmd_fit(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_eta_bound() -> dict:
-    xs = np.linspace(0.0, 1.0, 100_000)
-    lower_ok = bool(np.all(xs * (1.0 - xs) <= toeplitz.eta_tilde(xs) + 1e-15))
-    smallest_c = {}
-    inner = xs[(xs > 0.0) & (xs < 1.0)]
-    quad = inner * (1.0 - inner)
-    eta_vals = toeplitz.eta_tilde(inner)
-    for n in (2, 16, 256):
-        eps = 1.0 / n
-        smallest_c[str(n)] = float(np.max((eta_vals - eps) / (-math.log(eps) * quad)))
-    c_ok = all(c <= 2.0 for c in smallest_c.values())
-    return {"passed": lower_ok and c_ok, "lower_bound_holds": lower_ok,
-            "smallest_c": smallest_c, "c_at_most_2": c_ok}
-
-
-def _suite_oracle(rng, n_sets: int, n_top: int) -> dict:
-    worst = 0.0
-    for _ in range(n_sets):
-        K = torus_sets.random_interval_set(rng)
-        f = toeplitz.SymbolFunction.indicator(K)
-        for n in range(1, n_top + 1):
-            s_toeplitz = toeplitz.block_entropy(f, n)
-            s_oracle = oracle.block_entropy_oracle(f, n)
-            worst = max(worst, abs(s_oracle - s_toeplitz))
-    return {"passed": worst <= 1e-8, "max_deviation": worst,
-            "sets": n_sets, "n_top": n_top}
-
-
-def _suite_routes(rng, n_sets: int, sizes) -> dict:
-    worst_rel = 0.0
-    for _ in range(n_sets):
-        K = torus_sets.random_interval_set(rng)
-        f = toeplitz.SymbolFunction.indicator(K)
-        coeffs = toeplitz.fourier_coefficients(f, max(sizes) - 1)
-        for n in sizes:
-            direct = toeplitz.purity_proxy_direct(coeffs, n)
-            kernel = fejer.purity_proxy_kernel(K, n)
-            eig = toeplitz.entropy_result(
-                toeplitz.restriction_from_coefficients(coeffs, n)).proxy
-            scale = max(abs(direct), abs(kernel), abs(eig))
-            worst_rel = max(worst_rel,
-                            abs(direct - kernel) / scale,
-                            abs(direct - eig) / scale,
-                            abs(kernel - eig) / scale)
-    series_worst = 0.0
-    for length in (0.1, 0.25, 0.5):
-        f = toeplitz.SymbolFunction.indicator(
-            torus_sets.canonicalize([(0.0, length)]))
-        coeffs = toeplitz.fourier_coefficients(f, max(sizes) - 1)
-        for n in sizes:
-            direct = toeplitz.purity_proxy_direct(coeffs, n)
-            series = toeplitz.purity_proxy_single_interval_series(length, n)
-            series_worst = max(series_worst, abs(direct - series))
-    return {"passed": worst_rel <= 1e-6 and series_worst <= 1e-8,
-            "max_relative_route_gap": worst_rel,
-            "max_series_deviation": series_worst}
-
-
-def _suite_subadditivity(rng, n_pairs: int, sizes) -> dict:
-    worst = math.inf
-    for _ in range(n_pairs):
-        k1, k2 = torus_sets.random_disjoint_pair(rng)
-        for n in sizes:
-            worst = min(worst, scaling.check_subadditivity(k1, k2, n))
-    return {"passed": worst >= -1e-9, "min_gap": worst, "pairs": n_pairs}
-
-
-def _suite_invariances(rng, n_sets: int, size: int) -> dict:
-    worst = 0.0
-    for _ in range(n_sets):
-        K = torus_sets.random_interval_set(rng)
-        phi = float(rng.uniform(0.0, 1.0))
-        base = toeplitz.entropy_result(
-            toeplitz.build_restriction(toeplitz.SymbolFunction.indicator(K), size))
-        for other_set in (K.complement(), K.translate(phi)):
-            other = toeplitz.entropy_result(
-                toeplitz.build_restriction(
-                    toeplitz.SymbolFunction.indicator(other_set), size))
-            worst = max(worst, abs(base.entropy - other.entropy),
-                        abs(base.proxy - other.proxy))
-    return {"passed": worst <= 1e-9, "max_deviation": worst}
-
-
 def run_verification(seed: int = 0, quick: bool = False) -> dict:
+    """Run the shared checks of ``scaling`` at the quick or the full sizes;
+    the acceptance criteria run the same checks at larger sizes."""
     rng = np.random.default_rng(seed)
-    if quick:
-        suites = {
-            "eta_pointwise_bound": _suite_eta_bound(),
-            "oracle_equivalence": _suite_oracle(rng, n_sets=2, n_top=4),
-            "route_agreement": _suite_routes(rng, n_sets=2, sizes=(4, 16)),
-            "subadditivity": _suite_subadditivity(rng, n_pairs=5, sizes=(4, 16)),
-            "set_invariances": _suite_invariances(rng, n_sets=2, size=16),
-        }
-    else:
-        suites = {
-            "eta_pointwise_bound": _suite_eta_bound(),
-            "oracle_equivalence": _suite_oracle(rng, n_sets=6, n_top=6),
-            "route_agreement": _suite_routes(rng, n_sets=5, sizes=(4, 16, 64)),
-            "subadditivity": _suite_subadditivity(rng, n_pairs=20, sizes=(4, 16, 64)),
-            "set_invariances": _suite_invariances(rng, n_sets=4, size=32),
-        }
+    # name: (check, quick arguments, full arguments), after the generator
+    table = {
+        "oracle_equivalence": (scaling.oracle_report, (2, 4), (6, 6)),
+        "route_agreement": (scaling.route_report, (2, (4, 16)), (5, (4, 16, 64))),
+        "subadditivity": (scaling.subadditivity_report, (5, (4, 16)), (20, (4, 16, 64))),
+        "set_invariances": (scaling.invariance_report, (2, 16), (4, 32)),
+    }
+    suites = {"eta_pointwise_bound": scaling.eta_bound_report((2, 16, 256))}
+    for name, (check, quick_args, full_args) in table.items():
+        suites[name] = check(rng, *(quick_args if quick else full_args))
     return {"seed": seed, "quick": quick, "suites": suites,
             "all_passed": all(s["passed"] for s in suites.values())}
 
@@ -289,13 +177,7 @@ def cmd_verify(args) -> int:
     report = run_verification(seed=args.seed, quick=args.quick)
     for name, suite in report["suites"].items():
         print(f"{name}: {'PASS' if suite['passed'] else 'FAIL'}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write_json(report, args.out)
     return 0 if report["all_passed"] else 2
 
 
@@ -307,7 +189,7 @@ def cmd_cantor(args) -> int:
     if args.depth == "auto":
         if args.nmax is None:
             raise specio.SpecFormatError("--depth auto needs --nmax")
-        depth = scaling.cantor_depth_policy(
+        depth = torus_sets.cantor_depth_policy(
             torus_sets.CantorSpec(args.q, args.a), args.nmax)
     else:
         try:
@@ -316,11 +198,7 @@ def cmd_cantor(args) -> int:
             raise specio.SpecFormatError(
                 f"--depth must be an integer or 'auto', got {args.depth!r}") from exc
     payload = specio.cantor_spec_dict(args.q, args.a, depth)
-    if args.out:
-        specio.dump_spec(payload, args.out)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write_json(payload, args.out)
     return 0
 
 
@@ -335,11 +213,7 @@ def cmd_fermi(args) -> int:
         "measure": sea.measure,
         "interval_count": sea.interval_count,
     })
-    if args.out:
-        specio.dump_spec(payload, args.out)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write_json(payload, args.out)
     return 0
 
 
@@ -411,6 +285,9 @@ def main(argv=None) -> int:
     except (specio.SpecFormatError, torus_sets.TorusSetError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except (scaling.VerificationError, fejer.QuadratureError,
             toeplitz.EigensolveError) as exc:

@@ -17,14 +17,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .scaling import cantor_depth_policy, predicted_alpha
 from .torus_sets import (
     CantorSpec,
     DispersionSamples,
     TorusIntervalSet,
     canonicalize,
+    cantor_depth_policy,
     cantor_generate,
     fermi_sea,
+    predicted_alpha,
 )
 
 SCHEMA_VERSION = 1

@@ -258,6 +258,29 @@ class CantorSpec:
         return 1.0 - sum(2 ** (m - 1) * self.hole_length(m) for m in range(1, d + 1))
 
 
+def predicted_alpha(spec: CantorSpec) -> float:
+    """Growth exponent log 2 / (-log ratio) of the fat-Cantor family."""
+    return math.log(2.0) / (-math.log(spec.ratio))
+
+
+MAX_CANTOR_DEPTH = 60
+
+
+def cantor_depth_policy(spec: CantorSpec, n_max: int) -> int:
+    """Smallest depth whose first omitted holes are finer than the resolution
+    scale 1/(2 N_max); equivalently the depth m with
+    hole(m) >= 1/(2 N_max) > hole(m+1)."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    scale = 1.0 / (2.0 * n_max)
+    for depth in range(MAX_CANTOR_DEPTH + 1):
+        if spec.hole_length(depth + 1) < scale:
+            return depth
+    raise ValueError(
+        f"depth needed for N_max={n_max} exceeds the cap {MAX_CANTOR_DEPTH} "
+        f"(ratio {spec.ratio}, amplitude {spec.amplitude})"
+    )
+
 def cantor_generate(spec: CantorSpec) -> TorusIntervalSet:
     """Finite-depth truncation of the Cantor-like set.
 

@@ -2,7 +2,10 @@
 
 Each test prints a PASS line once its assertions hold (visible with -s; the
 pytest -v listing itself gives the per-criterion verdict). Shared expensive
-scans are module-scoped fixtures.
+scans are module-scoped fixtures. Criteria 1, 2, 4, 6, 7 and 10 call the
+cross-checks in ``entropy_lab.scaling`` that ``verify`` and ``fit`` run, at
+larger sizes, and pin the gate each report was judged by, so a loosened gate
+fails here.
 """
 
 import math
@@ -15,27 +18,30 @@ from entropy_lab import (
     CantorSpec,
     SymbolFunction,
     block_entropy,
-    block_entropy_oracle,
     bound_envelope,
     canonicalize,
     cantor_depth_policy,
     cantor_generate,
     check_monotonicity,
-    check_subadditivity,
     default_grid,
     entropy_density,
-    entropy_result,
     eta_tilde,
-    fit_exponent,
     fourier_coefficients,
-    predicted_alpha,
     purity_proxy_direct,
-    purity_proxy_kernel,
-    purity_proxy_single_interval_series,
-    restriction_from_coefficients,
     scan,
 )
-from entropy_lab.torus_sets import random_disjoint_pair, random_interval_set
+from entropy_lab.scaling import (
+    ALPHA_TOL,
+    ETA_GRID_POINTS,
+    LOG_R2_MIN,
+    LOGSQ_RATIO_MAX,
+    eta_bound_report,
+    fit_report,
+    oracle_report,
+    route_report,
+    subadditivity_report,
+)
+from entropy_lab.torus_sets import random_interval_set
 
 SEED = 20250808
 HALF = canonicalize([(0.0, 0.5)])
@@ -55,48 +61,24 @@ def fig2_scan():
 
 def test_criterion_01_oracle_equivalence():
     t0 = time.monotonic()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(20):
-        K = random_interval_set(rng, max_intervals=3)
-        f = SymbolFunction.indicator(K)
-        for n in range(1, 7):
-            s_toeplitz = block_entropy(f, n)
-            s_oracle = block_entropy_oracle(f, n)
-            worst = max(worst, abs(s_oracle - s_toeplitz))
+    report = oracle_report(np.random.default_rng(SEED), n_sets=20, n_top=6)
     elapsed = time.monotonic() - t0
-    assert worst <= 1e-8, f"max oracle deviation {worst:.3e}"
+    worst = report["max_deviation"]
+    assert report["bounds"] == {"max_deviation": 1e-8}
+    assert report["passed"], f"max oracle deviation {worst:.3e}"
     assert elapsed < 120.0, f"oracle sweep took {elapsed:.1f}s"
     _report(1, f"oracle equivalence, max dev {worst:.2e}, {elapsed:.0f}s")
 
 
 def test_criterion_02_three_route_proxy_agreement():
-    rng = np.random.default_rng(SEED + 1)
-    sizes = (4, 16, 64, 256)
-    worst_rel = 0.0
-    for _ in range(10):
-        K = random_interval_set(rng, max_intervals=3)
-        coeffs = fourier_coefficients(SymbolFunction.indicator(K), max(sizes) - 1)
-        for n in sizes:
-            direct = purity_proxy_direct(coeffs, n)
-            kernel = purity_proxy_kernel(K, n)
-            eig = entropy_result(restriction_from_coefficients(coeffs, n)).proxy
-            scale = max(abs(direct), abs(kernel), abs(eig))
-            worst_rel = max(worst_rel,
-                            abs(direct - kernel) / scale,
-                            abs(direct - eig) / scale,
-                            abs(kernel - eig) / scale)
-    assert worst_rel <= 1e-6, f"worst pairwise relative gap {worst_rel:.3e}"
-
-    worst_series = 0.0
-    for length in (0.1, 0.25, 0.5):
-        f = SymbolFunction.indicator(canonicalize([(0.0, length)]))
-        coeffs = fourier_coefficients(f, 255)
-        for n in (1, 2, 16, 64, 256):
-            direct = purity_proxy_direct(coeffs, n)
-            series = purity_proxy_single_interval_series(length, n)
-            worst_series = max(worst_series, abs(direct - series))
-    assert worst_series <= 1e-8, f"worst series deviation {worst_series:.3e}"
+    report = route_report(np.random.default_rng(SEED + 1), n_sets=10,
+                          sizes=(4, 16, 64, 256), series_sizes=(1, 2, 16, 64, 256))
+    worst_rel = report["max_relative_route_gap"]
+    worst_series = report["max_series_deviation"]
+    assert report["bounds"] == {"max_relative_route_gap": 1e-6,
+                                "max_series_deviation": 1e-8}
+    assert report["passed"], (f"worst pairwise relative gap {worst_rel:.3e}, "
+                              f"worst series deviation {worst_series:.3e}")
     _report(2, f"route agreement, rel {worst_rel:.2e}, series {worst_series:.2e}")
 
 
@@ -115,16 +97,16 @@ def test_criterion_03_closed_form_anchors():
 def test_criterion_04_fig2_log_growth(fig2_scan):
     records, elapsed = fig2_scan
     assert elapsed < 600.0, f"scan took {elapsed:.1f}s"
-    log_fit = fit_exponent(records, "log", series="entropy")
-    logsq_fit = fit_exponent(records, "logsq", series="entropy")
-    assert log_fit.r_squared >= 0.995, f"log-model R^2 {log_fit.r_squared:.6f}"
-    ratio = abs(logsq_fit.slope) / abs(log_fit.slope)
-    assert ratio < 0.1, (
-        f"logsq coefficient {logsq_fit.slope:.5f} not below 10% of "
-        f"log slope {log_fit.slope:.5f} (ratio {ratio:.4f})"
+    report = fit_report(records, series="entropy")
+    assert (LOG_R2_MIN, LOGSQ_RATIO_MAX) == (0.995, 0.1)
+    fits, flags = report["fits"], report["flags"]
+    r2, ratio = fits["log"]["r_squared"], flags["logsq_over_log_ratio"]
+    assert flags["log_r2_ok"], f"log-model R^2 {r2:.6f}"
+    assert flags["log_dominates_logsq"], (
+        f"logsq coefficient {fits['logsq']['slope']:.5f} not below 10% of "
+        f"log slope {fits['log']['slope']:.5f} (ratio {ratio:.4f})"
     )
-    _report(4, f"log growth, R2 {log_fit.r_squared:.4f}, "
-               f"logsq/log ratio {ratio:.3f}")
+    _report(4, f"log growth, R2 {r2:.4f}, logsq/log ratio {ratio:.3f}")
 
 
 def test_criterion_05_two_sided_envelope(fig2_scan):
@@ -141,18 +123,18 @@ def test_criterion_05_two_sided_envelope(fig2_scan):
 
 def test_criterion_06_cantor_exponents():
     t0 = time.monotonic()
+    assert ALPHA_TOL == 0.1
     results = {}
     for ratio, amplitude in ((0.25, 1.0), (1.0 / 3.0, 0.9)):
-        spec = CantorSpec(ratio, amplitude)
-        depth = cantor_depth_policy(spec, 2 ** 14)
+        depth = cantor_depth_policy(CantorSpec(ratio, amplitude), 2 ** 14)
         K = cantor_generate(CantorSpec(ratio, amplitude, depth))
         records = scan(K, default_grid(2 ** 7, 2 ** 14), mode="proxy")
-        fit = fit_exponent(records, "power", window=(2 ** 7, 2 ** 14),
-                           series="proxy")
-        target = predicted_alpha(spec)
-        results[ratio] = (fit.slope, target)
-        assert abs(fit.slope - target) <= 0.1, (
-            f"q={ratio:.4f}: fitted alpha {fit.slope:.4f} "
+        report = fit_report(records, window=(2 ** 7, 2 ** 14), series="proxy",
+                            cantor={"q": ratio, "a": amplitude})
+        alpha, target = report["alpha"], report["predicted_alpha"]
+        results[ratio] = (alpha, target)
+        assert report["flags"]["alpha_ok"], (
+            f"q={ratio:.4f}: fitted alpha {alpha:.4f} "
             f"outside {target:.4f} +- 0.1"
         )
     elapsed = time.monotonic() - t0
@@ -163,13 +145,11 @@ def test_criterion_06_cantor_exponents():
 
 
 def test_criterion_07_subadditivity():
-    rng = np.random.default_rng(SEED + 2)
-    worst = math.inf
-    for _ in range(20):
-        k1, k2 = random_disjoint_pair(rng)
-        for n in (4, 16, 64):
-            worst = min(worst, check_subadditivity(k1, k2, n))
-    assert worst >= -1e-9, f"min subadditivity gap {worst:.3e}"
+    report = subadditivity_report(np.random.default_rng(SEED + 2), n_pairs=20,
+                                  sizes=(4, 16, 64))
+    worst = report["min_gap"]
+    assert report["bounds"] == {"min_gap": -1e-9}
+    assert report["passed"], f"min subadditivity gap {worst:.3e}"
     _report(7, f"subadditivity, min gap {worst:.2e}")
 
 
@@ -199,20 +179,18 @@ def test_criterion_09_vanishing_entropy_density(fig2_scan):
 
 
 def test_criterion_10_pointwise_function_bound():
-    xs = np.linspace(0.0, 1.0, 100_000)
-    vals = eta_tilde(xs)
-    assert np.all(xs * (1.0 - xs) <= vals + 1e-15)
+    report = eta_bound_report((2, 16, 256))
+    assert report["bounds"] == {"smallest_c": 2.0}
+    assert report["lower_bound_holds"]
+    assert report["passed"], f"smallest working c {report['smallest_c']} above 2"
 
+    xs = np.linspace(0.0, 1.0, ETA_GRID_POINTS)
     inner = xs[(xs > 0.0) & (xs < 1.0)]
     quad = inner * (1.0 - inner)
     eta_vals = eta_tilde(inner)
-    smallest = {}
-    for n in (2, 16, 256):
-        eps = 1.0 / n
-        c_min = float(np.max((eta_vals - eps) / (-math.log(eps) * quad)))
-        smallest[n] = c_min
-        assert c_min <= 2.0, f"N={n}: smallest working c {c_min:.4f} above 2"
+    for n, c_min in report["smallest_c"].items():
+        eps = 1.0 / int(n)
         # the reported constant really closes the bound on the grid
         assert np.all(eta_vals <= eps - (c_min + 1e-12) * math.log(eps) * quad)
-    summary = ", ".join(f"N={n}: c={c:.3f}" for n, c in smallest.items())
+    summary = ", ".join(f"N={n}: c={c:.3f}" for n, c in report["smallest_c"].items())
     _report(10, f"pointwise bound ({summary})")

@@ -21,6 +21,14 @@ def write_spec(path, payload):
     return str(path)
 
 
+def write_csv(path, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli.CSV_COLUMNS)
+        writer.writerows(rows)
+    return str(path)
+
+
 def test_cantor_subcommand_emits_truncation(tmp_path):
     out = tmp_path / "cantor.json"
     res = run_cli("cantor", "--q", "0.25", "--a", "1", "--depth", "1",
@@ -241,6 +249,10 @@ def test_verify_default_passes(tmp_path):
         "subadditivity", "set_invariances",
     }
     assert all("PASS" in line for line in res.stdout.splitlines()[:5])
+    for suite in report["suites"].values():
+        assert suite["bounds"] and set(suite["bounds"]) <= set(suite)
+    assert report["suites"]["route_agreement"]["bounds"] == {
+        "max_relative_route_gap": 1e-6, "max_series_deviation": 1e-8}
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
@@ -249,6 +261,65 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
                "all_passed": False}
     monkeypatch.setattr(cli, "run_verification", lambda **kw: failing)
     assert cli.main(["verify"]) == 2
+
+
+def test_verify_exit_2_through_shared_check(monkeypatch, capsys):
+    real = scaling.block_entropy_oracle
+    monkeypatch.setattr(scaling, "block_entropy_oracle",
+                        lambda f, n: real(f, n) + 1e-6)
+    assert cli.main(["verify", "--quick"]) == 2
+    assert "oracle_equivalence: FAIL" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cantor", "--q", "0.25", "--a", "1", "--depth", "auto"], "--depth auto needs --nmax"),
+    (["cantor", "--q", "0.25", "--a", "1", "--depth", "x"], "--depth must be an integer"),
+    (["cantor", "--q", "0.49", "--a", "0.0367", "--nmax", str(2 ** 70)], "exceeds the cap 60"),
+    (["fit", "--csv", "{good}", "--window", "1:x"], "bad --window '1:x'"),
+    (["fit", "--csv", "{empty}"], "no data rows"),
+    (["fit", "--csv", "{malformed}"], "malformed row"),
+    (["fermi", "--set", "{half}"], "fermi subcommand needs a fermi spec"),
+    (["fermi", "--set", "{plateau}"], "dispersion has a plateau"),
+    (["scan", "--set", "{half}", "--ratio", "inf"], "grid ratio must be finite"),
+    (["scan", "--set", "{half}", "--ratio", "nan"], "grid ratio must be finite"),
+])
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
+    files = {
+        "half": write_spec(tmp_path / "half.json", {"version": 1, "type": "intervals",
+                                                    "intervals": [[0, 0.5]]}),
+        "good": write_csv(tmp_path / "good.csv", [[8, "1.0", "0.5", "", "", "0"]]),
+        "empty": write_csv(tmp_path / "empty.csv", []),
+        "malformed": write_csv(tmp_path / "bad.csv", [[8, "x", "0.5", "", "", "0"]]),
+        "plateau": write_spec(tmp_path / "plateau.json", {
+            "version": 1, "type": "fermi", "filling": 0.3,
+            "samples": [[0.0, 0.0], [0.25, 0.0], [0.5, 1.0], [0.75, 0.0]]}),
+    }
+    code = cli.main([a.format(**files) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 1.41 TiB for an array"), "Unable to allocate"),
+    (MemoryError(), "allocation failed"),
+])
+def test_scan_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys,
+                                                  exc, message):
+    spec = write_spec(tmp_path / "half.json",
+                      {"version": 1, "type": "intervals", "intervals": [[0, 0.5]]})
+
+    def no_memory(*a, **kw):
+        raise exc
+
+    monkeypatch.setattr(scaling, "fourier_coefficients", no_memory)
+    code = cli.main(["scan", "--set", spec, "--mode", "proxy",
+                     "--nmax", "100000000000"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: out of memory: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_scan_route_disagreement_maps_to_exit_2(monkeypatch, tmp_path, capsys):

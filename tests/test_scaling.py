@@ -6,20 +6,20 @@ import pytest
 from entropy_lab.scaling import (
     ScanRecord,
     bound_envelope,
-    cantor_depth_policy,
     check_monotonicity,
     check_subadditivity,
     default_grid,
     fit_exponent,
-    predicted_alpha,
     scan,
 )
 from entropy_lab.toeplitz import SymbolFunction
 from entropy_lab.torus_sets import (
     CantorSpec,
+    cantor_depth_policy,
     cantor_generate,
     canonicalize,
     full_torus,
+    predicted_alpha,
     random_disjoint_pair,
 )
 
@@ -39,8 +39,9 @@ def test_default_grid():
     assert 16 in grid and 11 in grid
     with pytest.raises(ValueError):
         default_grid(0, 10)
-    with pytest.raises(ValueError):
-        default_grid(4, 10, ratio=0.9)
+    for bad in (0.9, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            default_grid(4, 10, ratio=bad)
 
 
 def test_scan_anchor_values():
