@@ -73,6 +73,17 @@ def _check_keys(obj: dict, allowed: set[str]):
         raise SpecFormatError(f"unknown spec fields: {sorted(unknown)}")
 
 
+def _number_pairs(obj: dict, key: str, what: str) -> list[tuple[float, float]]:
+    raw = obj.get(key)
+    if not isinstance(raw, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in raw):
+        raise SpecFormatError(f'"{key}" must be a list of [{what}] pairs')
+    try:
+        return [(float(a), float(b)) for a, b in raw]
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(f'"{key}" must hold numeric [{what}] pairs: {exc}') from exc
+
+
 def parse_spec(obj) -> SetSpec:
     if not isinstance(obj, dict):
         raise SpecFormatError("spec must be a JSON object")
@@ -86,12 +97,8 @@ def parse_spec(obj) -> SetSpec:
 
     if kind == "intervals":
         _check_keys(obj, {"version", "type", "intervals", "metadata"})
-        raw = obj.get("intervals")
-        if not isinstance(raw, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in raw):
-            raise SpecFormatError('"intervals" must be a list of [start, end] pairs')
-        return SetSpec(kind="intervals",
-                       intervals=canonicalize([(float(a), float(b)) for a, b in raw]),
+        pairs = _number_pairs(obj, "intervals", "start, end")
+        return SetSpec(kind="intervals", intervals=canonicalize(pairs),
                        metadata=metadata)
 
     if kind == "cantor":
@@ -103,7 +110,7 @@ def parse_spec(obj) -> SetSpec:
             raise SpecFormatError('cantor spec needs numeric "q" and "a"') from exc
         depth = obj.get("depth", "auto")
         if depth != "auto":
-            if not isinstance(depth, int) or depth < 0:
+            if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
                 raise SpecFormatError('"depth" must be a nonnegative integer or "auto"')
         CantorSpec(ratio, amplitude)    # validate parameters eagerly
         return SetSpec(kind="cantor", cantor_ratio=ratio, cantor_amplitude=amplitude,
@@ -111,16 +118,13 @@ def parse_spec(obj) -> SetSpec:
 
     if kind == "fermi":
         _check_keys(obj, {"version", "type", "samples", "filling", "metadata"})
-        raw = obj.get("samples")
-        if not isinstance(raw, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in raw):
-            raise SpecFormatError('"samples" must be a list of [theta, energy] pairs')
+        samples = _number_pairs(obj, "samples", "theta, energy")
         try:
             filling = float(obj["filling"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecFormatError('fermi spec needs a numeric "filling"') from exc
-        disp = DispersionSamples(thetas=tuple(float(p[0]) for p in raw),
-                                 energies=tuple(float(p[1]) for p in raw))
+        disp = DispersionSamples(thetas=tuple(t for t, _ in samples),
+                                 energies=tuple(e for _, e in samples))
         return SetSpec(kind="fermi", dispersion=disp, filling=filling,
                        metadata=metadata)
 

@@ -137,10 +137,6 @@ class SymbolFunction:
     def constant(cls, v: float) -> "SymbolFunction":
         return cls((0.0, 1.0), (float(v),))
 
-    @property
-    def is_pure(self) -> bool:
-        return all(v in (0.0, 1.0) for v in self.values)
-
     def pieces(self):
         return zip(self.breakpoints, self.breakpoints[1:], self.values)
 
@@ -308,10 +304,9 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntropyResult:
-    """Block size, spectrum, entropy S_N (nats) and proxy P_N = sum l(1-l)."""
+    """Block size, entropy S_N (nats) and proxy P_N = sum l(1-l)."""
 
     n: int
-    eigenvalues: tuple[float, ...]
     entropy: float
     proxy: float
 
@@ -320,8 +315,7 @@ def entropy_result(restriction: ToeplitzRestriction) -> EntropyResult:
     lam = spectrum(restriction)
     s = float(np.sum(eta_tilde(lam)))
     p = float(np.sum(lam * (1.0 - lam)))
-    return EntropyResult(n=restriction.order, eigenvalues=tuple(lam),
-                         entropy=s, proxy=p)
+    return EntropyResult(n=restriction.order, entropy=s, proxy=p)
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

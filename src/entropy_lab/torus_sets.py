@@ -139,7 +139,8 @@ def canonicalize(raw) -> TorusIntervalSet:
         if length == 0.0:
             raise TorusSetError(f"zero-length interval (mod 1): ({s}, {e})")
         start = s % 1.0
-        if start < MERGE_TOL:
+        # s % 1.0 rounds to exactly 1.0 for starts just below an integer
+        if start < MERGE_TOL or start > 1.0 - MERGE_TOL:
             start = 0.0
         end = start + length
         if end > 1.0 - MERGE_TOL:

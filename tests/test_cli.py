@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from entropy_lab import cli, scaling, specio
+from entropy_lab import cli, fejer, scaling, specio
 from entropy_lab.torus_sets import canonicalize
 
 
@@ -271,6 +271,16 @@ def test_verify_exit_2_through_shared_check(monkeypatch, capsys):
     assert "oracle_equivalence: FAIL" in capsys.readouterr().out.splitlines()
 
 
+def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
+    real = fejer.fejer_kernel
+    monkeypatch.setattr(fejer, "fejer_kernel",
+                        lambda n, phi: real(n, phi) * (1.0 + 1e-6))
+    assert cli.main(["verify", "--quick"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and "kernel mass" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cantor", "--q", "0.25", "--a", "1", "--depth", "auto"], "--depth auto needs --nmax"),
     (["cantor", "--q", "0.25", "--a", "1", "--depth", "x"], "--depth must be an integer"),
@@ -282,6 +292,9 @@ def test_verify_exit_2_through_shared_check(monkeypatch, capsys):
     (["fermi", "--set", "{plateau}"], "dispersion has a plateau"),
     (["scan", "--set", "{half}", "--ratio", "inf"], "grid ratio must be finite"),
     (["scan", "--set", "{half}", "--ratio", "nan"], "grid ratio must be finite"),
+    (["scan", "--set", "{null_end}"], '"intervals" must hold numeric'),
+    (["fermi", "--set", "{null_sample}"], '"samples" must hold numeric'),
+    (["scan", "--set", "{bool_depth}", "--nmax", "8"], '"depth" must be a nonnegative'),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -293,6 +306,13 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
         "plateau": write_spec(tmp_path / "plateau.json", {
             "version": 1, "type": "fermi", "filling": 0.3,
             "samples": [[0.0, 0.0], [0.25, 0.0], [0.5, 1.0], [0.75, 0.0]]}),
+        "null_end": write_spec(tmp_path / "null_end.json", {
+            "version": 1, "type": "intervals", "intervals": [[0.1, None]]}),
+        "null_sample": write_spec(tmp_path / "null_sample.json", {
+            "version": 1, "type": "fermi", "filling": 0.5,
+            "samples": [[0.0, 0.0], [0.5, None], [0.75, 1.0]]}),
+        "bool_depth": write_spec(tmp_path / "bool_depth.json", {
+            "version": 1, "type": "cantor", "q": 0.25, "a": 1.0, "depth": True}),
     }
     code = cli.main([a.format(**files) for a in argv])
     err = capsys.readouterr().err
@@ -331,6 +351,17 @@ def test_scan_route_disagreement_maps_to_exit_2(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli.scaling, "scan", boom)
     assert cli.main(["scan", "--set", spec, "--nmin", "1", "--nmax", "2"]) == 2
+
+
+def test_scan_accepts_start_just_below_the_seam(tmp_path, capsys):
+    # -1e-20 % 1.0 rounds to 1.0; the piece must still start at 0
+    rows = []
+    for start in (-1e-20, 0.0):
+        spec = write_spec(tmp_path / "seam.json", {
+            "version": 1, "type": "intervals", "intervals": [[start, 0.5]]})
+        assert cli.main(["scan", "--set", spec, "--nmin", "1", "--nmax", "4"]) == 0
+        rows.append([r[:-1] for r in csv.reader(capsys.readouterr().out.splitlines())])
+    assert rows[0] == rows[1]
 
 
 def test_spec_parse_accepts_missing_version():

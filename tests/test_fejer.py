@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from entropy_lab import fejer
 from entropy_lab.fejer import (
     QuadratureError,
-    adaptive_integral,
     fejer_kernel,
     kernel_zeros,
+    panel_rule,
     purity_proxy_kernel,
     purity_proxy_kernel_complement,
 )
@@ -46,11 +47,8 @@ def test_kernel_zeros_and_periodicity():
 
 def test_kernel_normalization():
     for n in (1, 2, 8, 64):
-        total = adaptive_integral(lambda p: fejer_kernel(n, p),
-                                  np.sort(np.concatenate([kernel_zeros(n),
-                                                          [-0.5, 0.5]])),
-                                  abs_tol=1e-10)
-        assert total == pytest.approx(1.0, abs=1e-9)
+        phi, w = panel_rule(np.sort(np.concatenate([kernel_zeros(n), [-0.5, 0.5]])))
+        assert float(w @ fejer_kernel(n, phi)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_kernel_series_switchover_is_smooth():
@@ -76,18 +74,26 @@ def test_kernel_two_branch_majorant():
         assert np.all(vals[outside] <= bound + 1e-9)
 
 
-def test_adaptive_integral_polynomial_exact():
-    # Simpson is exact on cubics, so the adaptive pass converges immediately
-    val = adaptive_integral(lambda x: x ** 3 - x + 2.0, np.array([0.0, 0.5, 1.0]))
-    assert val == pytest.approx(0.25 - 0.5 + 2.0, abs=1e-14)
+def test_panel_rule_polynomial_exact():
+    # 16 Gauss-Legendre points are exact up to degree 31 on every panel
+    poly = np.polynomial.Polynomial(np.random.default_rng(5).uniform(-1.0, 1.0, 32))
+    edges = np.array([-0.5, -0.31, -0.3, 0.0, 0.07, 0.4, 0.5])
+    phi, w = panel_rule(edges)
+    exact = poly.integ()(0.5) - poly.integ()(-0.5)
+    assert float(w @ poly(phi)) == pytest.approx(exact, abs=1e-13)
+    assert len(phi) == len(w) == 16 * (len(edges) - 1)
+    phi, w = panel_rule([0.0, 0.25, 0.25 + 1e-16, 1.0])    # sliver panel dropped
+    assert len(phi) == 32 and float(np.sum(w)) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        panel_rule([0.0])
 
 
-def test_adaptive_integral_reports_depth_cap():
-    # integrable endpoint singularity starves the depth budget
-    def f(x):
-        return 1.0 / np.sqrt(np.abs(x) + 1e-300)
-    with pytest.raises(QuadratureError):
-        adaptive_integral(f, np.array([0.0, 1.0]), abs_tol=1e-12, max_depth=8)
+def test_kernel_mass_check_raises_quadrature_error(monkeypatch):
+    real = fejer.fejer_kernel
+    monkeypatch.setattr(fejer, "fejer_kernel",
+                        lambda n, phi: real(n, phi) * (1.0 + 1e-6))
+    with pytest.raises(QuadratureError, match="kernel mass"):
+        purity_proxy_kernel(canonicalize([(0.0, 0.5)]), 8)
 
 
 def test_proxy_kernel_anchors():
@@ -119,3 +125,15 @@ def test_three_route_agreement_random_sets():
             comp = purity_proxy_kernel_complement(K, n)
             assert kern == pytest.approx(direct, rel=1e-6)
             assert comp == pytest.approx(direct, rel=1e-6)
+
+
+def test_kernel_route_matches_direct_route_to_1e_11():
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        K = random_interval_set(rng, max_intervals=8, min_length=0.01)
+        coeffs = fourier_coefficients(SymbolFunction.indicator(K), 332)
+        for n in (1, 3, 17, 100, 333):
+            direct = purity_proxy_direct(coeffs, n)
+            assert purity_proxy_kernel(K, n) == pytest.approx(direct, rel=1e-11)
+            assert purity_proxy_kernel_complement(K, n) == pytest.approx(
+                direct, rel=1e-11)

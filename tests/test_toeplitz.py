@@ -346,6 +346,20 @@ def test_jin_korepin_single_interval(length, n, gate):
     assert abs(s - (math.log(2 * n * math.sin(math.pi * length)) / 3 + UPSILON)) <= gate
 
 
+@pytest.mark.parametrize("pieces, gate", [
+    ([(0.05, 0.25), (0.45, 0.65)], 5e-6),
+    ([(0.0, 0.1), (0.3, 0.4), (0.6, 0.7)], 5e-5),
+])
+def test_interval_union_log_coefficient(pieces, gate):
+    # m intervals give S_N ~ (m/3) ln N (Widom; Gioev & Klich, PRL 96,
+    # 100503, 2006). Gates are about four times the deviations measured at
+    # freeze time: 1.2e-6 (m = 2) and 1.2e-5 (m = 3). Both sets are symmetric
+    # about 0.35, so they take the real path.
+    f = SymbolFunction.indicator(canonicalize(pieces))
+    slope = (block_entropy(f, 1024) - block_entropy(f, 512)) / math.log(2.0)
+    assert abs(slope - len(pieces) / 3) <= gate
+
+
 def test_real_path_charges_weyl_bound(monkeypatch):
     # Centred half-interval row plus Im r(2) sized to use 0.9 of the
     # real-path budget, so Weyl's bound is 4.5e-10.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entropy_lab.toeplitz import SymbolFunction
 from entropy_lab.torus_sets import (
     CantorSpec,
     DispersionPlateauError,
@@ -67,6 +68,16 @@ def test_canonicalize_empty_and_idempotent():
         raw = [(a, b) for a, b in raw if (b - a) % 1.0 != 0.0]
         K = canonicalize(raw)
         assert canonicalize(K.intervals).intervals == K.intervals
+
+
+def test_canonicalize_snaps_start_just_below_the_seam():
+    # s % 1.0 returns exactly 1.0 here; no (1.0, 1.0) piece may survive
+    K = canonicalize([(0.3, 0.6)]).translate(-(0.1 + 0.2))
+    assert K.intervals == ((0.0, pytest.approx(0.3, abs=1e-15)),)
+    assert not K.wraps and K.interval_count == 1
+    assert SymbolFunction.indicator(K).breakpoints[:2] == K.intervals[0]
+    assert K.translate(0.25).intervals == ((0.25, pytest.approx(0.55, abs=1e-15)),)
+    assert canonicalize([(-1e-20, 0.5)]) == canonicalize([(0.0, 0.5)])
 
 
 def test_measure_examples():
