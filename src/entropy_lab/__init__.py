@@ -33,7 +33,6 @@ from .toeplitz import (
     entropy_result,
     eta,
     eta_tilde,
-    fourier_coefficient,
     fourier_coefficients,
     purity_proxy_direct,
     purity_proxy_single_interval_series,

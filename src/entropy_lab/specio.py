@@ -73,15 +73,24 @@ def _check_keys(obj: dict, allowed: set[str]):
         raise SpecFormatError(f"unknown spec fields: {sorted(unknown)}")
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float. Booleans, strings and null are refused
+    rather than coerced; ``what`` opens the error message."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecFormatError(f"{what}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SpecFormatError(f"{what}, got an integer too large for a float") from exc
+
+
 def _number_pairs(obj: dict, key: str, what: str) -> list[tuple[float, float]]:
     raw = obj.get(key)
     if not isinstance(raw, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in raw):
         raise SpecFormatError(f'"{key}" must be a list of [{what}] pairs')
-    try:
-        return [(float(a), float(b)) for a, b in raw]
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f'"{key}" must hold numeric [{what}] pairs: {exc}') from exc
+    message = f'"{key}" must hold numeric [{what}] pairs'
+    return [(_number(a, message), _number(b, message)) for a, b in raw]
 
 
 def parse_spec(obj) -> SetSpec:
@@ -103,11 +112,8 @@ def parse_spec(obj) -> SetSpec:
 
     if kind == "cantor":
         _check_keys(obj, {"version", "type", "q", "a", "depth", "metadata"})
-        try:
-            ratio = float(obj["q"])
-            amplitude = float(obj["a"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecFormatError('cantor spec needs numeric "q" and "a"') from exc
+        ratio = _number(obj.get("q"), 'cantor spec needs numeric "q" and "a"')
+        amplitude = _number(obj.get("a"), 'cantor spec needs numeric "q" and "a"')
         depth = obj.get("depth", "auto")
         if depth != "auto":
             if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
@@ -119,10 +125,7 @@ def parse_spec(obj) -> SetSpec:
     if kind == "fermi":
         _check_keys(obj, {"version", "type", "samples", "filling", "metadata"})
         samples = _number_pairs(obj, "samples", "theta, energy")
-        try:
-            filling = float(obj["filling"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecFormatError('fermi spec needs a numeric "filling"') from exc
+        filling = _number(obj.get("filling"), 'fermi spec needs a numeric "filling"')
         disp = DispersionSamples(thetas=tuple(t for t, _ in samples),
                                  energies=tuple(e for _, e in samples))
         return SetSpec(kind="fermi", dispersion=disp, filling=filling,

@@ -11,6 +11,16 @@ eigenvalues of Q_N. The quadratic proxy P_N = Tr Q_N(1 - Q_N) bounds S_N
 from below and shares its growth exponent; it is computable in O(N) from the
 coefficients alone.
 
+The coefficients of a piecewise-constant symbol come from its jumps: with
+c_j the jump at breakpoint x_j, 2 pi i k q(k) = sum_j c_j e^{-2 pi i k x_j}
+for k != 0. Writing k = r B + s with B = isqrt(n_max) + 1 turns q(1..n_max)
+into one blocked matrix product of e^{-2 pi i r B x_j} against
+c_j e^{-2 pi i s x_j}, so m jumps cost about 2 m sqrt(n_max) exponentials
+instead of 2 m n_max. Each phase k x is reduced mod 1 exactly before its
+exponential, by splitting x into a 26-bit head (k * head is exact in a
+double for k < 2^27) and a tail, which keeps every q(k) correct to a few
+ulps; orders n_max >= 2^27 are refused.
+
 Spectra are verified: every eigenpair must satisfy
 ||Q v - lambda v|| <= 1e-8 ||Q||. A set symmetric about a centre c (single
 intervals, Cantor truncations) has a symbol whose demodulated coefficients
@@ -146,18 +156,6 @@ class SymbolFunction:
         return sum((b - a) * v for a, b, v in self.pieces())
 
 
-def fourier_coefficient(f: SymbolFunction, k: int) -> complex:
-    """Closed-form q(k) for a piecewise-constant symbol."""
-    if k == 0:
-        return complex(f.mean)
-    total = 0j
-    for a, b, v in f.pieces():
-        if v != 0.0:
-            w = 2j * math.pi * k
-            total += v * (np.exp(-w * a) - np.exp(-w * b)) / w
-    return complex(total)
-
-
 @dataclass(eq=False)
 class SymbolCoefficients:
     """Fourier coefficients q(0)..q(n_max); negative orders follow from
@@ -184,18 +182,64 @@ class SymbolCoefficients:
         return complex(self.values[k]) if k >= 0 else complex(np.conj(self.values[-k]))
 
 
+# Phases are reduced mod 1 before the exponential: x is split into a head of
+# _HEAD_BITS bits, whose product with an integer k < _MAX_ORDER is exact in a
+# double, and a tail below 2^-26, whose product with k stays below 2.
+_HEAD_BITS = 26
+_MAX_ORDER = 2 ** (_HEAD_BITS + 1)
+# Jumps per matrix product. It bounds the (rows, chunk) and (chunk, block)
+# factors, so memory stays near the (rows, block) accumulator whatever the
+# jump count.
+_ENDPOINT_CHUNK = 64
+
+
+def _phase(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """k * x mod 1 to about one ulp, for integers 0 <= k < _MAX_ORDER and
+    x in [0, 1); the result lies in [0, 3)."""
+    head = np.floor(x * 2.0 ** _HEAD_BITS) / 2.0 ** _HEAD_BITS
+    return np.mod(k * head, 1.0) + k * (x - head)
+
+
 def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
-    """All of q(0)..q(n_max) in one vectorized pass over the pieces."""
+    """All of q(0)..q(n_max) as one blocked sum over the jumps of f.
+
+    Summed over the pieces [a, b) with value v, the closed forms
+    v (e^{-2 pi i k a} - e^{-2 pi i k b}) / (2 pi i k) telescope to
+
+        2 pi i k q(k) = sum_j c_j e^{-2 pi i k x_j},   k != 0,
+
+    over the breakpoints x_j in [0, 1), with jumps c_j = v_j - v_{j-1}
+    (wrapping at 0, since e^{-2 pi i k} = 1); zero jumps drop out. With
+    k = r B + s and B = isqrt(n_max) + 1 the sum is the matrix product
+    (H @ L)[r, s] of H[r, j] = e^{-2 pi i r B x_j} and
+    L[j, s] = c_j e^{-2 pi i s x_j}, so about 2 m sqrt(n_max) exponentials
+    and one complex matrix product replace 2 m n_max exponentials. Every
+    phase is reduced mod 1 exactly before its exponential (see ``_phase``),
+    which keeps q(k) correct to a few ulps at any k and limits n_max to
+    below 2^27.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    vals = np.zeros(n_max + 1, dtype=complex)
+    if n_max >= _MAX_ORDER:
+        raise ValueError(f"n_max must be below 2^{_HEAD_BITS + 1} = {_MAX_ORDER}, "
+                         f"the limit of exact phase reduction; got {n_max}")
+    v = np.asarray(f.values)
+    jumps = v - np.roll(v, 1)
+    keep = jumps != 0.0
+    x, c = np.asarray(f.breakpoints[:-1])[keep], jumps[keep]
+    block = math.isqrt(n_max) + 1
+    rows = n_max // block + 1
+    high = block * np.arange(rows)[:, None]
+    low = np.arange(block)[None, :]
+    acc = np.zeros((rows, block), dtype=complex)
+    for lo in range(0, len(x), _ENDPOINT_CHUNK):
+        xs, cs = x[lo:lo + _ENDPOINT_CHUNK], c[lo:lo + _ENDPOINT_CHUNK]
+        hmat = np.exp(-2j * np.pi * _phase(high, xs))
+        lmat = cs[:, None] * np.exp(-2j * np.pi * _phase(low, xs[:, None]))
+        acc += hmat @ lmat
+    vals = acc.ravel()[:n_max + 1]
+    vals[1:] /= 2j * np.pi * np.arange(1, n_max + 1)
     vals[0] = f.mean
-    if n_max >= 1:
-        k = np.arange(1, n_max + 1)
-        w = 2j * np.pi * k
-        for a, b, v in f.pieces():
-            if v != 0.0:
-                vals[1:] += v * (np.exp(-w * a) - np.exp(-w * b)) / w
     return SymbolCoefficients(n_max=n_max, values=vals)
 
 

@@ -295,6 +295,12 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     (["scan", "--set", "{null_end}"], '"intervals" must hold numeric'),
     (["fermi", "--set", "{null_sample}"], '"samples" must hold numeric'),
     (["scan", "--set", "{bool_depth}", "--nmax", "8"], '"depth" must be a nonnegative'),
+    (["scan", "--set", "{bool_start}", "--nmax", "8"], '"intervals" must hold numeric'),
+    (["scan", "--set", "{huge_end}", "--nmax", "8"], "integer too large for a float"),
+    (["scan", "--set", "{bool_a}", "--nmax", "8"], 'cantor spec needs numeric "q" and "a"'),
+    (["scan", "--set", "{string_q}", "--nmax", "8"], 'cantor spec needs numeric "q" and "a"'),
+    (["fermi", "--set", "{string_sample}"], '"samples" must hold numeric'),
+    (["fermi", "--set", "{bool_filling}"], 'fermi spec needs a numeric "filling"'),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -313,6 +319,20 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
             "samples": [[0.0, 0.0], [0.5, None], [0.75, 1.0]]}),
         "bool_depth": write_spec(tmp_path / "bool_depth.json", {
             "version": 1, "type": "cantor", "q": 0.25, "a": 1.0, "depth": True}),
+        "bool_start": write_spec(tmp_path / "bool_start.json", {
+            "version": 1, "type": "intervals", "intervals": [[False, 0.5]]}),
+        "huge_end": write_spec(tmp_path / "huge_end.json", {
+            "version": 1, "type": "intervals", "intervals": [[0, 10 ** 400]]}),
+        "bool_a": write_spec(tmp_path / "bool_a.json", {
+            "version": 1, "type": "cantor", "q": 0.25, "a": True, "depth": 3}),
+        "string_q": write_spec(tmp_path / "string_q.json", {
+            "version": 1, "type": "cantor", "q": "0.25", "a": 1.0, "depth": 3}),
+        "string_sample": write_spec(tmp_path / "string_sample.json", {
+            "version": 1, "type": "fermi", "filling": 0.5,
+            "samples": [[0.0, 0.0], [0.5, "1"], [0.75, 0.5]]}),
+        "bool_filling": write_spec(tmp_path / "bool_filling.json", {
+            "version": 1, "type": "fermi", "filling": True,
+            "samples": [[0.0, 0.0], [0.5, 1.0], [0.75, 0.5]]}),
     }
     code = cli.main([a.format(**files) for a in argv])
     err = capsys.readouterr().err

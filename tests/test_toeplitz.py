@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from entropy_lab import toeplitz
 from entropy_lab.toeplitz import (
     EigensolveError,
     EntropyDomainError,
@@ -14,7 +16,6 @@ from entropy_lab.toeplitz import (
     entropy_result,
     eta,
     eta_tilde,
-    fourier_coefficient,
     fourier_coefficients,
     purity_proxy_direct,
     purity_proxy_single_interval_series,
@@ -24,6 +25,7 @@ from entropy_lab.toeplitz import (
 from entropy_lab.torus_sets import (
     CantorSpec,
     canonicalize,
+    cantor_depth_policy,
     cantor_generate,
     full_torus,
     random_interval_set,
@@ -85,25 +87,84 @@ def test_quadratic_lower_bound_on_eta_tilde():
 
 
 def test_fourier_coefficient_half_interval():
+    coeffs = fourier_coefficients(SymbolFunction.indicator(HALF), 2)
+    assert coeffs.coefficient(0) == pytest.approx(0.5, abs=1e-15)
+    assert coeffs.coefficient(1) == pytest.approx(-1j / math.pi, abs=1e-15)
+    assert coeffs.coefficient(2) == pytest.approx(0.0, abs=1e-15)
+
+
+def _per_piece(f, n_max):
+    """q(1)..q(n_max) as the sum over pieces [a, b) with value v of
+    v (e^{-2 pi i k a} - e^{-2 pi i k b}) / (2 pi i k)."""
+    w = 2j * np.pi * np.arange(1, n_max + 1)
+    return sum(v * (np.exp(-w * a) - np.exp(-w * b)) / w for a, b, v in f.pieces())
+
+
+# More than the 64 jumps of one matrix-product chunk.
+DEPTH6 = cantor_generate(CantorSpec(0.25, 1.0, 6)).translate(0.0123)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 15, 16, 17, 255, 256])
+@pytest.mark.parametrize("f", [
+    SymbolFunction.indicator(THREE),
+    SymbolFunction.indicator(DEPTH6),
+    SymbolFunction((0.0, 0.2, 0.55, 1.0), (0.5, 0.25, 0.0)),
+], ids=["three", "depth6", "mixed"])
+def test_fourier_coefficients_match_per_piece_sum(f, n_max):
+    coeffs = fourier_coefficients(f, n_max)
+    assert coeffs.coefficient(0) == f.mean
+    np.testing.assert_allclose(coeffs.values[1:], _per_piece(f, n_max),
+                               rtol=0, atol=1e-14)
+    for k in range(1, n_max + 1):
+        assert coeffs.coefficient(-k) == np.conj(coeffs.values[k])
+
+
+def test_constant_symbol_has_no_higher_coefficients():
+    coeffs = fourier_coefficients(SymbolFunction.constant(0.3), 17)
+    assert coeffs.coefficient(0) == 0.3
+    assert np.all(coeffs.values[1:] == 0.0)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the order check")
+
+
+def test_fourier_coefficients_refuse_orders_past_phase_reduction(monkeypatch):
     f = SymbolFunction.indicator(HALF)
-    assert fourier_coefficient(f, 0) == pytest.approx(0.5, abs=1e-15)
-    assert fourier_coefficient(f, 1) == pytest.approx(-1j / math.pi, abs=1e-15)
-    assert fourier_coefficient(f, 2) == pytest.approx(0.0, abs=1e-15)
+    # Refused before numpy allocates anything: an array this long would take 2 GiB.
+    monkeypatch.setattr(toeplitz, "np", _NoNumpy())
+    with pytest.raises(ValueError, match=r"below 2\^27"):
+        fourier_coefficients(f, 2 ** 27)
 
 
-def test_fourier_coefficients_match_single_calls():
-    rng = np.random.default_rng(2)
-    K = random_interval_set(rng)
+def _reference_coefficients(f, ks):
+    """q(k) at 40 digits from the per-piece closed form, with the float
+    endpoints taken as exact."""
+    with mpmath.workdps(40):
+        out = []
+        for k in ks:
+            total = mpmath.mpc(0)
+            for a, b, v in f.pieces():
+                if v != 0.0:
+                    total += v * (mpmath.expjpi(-2 * k * mpmath.mpf(a))
+                                  - mpmath.expjpi(-2 * k * mpmath.mpf(b)))
+            out.append(complex(total / (2j * mpmath.pi * k)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("K, n_max, gate", [
+    (cantor_generate(CantorSpec(0.25, 1.0, 5)).translate(0.0123), 2047, 5e-16),
+    (cantor_generate(CantorSpec(1 / 3, 0.9, cantor_depth_policy(
+        CantorSpec(1 / 3, 0.9), 16384))), 16383, 2e-15),
+], ids=["depth5-translated", "q1/3-auto-16384"])
+def test_fourier_coefficients_match_40_digit_reference(K, n_max, gate):
     f = SymbolFunction.indicator(K)
-    coeffs = fourier_coefficients(f, 12)
-    for k in range(13):
-        assert coeffs.coefficient(k) == pytest.approx(fourier_coefficient(f, k),
-                                                      abs=1e-14)
-    for k in (1, 5, 12):
-        assert coeffs.coefficient(-k) == pytest.approx(
-            np.conj(fourier_coefficient(f, k)), abs=1e-14)
-    assert all(abs(coeffs.coefficient(k)) <= coeffs.coefficient(0).real + 1e-12
-               for k in range(13))
+    rng = np.random.default_rng(5)
+    ks = np.concatenate([rng.integers(1, n_max - 7, 40), np.arange(n_max - 7, n_max + 1)])
+    coeffs = fourier_coefficients(f, n_max)
+    err = np.abs(coeffs.values[ks] - _reference_coefficients(f, ks.tolist()))
+    assert np.max(err) <= gate
 
 
 def test_mixed_symbol_coefficients():
