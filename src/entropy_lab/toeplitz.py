@@ -400,8 +400,7 @@ def proxy_scan(coeffs: SymbolCoefficients, grid) -> list[float]:
 _SERIES_TAIL_BOUND = 1e-10
 
 
-def purity_proxy_single_interval_series(length: float, n: int,
-                                        tail_terms: int | None = None) -> float:
+def purity_proxy_single_interval_series(length: float, n: int) -> float:
     """Independent series route for a single interval of given length:
 
         Tr Q_N(1-Q_N) = (2N/pi^2) sum_{m>=N} sin^2(pi m L)/m^2
@@ -420,8 +419,6 @@ def purity_proxy_single_interval_series(length: float, n: int,
     sin_floor = math.sin(math.pi * length)
     need = math.sqrt(n / (math.pi ** 2 * _SERIES_TAIL_BOUND * sin_floor))
     cutoff = max(n + 1, int(math.ceil(need)))
-    if tail_terms is not None:
-        cutoff = max(cutoff, n + int(tail_terms))
 
     head = np.arange(1, n)
     term_head = (2.0 / math.pi ** 2) * float(

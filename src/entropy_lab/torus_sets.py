@@ -63,13 +63,6 @@ class TorusIntervalSet:
     def is_full(self) -> bool:
         return len(self.intervals) == 1 and self.intervals[0] == (0.0, 1.0)
 
-    def endpoints(self) -> list[float]:
-        out = []
-        for s, e in self.intervals:
-            out.append(s)
-            out.append(e)
-        return out
-
     def complement(self) -> "TorusIntervalSet":
         if self.is_empty:
             return full_torus()
@@ -107,11 +100,6 @@ class TorusIntervalSet:
             return empty_set()
         return canonicalize(pieces)
 
-    def overlap_deficit(self, phi: float) -> float:
-        """Measure of K \\ (K + phi): how much of the set a rigid shift by
-        phi uncovers. Symmetric in phi -> -phi."""
-        return float(overlap_deficit_profile(self, np.asarray([phi]))[0])
-
 
 def empty_set() -> TorusIntervalSet:
     return TorusIntervalSet(intervals=(), wraps=False)
@@ -129,12 +117,14 @@ def canonicalize(raw) -> TorusIntervalSet:
     the torus. Idempotent: canonical input comes back unchanged.
     """
     pieces = []
+    covers = False
     for s, e in raw:
         s, e = float(s), float(e)
         if not (math.isfinite(s) and math.isfinite(e)):
             raise TorusSetError(f"non-finite interval endpoint: ({s}, {e})")
         if e - s >= 1.0:
-            return full_torus()
+            covers = True
+            continue
         length = (e - s) % 1.0
         if length == 0.0:
             raise TorusSetError(f"zero-length interval (mod 1): ({s}, {e})")
@@ -152,6 +142,8 @@ def canonicalize(raw) -> TorusIntervalSet:
         else:
             pieces.append((start, end))
 
+    if covers:
+        return full_torus()
     if not pieces:
         return empty_set()
 
@@ -177,42 +169,46 @@ def canonicalize(raw) -> TorusIntervalSet:
     return TorusIntervalSet(intervals=tuple((s, e) for s, e in merged), wraps=wraps)
 
 
-def overlap_deficit_profile(K: TorusIntervalSet, phis: np.ndarray) -> np.ndarray:
-    """|K \\ (K + phi)| evaluated for an array of shifts at once.
-
-    The intersection measure is summed over piece pairs; the shifted piece is
-    compared both directly and displaced by -1 to cover the seam.
-    """
-    phis = np.asarray(phis, dtype=float)
+def _deficit_knots(K: TorusIntervalSet) -> tuple[np.ndarray, np.ndarray]:
+    """Kinks 0 = x[0] < ... < x[-1] = 1 of phi -> |K \\ (K + phi)| and its
+    values D there. Over the signed endpoints e_i (s = +1 at a start, -1 at
+    an end) its second derivative is sum_{i,j} s_i s_j delta(phi - (e_i - e_j)).
+    It is 0 at phi = 0, where its slope jumps from -m to m, m the interval
+    count. Between kinks it is affine, so sorting the (2m)^2 differences mod 1
+    and two cumulative sums give it exactly; D[-1] = 0 up to rounding."""
     if K.is_empty or K.is_full:
-        return np.zeros_like(phis)
-    overlap = np.zeros_like(phis)
-    for a1, b1 in K.intervals:
-        for a2, b2 in K.intervals:
-            length = b2 - a2
-            s = (a2 + phis) % 1.0
-            e = s + length
-            overlap += np.maximum(0.0, np.minimum(b1, e) - np.maximum(a1, s))
-            overlap += np.maximum(0.0, np.minimum(b1, e - 1.0) - np.maximum(a1, s - 1.0))
-    return K.measure - overlap
+        return np.array([0.0, 1.0]), np.zeros(2)
+    pieces = np.asarray(K.intervals)
+    starts, ends = pieces[:, 0], pieces[:, 1]
+    if K.wraps:   # the seam cuts one interval; it is not an endpoint
+        starts, ends = starts[1:], ends[:-1]
+    m = len(starts)
+    e = np.concatenate([starts, ends])
+    s = np.concatenate([np.ones(m), -np.ones(m)])
+    diffs = ((e[:, None] - e[None, :]) % 1.0).ravel()
+    order = np.argsort(diffs)
+    diffs, weights = diffs[order], np.outer(s, s).ravel()[order]
+    first = np.flatnonzero(np.r_[True, np.diff(diffs) > 0.0])
+    slopes = np.cumsum(np.add.reduceat(weights, first)) - m
+    x = np.append(diffs[first], 1.0)
+    return x, np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
+
+
+def overlap_deficit_profile(K: TorusIntervalSet, phis: np.ndarray) -> np.ndarray:
+    """|K \\ (K + phi)|, how much of K a shift by phi uncovers, for an array
+    of shifts: exact (up to rounding) between the kinks, which it interpolates
+    from ``_deficit_knots``. Symmetric in phi -> -phi and period 1."""
+    x, D = _deficit_knots(K)
+    return np.interp(np.asarray(phis, dtype=float) % 1.0, x, D)
 
 
 def deficit_breakpoints(K: TorusIntervalSet) -> np.ndarray:
-    """Shifts where phi -> |K \\ (K+phi)| can kink, mapped into [-1/2, 1/2].
-
-    These are differences of interval endpoints mod 1; between consecutive
-    breakpoints the profile is affine.
-    """
-    pts = {0.0, -0.5, 0.5}
-    ends = K.endpoints()
-    for x in ends:
-        for y in ends:
-            d = (x - y) % 1.0
-            if d > 0.5:
-                d -= 1.0
-            pts.add(d)
-            pts.add(-d)
-    return np.array(sorted(pts))
+    """The kinks of ``overlap_deficit_profile`` mapped into [-1/2, 1/2] and
+    mirrored, with -1/2, 0 and 1/2: the profile is affine between
+    consecutive breakpoints."""
+    x, _ = _deficit_knots(K)
+    x = np.where(x > 0.5, x - 1.0, x)
+    return np.unique(np.concatenate([x, -x, [-0.5, 0.0, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

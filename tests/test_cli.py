@@ -301,6 +301,9 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     (["scan", "--set", "{string_q}", "--nmax", "8"], 'cantor spec needs numeric "q" and "a"'),
     (["fermi", "--set", "{string_sample}"], '"samples" must hold numeric'),
     (["fermi", "--set", "{bool_filling}"], 'fermi spec needs a numeric "filling"'),
+    (["scan", "--set", "{full_then_nan}", "--mode", "proxy"], "non-finite interval endpoint"),
+    (["scan", "--set", "{long_then_inf}", "--mode", "proxy"], "non-finite interval endpoint"),
+    (["scan", "--set", "{full_then_empty}", "--mode", "proxy"], "zero-length interval"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -333,6 +336,12 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
         "bool_filling": write_spec(tmp_path / "bool_filling.json", {
             "version": 1, "type": "fermi", "filling": True,
             "samples": [[0.0, 0.0], [0.5, 1.0], [0.75, 0.5]]}),
+        "full_then_nan": write_spec(tmp_path / "full_then_nan.json", {
+            "version": 1, "type": "intervals", "intervals": [[0, 1], [math.nan, 0.5]]}),
+        "long_then_inf": write_spec(tmp_path / "long_then_inf.json", {
+            "version": 1, "type": "intervals", "intervals": [[0.2, 1.4], [0.3, math.inf]]}),
+        "full_then_empty": write_spec(tmp_path / "full_then_empty.json", {
+            "version": 1, "type": "intervals", "intervals": [[0, 1], [0.3, 0.3]]}),
     }
     code = cli.main([a.format(**files) for a in argv])
     err = capsys.readouterr().err

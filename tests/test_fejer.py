@@ -12,13 +12,19 @@ from entropy_lab.fejer import (
     purity_proxy_kernel,
     purity_proxy_kernel_complement,
 )
+from entropy_lab.scaling import ROUTE_TOL
 from entropy_lab.toeplitz import (
     SymbolFunction,
+    entropy_result,
     fourier_coefficients,
     purity_proxy_direct,
+    restriction_from_coefficients,
 )
 from entropy_lab.torus_sets import (
+    CantorSpec,
     canonicalize,
+    cantor_depth_policy,
+    cantor_generate,
     empty_set,
     full_torus,
     random_interval_set,
@@ -137,3 +143,21 @@ def test_kernel_route_matches_direct_route_to_1e_11():
             assert purity_proxy_kernel(K, n) == pytest.approx(direct, rel=1e-11)
             assert purity_proxy_kernel_complement(K, n) == pytest.approx(
                 direct, rel=1e-11)
+
+
+def test_routes_agree_on_the_cantor_sets_the_proxy_fits_use():
+    # the depth-7 q = 1/4 truncation (127 intervals) and the auto-depth
+    # q = 1/3, a = 0.9 truncation for N = 16384 (511 intervals)
+    deep = cantor_generate(CantorSpec(0.25, 1.0, 7))
+    spec = CantorSpec(1.0 / 3.0, 0.9)
+    fine = cantor_generate(CantorSpec(spec.ratio, spec.amplitude,
+                                      cantor_depth_policy(spec, 16384)))
+    assert (deep.interval_count, fine.interval_count) == (127, 511)
+    for K, sizes in ((deep, (256, 4096)), (fine, (16384,))):
+        coeffs = fourier_coefficients(SymbolFunction.indicator(K), max(sizes) - 1)
+        for n in sizes:
+            direct = purity_proxy_direct(coeffs, n)
+            assert purity_proxy_kernel(K, n) == pytest.approx(direct, rel=ROUTE_TOL)
+            if n == 256:
+                eig = entropy_result(restriction_from_coefficients(coeffs, n)).proxy
+                assert eig == pytest.approx(direct, rel=ROUTE_TOL)

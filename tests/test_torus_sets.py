@@ -7,6 +7,7 @@ from entropy_lab.torus_sets import (
     DispersionPlateauError,
     DispersionSamples,
     TorusSetError,
+    _deficit_knots,
     canonicalize,
     cantor_generate,
     deficit_breakpoints,
@@ -49,6 +50,7 @@ def test_canonicalize_full_torus():
     assert K.is_full
     assert K.measure == 1.0
     assert canonicalize([(0.3, 1.5)]).is_full
+    assert canonicalize([(0.1, 0.2), (0.3, 1.3)]).is_full
 
 
 def test_canonicalize_rejects_bad_endpoints():
@@ -58,6 +60,12 @@ def test_canonicalize_rejects_bad_endpoints():
         canonicalize([(float("nan"), 0.5)])
     with pytest.raises(TorusSetError):
         canonicalize([(0.1, float("inf"))])
+    # a piece of length >= 1 covers the torus, but every piece is still checked
+    for raw in ([(0.0, 1.0), (float("nan"), 0.5)],
+                [(0.2, 1.4), (0.3, float("inf"))],
+                [(0.0, 1.0), (0.3, 0.3)]):
+        with pytest.raises(TorusSetError):
+            canonicalize(raw)
 
 
 def test_canonicalize_empty_and_idempotent():
@@ -108,12 +116,16 @@ def test_complement_translate_measures():
         assert back.measure == pytest.approx(K.measure, abs=1e-12)
 
 
+def deficit(K, phi):
+    return float(overlap_deficit_profile(K, phi))
+
+
 def test_overlap_deficit_single_interval():
     K = canonicalize([(0.1, 0.4)])           # |K| = 0.3
-    assert K.overlap_deficit(0.1) == pytest.approx(0.1, abs=1e-12)
-    assert K.overlap_deficit(0.4) == pytest.approx(0.3, abs=1e-12)
-    assert full_torus().overlap_deficit(0.37) == 0.0
-    assert empty_set().overlap_deficit(0.37) == 0.0
+    assert deficit(K, 0.1) == pytest.approx(0.1, abs=1e-12)
+    assert deficit(K, 0.4) == pytest.approx(0.3, abs=1e-12)
+    assert deficit(full_torus(), 0.37) == 0.0
+    assert deficit(empty_set(), 0.37) == 0.0
 
 
 def test_overlap_deficit_symmetry_and_complement():
@@ -121,9 +133,9 @@ def test_overlap_deficit_symmetry_and_complement():
     for _ in range(25):
         K = random_interval_set(rng)
         phi = float(rng.uniform(-0.5, 0.5))
-        d = K.overlap_deficit(phi)
-        assert d == pytest.approx(K.overlap_deficit(-phi), abs=1e-12)
-        assert d == pytest.approx(K.complement().overlap_deficit(phi), abs=1e-12)
+        d = deficit(K, phi)
+        assert d == pytest.approx(deficit(K, -phi), abs=1e-12)
+        assert d == pytest.approx(deficit(K.complement(), phi), abs=1e-12)
         assert d == pytest.approx(K.measure - K.intersection(K.translate(phi)).measure,
                                   abs=1e-12)
 
@@ -134,16 +146,25 @@ def test_overlap_deficit_lower_bound_m_phi():
     K = canonicalize([(0.05, 0.2), (0.3, 0.5), (0.6, 0.85)])
     delta = 0.1
     for phi in np.linspace(0.0, delta, 40):
-        assert K.overlap_deficit(phi) >= 3 * phi - 1e-12
+        assert deficit(K, phi) >= 3 * phi - 1e-12
 
 
-def test_overlap_deficit_profile_matches_scalar():
+def test_overlap_deficit_profile_matches_set_algebra():
     rng = np.random.default_rng(5)
-    K = random_interval_set(rng)
-    phis = rng.uniform(-0.5, 0.5, size=40)
-    prof = overlap_deficit_profile(K, phis)
-    for phi, val in zip(phis, prof):
-        assert val == pytest.approx(K.overlap_deficit(float(phi)), abs=1e-14)
+    sets = [random_interval_set(rng, max_intervals=8, min_length=0.01)
+            for _ in range(30)]
+    sets += [K.translate(float(rng.uniform())) for K in sets[:10]]
+    sets.append(cantor_generate(CantorSpec(0.25, 1.0, 7)))
+    assert sum(K.wraps for K in sets) >= 3
+    for K in sets:
+        phis = rng.uniform(-1.0, 1.0, size=8)
+        prof = overlap_deficit_profile(K, phis)
+        for phi, val in zip(phis, prof):
+            exact = K.measure - K.intersection(K.translate(float(phi))).measure
+            assert abs(val - exact) <= 1e-13
+        # the cumulative sums behind the profile return to 0 at phi = 1
+        assert abs(deficit(K, 1.0)) <= 1e-13
+        assert abs(_deficit_knots(K)[1][-1]) <= 1e-13
 
 
 def test_deficit_breakpoints_cover_kinks():
