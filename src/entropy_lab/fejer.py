@@ -19,9 +19,9 @@ panel the integrand is a trigonometric polynomial times an affine function,
 and one fixed Gauss-Legendre rule integrates it with an error bounded in
 advance (see ``GAUSS_POINTS``). The rule's own sum of w * k_N must reproduce
 the kernel's unit mass within ``QUAD_TOL``; otherwise ``QuadratureError`` is
-raised. For m intervals the route sorts (2m)^2 differences and evaluates 16
-nodes on each of about N + (distinct kinks) panels: about 0.35 s for 511
-intervals at N = 16384 on 2 cores.
+raised. For m intervals the route sorts (2m)^2 differences once and
+evaluates 16 nodes on each of about N + (distinct kinks) panels: about
+0.23 s for 511 intervals at N = 16384 on 2 cores.
 """
 
 from __future__ import annotations

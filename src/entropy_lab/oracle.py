@@ -1,11 +1,22 @@
 """Brute-force Fock-space oracle for small blocks.
 
-Quasi-free expectations of fermion operator words are evaluated by Wick
-contraction against the two-point matrix; the reduced density matrix of an
-n-site block is then assembled entry by entry from spin matrix units mapped
-through the Jordan-Wigner parity strings. Diagonalizing that 2^n x 2^n
-matrix gives the block entropy a second, completely independent way, which
-cross-checks Tr eta_tilde(Q_n) from the Toeplitz route.
+The reduced density matrix of an n-site block is assembled entry by entry
+from spin matrix units mapped through the Jordan-Wigner parity strings, using
+the entries of the two-point matrix Q only, never its spectrum.
+Diagonalizing that 2^n x 2^n matrix gives the block entropy a second,
+independent way, which cross-checks Tr eta_tilde(Q_n) from the Toeplitz
+route.
+
+Entry (r, c) has column bit b and row bit b' at site k. Once its parity
+strings cancel to a sign, it is the expectation of a word in site order:
+c+c at (b, b') = (0, 0), cc+ at (1, 1), c+ at (0, 1) and c at (1, 0). In a
+gauge-invariant quasi-free state only c+c and cc+ contractions survive, so
+Wick's Pfaffian of the word is sgn(pi) det M, with C and A the sorted
+creator and annihilator sites, M[i, j] = Q[C_i, A_j] - delta(C_i, A_j) when
+b = b' = 1 at C_i (there the pair is cc+ = 1 - n), else Q[C_i, A_j], and pi
+the permutation taking the word to C_1 A_1 C_2 A_2 ... The Wick recursion
+``wick_expectation`` and the literal ``density_matrix_from_matrix_units``
+are the definitional reference that assembly is tested against.
 
 Conventions fixed here:
   * Basis index bit order: site 0 is the most significant bit.
@@ -103,20 +114,6 @@ def wick_expectation(word, q_window: np.ndarray) -> complex:
     return paired((1 << length) - 1)
 
 
-def determinant_expectation(creators, annihilators, q_window: np.ndarray) -> complex:
-    """det [Q_{i_k, j_l}] for the normal-ordered word
-    c+_{i_1}..c+_{i_m} c_{j_m}..c_{j_1}; the closed form the Wick recursion
-    must reproduce on such words."""
-    creators = list(creators)
-    annihilators = list(annihilators)
-    if len(creators) != len(annihilators):
-        return 0j
-    if not creators:
-        return 1 + 0j
-    sub = np.asarray(q_window)[np.ix_(creators, annihilators)]
-    return complex(np.linalg.det(sub))
-
-
 def matrix_unit_word(site: int, a: int, b: int, n: int):
     """Expansion of the matrix unit E_ab at ``site`` into weighted fermion
     words.
@@ -171,46 +168,6 @@ class FockDensityMatrix:
         self.matrix.setflags(write=False)
 
 
-def _entry_sign_and_word(row: int, col: int, n: int):
-    """Operator content of entry (row, col), or None when it vanishes by
-    parity.
-
-    Column bits give the first matrix-unit indices, row bits the second.
-    Parity strings of the off-diagonal units cancel pairwise ((sigma_z)^2 = 1)
-    leaving sigma_z factors on each left pair member and across the gap
-    between pair members; absorbing those into the same-site units costs a
-    sign per annihilator pair-head and per gap E_22, plus (-1) per pair from
-    commuting the strings into place.
-    """
-    row_bits = [(row >> (n - 1 - k)) & 1 for k in range(n)]
-    col_bits = [(col >> (n - 1 - k)) & 1 for k in range(n)]
-    off_sites = [k for k in range(n) if row_bits[k] != col_bits[k]]
-    if len(off_sites) % 2 == 1:
-        return None
-
-    sign = -1.0 if (len(off_sites) // 2) % 2 else 1.0
-    for s in range(0, len(off_sites), 2):
-        head, tail = off_sites[s], off_sites[s + 1]
-        if col_bits[head] == 1:          # head op is an annihilator
-            sign = -sign
-        for l in range(head + 1, tail):
-            if row_bits[l] == 1 and col_bits[l] == 1:   # E_22 inside the string
-                sign = -sign
-
-    ops: list[FermionOp] = []
-    for k in range(n):
-        i, j = col_bits[k] + 1, row_bits[k] + 1
-        if (i, j) == (1, 1):
-            ops += [(k, True), (k, False)]
-        elif (i, j) == (2, 2):
-            ops += [(k, False), (k, True)]
-        elif (i, j) == (1, 2):
-            ops.append((k, True))
-        else:
-            ops.append((k, False))
-    return sign, tuple(ops)
-
-
 def _validated_window(f: SymbolFunction, n: int) -> np.ndarray:
     q = build_restriction(f, n).matrix
     lam = np.linalg.eigvalsh(q)
@@ -223,10 +180,12 @@ def _validated_window(f: SymbolFunction, n: int) -> np.ndarray:
 
 
 def density_matrix(source, n: int) -> FockDensityMatrix:
-    """Reduced density matrix of an n-site block, assembled by Wick
-    contraction.
+    """Reduced density matrix of an n-site block, each entry one signed
+    determinant (see the module docstring), batched by word size.
 
-    Every entry is evaluated independently (no Hermitian mirroring), so the
+    Pairing consecutive sites with b != b', the parity strings cancel to
+    (-1)^(P + H + G): P pairs, H pairs whose first site holds c, and G
+    units E_22 (cc+) between the two sites of a pair. Every entry is evaluated independently (no Hermitian mirroring), so the
     Hermiticity of the result is a genuine consistency check. Entries between
     occupation sectors of different particle number vanish by gauge
     invariance and are skipped.
@@ -236,17 +195,37 @@ def density_matrix(source, n: int) -> FockDensityMatrix:
     f = source if isinstance(source, SymbolFunction) else SymbolFunction.indicator(source)
     q = _validated_window(f, n)
     dim = 1 << n
+    bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    weight = bits.sum(axis=1)
+    rows, cols = np.nonzero(weight[:, None] == weight[None, :])
+    b_row, b_col = bits[rows], bits[cols]
+
+    off = b_row != b_col
+    cc = (b_col == 1) & (b_row == 1)
+    inside = np.cumsum(off, axis=1) % 2 == 1      # pair heads and the gaps after them
+    flips = off.sum(axis=1) // 2 + np.sum(inside & ((off & (b_col == 1)) | cc), axis=1)
+
+    # Two word slots per site: the first holds c+ of c+c and c+, or c of cc+
+    # and c; the second the partner of c+c or cc+. Creator i goes to place
+    # 2i and annihilator j to 2j + 1; sgn(pi) counts the places out of order.
+    slot_c = np.stack([b_col == 0, cc], axis=2).reshape(len(rows), -1)
+    slot_a = np.stack([b_col == 1, (b_col == 0) & (b_row == 0)], axis=2).reshape(len(rows), -1)
+    place = np.where(slot_c, 2 * np.cumsum(slot_c, axis=1) - 2, 2 * np.cumsum(slot_a, axis=1) - 1)
+    place = np.where(slot_c | slot_a, place, -1)
+    out_of_order = np.triu(place[:, :, None] > place[:, None, :], 1) & (place[:, None, :] >= 0)
+    sign = np.where((flips + out_of_order.sum(axis=(1, 2))) % 2 == 1, -1.0, 1.0)
+
+    has_c, has_a = (b_col == 0) | (b_row == 1), (b_col == 1) | (b_row == 0)
+    sizes = has_c.sum(axis=1)
     rho = np.zeros((dim, dim), dtype=complex)
-    weights = [bin(x).count("1") for x in range(dim)]
-    for r in range(dim):
-        for c in range(dim):
-            if weights[r] != weights[c]:
-                continue
-            payload = _entry_sign_and_word(r, c, n)
-            if payload is None:
-                continue
-            sign, word = payload
-            rho[r, c] = sign * wick_expectation(word, q)
+    for m in np.unique(sizes):
+        sel = np.flatnonzero(sizes == m)
+        creators = np.nonzero(has_c[sel])[1].reshape(len(sel), m)
+        annihilators = np.nonzero(has_a[sel])[1].reshape(len(sel), m)
+        hole = np.take_along_axis(cc[sel], creators, axis=1)[:, :, None]
+        mat = (q[creators[:, :, None], annihilators[:, None, :]]
+               - (hole & (creators[:, :, None] == annihilators[:, None, :])))
+        rho[rows[sel], cols[sel]] = sign[sel] * np.linalg.det(mat)
     return FockDensityMatrix(n=n, matrix=rho)
 
 

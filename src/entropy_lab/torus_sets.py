@@ -12,6 +12,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,15 +170,20 @@ def canonicalize(raw) -> TorusIntervalSet:
     return TorusIntervalSet(intervals=tuple((s, e) for s, e in merged), wraps=wraps)
 
 
+@functools.lru_cache(maxsize=1)
 def _deficit_knots(K: TorusIntervalSet) -> tuple[np.ndarray, np.ndarray]:
     """Kinks 0 = x[0] < ... < x[-1] = 1 of phi -> |K \\ (K + phi)| and its
     values D there. Over the signed endpoints e_i (s = +1 at a start, -1 at
     an end) its second derivative is sum_{i,j} s_i s_j delta(phi - (e_i - e_j)).
     It is 0 at phi = 0, where its slope jumps from -m to m, m the interval
     count. Between kinks it is affine, so sorting the (2m)^2 differences mod 1
-    and two cumulative sums give it exactly; D[-1] = 0 up to rounding."""
+    and two cumulative sums give it exactly; D[-1] = 0 up to rounding. The
+    arrays are read-only and cached for the last set, which the Fejer route
+    asks for twice."""
     if K.is_empty or K.is_full:
-        return np.array([0.0, 1.0]), np.zeros(2)
+        x, D = np.array([0.0, 1.0]), np.zeros(2)
+        x.flags.writeable = D.flags.writeable = False
+        return x, D
     pieces = np.asarray(K.intervals)
     starts, ends = pieces[:, 0], pieces[:, 1]
     if K.wraps:   # the seam cuts one interval; it is not an endpoint
@@ -191,7 +197,9 @@ def _deficit_knots(K: TorusIntervalSet) -> tuple[np.ndarray, np.ndarray]:
     first = np.flatnonzero(np.r_[True, np.diff(diffs) > 0.0])
     slopes = np.cumsum(np.add.reduceat(weights, first)) - m
     x = np.append(diffs[first], 1.0)
-    return x, np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
+    D = np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
+    x.flags.writeable = D.flags.writeable = False
+    return x, D
 
 
 def overlap_deficit_profile(K: TorusIntervalSet, phis: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entropy_lab import fejer
+from entropy_lab import fejer, torus_sets
 from entropy_lab.fejer import (
     QuadratureError,
     fejer_kernel,
@@ -100,6 +100,16 @@ def test_kernel_mass_check_raises_quadrature_error(monkeypatch):
                         lambda n, phi: real(n, phi) * (1.0 + 1e-6))
     with pytest.raises(QuadratureError, match="kernel mass"):
         purity_proxy_kernel(canonicalize([(0.0, 0.5)]), 8)
+
+
+def test_proxy_kernel_builds_the_knot_list_once():
+    K = cantor_generate(CantorSpec(0.25, 1.0, 5))
+    torus_sets._deficit_knots.cache_clear()
+    purity_proxy_kernel(K, 64)
+    info = torus_sets._deficit_knots.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    x, D = torus_sets._deficit_knots(K)
+    assert not x.flags.writeable and not D.flags.writeable
 
 
 def test_proxy_kernel_anchors():

@@ -1,20 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from entropy_lab.oracle import (
+    MAX_ORACLE_SITES,
     OracleError,
     block_entropy_oracle,
     density_matrix,
     density_matrix_from_matrix_units,
-    determinant_expectation,
     matrix_unit_word,
     partial_trace_last_site,
     vn_entropy,
     wick_expectation,
     FockDensityMatrix,
 )
+from entropy_lab.scaling import ORACLE_TOL
 from entropy_lab.toeplitz import SymbolFunction, block_entropy, build_restriction
 from entropy_lab.torus_sets import canonicalize, full_torus, random_interval_set
 
@@ -70,7 +72,7 @@ def test_wick_matches_determinant_on_normal_ordered_words():
         word = [(i, True) for i in creators] + \
                [(j, False) for j in reversed(annihilators)]
         got = wick_expectation(word, q)
-        expect = determinant_expectation(creators, annihilators, q)
+        expect = np.linalg.det(q[np.ix_(creators, annihilators)])
         assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -80,6 +82,16 @@ def test_wick_word_length_cap():
         wick_expectation([(0, True)] * 25, q)
     with pytest.raises(OracleError):
         wick_expectation([(5, True), (5, False)], q)     # site outside window
+
+
+def test_wick_rejects_bad_windows():
+    word = [(0, True), (0, False)]
+    with pytest.raises(OracleError, match="square"):
+        wick_expectation(word, np.zeros((2, 3)))
+    skewed = _window(SKEW, 2).copy()
+    skewed[0, 1] += 0.1
+    with pytest.raises(OracleError, match="Hermitian"):
+        wick_expectation(word, skewed)
 
 
 def test_matrix_unit_word_examples():
@@ -125,11 +137,55 @@ def test_density_matrix_invariants():
 def test_density_matrix_matches_matrix_unit_reference():
     # the optimized string-cancelled assembly against the literal
     # matrix-unit-product definition
-    for K in (HALF, SKEW, canonicalize([(0.13, 0.77)])):
-        for n in (1, 2, 3):
-            fast = density_matrix(K, n).matrix
-            ref = density_matrix_from_matrix_units(K, n).matrix
-            np.testing.assert_allclose(fast, ref, atol=1e-12)
+    cases = [(K, n) for K in (HALF, SKEW, canonicalize([(0.13, 0.77)]))
+             for n in (1, 2, 3)] + [(SKEW, 4)]
+    for K, n in cases:
+        fast = density_matrix(K, n).matrix
+        ref = density_matrix_from_matrix_units(K, n).matrix
+        np.testing.assert_allclose(fast, ref, atol=1e-14)
+
+
+def _jordan_wigner(n):
+    # c_k = Z x .. x Z x a x I x .. x I, site 0 the most significant factor;
+    # bit 0 is the occupied state, so a = |1><0| lowers it to empty
+    z, a = np.diag([1.0, -1.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    ops = []
+    for k in range(n):
+        op = np.ones((1, 1))
+        for factor in [z] * k + [a] + [np.eye(2)] * (n - k - 1):
+            op = np.kron(op, factor)
+        ops.append(op)
+    return ops
+
+
+def test_density_matrix_reproduces_two_point_function():
+    for n in (3, 8):
+        rho = density_matrix(SKEW, n).matrix
+        c = _jordan_wigner(n)
+        q = _window(SKEW, n)
+        got = np.array([[np.trace(rho @ c[i].T @ c[j]) for j in range(n)]
+                        for i in range(n)])
+        np.testing.assert_allclose(got, q, rtol=0, atol=1e-13)
+
+
+def test_density_matrix_reproduces_four_point_wick_law():
+    n = 8
+    rho = density_matrix(SKEW, n).matrix
+    c = _jordan_wigner(n)[:4]
+    q = _window(SKEW, n)
+    # Tr(rho c+_i c+_j c_l c_k) = sum over entries of (rho c+_i c+_j) * (c_l c_k)^T
+    left = [[rho @ c[i].T @ c[j].T for j in range(4)] for i in range(4)]
+    right = [[c[l] @ c[k] for k in range(4)] for l in range(4)]
+    for i, j, k, l in itertools.product(range(4), repeat=4):
+        got = np.sum(left[i][j] * right[l][k].T)
+        expect = q[i, k] * q[j, l] - q[i, l] * q[j, k]
+        assert abs(got - expect) <= 1e-13, (i, j, k, l)
+
+
+def test_oracle_matches_toeplitz_at_largest_blocks():
+    f = SymbolFunction.indicator(SKEW)
+    for n in (7, MAX_ORACLE_SITES):
+        assert abs(block_entropy_oracle(SKEW, n) - block_entropy(f, n)) <= ORACLE_TOL
 
 
 def test_density_matrix_size_guard():
@@ -145,6 +201,8 @@ def test_marginal_consistency():
         rho3 = density_matrix(K, 3)
         traced = partial_trace_last_site(rho4)
         np.testing.assert_allclose(traced.matrix, rho3.matrix, atol=1e-10)
+    with pytest.raises(OracleError):
+        partial_trace_last_site(density_matrix(HALF, 1))
 
 
 def test_vn_entropy_anchors():
@@ -170,5 +228,9 @@ def test_density_matrix_validation():
     bad[0, 1] = 0.5                          # not Hermitian
     with pytest.raises(ValueError):
         FockDensityMatrix(n=2, matrix=bad)
-    with pytest.raises(ValueError):
-        FockDensityMatrix(n=2, matrix=np.eye(4, dtype=complex))   # trace 4
+    with pytest.raises(ValueError, match="trace"):
+        FockDensityMatrix(n=2, matrix=np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="expected 4 x 4"):
+        FockDensityMatrix(n=2, matrix=np.eye(2, dtype=complex) / 2)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        FockDensityMatrix(n=1, matrix=np.diag([1.5, -0.5]).astype(complex))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def test_scan_anchor_values():
     assert records[1].entropy == pytest.approx(S2_HALF, abs=1e-9)
     assert records[1].proxy == pytest.approx(0.5 - 2 / math.pi ** 2, abs=1e-12)
     assert all(r.wall_time >= 0.0 for r in records)
+
+
+def test_proxy_scan_wall_time_charges_the_shared_stage():
+    # 511-interval truncation: the coefficients take nearly all of the scan
+    spec = CantorSpec(1.0 / 3.0, 0.9)
+    K = cantor_generate(CantorSpec(spec.ratio, spec.amplitude,
+                                   cantor_depth_policy(spec, 16384)))
+    assert K.interval_count == 511
+    t0 = time.perf_counter()
+    records = scan(K, default_grid(128, 16384), mode="proxy")
+    elapsed = time.perf_counter() - t0
+    charged = sum(r.wall_time for r in records)
+    assert 0.5 * elapsed <= charged <= elapsed
 
 
 def test_scan_proxy_only_full_torus():
