@@ -165,6 +165,26 @@ def test_scan_exits_2_when_eigensolve_fails(tmp_path, monkeypatch, capsys, inter
     assert err.startswith("verification failure: eigendecomposition failed for N=8")
 
 
+def test_scan_exits_2_when_a_half_order_block_fails(tmp_path, monkeypatch, capsys):
+    # [0, 1/2) takes the real path, whose solves have order ceil(N/2): on the
+    # grid 8, 11, .., 45, 64 only N = 64 reaches order 32.
+    spec = write_spec(tmp_path / "half.json",
+                      {"version": 1, "type": "intervals", "intervals": [[0.0, 0.5]]})
+    eigh = np.linalg.eigh
+
+    def failing_eigh(mat):
+        if len(mat) >= 32:
+            raise np.linalg.LinAlgError("injected")
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code = cli.main(["scan", "--set", spec, "--nmin", "8", "--nmax", "64",
+                     "--mode", "both", "--out", str(tmp_path / "half.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: eigendecomposition failed for N=64")
+
+
 def test_fit_recovers_synthetic_power_law(tmp_path):
     csv_path = tmp_path / "power.csv"
     with csv_path.open("w", newline="") as fh:

@@ -8,6 +8,7 @@ from entropy_lab import toeplitz
 from entropy_lab.toeplitz import (
     EigensolveError,
     EntropyDomainError,
+    SymbolCoefficients,
     SymbolFunction,
     ToeplitzRestriction,
     block_entropy,
@@ -17,6 +18,7 @@ from entropy_lab.toeplitz import (
     eta,
     eta_tilde,
     fourier_coefficients,
+    proxy_scan,
     purity_proxy_direct,
     purity_proxy_single_interval_series,
     restriction_from_coefficients,
@@ -337,19 +339,60 @@ def test_symbol_validation():
         SymbolFunction((0.1, 1.0), (1.0,))        # must start at 0
 
 
+_QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0.0, 0.25)])), 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SymbolCoefficients(n_max=2, values=np.array([0.5, 0.1j])),
+     ValueError, r"must have n_max \+ 1 entries"),
+    (lambda: SymbolCoefficients(n_max=1, values=np.array([0.5 + 1e-9j, 0.1j])),
+     ValueError, r"q\(0\) must be real"),
+    (lambda: SymbolCoefficients(n_max=1, values=np.array([0.5, 0.6j])),
+     ValueError, r"\|q\(k\)\| exceeds q\(0\)"),
+    (lambda: _QUARTER_COEFFS.coefficient(-5),
+     IndexError, "coefficient -5 beyond cached order 4"),
+    (lambda: fourier_coefficients(SymbolFunction.indicator(HALF), -1),
+     ValueError, "n_max must be nonnegative"),
+    (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 0),
+     ValueError, "block size must be >= 1, got 0"),
+    (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 6),
+     ValueError, "need coefficients up to 5, have 4"),
+    (lambda: proxy_scan(_QUARTER_COEFFS, [4, 0, 2]),
+     ValueError, "block size must be >= 1, got 0"),
+    (lambda: proxy_scan(_QUARTER_COEFFS, [2, 6]),
+     ValueError, "need coefficients up to 5, have 4"),
+    (lambda: purity_proxy_single_interval_series(0.25, 0),
+     ValueError, "block size must be >= 1, got 0"),
+], ids=["coeff-shape", "coeff-q0-complex", "coeff-exceeds-q0", "coefficient-order",
+        "negative-n-max", "restriction-size", "restriction-order", "proxy-scan-size",
+        "proxy-scan-order", "series-size"])
+def test_library_raises_name_the_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def _spy_eigh(monkeypatch, result=None):
-    """Record the dtype of every matrix np.linalg.eigh is given; ``result``
-    may replace its return value."""
+    """Record the dtype and shape of every matrix np.linalg.eigh is given;
+    ``result`` may replace its return value."""
     seen = []
     eigh = np.linalg.eigh
 
     def spy(mat):
-        seen.append(mat.dtype)
+        seen.append((mat.dtype, mat.shape))
         out = eigh(mat)
         return out if result is None else result(*out)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     return seen
+
+
+def _solves(n, dtype):
+    """What _spy_eigh records for one spectrum of order n: the even and odd
+    half-order blocks on the real (float64) path, one order-n solve on the
+    complex path."""
+    if dtype == np.float64:
+        return [(dtype, (k, k)) for k in ((n + 1) // 2, n // 2) if k]
+    return [(dtype, (n, n))]
 
 
 @pytest.mark.parametrize("K, dtype", [(TRANSLATED, np.float64),
@@ -358,7 +401,7 @@ def _spy_eigh(monkeypatch, result=None):
 def test_spectrum_path_choice(monkeypatch, K, dtype):
     seen = _spy_eigh(monkeypatch)
     lam = spectrum(build_restriction(SymbolFunction.indicator(K), 64))
-    assert seen == [dtype]
+    assert seen == _solves(64, dtype)
     assert lam.shape == (64,)
 
 
@@ -372,12 +415,13 @@ def test_spectrum_eigh_failure_raises(monkeypatch, K):
         spectrum(build_restriction(SymbolFunction.indicator(K), 32))
 
 
-@pytest.mark.parametrize("K", [TRANSLATED, THREE])
-def test_spectrum_residual_gate_catches_shifted_eigenvalues(monkeypatch, K):
+@pytest.mark.parametrize("K, dtype", [pytest.param(TRANSLATED, np.float64, id="K0"),
+                                      pytest.param(THREE, np.complex128, id="K1")])
+def test_spectrum_residual_gate_catches_shifted_eigenvalues(monkeypatch, K, dtype):
     seen = _spy_eigh(monkeypatch, result=lambda w, v: (w + 1e-6, v))
     with pytest.raises(EigensolveError, match="eigenpair residual"):
         spectrum(build_restriction(SymbolFunction.indicator(K), 32))
-    assert len(seen) == 1
+    assert seen == _solves(32, dtype)
 
 
 def test_real_path_matches_complex_solve(monkeypatch):
@@ -393,7 +437,7 @@ def test_real_path_matches_complex_solve(monkeypatch):
         ref = np.clip(np.linalg.eigvalsh(restriction.matrix), 0.0, 1.0)
         assert np.max(np.abs(lam - ref)) <= 1e-10
         assert abs(np.sum(eta_tilde(lam)) - np.sum(eta_tilde(ref))) <= 1e-10
-    assert seen == [np.float64] * len(sets)
+    assert seen == _solves(256, np.float64) * len(sets)
 
 
 @pytest.mark.parametrize("length, n, gate", [(0.5, 256, 1e-6), (0.5, 1024, 3e-8),
@@ -437,4 +481,85 @@ def test_real_path_charges_weyl_bound(monkeypatch):
     seen = _spy_eigh(monkeypatch, result=lambda w, v: (w + delta, v))
     with pytest.raises(EigensolveError, match="real-path bound 4.5e-10"):
         spectrum(restriction)
-    assert seen == [np.float64]
+    assert seen == _solves(n, np.float64)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_real_path_charges_block_rounding(monkeypatch, n):
+    # The centred half-interval row is exactly real, so Weyl's bound is 0 and
+    # the real-path bound is the rounding charge 1.5 N eps max |r(k)| alone.
+    k = np.arange(n)
+    row = np.where(k == 0, 0.5, np.sin(0.5 * np.pi * k) / (np.pi * np.maximum(k, 1)))
+    restriction = ToeplitzRestriction(order=n, row=row.astype(complex))
+    charge = 1.5 * n * np.finfo(float).eps * 0.5
+    _spy_eigh(monkeypatch, result=lambda w, v: (w + 1e-6, v))
+    with pytest.raises(EigensolveError, match=f"real-path bound {charge:.3g} included"):
+        spectrum(restriction)
+
+
+# Real-path sets for the centrosymmetric split: a translated single
+# interval, a union symmetric about 0.35 and the depth-5 q = 1/4 Cantor set.
+SPLIT_SETS = {
+    "translated": TRANSLATED,
+    "union": canonicalize([(0.05, 0.25), (0.45, 0.65)]),
+    "cantor5": cantor_generate(CantorSpec(0.25, 1.0, 5)).translate(0.0123),
+}
+SPLIT_ORDERS = list(range(1, 71)) + [255, 256, 511]
+
+
+@pytest.mark.parametrize("K", SPLIT_SETS.values(), ids=SPLIT_SETS.keys())
+def test_split_spectrum_matches_full_solve(monkeypatch, K):
+    coeffs = fourier_coefficients(SymbolFunction.indicator(K), max(SPLIT_ORDERS) - 1)
+    seen = _spy_eigh(monkeypatch)
+    for n in SPLIT_ORDERS:
+        restriction = restriction_from_coefficients(coeffs, n)
+        seen.clear()
+        lam = spectrum(restriction)
+        assert seen == _solves(n, np.float64)
+        ref = np.linalg.eigvalsh(restriction.matrix)
+        assert np.max(np.abs(lam - ref)) <= 1e-12, n
+
+
+def _odd_block(restriction):
+    """r(|i - j|) - r(N - 1 - i - j) for i, j < N // 2, from the centred row."""
+    n = restriction.order
+    r, _ = toeplitz._centred_row(restriction.row)
+    i, j = np.indices((n // 2, n // 2))
+    return r[np.abs(i - j)] - r[n - 1 - i - j]
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_residual_gate_catches_a_shift_of_the_odd_block_only(monkeypatch, n):
+    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), n)
+    odd = _odd_block(restriction)
+    shifted = []
+    eigh = np.linalg.eigh
+
+    def spy(mat):
+        w, v = eigh(mat)
+        if np.array_equal(mat, odd):
+            shifted.append(mat.shape)
+            w = w + 1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    with pytest.raises(EigensolveError, match=f"eigenpair residual .* at N={n}"):
+        spectrum(restriction)
+    assert shifted == [(n // 2, n // 2)]
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_failure_of_the_second_block_names_the_full_order(monkeypatch, n):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def second_fails(mat):
+        calls.append(mat.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("injected")
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", second_fails)
+    with pytest.raises(EigensolveError, match=f"eigendecomposition failed for N={n}: injected"):
+        spectrum(build_restriction(SymbolFunction.indicator(TRANSLATED), n))
+    assert calls == [((n + 1) // 2,) * 2, (n // 2,) * 2]
