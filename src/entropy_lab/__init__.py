@@ -23,6 +23,7 @@ from .torus_sets import (
     predicted_alpha,
 )
 from .toeplitz import (
+    UPSILON,
     EntropyResult,
     SymbolCoefficients,
     SymbolFunction,
@@ -39,12 +40,7 @@ from .toeplitz import (
     restriction_from_coefficients,
     spectrum,
 )
-from .fejer import (
-    QuadratureError,
-    fejer_kernel,
-    purity_proxy_kernel,
-    purity_proxy_kernel_complement,
-)
+from .fejer import QuadratureError, fejer_kernel, purity_proxy_kernel
 from .scaling import (
     EnvelopeReport,
     ExponentFit,

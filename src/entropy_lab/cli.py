@@ -3,9 +3,9 @@
 Entropy values are reported in nats unless --bits is given, in which case
 the affected CSV columns are renamed with a _bits suffix so files stay
 self-describing. CSV numbers carry 17 significant digits and round-trip
-exactly. Exit codes: 0 success, 1 invalid input (one "error:" line on
-stderr, also when a request is too large to allocate), 2 verification
-failure.
+exactly. Exit codes: 0 success (also for --help), 1 invalid input or usage
+(one "error:" line on stderr, also when a request is too large to
+allocate), 2 verification failure.
 
 ``verify`` and ``fit`` hold no checks of their own: they call the
 cross-checks and gates in ``scaling`` (the same functions the acceptance
@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import fejer, scaling, specio, toeplitz, torus_sets
+from . import fejer, scaling, specio, toeplitz
 
 LOG2 = math.log(2.0)
 
@@ -186,17 +186,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_cantor(args) -> int:
-    if args.depth == "auto":
-        if args.nmax is None:
-            raise specio.SpecFormatError("--depth auto needs --nmax")
-        depth = torus_sets.cantor_depth_policy(
-            torus_sets.CantorSpec(args.q, args.a), args.nmax)
-    else:
+    depth = args.depth
+    if depth != "auto":
         try:
-            depth = int(args.depth)
+            depth = int(depth)
         except ValueError as exc:
             raise specio.SpecFormatError(
-                f"--depth must be an integer or 'auto', got {args.depth!r}") from exc
+                f"--depth must be an integer or 'auto', got {depth!r}") from exc
+    depth = specio.resolve_cantor_depth(args.q, args.a, depth, args.nmax)
     payload = specio.cantor_spec_dict(args.q, args.a, depth)
     _write_json(payload, args.out)
     return 0
@@ -207,7 +204,7 @@ def cmd_fermi(args) -> int:
     if spec.kind != "fermi":
         raise specio.SpecFormatError(f"fermi subcommand needs a fermi spec, "
                                      f"got type {spec.kind!r}")
-    sea = torus_sets.fermi_sea(spec.dispersion, spec.filling)
+    sea = spec.resolve_set()
     payload = specio.intervals_spec_dict(sea, metadata={
         "filling": spec.filling,
         "measure": sea.measure,
@@ -221,8 +218,16 @@ def cmd_fermi(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, which ``main`` reports as one
+    "error:" line with exit 1, instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entropy-lab",
         description="Block entropies of quasi-free spin-chain states from "
                     "their spectral sets",
@@ -234,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--nmin", type=int, default=8)
     p_scan.add_argument("--nmax", type=int, default=2048)
     p_scan.add_argument("--ratio", type=float, default=scaling.DEFAULT_RATIO)
-    p_scan.add_argument("--mode", choices=("entropy", "proxy", "both"),
-                        default="both")
+    p_scan.add_argument("--mode", choices=("both", "proxy"), default="both")
     p_scan.add_argument("--eig-cap", type=int, default=scaling.DEFAULT_EIG_CAP)
     p_scan.add_argument("--out", default=None, help="CSV path (stdout default)")
     p_scan.add_argument("--bits", action="store_true",
@@ -278,12 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (specio.SpecFormatError, torus_sets.TorusSetError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -96,7 +96,9 @@ def panel_rule(edges) -> tuple[np.ndarray, np.ndarray]:
     return (mid + half * _NODES).ravel(), (half * _WEIGHTS).ravel()
 
 
-def _proxy_integral(K: TorusIntervalSet, n: int) -> float:
+def purity_proxy_kernel(K: TorusIntervalSet, n: int) -> float:
+    """Kernel-integral evaluation of Tr Q_N(1 - Q_N) for the pure symbol
+    chi_K."""
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
     if K.is_empty or K.is_full:
@@ -113,15 +115,3 @@ def _proxy_integral(K: TorusIntervalSet, n: int) -> float:
             f"{QUAD_TOL:.1g}; the rule cannot be trusted"
         )
     return float(weights @ (n * kernel * overlap_deficit_profile(K, phi)))
-
-
-def purity_proxy_kernel(K: TorusIntervalSet, n: int) -> float:
-    """Kernel-integral evaluation of Tr Q_N(1 - Q_N) for the pure symbol
-    chi_K."""
-    return _proxy_integral(K, n)
-
-
-def purity_proxy_kernel_complement(K: TorusIntervalSet, n: int) -> float:
-    """Same integral with K^c; equals purity_proxy_kernel(K, n) up to
-    quadrature error."""
-    return _proxy_integral(K.complement(), n)

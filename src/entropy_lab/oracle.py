@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .toeplitz import SymbolFunction, build_restriction, eta
+from .toeplitz import CLIP_TOL, SymbolFunction, build_restriction, eta
 from .torus_sets import TorusIntervalSet
 
 MAX_WORD_LEN = 24
@@ -171,7 +171,7 @@ class FockDensityMatrix:
 def _validated_window(f: SymbolFunction, n: int) -> np.ndarray:
     q = build_restriction(f, n).matrix
     lam = np.linalg.eigvalsh(q)
-    if lam.min() < -1e-9 or lam.max() > 1.0 + 1e-9:
+    if lam.min() < -CLIP_TOL or lam.max() > 1.0 + CLIP_TOL:
         raise OracleError(
             f"two-point matrix spectrum [{lam.min():.3g}, {lam.max():.3g}] "
             "outside [0, 1]"
@@ -192,8 +192,7 @@ def density_matrix(source, n: int) -> FockDensityMatrix:
     """
     if not (1 <= n <= MAX_ORACLE_SITES):
         raise OracleError(f"oracle handles 1..{MAX_ORACLE_SITES} sites, got {n}")
-    f = source if isinstance(source, SymbolFunction) else SymbolFunction.indicator(source)
-    q = _validated_window(f, n)
+    q = _validated_window(SymbolFunction.of(source), n)
     dim = 1 << n
     bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     weight = bits.sum(axis=1)
@@ -238,8 +237,7 @@ def density_matrix_from_matrix_units(source, n: int) -> FockDensityMatrix:
     """
     if not (1 <= n <= 4):
         raise OracleError(f"reference assembly is capped at 4 sites, got {n}")
-    f = source if isinstance(source, SymbolFunction) else SymbolFunction.indicator(source)
-    q = _validated_window(f, n)
+    q = _validated_window(SymbolFunction.of(source), n)
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=complex)
     for r in range(dim):

@@ -48,6 +48,8 @@ DEFAULT_RATIO = math.sqrt(2.0)
 # Sizes below this are dropped from fit windows by default; they carry the
 # strongest finite-size transients.
 DEFAULT_FIT_NMIN = 16
+# Smallest N of the window on which bound_envelope fits c1 and c3.
+ENVELOPE_NMIN = 8
 
 # Gates of the cross-checks. GAP_TOL also bounds monotonicity and P_N <= S_N
 # noise; subadditivity gaps must stay above -GAP_TOL.
@@ -118,24 +120,16 @@ def default_grid(n_min: int, n_max: int, ratio: float = DEFAULT_RATIO) -> list[i
     return grid
 
 
-def _as_symbol(source) -> SymbolFunction:
-    if isinstance(source, SymbolFunction):
-        return source
-    if isinstance(source, TorusIntervalSet):
-        return SymbolFunction.indicator(source)
-    raise TypeError(f"cannot scan a {type(source).__name__}")
-
-
 def scan(source, n_grid, mode: str = "both",
          eig_cap: int = DEFAULT_EIG_CAP) -> list[ScanRecord]:
     """Sweep block sizes and collect (S_N, P_N) records.
 
-    ``mode`` is "entropy", "proxy", or "both". Entropy needs the O(N^3)
+    ``mode`` is "both" or "proxy". The entropy of "both" needs the O(N^3)
     eigensolve and is refused above ``eig_cap``; the proxy always comes from
     the O(N) coefficient formula. Coefficients and proxies are computed once
     up to the largest N and shared, and each record's ``wall_time`` is an
-    equal share of that stage plus its own eigensolve and checks. In entropy
-    modes the eigenvalue route for P_N is checked against the coefficient
+    equal share of that stage plus its own eigensolve and checks. In mode
+    "both" the eigenvalue route for P_N is checked against the coefficient
     route and a disagreement beyond 1e-6 relative raises VerificationError.
     Records come back in grid order.
     """
@@ -144,16 +138,16 @@ def scan(source, n_grid, mode: str = "both",
         raise ValueError("n_grid must be strictly increasing and nonempty")
     if grid[0] < 1:
         raise ValueError("block sizes must be >= 1")
-    if mode not in ("entropy", "proxy", "both"):
+    if mode not in ("both", "proxy"):
         raise ValueError(f"unknown scan mode {mode!r}")
-    want_entropy = mode in ("entropy", "both")
+    want_entropy = mode == "both"
     if want_entropy and grid[-1] > eig_cap:
         raise ValueError(
-            f"entropy mode needs N <= eig_cap = {eig_cap}, grid reaches {grid[-1]}"
+            f"mode both needs N <= eig_cap = {eig_cap}, grid reaches {grid[-1]}"
         )
 
     t0 = time.perf_counter()
-    f = _as_symbol(source)
+    f = SymbolFunction.of(source)
     coeffs = fourier_coefficients(f, grid[-1] - 1)
     proxies = dict(zip(grid, proxy_scan(coeffs, grid)))
     shared = (time.perf_counter() - t0) / len(grid)
@@ -272,27 +266,26 @@ def fit_report(records, window=None, series="auto", cantor=None) -> dict:
     return report
 
 
-def check_subadditivity(k1: TorusIntervalSet, k2: TorusIntervalSet, n: int,
-                        eig_cap: int = DEFAULT_EIG_CAP) -> float:
+def check_subadditivity(k1: TorusIntervalSet, k2: TorusIntervalSet, n: int) -> float:
     """Gap S_N(K1) + S_N(K2) - S_N(K1 u K2) for disjoint K1, K2; the
     subadditivity bound makes it nonnegative up to eigensolve noise."""
-    if n > eig_cap:
-        raise ValueError(f"N={n} above eigensolve cap {eig_cap}")
+    if n > DEFAULT_EIG_CAP:
+        raise ValueError(f"N={n} above eigensolve cap {DEFAULT_EIG_CAP}")
     if k1.intersection(k2).measure > 1e-12:
         raise ValueError("subadditivity check needs disjoint sets")
 
     def s_of(K: TorusIntervalSet) -> float:
-        return 0.0 if K.is_empty else block_entropy(SymbolFunction.indicator(K), n)
+        return block_entropy(SymbolFunction.indicator(K), n)
 
     return s_of(k1) + s_of(k2) - s_of(k1.union(k2))
 
 
-def check_monotonicity(records, tol: float = GAP_TOL) -> bool:
-    """True when S_N never decreases (beyond tolerance) along the records."""
+def check_monotonicity(records) -> bool:
+    """True when S_N never decreases (beyond GAP_TOL) along the records."""
     recs = sorted(records, key=lambda r: r.n)
     if any(r.entropy is None for r in recs):
-        raise ValueError("monotonicity check needs entropy-mode records")
-    return all(b.entropy >= a.entropy - tol for a, b in zip(recs, recs[1:]))
+        raise ValueError("monotonicity check needs records with S_N (mode both)")
+    return all(b.entropy >= a.entropy - GAP_TOL for a, b in zip(recs, recs[1:]))
 
 
 @dataclass(frozen=True)
@@ -312,15 +305,15 @@ class EnvelopeReport:
     window: tuple[int, int]
 
 
-def bound_envelope(records, n_min: int = 8) -> EnvelopeReport:
+def bound_envelope(records) -> EnvelopeReport:
     recs = [r for r in sorted(records, key=lambda r: r.n) if r.n >= 2]
     if any(r.entropy is None for r in recs):
-        raise ValueError("envelope check needs entropy-mode records")
+        raise ValueError("envelope check needs records with S_N (mode both)")
     if not recs:
         raise ValueError("no records with N >= 2")
-    win = [r for r in recs if r.n >= n_min]
+    win = [r for r in recs if r.n >= ENVELOPE_NMIN]
     if not win:
-        raise ValueError(f"no records with N >= {n_min}")
+        raise ValueError(f"no records with N >= {ENVELOPE_NMIN}")
     c1 = min(r.entropy / math.log(r.n) for r in win)
     c3 = max(r.entropy / math.log(r.n) ** 2 for r in win)
     sandwich = 0.0

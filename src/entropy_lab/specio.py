@@ -54,17 +54,22 @@ class SetSpec:
         if self.kind == "intervals":
             return self.intervals
         if self.kind == "cantor":
-            depth = self.cantor_depth
-            if depth == "auto":
-                if n_max is None:
-                    raise SpecFormatError(
-                        'cantor spec with depth "auto" needs a target N_max'
-                    )
-                depth = cantor_depth_policy(
-                    CantorSpec(self.cantor_ratio, self.cantor_amplitude), n_max)
+            depth = resolve_cantor_depth(self.cantor_ratio, self.cantor_amplitude,
+                                         self.cantor_depth, n_max)
             return cantor_generate(
-                CantorSpec(self.cantor_ratio, self.cantor_amplitude, int(depth)))
+                CantorSpec(self.cantor_ratio, self.cantor_amplitude, depth))
         return fermi_sea(self.dispersion, self.filling)
+
+
+def resolve_cantor_depth(ratio: float, amplitude: float, depth: int | str,
+                         n_max: int | None) -> int:
+    """``depth`` itself, or for "auto" the depth ``cantor_depth_policy``
+    picks for a scan up to block size ``n_max``."""
+    if depth != "auto":
+        return depth
+    if n_max is None:
+        raise SpecFormatError('cantor depth "auto" needs a target N_max (--nmax)')
+    return cantor_depth_policy(CantorSpec(ratio, amplitude), n_max)
 
 
 def _check_keys(obj: dict, allowed: set[str]):
@@ -166,7 +171,7 @@ def cantor_spec_dict(ratio: float, amplitude: float, depth: int) -> dict:
         "a": amplitude,
         "depth": depth,
         "predicted_alpha": predicted_alpha(spec),
-        "truncated_measure": spec.truncated_measure(depth),
+        "truncated_measure": spec.truncated_measure(),
         "limit_measure": spec.limit_measure,
     })
 

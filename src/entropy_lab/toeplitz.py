@@ -155,6 +155,17 @@ class SymbolFunction:
     def constant(cls, v: float) -> "SymbolFunction":
         return cls((0.0, 1.0), (float(v),))
 
+    @classmethod
+    def of(cls, source) -> "SymbolFunction":
+        """``source`` itself if it is a symbol, else the indicator of the
+        interval set ``source``."""
+        if isinstance(source, SymbolFunction):
+            return source
+        if isinstance(source, TorusIntervalSet):
+            return cls.indicator(source)
+        raise TypeError(f"expected a SymbolFunction or TorusIntervalSet, "
+                        f"got a {type(source).__name__}")
+
     def pieces(self):
         return zip(self.breakpoints, self.breakpoints[1:], self.values)
 
@@ -183,11 +194,6 @@ class SymbolCoefficients:
         self.values = self.values.copy()
         self.values[0] = q0
         self.values.setflags(write=False)
-
-    def coefficient(self, k: int) -> complex:
-        if abs(k) > self.n_max:
-            raise IndexError(f"coefficient {k} beyond cached order {self.n_max}")
-        return complex(self.values[k]) if k >= 0 else complex(np.conj(self.values[-k]))
 
 
 # Phases are reduced mod 1 before the exponential: x is split into a head of
@@ -451,6 +457,12 @@ def proxy_scan(coeffs: SymbolCoefficients, grid) -> list[float]:
         out.append(float(n * q0 * (1.0 - q0) - 2.0 * (n * s1 - s2)))
     return out
 
+
+# Jin-Korepin constant of the single-interval asymptotics
+# S_N = (1/3) ln(2 N sin(pi L)) + UPSILON + O(N^-2) (J. Stat. Phys. 116,
+# 2004): the double nearest to their integral
+# -int_0^inf [e^-t/(3t) + 1/(t sinh^2(t/2)) - cosh(t/2)/(2 sinh^3(t/2))] dt.
+UPSILON = 0.49501790813513705
 
 # Oscillatory remainders are dropped only once their rigorous bound is below
 # this; the bound comes from Abel summation of cos(2 pi n x)/n^2 tails.

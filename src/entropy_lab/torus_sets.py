@@ -158,15 +158,7 @@ def canonicalize(raw) -> TorusIntervalSet:
 
     if len(merged) == 1 and merged[0][0] == 0.0 and merged[0][1] == 1.0:
         return full_torus()
-    if merged[0][0] == 0.0 and merged[-1][1] == 1.0 and len(merged) > 1:
-        wraps = True
-    else:
-        wraps = False
-    total = sum(e - s for s, e in merged)
-    if total > 1.0 - MERGE_TOL and wraps and len(merged) == 2:
-        # merged pieces meet at the seam and jointly cover everything
-        if merged[0][1] + MERGE_TOL >= merged[1][0]:
-            return full_torus()
+    wraps = len(merged) > 1 and merged[0][0] == 0.0 and merged[-1][1] == 1.0
     return TorusIntervalSet(intervals=tuple((s, e) for s, e in merged), wraps=wraps)
 
 
@@ -258,9 +250,9 @@ class CantorSpec:
     def limit_measure(self) -> float:
         return 1.0 - self.amplitude * self.ratio / (1.0 - 2.0 * self.ratio)
 
-    def truncated_measure(self, depth: int | None = None) -> float:
-        d = self.depth if depth is None else depth
-        return 1.0 - sum(2 ** (m - 1) * self.hole_length(m) for m in range(1, d + 1))
+    def truncated_measure(self) -> float:
+        return 1.0 - sum(2 ** (m - 1) * self.hole_length(m)
+                         for m in range(1, self.depth + 1))
 
 
 def predicted_alpha(spec: CantorSpec) -> float:
@@ -356,33 +348,27 @@ class DispersionSamples:
         return segs
 
 
-def _sublevel_measure(disp: DispersionSamples, level: float) -> float:
-    total = 0.0
+def _sublevel(disp: DispersionSamples, level: float):
+    """Pieces of {theta : dispersion(theta) <= level}, one per segment that
+    is at or below the level somewhere, and their total length. Each length
+    comes from the interpolation weights, not from end - start, and the
+    lengths are added in segment order."""
+    pieces, total = [], 0.0
     for t0, t1, e0, e1 in disp.segments():
         w = t1 - t0
         if e0 <= level and e1 <= level:
-            total += w
+            length, piece = w, (t0, t1)
         elif e0 <= level < e1:
-            total += w * (level - e0) / (e1 - e0)
+            length = w * (level - e0) / (e1 - e0)
+            piece = (t0, t0 + length)
         elif e1 <= level < e0:
-            total += w * (level - e1) / (e0 - e1)
-    return total
-
-
-def _sublevel_set(disp: DispersionSamples, level: float) -> TorusIntervalSet:
-    pieces = []
-    for t0, t1, e0, e1 in disp.segments():
-        w = t1 - t0
-        if e0 <= level and e1 <= level:
-            pieces.append((t0, t1))
-        elif e0 <= level < e1:
-            pieces.append((t0, t0 + w * (level - e0) / (e1 - e0)))
-        elif e1 <= level < e0:
-            pieces.append((t1 - w * (level - e1) / (e0 - e1), t1))
-    pieces = [(lo, hi) for lo, hi in pieces if hi - lo > 0.0]
-    if not pieces:
-        return empty_set()
-    return canonicalize(pieces)
+            length = w * (level - e1) / (e0 - e1)
+            piece = (t1 - length, t1)
+        else:
+            continue
+        pieces.append(piece)
+        total += length
+    return pieces, total
 
 
 FERMI_TOL = 1e-9
@@ -408,15 +394,16 @@ def fermi_sea(disp: DispersionSamples, filling: float) -> TorusIntervalSet:
     hi = max(disp.energies)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if _sublevel_measure(disp, mid) >= filling:
+        if _sublevel(disp, mid)[1] >= filling:
             hi = mid
         else:
             lo = mid
     level = hi
-    sea = _sublevel_set(disp, level)
+    pieces = [(a, b) for a, b in _sublevel(disp, level)[0] if b - a > 0.0]
+    sea = canonicalize(pieces) if pieces else empty_set()
     if abs(sea.measure - filling) > FERMI_TOL:
-        below = _sublevel_measure(disp, lo)
-        above = _sublevel_measure(disp, hi)
+        below = _sublevel(disp, lo)[1]
+        above = _sublevel(disp, hi)[1]
         raise DispersionPlateauError(
             f"dispersion has a plateau at level {level:.12g}: sublevel measure "
             f"jumps from {below:.12g} to {above:.12g} across the target "
@@ -443,18 +430,23 @@ def random_interval_set(rng: np.random.Generator, max_intervals: int = 3,
     return canonicalize([(pts[2 * i], pts[2 * i + 1]) for i in range(m)])
 
 
-def random_disjoint_pair(rng: np.random.Generator, max_each: int = 2,
-                         min_length: float = 0.02):
+# Each set of a random disjoint pair has 1..PAIR_MAX_INTERVALS intervals;
+# all interval and gap lengths are at least PAIR_MIN_LENGTH.
+PAIR_MAX_INTERVALS = 2
+PAIR_MIN_LENGTH = 0.02
+
+
+def random_disjoint_pair(rng: np.random.Generator):
     """Two disjoint random interval sets (alternating slots of one point
     collection, so disjointness is exact)."""
-    m1 = int(rng.integers(1, max_each + 1))
-    m2 = int(rng.integers(1, max_each + 1))
+    m1 = int(rng.integers(1, PAIR_MAX_INTERVALS + 1))
+    m2 = int(rng.integers(1, PAIR_MAX_INTERVALS + 1))
     m = m1 + m2
     while True:
         pts = np.sort(rng.uniform(0.0, 1.0, size=2 * m))
         gaps = np.diff(pts)
-        if np.min(gaps) >= min_length and pts[0] >= min_length \
-                and 1.0 - pts[-1] >= min_length:
+        if np.min(gaps) >= PAIR_MIN_LENGTH and pts[0] >= PAIR_MIN_LENGTH \
+                and 1.0 - pts[-1] >= PAIR_MIN_LENGTH:
             break
     slots = [(pts[2 * i], pts[2 * i + 1]) for i in range(m)]
     order = rng.permutation(m)

@@ -113,7 +113,7 @@ def test_criterion_05_two_sided_envelope(fig2_scan):
     records, _ = fig2_scan
     for r in records:
         assert r.proxy <= r.entropy + 1e-12, f"P_N > S_N at N={r.n}"
-    report = bound_envelope(records, n_min=8)
+    report = bound_envelope(records)
     assert report.lower_bound_exists and report.c1 > 0.0
     assert math.isfinite(report.c3)
     assert report.proxy_below_entropy
@@ -154,11 +154,11 @@ def test_criterion_07_subadditivity():
 
 
 def test_criterion_08_monotonicity():
-    records = scan(HALF, list(range(1, 65)), mode="entropy")
-    assert check_monotonicity(records, tol=1e-9)
+    records = scan(HALF, list(range(1, 65)), mode="both")
+    assert check_monotonicity(records)
     K = cantor_generate(CantorSpec(0.25, 1.0, 3))
-    records_cantor = scan(K, list(range(1, 65)), mode="entropy")
-    assert check_monotonicity(records_cantor, tol=1e-9)
+    records_cantor = scan(K, list(range(1, 65)), mode="both")
+    assert check_monotonicity(records_cantor)
     _report(8, "monotonicity for half interval and depth-3 Cantor")
 
 

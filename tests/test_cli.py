@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +15,21 @@ from entropy_lab.torus_sets import canonicalize
 
 
 def run_cli(*argv):
-    return subprocess.run([sys.executable, "-m", "entropy_lab.cli", *argv],
-                          capture_output=True, text=True)
+    """cli.main in this process, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def test_module_entry_point_exit_codes():
+    run = [sys.executable, "-m", "entropy_lab.cli"]
+    res = subprocess.run([*run, "cantor", "--q", "0.25", "--a", "1", "--depth", "1"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and json.loads(res.stdout)["type"] == "intervals"
+    res = subprocess.run([*run, "scan", "--nmin", "abc"], capture_output=True, text=True)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def write_spec(path, payload):
@@ -302,7 +318,7 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["cantor", "--q", "0.25", "--a", "1", "--depth", "auto"], "--depth auto needs --nmax"),
+    (["cantor", "--q", "0.25", "--a", "1", "--depth", "auto"], 'depth "auto" needs a target N_max'),
     (["cantor", "--q", "0.25", "--a", "1", "--depth", "x"], "--depth must be an integer"),
     (["cantor", "--q", "0.49", "--a", "0.0367", "--nmax", str(2 ** 70)], "exceeds the cap 60"),
     (["fit", "--csv", "{good}", "--window", "1:x"], "bad --window '1:x'"),
@@ -324,6 +340,12 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     (["scan", "--set", "{full_then_nan}", "--mode", "proxy"], "non-finite interval endpoint"),
     (["scan", "--set", "{long_then_inf}", "--mode", "proxy"], "non-finite interval endpoint"),
     (["scan", "--set", "{full_then_empty}", "--mode", "proxy"], "zero-length interval"),
+    (["scan", "--set", "{half}", "--nmin", "abc"], "argument --nmin: invalid int value"),
+    (["scan", "--set", "{half}", "--mode", "entropy"], "argument --mode: invalid choice"),
+    (["scan", "--mode", "proxy"], "the following arguments are required: --set"),
+    (["scan", "--set", "{half}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["unknown"], "argument command: invalid choice"),
+    ([], "the following arguments are required: command"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -368,6 +390,14 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -417,6 +447,14 @@ def test_spec_parse_accepts_missing_version():
     spec = specio.parse_spec({"type": "intervals", "intervals": [[0.0, 0.5]]})
     assert spec.kind == "intervals"
     assert spec.intervals.intervals == canonicalize([(0.0, 0.5)]).intervals
+
+
+def test_auto_depth_spec_needs_a_target_size():
+    auto = specio.parse_spec({"type": "cantor", "q": 0.25, "a": 1.0, "depth": "auto"})
+    with pytest.raises(specio.SpecFormatError, match='depth "auto" needs a target N_max'):
+        auto.resolve_set()
+    fixed = specio.parse_spec({"type": "cantor", "q": 0.25, "a": 1.0, "depth": 7})
+    assert auto.resolve_set(n_max=16384) == fixed.resolve_set()
 
 
 def test_read_scan_csv_converts_bits(tmp_path):

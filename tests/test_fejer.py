@@ -10,7 +10,6 @@ from entropy_lab.fejer import (
     kernel_zeros,
     panel_rule,
     purity_proxy_kernel,
-    purity_proxy_kernel_complement,
 )
 from entropy_lab.scaling import ROUTE_TOL
 from entropy_lab.toeplitz import (
@@ -118,15 +117,15 @@ def test_proxy_kernel_anchors():
     assert purity_proxy_kernel(half, 2) == pytest.approx(P2_HALF, abs=1e-9)
     assert purity_proxy_kernel(full_torus(), 5) == 0.0
     assert purity_proxy_kernel(empty_set(), 5) == 0.0
-    assert purity_proxy_kernel_complement(empty_set(), 5) == 0.0
+    assert purity_proxy_kernel(empty_set().complement(), 5) == 0.0
 
 
 def test_complement_route_equals_direct_route():
     half = canonicalize([(0.0, 0.5)])
-    assert purity_proxy_kernel_complement(half, 2) == pytest.approx(
+    assert purity_proxy_kernel(half.complement(), 2) == pytest.approx(
         purity_proxy_kernel(half, 2), abs=1e-9)
     K = canonicalize([(0.0, 0.2)])
-    assert purity_proxy_kernel_complement(K, 4) == pytest.approx(
+    assert purity_proxy_kernel(K.complement(), 4) == pytest.approx(
         purity_proxy_kernel(K, 4), abs=1e-6)
 
 
@@ -138,7 +137,7 @@ def test_three_route_agreement_random_sets():
         for n in (4, 16, 64):
             direct = purity_proxy_direct(coeffs, n)
             kern = purity_proxy_kernel(K, n)
-            comp = purity_proxy_kernel_complement(K, n)
+            comp = purity_proxy_kernel(K.complement(), n)
             assert kern == pytest.approx(direct, rel=1e-6)
             assert comp == pytest.approx(direct, rel=1e-6)
 
@@ -151,7 +150,7 @@ def test_kernel_route_matches_direct_route_to_1e_11():
         for n in (1, 3, 17, 100, 333):
             direct = purity_proxy_direct(coeffs, n)
             assert purity_proxy_kernel(K, n) == pytest.approx(direct, rel=1e-11)
-            assert purity_proxy_kernel_complement(K, n) == pytest.approx(
+            assert purity_proxy_kernel(K.complement(), n) == pytest.approx(
                 direct, rel=1e-11)
 
 

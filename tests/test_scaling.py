@@ -84,7 +84,7 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         scan(HALF, [8, 4])
     with pytest.raises(ValueError):
-        scan(HALF, [4, 8], mode="entropy", eig_cap=6)
+        scan(HALF, [4, 8], mode="both", eig_cap=6)
     with pytest.raises(ValueError):
         scan(HALF, [2], mode="everything")
 
@@ -168,12 +168,12 @@ def test_subadditivity_random_pairs():
 
 
 def test_monotonicity():
-    records = scan(HALF, list(range(1, 33)), mode="entropy")
+    records = scan(HALF, list(range(1, 33)), mode="both")
     assert check_monotonicity(records)
-    const = scan(SymbolFunction.constant(0.5), list(range(1, 9)), mode="entropy")
+    const = scan(SymbolFunction.constant(0.5), list(range(1, 9)), mode="both")
     values = [r.entropy for r in const]
     assert all(b > a for a, b in zip(values, values[1:]))
-    flat = scan(full_torus(), list(range(1, 9)), mode="entropy")
+    flat = scan(full_torus(), list(range(1, 9)), mode="both")
     assert check_monotonicity(flat)
     assert all(abs(r.entropy) < 1e-12 for r in flat)
 

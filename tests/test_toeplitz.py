@@ -6,6 +6,7 @@ import pytest
 
 from entropy_lab import toeplitz
 from entropy_lab.toeplitz import (
+    UPSILON,
     EigensolveError,
     EntropyDomainError,
     SymbolCoefficients,
@@ -51,10 +52,6 @@ def _three_intervals(seed):
 # Asymmetric: the complex path.
 THREE = _three_intervals(3)
 
-# Jin-Korepin constant of the single-interval asymptotics
-# S_N = (1/3) ln(2 N sin(pi L)) + UPSILON (J. Stat. Phys. 116, 2004).
-UPSILON = 0.4950179
-
 # Frozen from the closed-form eigenvalues 1/2 +- 1/pi of the 2x2 block:
 # S_2 = 2 * eta_tilde(1/2 + 1/pi).
 S2_HALF = 0.9478932674675549
@@ -90,9 +87,9 @@ def test_quadratic_lower_bound_on_eta_tilde():
 
 def test_fourier_coefficient_half_interval():
     coeffs = fourier_coefficients(SymbolFunction.indicator(HALF), 2)
-    assert coeffs.coefficient(0) == pytest.approx(0.5, abs=1e-15)
-    assert coeffs.coefficient(1) == pytest.approx(-1j / math.pi, abs=1e-15)
-    assert coeffs.coefficient(2) == pytest.approx(0.0, abs=1e-15)
+    assert coeffs.values[0] == pytest.approx(0.5, abs=1e-15)
+    assert coeffs.values[1] == pytest.approx(-1j / math.pi, abs=1e-15)
+    assert coeffs.values[2] == pytest.approx(0.0, abs=1e-15)
 
 
 def _per_piece(f, n_max):
@@ -114,16 +111,14 @@ DEPTH6 = cantor_generate(CantorSpec(0.25, 1.0, 6)).translate(0.0123)
 ], ids=["three", "depth6", "mixed"])
 def test_fourier_coefficients_match_per_piece_sum(f, n_max):
     coeffs = fourier_coefficients(f, n_max)
-    assert coeffs.coefficient(0) == f.mean
+    assert coeffs.values[0] == f.mean
     np.testing.assert_allclose(coeffs.values[1:], _per_piece(f, n_max),
                                rtol=0, atol=1e-14)
-    for k in range(1, n_max + 1):
-        assert coeffs.coefficient(-k) == np.conj(coeffs.values[k])
 
 
 def test_constant_symbol_has_no_higher_coefficients():
     coeffs = fourier_coefficients(SymbolFunction.constant(0.3), 17)
-    assert coeffs.coefficient(0) == 0.3
+    assert coeffs.values[0] == 0.3
     assert np.all(coeffs.values[1:] == 0.0)
 
 
@@ -172,12 +167,11 @@ def test_fourier_coefficients_match_40_digit_reference(K, n_max, gate):
 def test_mixed_symbol_coefficients():
     f = SymbolFunction((0.0, 0.5, 1.0), (0.5, 0.0))
     coeffs = fourier_coefficients(f, 4)
-    assert coeffs.coefficient(0) == pytest.approx(0.25, abs=1e-15)
+    assert coeffs.values[0] == pytest.approx(0.25, abs=1e-15)
     # half the pure half-interval coefficients
     pure = fourier_coefficients(SymbolFunction.indicator(HALF), 4)
     for k in range(1, 5):
-        assert coeffs.coefficient(k) == pytest.approx(0.5 * pure.coefficient(k),
-                                                      abs=1e-14)
+        assert coeffs.values[k] == pytest.approx(0.5 * pure.values[k], abs=1e-14)
 
 
 def test_build_restriction_entries():
@@ -349,8 +343,6 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, r"q\(0\) must be real"),
     (lambda: SymbolCoefficients(n_max=1, values=np.array([0.5, 0.6j])),
      ValueError, r"\|q\(k\)\| exceeds q\(0\)"),
-    (lambda: _QUARTER_COEFFS.coefficient(-5),
-     IndexError, "coefficient -5 beyond cached order 4"),
     (lambda: fourier_coefficients(SymbolFunction.indicator(HALF), -1),
      ValueError, "n_max must be nonnegative"),
     (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 0),
@@ -363,9 +355,11 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "need coefficients up to 5, have 4"),
     (lambda: purity_proxy_single_interval_series(0.25, 0),
      ValueError, "block size must be >= 1, got 0"),
-], ids=["coeff-shape", "coeff-q0-complex", "coeff-exceeds-q0", "coefficient-order",
+    (lambda: SymbolFunction.of([(0.0, 0.5)]),
+     TypeError, "expected a SymbolFunction or TorusIntervalSet, got a list"),
+], ids=["coeff-shape", "coeff-q0-complex", "coeff-exceeds-q0",
         "negative-n-max", "restriction-size", "restriction-order", "proxy-scan-size",
-        "proxy-scan-order", "series-size"])
+        "proxy-scan-order", "series-size", "symbol-source"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -443,12 +437,45 @@ def test_real_path_matches_complex_solve(monkeypatch):
 @pytest.mark.parametrize("length, n, gate", [(0.5, 256, 1e-6), (0.5, 1024, 3e-8),
                                              (0.25, 256, 6e-6), (0.25, 1024, 3.5e-7)])
 def test_jin_korepin_single_interval(length, n, gate):
-    # Gates are four times the residuals measured at freeze time:
-    # 2.5e-7, 7.7e-9 (L = 1/2) and 1.5e-6, 8.7e-8 (L = 1/4).
+    # Gates were set at four times the residuals measured with the 7-digit
+    # constant 0.4950179. With the exact UPSILON the residuals are -2.54e-7,
+    # -1.59e-8 (L = 1/2) and -1.53e-6, -9.54e-8 (L = 1/4): the O(N^-2)
+    # correction that test_jin_korepin_correction_falls_as_n_minus_2 checks.
     phi = float(np.random.default_rng(n).uniform())
     K = canonicalize([(phi, phi + length)])
     s = block_entropy(SymbolFunction.indicator(K), n)
     assert abs(s - (math.log(2 * n * math.sin(math.pi * length)) / 3 + UPSILON)) <= gate
+
+
+def test_upsilon_is_the_jin_korepin_integral():
+    # UPSILON = int_0^inf g, g(t) = -e^-t/(3t) - 1/(t sinh^2(t/2))
+    # + cosh(t/2)/(2 sinh^3(t/2)). The terms of g cancel like 4/t^3 near 0,
+    # where g tends to 1/3: integrate from EPS at 60 digits and add the head
+    # EPS/3, whose error is O(EPS^2).
+    eps = mpmath.mpf("1e-12")
+
+    def g(t):
+        h = t / 2
+        return (-mpmath.exp(-t) / (3 * t) - 1 / (t * mpmath.sinh(h) ** 2)
+                + mpmath.cosh(h) / (2 * mpmath.sinh(h) ** 3))
+
+    with mpmath.workdps(60):
+        value = mpmath.quad(g, [eps, 1, mpmath.inf]) + eps / 3
+        assert abs(value - mpmath.mpf(UPSILON)) <= 1e-16
+    assert float(value) == UPSILON
+
+
+@pytest.mark.parametrize("length", [0.5, 0.25])
+def test_jin_korepin_correction_falls_as_n_minus_2(length):
+    # N^2 (S_N - (1/3) ln(2 N sin(pi L)) - UPSILON) measured -0.016667 and
+    # -0.016659 (L = 1/2), -0.10001 and -0.09999 (L = 1/4) at N = 256 and
+    # 1024. The correction oscillates with N mod 4, so both sizes are 0 mod 4.
+    scaled = []
+    for n in (256, 1024):
+        s = block_entropy(SymbolFunction.indicator(canonicalize([(0.0, length)])), n)
+        residual = s - (math.log(2 * n * math.sin(math.pi * length)) / 3 + UPSILON)
+        scaled.append(n * n * residual)
+    assert abs(scaled[1] - scaled[0]) <= 0.01 * abs(scaled[0])
 
 
 @pytest.mark.parametrize("pieces, gate", [
