@@ -185,8 +185,9 @@ def density_matrix(source, n: int) -> FockDensityMatrix:
 
     Pairing consecutive sites with b != b', the parity strings cancel to
     (-1)^(P + H + G): P pairs, H pairs whose first site holds c, and G
-    units E_22 (cc+) between the two sites of a pair. Every entry is evaluated independently (no Hermitian mirroring), so the
-    Hermiticity of the result is a genuine consistency check. Entries between
+    units E_22 (cc+) between the two sites of a pair. Every entry is
+    evaluated independently (no Hermitian mirroring), so the Hermiticity of
+    the result is a genuine consistency check. Entries between
     occupation sectors of different particle number vanish by gauge
     invariance and are skipped.
     """

@@ -111,7 +111,10 @@ def default_grid(n_min: int, n_max: int, ratio: float = DEFAULT_RATIO) -> list[i
     grid = []
     k = 0
     while True:
-        v = int(round(n_min * ratio ** k))
+        try:
+            v = int(round(n_min * ratio ** k))
+        except OverflowError:       # the point left the floats: it exceeds n_max
+            break
         if v > n_max:
             break
         if not grid or v != grid[-1]:
@@ -133,7 +136,15 @@ def scan(source, n_grid, mode: str = "both",
     route and a disagreement beyond 1e-6 relative raises VerificationError.
     Records come back in grid order.
     """
-    grid = [int(n) for n in n_grid]
+    grid = []
+    for n in n_grid:
+        try:
+            integral = int(n) == n
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"block sizes must be integers, got {n!r}")
+        grid.append(int(n))
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing and nonempty")
     if grid[0] < 1:
@@ -191,7 +202,8 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
 
     ``window`` bounds N inclusively; by default sizes below DEFAULT_FIT_NMIN
     are discarded. Also reports slopes between consecutive grid points in the
-    same coordinates.
+    same coordinates. Block sizes below 1 and non-finite values inside the
+    window raise ValueError.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; pick one of {MODELS}")
@@ -205,6 +217,12 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
     ns, ys = ns[keep], ys[keep]
     if len(ns) < 4:
         raise ValueError(f"need >= 4 records inside window [{lo}, {hi}], have {len(ns)}")
+    if ns[0] < 1:
+        raise ValueError(f"block sizes must be >= 1, got N = {int(ns[0])}")
+    bad = ~np.isfinite(ys)
+    if np.any(bad):
+        raise ValueError(f"growth fits need finite values, got {ys[bad][0]} "
+                         f"at N = {int(ns[bad][0])}")
     if np.any(ys <= 0.0):
         raise ValueError("growth fits need strictly positive values")
 

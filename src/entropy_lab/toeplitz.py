@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import polygamma
 
 from .torus_sets import TorusIntervalSet
 
@@ -469,6 +468,23 @@ UPSILON = 0.49501790813513705
 _SERIES_TAIL_BOUND = 1e-10
 
 
+def _series_cutoff(length: float, n: int) -> int:
+    """Cutoff M of the series route: past M the oscillatory half of the tail,
+    at most (N/pi^2) / (M^2 sin(pi L)), is below _SERIES_TAIL_BOUND."""
+    sin_floor = math.sin(math.pi * length)
+    need = math.sqrt(n / (math.pi ** 2 * _SERIES_TAIL_BOUND * sin_floor))
+    return max(n + 1, int(math.ceil(need)))
+
+
+def _trigamma(m: int) -> float:
+    """psi_1(m) = sum_{j>=m} 1/j^2 for a series-route cutoff m."""
+    # psi_1(M) = 1/M + 1/(2 M^2) + 1/(6 M^3) - 1/(30 M^5) + ... (Abramowitz &
+    # Stegun 6.4.12). Since sin(pi L) <= 1 and N >= 1, _series_cutoff is at
+    # least sqrt(1 / (pi^2 * 1e-10)), i.e. M >= 31831, where the first omitted
+    # term is at most 3.3e-20 of psi_1(M), below double rounding.
+    return 1.0 / m + 1.0 / (2.0 * m ** 2) + 1.0 / (6.0 * m ** 3)
+
+
 def purity_proxy_single_interval_series(length: float, n: int) -> float:
     """Independent series route for a single interval of given length:
 
@@ -476,18 +492,18 @@ def purity_proxy_single_interval_series(length: float, n: int) -> float:
                       + (2/pi^2)  sum_{m<N}  sin^2(pi m L)/m.
 
     The infinite tail is summed term by term up to a cutoff M; past M the
-    smooth half of sin^2 = (1 - cos)/2 is added exactly via the trigamma
-    function and the oscillatory half is dropped, with its Abel bound
-    1/(M^2 sin(pi L)) pushed below 1e-10. The sin^2 identity that would
-    collapse this route back onto the coefficient route is never used.
+    smooth half of sin^2 = (1 - cos)/2 is added as trigamma(M)/2 from the
+    three-term series trigamma(M) = 1/M + 1/(2M^2) + 1/(6M^3), whose first
+    omitted term is below 3.3e-20 relative since M >= 31831, and the
+    oscillatory half is dropped, with its Abel bound 1/(M^2 sin(pi L))
+    pushed below 1e-10. The sin^2 identity that would collapse this route
+    back onto the coefficient route is never used.
     """
     if not (0.0 < length <= 0.5):
         raise ValueError(f"interval length must lie in (0, 1/2], got {length}")
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
-    sin_floor = math.sin(math.pi * length)
-    need = math.sqrt(n / (math.pi ** 2 * _SERIES_TAIL_BOUND * sin_floor))
-    cutoff = max(n + 1, int(math.ceil(need)))
+    cutoff = _series_cutoff(length, n)
 
     head = np.arange(1, n)
     term_head = (2.0 / math.pi ** 2) * float(
@@ -502,7 +518,7 @@ def purity_proxy_single_interval_series(length: float, n: int) -> float:
         tail_sum += float(np.sum(np.sin(math.pi * m * length) ** 2 / m ** 2))
         lo = hi
     # Flat part of the remaining tail: sum_{m>=M} 1/(2 m^2) = trigamma(M)/2.
-    tail_sum += 0.5 * float(polygamma(1, cutoff))
+    tail_sum += 0.5 * _trigamma(cutoff)
     return (2.0 * n / math.pi ** 2) * tail_sum + term_head
 
 

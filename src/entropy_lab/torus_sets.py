@@ -416,18 +416,23 @@ def fermi_sea(disp: DispersionSamples, filling: float) -> TorusIntervalSet:
 # Seeded random sets for property sweeps
 # ---------------------------------------------------------------------------
 
+def _separated_slots(rng: np.random.Generator, m: int, min_length: float):
+    """m consecutive (start, end) slots from 2m sorted uniform points, redrawn
+    until every gap, the first point and 1 - the last point are at least
+    ``min_length``."""
+    while True:
+        pts = np.sort(rng.uniform(0.0, 1.0, size=2 * m))
+        if np.min(np.diff(pts)) >= min_length and pts[0] >= min_length \
+                and 1.0 - pts[-1] >= min_length:
+            return [(pts[2 * i], pts[2 * i + 1]) for i in range(m)]
+
+
 def random_interval_set(rng: np.random.Generator, max_intervals: int = 3,
                         min_length: float = 0.02) -> TorusIntervalSet:
     """Random union of 1..max_intervals disjoint intervals, none touching the
     seam, with all interval and gap lengths at least ``min_length``."""
     m = int(rng.integers(1, max_intervals + 1))
-    while True:
-        pts = np.sort(rng.uniform(0.0, 1.0, size=2 * m))
-        gaps = np.diff(pts)
-        if len(gaps) == 0 or (np.min(gaps) >= min_length and pts[0] >= min_length
-                              and 1.0 - pts[-1] >= min_length):
-            break
-    return canonicalize([(pts[2 * i], pts[2 * i + 1]) for i in range(m)])
+    return canonicalize(_separated_slots(rng, m, min_length))
 
 
 # Each set of a random disjoint pair has 1..PAIR_MAX_INTERVALS intervals;
@@ -442,13 +447,7 @@ def random_disjoint_pair(rng: np.random.Generator):
     m1 = int(rng.integers(1, PAIR_MAX_INTERVALS + 1))
     m2 = int(rng.integers(1, PAIR_MAX_INTERVALS + 1))
     m = m1 + m2
-    while True:
-        pts = np.sort(rng.uniform(0.0, 1.0, size=2 * m))
-        gaps = np.diff(pts)
-        if np.min(gaps) >= PAIR_MIN_LENGTH and pts[0] >= PAIR_MIN_LENGTH \
-                and 1.0 - pts[-1] >= PAIR_MIN_LENGTH:
-            break
-    slots = [(pts[2 * i], pts[2 * i + 1]) for i in range(m)]
+    slots = _separated_slots(rng, m, PAIR_MIN_LENGTH)
     order = rng.permutation(m)
     k1 = canonicalize([slots[i] for i in order[:m1]])
     k2 = canonicalize([slots[i] for i in order[m1:]])

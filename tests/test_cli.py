@@ -346,6 +346,9 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     (["scan", "--set", "{half}", "--bogus"], "unrecognized arguments: --bogus"),
     (["unknown"], "argument command: invalid choice"),
     ([], "the following arguments are required: command"),
+    (["fit", "--csv", "{nan_proxy}"], "growth fits need finite values, got nan at N = 32"),
+    (["fit", "--csv", "{inf_proxy}"], "growth fits need finite values, got inf at N = 64"),
+    (["fit", "--csv", "{zero_n}", "--window", "0:4"], "block sizes must be >= 1, got N = 0"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -354,6 +357,12 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
         "good": write_csv(tmp_path / "good.csv", [[8, "1.0", "0.5", "", "", "0"]]),
         "empty": write_csv(tmp_path / "empty.csv", []),
         "malformed": write_csv(tmp_path / "bad.csv", [[8, "x", "0.5", "", "", "0"]]),
+        "nan_proxy": write_csv(tmp_path / "nan.csv", [[n, "", p, "", "", "0"] for n, p in
+                                                      [(16, "1"), (32, "nan"), (64, "2"), (128, "3")]]),
+        "inf_proxy": write_csv(tmp_path / "inf.csv", [[n, "", p, "", "", "0"] for n, p in
+                                                      [(16, "1"), (32, "2"), (64, "inf"), (128, "3")]]),
+        "zero_n": write_csv(tmp_path / "zero_n.csv", [[n, "", p, "", "", "0"] for n, p in
+                                                      [(0, "0.1"), (1, "0.25"), (2, "0.3"), (4, "0.4")]]),
         "plateau": write_spec(tmp_path / "plateau.json", {
             "version": 1, "type": "fermi", "filling": 0.3,
             "samples": [[0.0, 0.0], [0.25, 0.0], [0.5, 1.0], [0.75, 0.0]]}),
@@ -390,6 +399,15 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_scan_ratio_past_the_floats_gives_one_row(tmp_path):
+    spec = write_spec(tmp_path / "half.json",
+                      {"version": 1, "type": "intervals", "intervals": [[0, 0.5]]})
+    res = run_cli("scan", "--set", spec, "--ratio", "1e308")
+    assert res.returncode == 0 and res.stderr == ""
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert [row["N"] for row in rows] == ["8"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])

@@ -43,6 +43,7 @@ def test_default_grid():
     for bad in (0.9, 1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and exceed 1"):
             default_grid(4, 10, ratio=bad)
+    assert default_grid(8, 2048, 1e308) == [8]      # 8 * 1e308 overflows to inf
 
 
 def test_scan_anchor_values():
@@ -87,6 +88,13 @@ def test_scan_validation():
         scan(HALF, [4, 8], mode="both", eig_cap=6)
     with pytest.raises(ValueError):
         scan(HALF, [2], mode="everything")
+    with pytest.raises(ValueError, match="got 8.7"):
+        scan(HALF, [8.7, 16.2], mode="proxy")
+    with pytest.raises(ValueError, match="got 'x'"):
+        scan(HALF, [4, "x"], mode="proxy")
+    records = scan(HALF, [8.0, np.int64(16)], mode="proxy")
+    assert [r.n for r in records] == [8, 16]
+    assert all(type(r.n) is int for r in records)
 
 
 def test_scan_repeat_is_bit_identical():

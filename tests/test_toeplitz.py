@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -290,6 +294,28 @@ def test_series_route_various_lengths():
             assert series == pytest.approx(direct, abs=1e-8)
     with pytest.raises(ValueError):
         purity_proxy_single_interval_series(0.7, 4)
+
+
+@pytest.mark.parametrize("m", ["smallest", 10 ** 5, 10 ** 7, 10 ** 9])
+def test_series_trigamma_matches_mpmath(m):
+    # The series route's smallest cutoff is its own cutoff at N = 1, L = 1/2.
+    if m == "smallest":
+        m = toeplitz._series_cutoff(0.5, 1)
+        assert m == 31831
+    with mpmath.workdps(40):
+        exact = mpmath.psi(1, m)
+        assert abs((mpmath.mpf(toeplitz._trigamma(m)) - exact) / exact) <= 4e-16
+
+
+def test_import_path_is_numpy_only():
+    code = ("import sys, entropy_lab, entropy_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(toeplitz.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_entropy_density():

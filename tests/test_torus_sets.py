@@ -8,6 +8,7 @@ from entropy_lab.torus_sets import (
     DispersionSamples,
     TorusSetError,
     _deficit_knots,
+    _separated_slots,
     canonicalize,
     cantor_generate,
     deficit_breakpoints,
@@ -281,3 +282,25 @@ def test_random_generators_are_wellformed():
         assert 0.0 < K.measure < 1.0
         k1, k2 = random_disjoint_pair(rng)
         assert k1.intersection(k2).measure == 0.0
+
+
+def test_separated_slots_keep_min_length():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 4):
+        slots = _separated_slots(rng, m, 0.05)
+        pts = np.ravel(slots)
+        assert len(slots) == m and np.all(np.diff(pts) >= 0.05)
+        assert pts[0] >= 0.05 and 1.0 - pts[-1] >= 0.05
+
+
+def test_random_draws_are_pinned():
+    # verify and the benchmark's routes-cantor pairs replay these draws.
+    rng = np.random.default_rng(0)
+    assert random_interval_set(rng).intervals == (
+        (0.033585575305464355, 0.17565562060255901),
+        (0.2997118905373848, 0.5414612202490917),
+        (0.7296554464299441, 0.8631789223498866))
+    k1, k2 = random_disjoint_pair(np.random.default_rng(1))
+    assert k1.intervals == ((0.303194829291645, 0.40311298644712923),)
+    assert k2.intervals == ((0.13404169724716475, 0.20345524067614962),
+                            (0.4534978894806515, 0.7884287034284043))
