@@ -103,24 +103,37 @@ class ExponentFit:
 
 
 def default_grid(n_min: int, n_max: int, ratio: float = DEFAULT_RATIO) -> list[int]:
-    """Geometric grid rounded to integers and deduplicated."""
+    """Geometric grid rounded to integers and deduplicated: the distinct
+    values of round(n_min * ratio^k), k = 0, 1, ..., up to n_max.
+
+    From each grid point the power k steps straight to the first one that
+    rounds above it, estimated from logarithms and corrected by direct
+    evaluation, so the cost is per grid point, not per power of the ratio.
+    """
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad grid bounds [{n_min}, {n_max}]")
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise ValueError(f"grid ratio must be finite and exceed 1, got {ratio}")
-    grid = []
-    k = 0
-    while True:
+
+    def point(k: int) -> float:
         try:
-            v = int(round(n_min * ratio ** k))
+            return round(n_min * ratio ** k)
         except OverflowError:       # the point left the floats: it exceeds n_max
-            break
+            return math.inf
+
+    log_ratio = math.log(ratio)
+    grid, k = [n_min], 0
+    while True:
+        # Smallest k' > k with point(k') > grid[-1]; the points never decrease.
+        step = max(k + 1, math.ceil(math.log((grid[-1] + 0.5) / n_min) / log_ratio))
+        while step - 1 > k and point(step - 1) > grid[-1]:
+            step -= 1
+        while point(step) <= grid[-1]:
+            step += 1
+        k, v = step, point(step)
         if v > n_max:
-            break
-        if not grid or v != grid[-1]:
-            grid.append(v)
-        k += 1
-    return grid
+            return grid
+        grid.append(int(v))
 
 
 def scan(source, n_grid, mode: str = "both",

@@ -21,26 +21,31 @@ exponential, by splitting x into a 26-bit head (k * head is exact in a
 double for k < 2^27) and a tail, which keeps every q(k) correct to a few
 ulps; orders n_max >= 2^27 are refused.
 
-Spectra are verified: every eigenpair must satisfy
-||Q v - lambda v|| <= 1e-8 ||Q||. A set symmetric about a centre c (single
-intervals, Cantor truncations) has a symbol whose demodulated coefficients
-r(k) = q(k) exp(2 pi i k c), with c = -arg q(1) / (2 pi), are real; the
-demodulation is a diagonal unitary similarity and keeps the spectrum.
-Dropping Im r moves each eigenvalue by at most (2N - 1) max |Im r(k)|
-(Weyl's inequality); the real path is taken only when that bound is at most
-1e-9 q(0). The real symmetric Toeplitz matrix T of Re r is centrosymmetric,
-J T J = T with J the index reversal, so the orthogonal similarity onto the
-vectors with u = +-J u splits it into two Toeplitz-plus-Hankel blocks of
-half the order (Cantoni & Butler, Linear Algebra Appl. 13, 1976). With
-m = N // 2 and i, j < m these are r(|i - j|) +- r(N - 1 - i - j); for odd N
-the even block is bordered by the column sqrt(2) r(m - i) and the corner
-r(0). ``spectrum`` solves the two blocks and never forms T, which takes
-about a quarter of the work of one order-N solve and residual check.
-Forming r +- r and sqrt(2) r rounds each block entry, which moves the
-blocks by at most 1.5 N eps max |r(k)| in the 2-norm; that charge and the
-Weyl bound are added to the eigenpair residual before the 1e-8 ||Q|| gate.
-Every other symbol (q(1) = 0, asymmetric sets, mixed symbols without a
-centre) is solved as the complex Hermitian Q_N.
+Spectra are computed from real symmetric matrices with eigenvalues only; no
+eigenvector and no complex matrix enters the solve. A set symmetric about a
+centre c (single intervals, Cantor truncations) has a symbol whose
+demodulated coefficients r(k) = q(k) exp(2 pi i k c), with
+c = -arg q(1) / (2 pi), are real; the demodulation is a diagonal unitary
+similarity and keeps the spectrum. Dropping Im r moves each eigenvalue by at
+most (2N - 1) max |Im r(k)| (Weyl's inequality); this split is taken only
+when that bound is at most 1e-9 q(0). The real symmetric Toeplitz matrix T
+of Re r is centrosymmetric, J T J = T with J the index reversal, so the
+orthogonal similarity onto the vectors with u = +-J u splits it into two
+Toeplitz-plus-Hankel blocks of half the order (Cantoni & Butler, Linear
+Algebra Appl. 13, 1976). With m = N // 2 and i, j < m these are
+r(|i - j|) +- r(N - 1 - i - j); for odd N the even block is bordered by the
+column sqrt(2) r(m - i) and the corner r(0). Every other symbol (q(1) = 0,
+asymmetric sets, mixed symbols without a centre) is solved at order N as
+U* Q_N U with U = (I + i J) / sqrt(2): writing Q_N = A + i B, this is the
+real symmetric Toeplitz-plus-Hankel matrix A + (J B - B J) / 2 with entries
+Re q(|k - l|) + sgn(h) Im q(|h|), h = l + k - N + 1.
+
+The eigenvalues w of each solved matrix H of order p are checked without
+eigenvectors: there must be p of them, and |sum w - tr H| and
+|sum w^2 - ||H||_F^2| / (2 ||H||) must stay within 1e-8 ||Q|| once the
+charge for forming the real matrices (Weyl's bound on the split, and the
+rounding of the matrix entries, at most 1.5 N eps max |q(k)|) is added.
+Both moments cost O(p^2) against the O(p^3) solve.
 
 Entropies are in nats throughout.
 """
@@ -52,6 +57,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .torus_sets import TorusIntervalSet
 
@@ -66,7 +72,7 @@ class EntropyDomainError(ValueError):
 
 
 class EigensolveError(RuntimeError):
-    """Eigendecomposition failed or left large residuals."""
+    """Eigensolve failed, or its eigenvalues missed the trace-moment check."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +270,9 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
 class ToeplitzRestriction:
     """Hermitian N x N block Q_N with entries Q[l, k] = q(k - l).
 
-    Stored as its first row q(0), ..., q(N - 1); ``matrix`` builds Q_N on
-    first use, so a spectrum taken on the real path never forms it.
+    Stored as its first row q(0), ..., q(N - 1), from which ``spectrum``
+    builds its real matrices. ``matrix`` builds the complex Q_N on first
+    use, for the Fock-space oracle; the solve never forms it.
     """
 
     order: int
@@ -306,11 +313,11 @@ def build_restriction(f: SymbolFunction, n: int) -> ToeplitzRestriction:
     return restriction_from_coefficients(fourier_coefficients(f, n - 1), n)
 
 
-# An eigenpair passes when ||Q v - lambda v|| plus any real-path bound stays
-# within this fraction of ||Q||.
+# The eigenvalues pass when their first two trace moments, plus the rounding
+# charge of forming the real matrices, stay within this fraction of ||Q||.
 RESIDUAL_TOL = 1e-8
-# The real path is taken only when dropping Im r costs at most this fraction
-# of q(0) <= ||Q||, a tenth of the residual budget.
+# The half-order split is taken only when dropping Im r costs at most this
+# fraction of q(0) <= ||Q||, a tenth of the moment budget.
 REAL_PATH_TOL = 1e-9
 
 
@@ -328,6 +335,17 @@ def _centred_row(row: np.ndarray) -> tuple[np.ndarray, float]:
     return r.real, (2 * len(row) - 1) * float(np.max(np.abs(r.imag)))
 
 
+def _toeplitz(a: np.ndarray) -> np.ndarray:
+    """Read-only view of the symmetric Toeplitz matrix T[i, j] = a(|i - j|)."""
+    line = np.concatenate([a[:0:-1], a])            # a(|t - p + 1|), t < 2p - 1
+    return sliding_window_view(line, len(a))[::-1]
+
+
+def _hankel(g: np.ndarray, p: int) -> np.ndarray:
+    """Read-only view of the Hankel matrix H[i, j] = g(i + j) of order p."""
+    return sliding_window_view(g[:2 * p - 1], p)
+
+
 def _centrosymmetric_blocks(r: np.ndarray) -> list[np.ndarray]:
     """The blocks of the real symmetric Toeplitz matrix T[i, j] = r(|i - j|)
     of order N under the orthogonal similarity onto the vectors with
@@ -341,70 +359,119 @@ def _centrosymmetric_blocks(r: np.ndarray) -> list[np.ndarray]:
     """
     n = len(r)
     m = n // 2
-    idx = np.arange(m)
-    toeplitz = r[np.abs(idx[None, :] - idx[:, None])]
-    hankel = r[n - 1 - idx[None, :] - idx[:, None]]
-    even = toeplitz + hankel
-    odd = toeplitz - hankel
+    even = np.empty((n - m, n - m))
     if n % 2:
-        border = math.sqrt(2.0) * r[m - idx]
-        even = np.block([[even, border[:, None]], [border[None, :], r[:1, None]]])
-    return [even, odd] if m else [even]
+        border = math.sqrt(2.0) * r[m::-1]
+        even[m, :] = even[:, m] = border
+        even[m, m] = r[0]
+    if not m:
+        return [even]
+    toeplitz, hankel = _toeplitz(r[:m]), _hankel(r[::-1], m)
+    np.add(toeplitz, hankel, out=even[:m, :m])
+    return [even, toeplitz - hankel]
 
 
-# Rounding charge of the real path. Each computed block entry is
+def _real_form(row: np.ndarray) -> np.ndarray:
+    """The real symmetric matrix U* Q_N U with U = (I + i J) / sqrt(2).
+
+    Write Q_N = A + i B with A[l, k] = Re q(|k - l|) symmetric Toeplitz and
+    B[l, k] = sgn(k - l) Im q(|k - l|) antisymmetric Toeplitz, so J A J = A
+    and J B J = -B. Then U* Q_N U = A + (J B - B J) / 2, whose imaginary
+    parts cancel because A J = J A. (J B - B J) / 2 is the Hankel matrix
+    sgn(h) Im q(|h|) with h = l + k - N + 1.
+    """
+    n = len(row)
+    im = row.imag                                   # Im q(0) = 0
+    return _toeplitz(row.real) + _hankel(np.concatenate([-im[:0:-1], im]), n)
+
+
+# Rounding charges of the real matrices. The similarities are exact, so a
+# computed matrix H + D differs from its exact H only by the error matrix D of
+# its entries, and by Weyl's inequality no eigenvalue moves by more than
+# ||D||_2. On the half-order split each computed block entry is
 # fl(r(a) +- r(b)) = (r(a) +- r(b))(1 + d) with |d| <= u = eps/2, off by at
 # most 2 u rho where rho = max |r(k)| (= r(0) for a symbol with values in
 # [0, 1], since Q_N >= 0); a border entry fl(fl(sqrt 2) r(k)) is off by at
 # most sqrt(2) ((1 + u)^2 - 1) rho < 3 u rho, and the corner r(0) is exact.
 # The error matrix D of a block of order p <= (N + 1)/2 <= N is symmetric, so
-# ||D||_2 <= ||D||_inf <= p * 3 u rho <= 1.5 N eps rho. The eigenpairs of
-# the computed block therefore satisfy ||H v - v w|| <= (computed residual)
-# + 1.5 N eps rho for the exact block H, and the orthogonal similarity
-# carries that residual unchanged to T.
+# ||D||_2 <= ||D||_inf <= p * 3 u rho <= 1.5 N eps rho.
 _BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
+# On the order-N real form each entry is one rounded sum
+# fl(Re q(a) + sgn(h) Im q(b)), off by at most u (|Re q(a)| + |Im q(b)|)
+# <= 2 u rho = eps rho with rho = max |q(k)|; Re and Im are read exactly.
+# Its error matrix is symmetric of order N, so ||D||_2 <= ||D||_inf
+# <= N eps rho.
+_FORM_ROUNDING = np.finfo(float).eps
+
+
+def _real_matrices(row: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """Real symmetric matrices whose spectra together are the spectrum of
+    Q_N, and the bound on how far forming them moves any eigenvalue.
+
+    A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
+    the two half-order blocks, charged with Weyl's bound and their rounding;
+    any other row gives the order-N real form, charged with its rounding.
+    """
+    n = len(row)
+    r, weyl = _centred_row(row)
+    if weyl <= REAL_PATH_TOL * r[0]:
+        rho = float(np.max(np.abs(r)))
+        return _centrosymmetric_blocks(r), weyl + _BLOCK_ROUNDING * n * rho
+    return [_real_form(row)], _FORM_ROUNDING * n * float(np.max(np.abs(row)))
+
+
+def _moment_gaps(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||) for eigenvalues w
+    of the symmetric matrix H, both on the scale of an eigenvalue shift; O(p^2)
+    for order p. ||H|| is taken as max |w|."""
+    scale = 2.0 * float(np.max(np.abs(w))) or 1.0
+    first = float(np.sum(w)) - float(np.trace(mat))
+    second = (float(w @ w) - float(np.sum(np.einsum("ij,ij->i", mat, mat)))) / scale
+    return np.abs([first, second])
 
 
 def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
-    """Ascending eigenvalues, verified against the residual bound
-    ||Q v - lambda v|| <= 1e-8 ||Q|| and clipped into [0, 1].
+    """Ascending eigenvalues, checked by their first two trace moments and
+    clipped into [0, 1].
 
-    When the demodulated first row is real up to REAL_PATH_TOL * q(0) in
-    Weyl's bound, the real symmetric Toeplitz matrix T of its real part is
-    solved instead of Q_N. T is centrosymmetric, so an orthogonal similarity
-    splits it into an even and an odd Toeplitz-plus-Hankel block of half the
-    order (``_centrosymmetric_blocks``); each block is solved and checked
-    on its own, and T itself is never formed. Weyl's bound plus the rounding
-    charge of forming the blocks (1.5 N eps max |r(k)|) is added to the
-    residual before the gate. Any other restriction is solved as the
-    complex Hermitian Q_N.
+    Every restriction is solved as real symmetric matrices with eigenvalues
+    only (``np.linalg.eigvalsh``); no eigenvector and no complex matrix is
+    formed. When the demodulated first row is real up to REAL_PATH_TOL * q(0)
+    in Weyl's bound, its real symmetric Toeplitz matrix T is centrosymmetric
+    and an orthogonal similarity splits it into an even and an odd
+    Toeplitz-plus-Hankel block of half the order (``_centrosymmetric_blocks``).
+    Any other restriction is solved at order N as the real form
+    U* Q_N U = A + (J B - B J) / 2 (``_real_form``).
+
+    Each solved matrix H of order p must give exactly p eigenvalues w, and
+    both |sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||), plus the
+    charge for forming the real matrices (Weyl's bound and rounding), must
+    stay within 1e-8 ||Q||.
     """
     n = restriction.order
-    r, weyl = _centred_row(restriction.row)
-    if weyl <= REAL_PATH_TOL * r[0]:
-        blocks = _centrosymmetric_blocks(r)
-        bound = weyl + _BLOCK_ROUNDING * n * float(np.max(np.abs(r)))
-    else:
-        blocks, bound = [restriction.matrix], 0.0
-    values, residual = [], 0.0
+    blocks, bound = _real_matrices(restriction.row)
+    values, gaps = [], []
     for mat in blocks:
         try:
-            w, v = np.linalg.eigh(mat)
+            w = np.linalg.eigvalsh(mat)
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(
-                f"eigendecomposition failed for N={n}: {exc}; "
+                f"eigensolve failed for N={n}: {exc}; "
                 f"matrix max |entry| {np.max(np.abs(mat)):.3g}"
             ) from exc
+        if np.shape(w) != (len(mat),):
+            raise EigensolveError(f"eigensolve returned {np.size(w)} eigenvalues for "
+                                  f"a block of order {len(mat)} at N={n}")
         values.append(w)
-        residual = max(residual, float(np.max(np.linalg.norm(mat @ v - v * w, axis=0))))
+        gaps.append(_moment_gaps(mat, w))
     w = np.sort(np.concatenate(values))
     norm = float(np.max(np.abs(w)))
-    residual += bound
-    if residual > RESIDUAL_TOL * norm:
-        raise EigensolveError(
-            f"eigenpair residual {residual:.3g} (real-path bound {bound:.3g} "
-            f"included) exceeds 1e-8 * ||Q|| = {RESIDUAL_TOL * norm:.3g} at N={n}"
-        )
+    for moment, gap in enumerate(np.max(gaps, axis=0) + bound, start=1):
+        if not gap <= RESIDUAL_TOL * norm:
+            raise EigensolveError(
+                f"trace moment {moment} gap {gap:.3g} (real-form charge {bound:.3g} "
+                f"included) exceeds 1e-8 * ||Q|| = {RESIDUAL_TOL * norm:.3g} at N={n}"
+            )
     return _clip_unit(w, f"eigenvalue of Q_{n}")
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import entropy_lab
 import entropy_lab.cli
+from entropy_lab.torus_sets import canonicalize
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -103,3 +104,24 @@ def test_tracer_can_produce_every_per_layer_metric(monkeypatch):
         if not ok:
             unknown.append(name)
     assert not unknown, f"per-layer metrics the tracer cannot produce: {unknown}"
+
+
+def test_traced_spectrum_spans_carry_their_counts(monkeypatch):
+    # A traced benchmark pass reads n, eigs and plunge off every
+    # toeplitz.spectrum span, for the half-order split (a scan of [0, 1/2))
+    # and for the order-N real form (the asymmetric union that
+    # check_subadditivity solves).
+    tracing = _tracing_module(monkeypatch)
+    k1, k2 = canonicalize([(0.05, 0.3)]), canonicalize([(0.5, 0.62)])
+    with tracing.Tracer() as tracer:
+        entropy_lab.scaling.scan(canonicalize([(0.0, 0.5)]), [8, 16], mode="both")
+        entropy_lab.scaling.check_subadditivity(k1, k2, 16)
+    counts = [s[4] for s in tracer.spans if s[0] == "toeplitz.spectrum"]
+    assert [c["n"] for c in counts] == [8, 16, 16, 16, 16]
+    for c in counts:
+        assert c["eigs"] == c["n"] and 0 < c["plunge"] <= c["n"]
+    metrics = tracing.flatten(tracing.summarize(tracer.spans))
+    assert metrics["toeplitz.spectrum.calls"] == 5
+    assert metrics["toeplitz.spectrum.eigs"] == 72
+    assert metrics["toeplitz.spectrum.top_n"] == 16
+    assert 0.0 < metrics["toeplitz.spectrum.plunge_frac"] <= 1.0

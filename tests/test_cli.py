@@ -164,41 +164,75 @@ def test_scan_deterministic_run_to_run(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("intervals", [[[0.3, 0.55]],                 # real path
-                                       [[0.0, 0.25], [0.5, 0.75]]])  # complex path
-def test_scan_exits_2_when_eigensolve_fails(tmp_path, monkeypatch, capsys, intervals):
+def _scan_exit(tmp_path, intervals, n_max):
+    """Exit code and stderr of a both-mode scan of ``intervals`` over 8..n_max."""
     spec = write_spec(tmp_path / "set.json",
                       {"version": 1, "type": "intervals", "intervals": intervals})
+    res = run_cli("scan", "--set", spec, "--nmin", "8", "--nmax", str(n_max),
+                  "--mode", "both", "--out", str(tmp_path / "scan.csv"))
+    return res.returncode, res.stderr
 
+
+@pytest.mark.parametrize("intervals", [[[0.3, 0.55]],                 # half-order split
+                                       [[0.0, 0.25], [0.5, 0.75]]])  # order-N real form
+def test_scan_exits_2_when_eigensolve_fails(tmp_path, monkeypatch, intervals):
     def broken(mat):
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(np.linalg, "eigh", broken)
-    code = cli.main(["scan", "--set", spec, "--nmin", "8", "--nmax", "16",
-                     "--mode", "both", "--out", str(tmp_path / "scan.csv")])
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    code, err = _scan_exit(tmp_path, intervals, 16)
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("verification failure: eigendecomposition failed for N=8")
+    assert err.startswith("verification failure: eigensolve failed for N=8")
+    assert err.count("\n") == 1
 
 
-def test_scan_exits_2_when_a_half_order_block_fails(tmp_path, monkeypatch, capsys):
-    # [0, 1/2) takes the real path, whose solves have order ceil(N/2): on the
-    # grid 8, 11, .., 45, 64 only N = 64 reaches order 32.
-    spec = write_spec(tmp_path / "half.json",
-                      {"version": 1, "type": "intervals", "intervals": [[0.0, 0.5]]})
-    eigh = np.linalg.eigh
+def _failing_from(order):
+    """np.linalg.eigvalsh that raises LinAlgError on matrices of ``order`` or
+    more."""
+    eigvalsh = np.linalg.eigvalsh
 
-    def failing_eigh(mat):
-        if len(mat) >= 32:
+    def failing(mat):
+        if len(mat) >= order:
             raise np.linalg.LinAlgError("injected")
-        return eigh(mat)
+        return eigvalsh(mat)
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    code = cli.main(["scan", "--set", spec, "--nmin", "8", "--nmax", "64",
-                     "--mode", "both", "--out", str(tmp_path / "half.csv")])
+    return failing
+
+
+def test_scan_exits_2_when_a_half_order_block_fails(tmp_path, monkeypatch):
+    # [0, 1/2) takes the half-order split, whose solves have order ceil(N/2):
+    # on the grid 8, 11, .., 45, 64 only N = 64 reaches order 32.
+    monkeypatch.setattr(np.linalg, "eigvalsh", _failing_from(32))
+    code, err = _scan_exit(tmp_path, [[0.0, 0.5]], 64)
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("verification failure: eigendecomposition failed for N=64")
+    assert err.startswith("verification failure: eigensolve failed for N=64")
+    assert err.count("\n") == 1
+
+
+def test_scan_exits_2_when_the_order_n_real_form_fails(tmp_path, monkeypatch):
+    # An asymmetric union is solved at order N: on the same grid the failure
+    # comes at N = 32 already.
+    monkeypatch.setattr(np.linalg, "eigvalsh", _failing_from(32))
+    code, err = _scan_exit(tmp_path, [[0.05, 0.3], [0.5, 0.62]], 64)
+    assert code == 2
+    assert err.startswith("verification failure: eigensolve failed for N=32")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("intervals", [[[0.3, 0.55]], [[0.05, 0.3], [0.5, 0.62]]])
+def test_scan_exits_2_when_the_moment_gate_fails(tmp_path, monkeypatch, intervals):
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(mat):
+        w = eigvalsh(mat)
+        w[-1] += 1e-6
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    code, err = _scan_exit(tmp_path, intervals, 16)
+    assert code == 2
+    assert err.startswith("verification failure: trace moment 1 gap")
+    assert "at N=8" in err and err.count("\n") == 1
 
 
 def test_fit_recovers_synthetic_power_law(tmp_path):

@@ -46,6 +46,29 @@ def test_default_grid():
     assert default_grid(8, 2048, 1e308) == [8]      # 8 * 1e308 overflows to inf
 
 
+def _grid_by_powers(n_min, n_max, ratio):
+    """The distinct round(n_min * ratio^k) up to n_max, one power at a time."""
+    grid, k = [], 0
+    while (v := round(n_min * ratio ** k)) <= n_max:
+        if not grid or v != grid[-1]:
+            grid.append(v)
+        k += 1
+    return grid
+
+
+@pytest.mark.parametrize("bounds", [(8, 2048), (8, 1448), (128, 16384)])
+def test_default_grid_matches_the_powers_of_the_ratio(bounds):
+    assert default_grid(*bounds) == _grid_by_powers(*bounds, math.sqrt(2.0))
+
+
+def test_default_grid_steps_per_point_not_per_power():
+    # A ratio of 1 + 1e-6 needs about 5.5e6 powers to get from 8 to 2048;
+    # the grid is every integer in between.
+    t0 = time.perf_counter()
+    assert default_grid(8, 2048, 1.0 + 1e-6) == list(range(8, 2049))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_scan_anchor_values():
     records = scan(HALF, [1, 2], mode="both")
     assert [r.n for r in records] == [1, 2]
