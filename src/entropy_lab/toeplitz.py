@@ -45,7 +45,9 @@ eigenvectors: there must be p of them, and |sum w - tr H| and
 |sum w^2 - ||H||_F^2| / (2 ||H||) must stay within 1e-8 ||Q|| once the
 charge for forming the real matrices (Weyl's bound on the split, and the
 rounding of the matrix entries, at most 1.5 N eps max |q(k)|) is added.
-Both moments cost O(p^2) against the O(p^3) solve.
+Both moments cost O(p^2) against the O(p^3) solve. Every eigenvalue must
+then lie within 1e-9 of [0, 1]; one further out fails the solve as a missed
+moment does.
 
 Entropies are in nats throughout.
 """
@@ -57,7 +59,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .torus_sets import TorusIntervalSet
 
@@ -97,13 +98,22 @@ def eta(x):
 
 
 def eta_tilde(x):
-    """eta(x) + eta(1 - x): entropy of the (x, 1-x) pair, maximal log 2 at 1/2."""
-    x = _clip_unit(x, "eta_tilde argument")
+    """eta(x) + eta(1 - x): entropy of the (x, 1-x) pair, maximal log 2 at 1/2.
+
+    Arguments more than CLIP_TOL outside [0, 1] raise EntropyDomainError;
+    the rest are clipped into [0, 1] before ``_eta_tilde_unit``.
+    """
+    out = _eta_tilde_unit(_clip_unit(x, "eta_tilde argument"))
+    return out if out.ndim else float(out)
+
+
+def _eta_tilde_unit(x: np.ndarray) -> np.ndarray:
+    """eta_tilde of a float array already inside [0, 1]; 0 at both ends."""
     out = np.zeros_like(x)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
     out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log1p(-xi)
-    return out if out.ndim else float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +204,7 @@ class SymbolCoefficients:
         if abs(self.values[0].imag) > 1e-13:
             raise ValueError(f"q(0) must be real, got {self.values[0]}")
         q0 = self.values[0].real
-        if np.any(np.abs(self.values) > q0 + 1e-9):
+        if np.abs(self.values).max() > q0 + 1e-9:
             raise ValueError("|q(k)| exceeds q(0); symbol not in [0, 1]")
         self.values = self.values.copy()
         self.values[0] = q0
@@ -212,11 +222,17 @@ _MAX_ORDER = 2 ** (_HEAD_BITS + 1)
 _ENDPOINT_CHUNK = 64
 
 
-def _phase(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """k * x mod 1 to about one ulp, for integers 0 <= k < _MAX_ORDER and
-    x in [0, 1); the result lies in [0, 3)."""
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x in [0, 1) as head + tail, with a head of _HEAD_BITS bits and a tail
+    below 2^-26."""
     head = np.floor(x * 2.0 ** _HEAD_BITS) / 2.0 ** _HEAD_BITS
-    return np.mod(k * head, 1.0) + k * (x - head)
+    return head, x - head
+
+
+def _phase(k: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """k * x mod 1 to about one ulp, for integers 0 <= k < _MAX_ORDER and
+    x = head + tail from ``_split``; the result lies in [0, 3)."""
+    return np.mod(k * head, 1.0) + k * tail
 
 
 def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
@@ -242,8 +258,8 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     if n_max >= _MAX_ORDER:
         raise ValueError(f"n_max must be below 2^{_HEAD_BITS + 1} = {_MAX_ORDER}, "
                          f"the limit of exact phase reduction; got {n_max}")
-    v = np.asarray(f.values)
-    jumps = v - np.roll(v, 1)
+    v = f.values
+    jumps = np.subtract(v, v[-1:] + v[:-1])          # v_j - v_{j-1}, wrapping at 0
     keep = jumps != 0.0
     x, c = np.asarray(f.breakpoints[:-1])[keep], jumps[keep]
     block = math.isqrt(n_max) + 1
@@ -252,9 +268,10 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     low = np.arange(block)[None, :]
     acc = np.zeros((rows, block), dtype=complex)
     for lo in range(0, len(x), _ENDPOINT_CHUNK):
-        xs, cs = x[lo:lo + _ENDPOINT_CHUNK], c[lo:lo + _ENDPOINT_CHUNK]
-        hmat = np.exp(-2j * np.pi * _phase(high, xs))
-        lmat = cs[:, None] * np.exp(-2j * np.pi * _phase(low, xs[:, None]))
+        head, tail = _split(x[lo:lo + _ENDPOINT_CHUNK])
+        cs = c[lo:lo + _ENDPOINT_CHUNK, None]
+        hmat = np.exp(-2j * np.pi * _phase(high, head, tail))
+        lmat = cs * np.exp(-2j * np.pi * _phase(low, head[:, None], tail[:, None]))
         acc += hmat @ lmat
     vals = acc.ravel()[:n_max + 1]
     vals[1:] /= 2j * np.pi * np.arange(1, n_max + 1)
@@ -335,15 +352,31 @@ def _centred_row(row: np.ndarray) -> tuple[np.ndarray, float]:
     return r.real, (2 * len(row) - 1) * float(np.max(np.abs(r.imag)))
 
 
+def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
+    """Read-only p x p view W[i, j] = line[i + j] (row_step 1) or
+    line[p - 1 - i + j] (row_step -1) of a contiguous line of length 2p - 1.
+
+    Built as a strided ndarray on the line's buffer: the same view as
+    ``sliding_window_view``, without its argument checks, which cost several
+    times the view itself on small blocks.
+    """
+    size = line.itemsize
+    view = np.ndarray((p, p), line.dtype, buffer=line,
+                      offset=(p - 1) * size if row_step < 0 else 0,
+                      strides=(row_step * size, size))
+    view.flags.writeable = False
+    return view
+
+
 def _toeplitz(a: np.ndarray) -> np.ndarray:
     """Read-only view of the symmetric Toeplitz matrix T[i, j] = a(|i - j|)."""
     line = np.concatenate([a[:0:-1], a])            # a(|t - p + 1|), t < 2p - 1
-    return sliding_window_view(line, len(a))[::-1]
+    return _window(line, len(a), -1)
 
 
 def _hankel(g: np.ndarray, p: int) -> np.ndarray:
     """Read-only view of the Hankel matrix H[i, j] = g(i + j) of order p."""
-    return sliding_window_view(g[:2 * p - 1], p)
+    return _window(np.ascontiguousarray(g[:2 * p - 1]), p, 1)
 
 
 def _centrosymmetric_blocks(r: np.ndarray) -> list[np.ndarray]:
@@ -420,19 +453,20 @@ def _real_matrices(row: np.ndarray) -> tuple[list[np.ndarray], float]:
     return [_real_form(row)], _FORM_ROUNDING * n * float(np.max(np.abs(row)))
 
 
-def _moment_gaps(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _moment_gaps(mat: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     """|sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||) for eigenvalues w
     of the symmetric matrix H, both on the scale of an eigenvalue shift; O(p^2)
     for order p. ||H|| is taken as max |w|."""
-    scale = 2.0 * float(np.max(np.abs(w))) or 1.0
-    first = float(np.sum(w)) - float(np.trace(mat))
-    second = (float(w @ w) - float(np.sum(np.einsum("ij,ij->i", mat, mat)))) / scale
-    return np.abs([first, second])
+    scale = 2.0 * float(np.abs(w).max()) or 1.0
+    flat = mat.ravel()
+    first = float(w.sum()) - float(mat.trace())
+    second = (float(w @ w) - float(flat @ flat)) / scale
+    return abs(first), abs(second)
 
 
 def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     """Ascending eigenvalues, checked by their first two trace moments and
-    clipped into [0, 1].
+    by one range check, and clipped into [0, 1].
 
     Every restriction is solved as real symmetric matrices with eigenvalues
     only (``np.linalg.eigvalsh``); no eigenvector and no complex matrix is
@@ -446,7 +480,11 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     Each solved matrix H of order p must give exactly p eigenvalues w, and
     both |sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||), plus the
     charge for forming the real matrices (Weyl's bound and rounding), must
-    stay within 1e-8 ||Q||.
+    stay within 1e-8 ||Q||. Every eigenvalue must then lie within CLIP_TOL
+    of [0, 1], since Q_N is a compression of a symbol with values in [0, 1];
+    an eigenvalue further out is a failed solve and raises EigensolveError,
+    like the checks before it. The checked eigenvalues are clipped into
+    [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     """
     n = restriction.order
     blocks, bound = _real_matrices(restriction.row)
@@ -464,15 +502,24 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
                                   f"a block of order {len(mat)} at N={n}")
         values.append(w)
         gaps.append(_moment_gaps(mat, w))
-    w = np.sort(np.concatenate(values))
-    norm = float(np.max(np.abs(w)))
-    for moment, gap in enumerate(np.max(gaps, axis=0) + bound, start=1):
+    # eigvalsh returns ascending values, so one block needs no sort.
+    w = values[0] if len(values) == 1 else np.sort(np.concatenate(values))
+    # A NaN anywhere makes lo, hi and so norm NaN, which fails the moment gates.
+    lo, hi = float(w.min()), float(w.max())
+    norm = max(-lo, hi)
+    for moment, gap in enumerate(map(max, zip(*gaps)), start=1):
+        gap += bound
         if not gap <= RESIDUAL_TOL * norm:
             raise EigensolveError(
                 f"trace moment {moment} gap {gap:.3g} (real-form charge {bound:.3g} "
                 f"included) exceeds 1e-8 * ||Q|| = {RESIDUAL_TOL * norm:.3g} at N={n}"
             )
-    return _clip_unit(w, f"eigenvalue of Q_{n}")
+    if lo < -CLIP_TOL or hi > 1.0 + CLIP_TOL:
+        raise EigensolveError(
+            f"eigenvalue outside [0, 1] by {max(-lo, hi - 1.0):.3g}, beyond the "
+            f"clip tolerance {CLIP_TOL:g}, at N={n}"
+        )
+    return np.clip(w, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else w
 
 
 @dataclass(frozen=True)
@@ -486,8 +533,8 @@ class EntropyResult:
 
 def entropy_result(restriction: ToeplitzRestriction) -> EntropyResult:
     lam = spectrum(restriction)
-    s = float(np.sum(eta_tilde(lam)))
-    p = float(np.sum(lam * (1.0 - lam)))
+    s = float(_eta_tilde_unit(lam).sum())
+    p = float((lam * (1.0 - lam)).sum())
     return EntropyResult(n=restriction.order, entropy=s, proxy=p)
 
 

@@ -235,6 +235,30 @@ def test_scan_exits_2_when_the_moment_gate_fails(tmp_path, monkeypatch, interval
     assert "at N=8" in err and err.count("\n") == 1
 
 
+# A single interval (half-order split) and a narrow asymmetric union (order-N
+# real form), both of small measure so that at N = 8 the two lowest
+# eigenvalues of every solve sit near 0.
+@pytest.mark.parametrize("intervals", [[[0.3, 0.55]], [[0.05, 0.12], [0.5, 0.53]]])
+def test_scan_exits_2_when_an_eigenvalue_leaves_the_unit_interval(tmp_path, monkeypatch,
+                                                                 intervals):
+    # A zero-sum change of the two lowest eigenvalues passes both trace
+    # moments; only the range check of the spectrum sees it.
+    eigvalsh = np.linalg.eigvalsh
+
+    def below_zero(mat):
+        w = eigvalsh(mat)
+        shift = w[0] + 1e-6
+        w[0] -= shift
+        w[1] += shift
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", below_zero)
+    code, err = _scan_exit(tmp_path, intervals, 16)
+    assert code == 2
+    assert err.startswith("verification failure: eigenvalue outside [0, 1] by 1e-06")
+    assert "at N=8" in err and err.count("\n") == 1
+
+
 def test_fit_recovers_synthetic_power_law(tmp_path):
     csv_path = tmp_path / "power.csv"
     with csv_path.open("w", newline="") as fh:
@@ -383,6 +407,7 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     (["fit", "--csv", "{nan_proxy}"], "growth fits need finite values, got nan at N = 32"),
     (["fit", "--csv", "{inf_proxy}"], "growth fits need finite values, got inf at N = 64"),
     (["fit", "--csv", "{zero_n}", "--window", "0:4"], "block sizes must be >= 1, got N = 0"),
+    (["fit", "--csv", "{repeated_n}"], "got N = 16 more than once"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -397,6 +422,9 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
                                                       [(16, "1"), (32, "2"), (64, "inf"), (128, "3")]]),
         "zero_n": write_csv(tmp_path / "zero_n.csv", [[n, "", p, "", "", "0"] for n, p in
                                                       [(0, "0.1"), (1, "0.25"), (2, "0.3"), (4, "0.4")]]),
+        "repeated_n": write_csv(tmp_path / "repeated_n.csv", [[n, "", p, "", "", "0"] for n, p in
+                                                              [(16, "1"), (16, "1.1"), (32, "2"),
+                                                               (64, "3"), (128, "4")]]),
         "plateau": write_spec(tmp_path / "plateau.json", {
             "version": 1, "type": "fermi", "filling": 0.3,
             "samples": [[0.0, 0.0], [0.25, 0.0], [0.5, 1.0], [0.75, 0.0]]}),

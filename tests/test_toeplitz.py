@@ -241,10 +241,15 @@ def test_entropy_result_invariants():
     rng = np.random.default_rng(4)
     for _ in range(6):
         K = random_interval_set(rng)
-        res = entropy_result(build_restriction(SymbolFunction.indicator(K), 20))
+        restriction = build_restriction(SymbolFunction.indicator(K), 20)
+        res = entropy_result(restriction)
         assert res.proxy >= 0.0
         assert res.entropy >= res.proxy - 1e-12
         assert res.entropy <= 20 * math.log(2.0) + 1e-12
+        # Exactly the public formulas on the checked spectrum.
+        lam = spectrum(restriction)
+        assert res.entropy == float(np.sum(eta_tilde(lam)))
+        assert res.proxy == float(np.sum(lam * (1.0 - lam)))
 
 
 def test_purity_proxy_direct_anchors():
@@ -486,16 +491,30 @@ def _not_a_number(w):
     return out
 
 
+def _below_zero(w):
+    """The smallest eigenvalue moved to -1e-6 and the next one up by as much:
+    both sit near 0, so the sum is unchanged and the sum of squares moves far
+    less than the second-moment gate allows."""
+    out = w.copy()
+    shift = out[0] + 1e-6
+    out[0] -= shift
+    out[1] += shift
+    return out
+
+
 # Each fault is injected into every solve and must be caught by the named
 # check. A zero-sum perturbation escapes the first moment and shows in the
 # second as 1e-6 (w_i - w_j) / ||H||, so it is caught while the two
 # eigenvalues are more than 1e-2 ||H|| apart. A third moment would move by
-# 3e-6 (w_i - w_j)(w_i + w_j), which shrinks with the same gap.
+# 3e-6 (w_i - w_j)(w_i + w_j), which shrinks with the same gap. Two
+# eigenvalues near 0 are that close, so an eigenvalue pushed below 0 by a
+# zero-sum fault is caught by the range check instead.
 FAULTS = {
     "shift": (_raise_top(1e-6), "trace moment 1 gap"),
     "drop": (_drop_one, "eigensolve returned 15 eigenvalues for a block of order 16"),
     "zero-sum": (_swap_mass, "trace moment 2 gap"),
     "nan": (_not_a_number, "trace moment 1 gap nan"),
+    "below-zero": (_below_zero, "eigenvalue outside \\[0, 1\\] by 1e-06"),
 }
 
 
@@ -698,6 +717,45 @@ def test_real_form_entries():
         form = toeplitz._real_form(restriction.row)
         assert form.dtype == np.float64
         assert np.max(np.abs(form - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 63, 64, 65, 1448])
+def test_strided_views_match_fancy_index_references(n):
+    # The matrices are built as strided views; gathering the same entries by
+    # fancy indexing must give bit-identical matrices.
+    def same_bits(mat, ref):
+        return mat.shape == ref.shape and mat.tobytes() == ref.tobytes()
+
+    rng = np.random.default_rng(n)
+    i, j = np.indices((n, n))
+    a, g = rng.standard_normal(n), rng.standard_normal(2 * n - 1)
+    for view, ref in ((toeplitz._toeplitz(a), a[np.abs(i - j)]),
+                      (toeplitz._hankel(g, n), g[i + j]),
+                      (toeplitz._hankel(g[::-1], n), g[::-1][i + j])):
+        assert not view.flags.writeable
+        assert same_bits(view, ref)
+
+    r = rng.standard_normal(n)
+    m = n // 2
+    even = np.empty((n - m, n - m))
+    bi, bj = np.indices((m, m))
+    even[:m, :m] = r[np.abs(bi - bj)] + r[n - 1 - bi - bj]
+    if n % 2:
+        even[m, :] = even[:, m] = math.sqrt(2.0) * r[m - np.arange(m + 1)]
+        even[m, m] = r[0]
+    refs = [even, r[np.abs(bi - bj)] - r[n - 1 - bi - bj]][:1 + (m > 0)]
+    # spectrum passes the real part of a complex row, a strided view.
+    blocks = toeplitz._centrosymmetric_blocks((r + 0j).real)
+    assert len(blocks) == len(refs)
+    for block, ref in zip(blocks, refs):
+        assert same_bits(block, ref)
+
+    row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    row[0] = row[0].real
+    h = i + j - n + 1
+    ref = row.real[np.abs(i - j)] + np.where(h >= 0, row.imag[np.abs(h)],
+                                             -row.imag[np.abs(h)])
+    assert same_bits(toeplitz._real_form(row), ref)
 
 
 def _odd_block(restriction):
