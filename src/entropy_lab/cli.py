@@ -138,13 +138,7 @@ def _parse_window(text):
 
 def cmd_fit(args) -> int:
     records = read_scan_csv(args.csv)
-    cantor = None
-    if args.set:
-        spec = specio.load_spec(args.set)
-        if spec.kind == "cantor":
-            cantor = {"q": spec.cantor_ratio, "a": spec.cantor_amplitude}
-        elif spec.metadata and {"q", "a"} <= set(spec.metadata):
-            cantor = {"q": spec.metadata["q"], "a": spec.metadata["a"]}
+    cantor = specio.cantor_parameters(specio.load_spec(args.set)) if args.set else None
     report = scaling.fit_report(records, window=_parse_window(args.window),
                                series=args.series, cantor=cantor)
     _write_json(report, args.out)

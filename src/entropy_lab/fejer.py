@@ -101,8 +101,6 @@ def purity_proxy_kernel(K: TorusIntervalSet, n: int) -> float:
     chi_K."""
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
-    if K.is_empty or K.is_full:
-        return 0.0
     edges = np.unique(np.round(
         np.concatenate([kernel_zeros(n), deficit_breakpoints(K)]), 15))
 

@@ -2,10 +2,12 @@
 
 The reduced density matrix of an n-site block is assembled entry by entry
 from spin matrix units mapped through the Jordan-Wigner parity strings, using
-the entries of the two-point matrix Q only, never its spectrum.
-Diagonalizing that 2^n x 2^n matrix gives the block entropy a second,
-independent way, which cross-checks Tr eta_tilde(Q_n) from the Toeplitz
-route.
+the entries of the two-point matrix Q only. The spectrum of Q is computed
+once, by ``toeplitz.spectrum``, only to validate Q (eigenvalue count, trace
+moments and range [0, 1]); no eigenvalue of Q enters the density matrix.
+Diagonalizing that 2^n x 2^n matrix, once, both checks that it is positive
+and gives the block entropy a second, independent way, which cross-checks
+Tr eta_tilde(Q_n) from the Toeplitz route.
 
 Entry (r, c) has column bit b and row bit b' at site k. Once its parity
 strings cancel to a sign, it is the expectation of a word in site order:
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .toeplitz import CLIP_TOL, SymbolFunction, build_restriction, eta
+from .toeplitz import SymbolFunction, build_restriction, eta, spectrum
 from .torus_sets import TorusIntervalSet
 
 MAX_WORD_LEN = 24
@@ -147,10 +149,12 @@ def matrix_unit_word(site: int, a: int, b: int, n: int):
 
 @dataclass(eq=False)
 class FockDensityMatrix:
-    """Reduced density matrix on n sites in the occupation basis."""
+    """Reduced density matrix on n sites in the occupation basis, with its
+    ascending eigenvalues from the positivity check."""
 
     n: int
     matrix: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = 1 << self.n
@@ -162,21 +166,20 @@ class FockDensityMatrix:
         tr = complex(np.trace(self.matrix))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr} differs from 1")
-        pmin = float(np.min(np.linalg.eigvalsh(self.matrix)))
+        self.eigenvalues = np.linalg.eigvalsh(self.matrix)
+        pmin = float(self.eigenvalues[0])
         if pmin < -1e-10:
             raise ValueError(f"density matrix has eigenvalue {pmin:.3g} < 0")
         self.matrix.setflags(write=False)
+        self.eigenvalues.setflags(write=False)
 
 
 def _validated_window(f: SymbolFunction, n: int) -> np.ndarray:
-    q = build_restriction(f, n).matrix
-    lam = np.linalg.eigvalsh(q)
-    if lam.min() < -CLIP_TOL or lam.max() > 1.0 + CLIP_TOL:
-        raise OracleError(
-            f"two-point matrix spectrum [{lam.min():.3g}, {lam.max():.3g}] "
-            "outside [0, 1]"
-        )
-    return q
+    """Q_n of ``f``, after ``spectrum`` has checked its eigenvalue count,
+    trace moments and range [0, 1] (EigensolveError otherwise)."""
+    restriction = build_restriction(f, n)
+    spectrum(restriction)
+    return restriction.matrix
 
 
 def density_matrix(source, n: int) -> FockDensityMatrix:
@@ -261,8 +264,7 @@ def density_matrix_from_matrix_units(source, n: int) -> FockDensityMatrix:
 
 def vn_entropy(rho: FockDensityMatrix) -> float:
     """Von Neumann entropy (nats) of the density matrix."""
-    probs = np.linalg.eigvalsh(rho.matrix)
-    return float(np.sum(eta(probs)))
+    return float(np.sum(eta(rho.eigenvalues)))
 
 
 def partial_trace_last_site(rho: FockDensityMatrix) -> FockDensityMatrix:

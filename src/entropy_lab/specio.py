@@ -72,6 +72,22 @@ def resolve_cantor_depth(ratio: float, amplitude: float, depth: int | str,
     return cantor_depth_policy(CantorSpec(ratio, amplitude), n_max)
 
 
+def cantor_parameters(spec: SetSpec) -> dict | None:
+    """{"q": ratio, "a": amplitude} of a cantor spec, or of any other spec
+    whose metadata carries "q" and "a" (as the cantor emitter writes them);
+    None when the spec carries neither. Metadata parameters are checked as
+    a cantor spec's own are."""
+    if spec.kind == "cantor":
+        return {"q": spec.cantor_ratio, "a": spec.cantor_amplitude}
+    metadata = spec.metadata or {}
+    if not {"q", "a"} <= set(metadata):
+        return None
+    message = 'cantor metadata needs numeric "q" and "a"'
+    ratio, amplitude = _number(metadata["q"], message), _number(metadata["a"], message)
+    CantorSpec(ratio, amplitude)
+    return {"q": ratio, "a": amplitude}
+
+
 def _check_keys(obj: dict, allowed: set[str]):
     unknown = set(obj) - allowed
     if unknown:

@@ -147,10 +147,6 @@ class SymbolFunction:
 
     @classmethod
     def indicator(cls, K: TorusIntervalSet) -> "SymbolFunction":
-        if K.is_empty:
-            return cls((0.0, 1.0), (0.0,))
-        if K.is_full:
-            return cls((0.0, 1.0), (1.0,))
         bps = [0.0]
         vals = []
         cursor = 0.0
@@ -192,15 +188,16 @@ class SymbolFunction:
 
 @dataclass(eq=False)
 class SymbolCoefficients:
-    """Fourier coefficients q(0)..q(n_max); negative orders follow from
-    q(-k) = conj(q(k))."""
+    """Fourier coefficients q(0)..q(n_max), finite, with n_max + 1 the
+    length of ``values``; negative orders follow from q(-k) = conj(q(k))."""
 
-    n_max: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.values.shape != (self.n_max + 1,):
-            raise ValueError("coefficient array must have n_max + 1 entries")
+        if self.values.ndim != 1 or not len(self.values):
+            raise ValueError("coefficients must be a 1-D array with at least one entry")
+        if not np.isfinite(self.values).all():
+            raise ValueError("coefficients must be finite")
         if abs(self.values[0].imag) > 1e-13:
             raise ValueError(f"q(0) must be real, got {self.values[0]}")
         q0 = self.values[0].real
@@ -209,6 +206,10 @@ class SymbolCoefficients:
         self.values = self.values.copy()
         self.values[0] = q0
         self.values.setflags(write=False)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.values) - 1
 
 
 # Phases are reduced mod 1 before the exponential: x is split into a head of
@@ -276,7 +277,7 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     vals = acc.ravel()[:n_max + 1]
     vals[1:] /= 2j * np.pi * np.arange(1, n_max + 1)
     vals[0] = f.mean
-    return SymbolCoefficients(n_max=n_max, values=vals)
+    return SymbolCoefficients(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +289,23 @@ class ToeplitzRestriction:
     """Hermitian N x N block Q_N with entries Q[l, k] = q(k - l).
 
     Stored as its first row q(0), ..., q(N - 1), from which ``spectrum``
-    builds its real matrices. ``matrix`` builds the complex Q_N on first
-    use, for the Fock-space oracle; the solve never forms it.
+    builds its real matrices; N is the row's length. ``matrix`` builds the
+    complex Q_N on first use, for the Fock-space oracle; the solve never
+    forms it.
     """
 
-    order: int
     row: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.row.shape != (self.order,):
-            raise ValueError("first row length does not match order")
+        if self.row.ndim != 1:
+            raise ValueError("first row must be a 1-D array")
         if self.order and self.row[0].imag != 0.0:
             raise ValueError(f"restriction not Hermitian: q(0) = {self.row[0]}")
         self.row.setflags(write=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.row)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -321,7 +326,7 @@ def restriction_from_coefficients(coeffs: SymbolCoefficients, n: int) -> Toeplit
         raise ValueError(f"block size must be >= 1, got {n}")
     if coeffs.n_max < n - 1:
         raise ValueError(f"need coefficients up to {n - 1}, have {coeffs.n_max}")
-    return ToeplitzRestriction(order=n, row=coeffs.values[:n])
+    return ToeplitzRestriction(coeffs.values[:n])
 
 
 def build_restriction(f: SymbolFunction, n: int) -> ToeplitzRestriction:
@@ -621,7 +626,7 @@ def purity_proxy_single_interval_series(length: float, n: int) -> float:
 
     head = np.arange(1, n)
     term_head = (2.0 / math.pi ** 2) * float(
-        np.sum(np.sin(math.pi * head * length) ** 2 / head)) if n > 1 else 0.0
+        np.sum(np.sin(math.pi * head * length) ** 2 / head))
 
     tail_sum = 0.0
     chunk = 1 << 20

@@ -1,10 +1,12 @@
 """Interval-union arithmetic on the unit torus [0, 1).
 
 Every set handled here is a finite union of half-open intervals, stored in a
-canonical form: pieces sorted by start, pairwise disjoint, split at the seam
-0 == 1. A ``wraps`` flag records whether the first and last stored pieces are
-actually one interval crossing the seam, so interval counts stay correct on
-the torus.
+canonical form: pieces (s, e) with 0 <= s < e <= 1, sorted by start, split at
+the seam 0 == 1, and separated by gaps wider than ``MERGE_TOL``. The
+constructor refuses any other form; ``canonicalize`` produces it from
+arbitrary pieces. An interval crossing the seam is stored as a first piece
+starting at 0 and a last piece ending at 1, which ``wraps`` detects, so
+interval counts stay correct on the torus.
 
 All values are immutable and all operations are pure functions; they can be
 shared freely across threads.
@@ -36,14 +38,27 @@ class DispersionPlateauError(TorusSetError):
 class TorusIntervalSet:
     """Finite union of disjoint half-open intervals on the torus.
 
-    ``intervals`` holds (start, end) pairs with 0 <= start < end <= 1, sorted
-    by start. A piece crossing the seam is stored split; ``wraps`` is True
-    when the first piece starts at 0 and the last ends at 1 without the set
-    being the full torus.
+    ``intervals`` holds (start, end) pairs in the canonical form of the
+    module docstring, which the constructor checks (TorusSetError).
     """
 
     intervals: tuple[tuple[float, float], ...]
-    wraps: bool = False
+
+    def __post_init__(self):
+        prev_end = -math.inf
+        for s, e in self.intervals:
+            if not (0.0 <= s < e <= 1.0 and s > prev_end + MERGE_TOL):
+                raise TorusSetError(
+                    f"piece ({s}, {e}) breaks the canonical form: 0 <= start < end <= 1, "
+                    f"sorted, gaps above {MERGE_TOL:g} (canonicalize builds it)")
+            prev_end = e
+
+    @property
+    def wraps(self) -> bool:
+        """True when the first piece starts at 0 and the last ends at 1, so
+        they are one interval crossing the seam."""
+        ivs = self.intervals
+        return len(ivs) > 1 and ivs[0][0] == 0.0 and ivs[-1][1] == 1.0
 
     @property
     def measure(self) -> float:
@@ -65,10 +80,6 @@ class TorusIntervalSet:
         return len(self.intervals) == 1 and self.intervals[0] == (0.0, 1.0)
 
     def complement(self) -> "TorusIntervalSet":
-        if self.is_empty:
-            return full_torus()
-        if self.is_full:
-            return empty_set()
         gaps = []
         prev = 0.0
         for s, e in self.intervals:
@@ -80,8 +91,6 @@ class TorusIntervalSet:
         return canonicalize(gaps)
 
     def translate(self, phi: float) -> "TorusIntervalSet":
-        if self.is_empty or self.is_full:
-            return self
         return canonicalize([(s + phi, e + phi) for s, e in self.intervals])
 
     def intersection(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
@@ -91,23 +100,18 @@ class TorusIntervalSet:
                 lo, hi = max(s1, s2), min(e1, e2)
                 if hi > lo:
                     pieces.append((lo, hi))
-        if not pieces:
-            return empty_set()
         return canonicalize(pieces)
 
     def union(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
-        pieces = list(self.intervals) + list(other.intervals)
-        if not pieces:
-            return empty_set()
-        return canonicalize(pieces)
+        return canonicalize([*self.intervals, *other.intervals])
 
 
 def empty_set() -> TorusIntervalSet:
-    return TorusIntervalSet(intervals=(), wraps=False)
+    return TorusIntervalSet(())
 
 
 def full_torus() -> TorusIntervalSet:
-    return TorusIntervalSet(intervals=((0.0, 1.0),), wraps=False)
+    return TorusIntervalSet(((0.0, 1.0),))
 
 
 def canonicalize(raw) -> TorusIntervalSet:
@@ -118,22 +122,21 @@ def canonicalize(raw) -> TorusIntervalSet:
     the torus. Idempotent: canonical input comes back unchanged.
     """
     pieces = []
-    covers = False
     for s, e in raw:
         s, e = float(s), float(e)
         if not (math.isfinite(s) and math.isfinite(e)):
             raise TorusSetError(f"non-finite interval endpoint: ({s}, {e})")
         if e - s >= 1.0:
-            covers = True
+            pieces.append((0.0, 1.0))
             continue
         length = (e - s) % 1.0
-        if length == 0.0:
-            raise TorusSetError(f"zero-length interval (mod 1): ({s}, {e})")
         start = s % 1.0
         # s % 1.0 rounds to exactly 1.0 for starts just below an integer
         if start < MERGE_TOL or start > 1.0 - MERGE_TOL:
             start = 0.0
         end = start + length
+        if end == start:    # also a length lost to rounding at the new start
+            raise TorusSetError(f"zero-length interval (mod 1): ({s}, {e})")
         if end > 1.0 - MERGE_TOL:
             if end - 1.0 > MERGE_TOL:
                 pieces.append((start, 1.0))
@@ -143,23 +146,13 @@ def canonicalize(raw) -> TorusIntervalSet:
         else:
             pieces.append((start, end))
 
-    if covers:
-        return full_torus()
-    if not pieces:
-        return empty_set()
-
-    pieces.sort()
-    merged = [list(pieces[0])]
-    for s, e in pieces[1:]:
-        if s <= merged[-1][1] + MERGE_TOL:
+    merged = []
+    for s, e in sorted(pieces):
+        if merged and s <= merged[-1][1] + MERGE_TOL:
             merged[-1][1] = max(merged[-1][1], e)
         else:
             merged.append([s, e])
-
-    if len(merged) == 1 and merged[0][0] == 0.0 and merged[0][1] == 1.0:
-        return full_torus()
-    wraps = len(merged) > 1 and merged[0][0] == 0.0 and merged[-1][1] == 1.0
-    return TorusIntervalSet(intervals=tuple((s, e) for s, e in merged), wraps=wraps)
+    return TorusIntervalSet(tuple((s, e) for s, e in merged))
 
 
 @functools.lru_cache(maxsize=1)
@@ -400,7 +393,7 @@ def fermi_sea(disp: DispersionSamples, filling: float) -> TorusIntervalSet:
             lo = mid
     level = hi
     pieces = [(a, b) for a, b in _sublevel(disp, level)[0] if b - a > 0.0]
-    sea = canonicalize(pieces) if pieces else empty_set()
+    sea = canonicalize(pieces)
     if abs(sea.measure - filling) > FERMI_TOL:
         below = _sublevel(disp, lo)[1]
         above = _sublevel(disp, hi)[1]

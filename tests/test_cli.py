@@ -408,6 +408,17 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     (["fit", "--csv", "{inf_proxy}"], "growth fits need finite values, got inf at N = 64"),
     (["fit", "--csv", "{zero_n}", "--window", "0:4"], "block sizes must be >= 1, got N = 0"),
     (["fit", "--csv", "{repeated_n}"], "got N = 16 more than once"),
+    (["fit", "--csv", "{blank}"], "empty CSV"),
+    (["fit", "--csv", "{no_proxy_column}"], "need N and P_N columns"),
+    (["fit", "--csv", "{good}", "--set", "{string_meta_q}"],
+     'cantor metadata needs numeric "q" and "a"'),
+    (["fit", "--csv", "{good}", "--set", "{null_meta_q}"],
+     'cantor metadata needs numeric "q" and "a"'),
+    (["fit", "--csv", "{good}", "--set", "{wide_meta_q}"], "ratio must lie in (0, 1/2)"),
+    (["scan", "--set", "{not_json}"], "is not valid JSON"),
+    (["scan", "--set", "{array_spec}"], "spec must be a JSON object"),
+    (["scan", "--set", "{pairs_not_list}"], '"intervals" must be a list of [start, end] pairs'),
+    (["scan", "--set", "{list_metadata}"], '"metadata" must be an object'),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -455,7 +466,28 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
             "version": 1, "type": "intervals", "intervals": [[0.2, 1.4], [0.3, math.inf]]}),
         "full_then_empty": write_spec(tmp_path / "full_then_empty.json", {
             "version": 1, "type": "intervals", "intervals": [[0, 1], [0.3, 0.3]]}),
+        "blank": str(tmp_path / "blank.csv"),
+        "no_proxy_column": str(tmp_path / "no_proxy_column.csv"),
+        "string_meta_q": write_spec(tmp_path / "string_meta_q.json", {
+            "version": 1, "type": "intervals", "intervals": [[0, 0.5]],
+            "metadata": {"q": "x", "a": 1}}),
+        "null_meta_q": write_spec(tmp_path / "null_meta_q.json", {
+            "version": 1, "type": "intervals", "intervals": [[0, 0.5]],
+            "metadata": {"q": None, "a": 1}}),
+        "wide_meta_q": write_spec(tmp_path / "wide_meta_q.json", {
+            "version": 1, "type": "intervals", "intervals": [[0, 0.5]],
+            "metadata": {"q": 0.7, "a": 1}}),
+        "not_json": str(tmp_path / "not_json.json"),
+        "array_spec": write_spec(tmp_path / "array_spec.json", [[0, 0.5]]),
+        "pairs_not_list": write_spec(tmp_path / "pairs_not_list.json", {
+            "version": 1, "type": "intervals", "intervals": 0.5}),
+        "list_metadata": write_spec(tmp_path / "list_metadata.json", {
+            "version": 1, "type": "intervals", "intervals": [[0, 0.5]],
+            "metadata": ["q", 0.25]}),
     }
+    (tmp_path / "blank.csv").write_text("")
+    (tmp_path / "no_proxy_column.csv").write_text("N,S_N\n8,1.0\n")
+    (tmp_path / "not_json.json").write_text('{"version": 1,')
     code = cli.main([a.format(**files) for a in argv])
     err = capsys.readouterr().err
     assert code == 1
@@ -502,14 +534,16 @@ def test_scan_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys,
 
 
 def test_scan_route_disagreement_maps_to_exit_2(monkeypatch, tmp_path, capsys):
+    # a coefficient route off by 1e-3 trips the route check inside scaling.scan
     spec = write_spec(tmp_path / "half.json",
                       {"version": 1, "type": "intervals", "intervals": [[0, 0.5]]})
-
-    def boom(*a, **kw):
-        raise scaling.VerificationError("routes disagree")
-
-    monkeypatch.setattr(cli.scaling, "scan", boom)
+    real = scaling.proxy_scan
+    monkeypatch.setattr(scaling, "proxy_scan",
+                        lambda coeffs, grid: [p + 1e-3 for p in real(coeffs, grid)])
     assert cli.main(["scan", "--set", spec, "--nmin", "1", "--nmax", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: proxy routes disagree at N=1")
+    assert err.count("\n") == 1
 
 
 def test_scan_accepts_start_just_below_the_seam(tmp_path, capsys):

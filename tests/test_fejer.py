@@ -115,9 +115,22 @@ def test_proxy_kernel_anchors():
     half = canonicalize([(0.0, 0.5)])
     assert purity_proxy_kernel(half, 1) == pytest.approx(0.25, abs=1e-9)
     assert purity_proxy_kernel(half, 2) == pytest.approx(P2_HALF, abs=1e-9)
-    assert purity_proxy_kernel(full_torus(), 5) == 0.0
-    assert purity_proxy_kernel(empty_set(), 5) == 0.0
+    # the empty and full sets take the general path, kernel-mass check included
+    for n in (1, 2, 5, 7, 64):
+        assert purity_proxy_kernel(full_torus(), n) == 0.0
+        assert purity_proxy_kernel(empty_set(), n) == 0.0
     assert purity_proxy_kernel(empty_set().complement(), 5) == 0.0
+    with pytest.raises(ValueError, match="block size must be >= 1, got 0"):
+        purity_proxy_kernel(half, 0)
+
+
+def test_hand_built_seam_set_is_one_interval_on_every_route():
+    # ((0, 0.2), (0.8, 1)) is one interval crossing the seam, however built
+    K = torus_sets.TorusIntervalSet(((0.0, 0.2), (0.8, 1.0)))
+    assert K == canonicalize([(0.8, 1.0), (0.0, 0.2)])
+    assert K.wraps and K.interval_count == 1
+    direct = purity_proxy_direct(fourier_coefficients(SymbolFunction.indicator(K), 63), 64)
+    assert abs(purity_proxy_kernel(K, 64) - direct) <= ROUTE_TOL * direct
 
 
 def test_complement_route_equals_direct_route():

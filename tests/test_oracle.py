@@ -188,6 +188,24 @@ def test_oracle_matches_toeplitz_at_largest_blocks():
         assert abs(block_entropy_oracle(SKEW, n) - block_entropy(f, n)) <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("n", [1, 3, MAX_ORACLE_SITES])
+def test_oracle_solves_rho_once_and_q_only_as_real_blocks(monkeypatch, n):
+    # Q_n is checked by toeplitz.spectrum's real solves; rho is solved once,
+    # for both its positivity check and its entropy.
+    real = np.linalg.eigvalsh
+    solved = []
+
+    def spy(a, *args, **kwargs):
+        solved.append((np.shape(a), np.iscomplexobj(a)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    block_entropy_oracle(SKEW, n)
+    dim = 1 << n
+    assert [s for s in solved if s[1]] == [((dim, dim), True)]
+    assert sum(shape[0] for shape, complex_ in solved if not complex_) == n
+
+
 def test_density_matrix_size_guard():
     with pytest.raises(OracleError):
         density_matrix(HALF, 9)

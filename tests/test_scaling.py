@@ -242,6 +242,35 @@ def test_cantor_depth_policy():
     assert slow > depth
     with pytest.raises(ValueError):
         cantor_depth_policy(CantorSpec(0.49, 0.0367), 2 ** 70)
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        cantor_depth_policy(spec, 0)
+
+
+def _proxy_only(sizes):
+    return [ScanRecord(n=n, entropy=None, proxy=1.0, wall_time=0.0) for n in sizes]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: scan(HALF, [0, 4], mode="proxy"), "block sizes must be >= 1"),
+    (lambda: fit_exponent(_proxy_only([16, 32, 64, 128]), "log", series="entropy"),
+     "entropy series requested but records are proxy-only"),
+    (lambda: fit_exponent(_proxy_only([16, 32, 64, 128]), "log", series="purity"),
+     "unknown series 'purity'"),
+    (lambda: fit_exponent(_synthetic({16: 1.0, 32: 0.0, 64: 2.0, 128: 3.0}), "log"),
+     "strictly positive"),
+    (lambda: check_subadditivity(canonicalize([(0.0, 0.25)]),
+                                 canonicalize([(0.5, 0.75)]), 4096),
+     "N=4096 above eigensolve cap 2048"),
+    (lambda: check_monotonicity(_proxy_only([4, 8])), "needs records with S_N"),
+    (lambda: bound_envelope(_proxy_only([4, 8])), "needs records with S_N"),
+    (lambda: bound_envelope(_synthetic({1: 0.5})), "no records with N >= 2"),
+    (lambda: bound_envelope(_synthetic({2: 0.5, 4: 0.7})), "no records with N >= 8"),
+], ids=["scan-size", "series-proxy-only", "series-unknown", "fit-nonpositive",
+        "subadditivity-cap", "monotonicity-proxy-only", "envelope-proxy-only",
+        "envelope-no-records", "envelope-below-window"])
+def test_scaling_raises_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_exponent_route_equivalence_same_window():

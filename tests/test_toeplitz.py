@@ -191,10 +191,11 @@ def test_build_restriction_entries():
 
 
 def test_restriction_validation():
-    with pytest.raises(ValueError, match="does not match order"):
-        ToeplitzRestriction(order=3, row=np.array([0.5, 0.1j]))
+    with pytest.raises(ValueError, match="must be a 1-D array"):
+        ToeplitzRestriction(np.array([[0.5, 0.1j]]))
     with pytest.raises(ValueError, match="not Hermitian"):
-        ToeplitzRestriction(order=2, row=np.array([0.5 + 1e-3j, 0.1j]))
+        ToeplitzRestriction(np.array([0.5 + 1e-3j, 0.1j]))
+    assert ToeplitzRestriction(np.array([0.5, 0.1j, 0.0])).order == 3
 
 
 def test_constant_symbol_restriction_is_scaled_identity():
@@ -356,8 +357,10 @@ def test_szego_density_limit_for_mixed_symbol():
 
 
 def test_symbol_validation():
-    with pytest.raises(ValueError):
-        SymbolFunction((0.0, 0.5), (1.5,))        # value outside [0, 1]
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        SymbolFunction((0.0, 1.0), (1.5,))
+    with pytest.raises(ValueError, match="one value per piece"):
+        SymbolFunction((0.0, 0.5, 1.0), (1.0,))
     with pytest.raises(ValueError):
         SymbolFunction((0.0, 0.5, 0.4, 1.0), (1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
@@ -368,11 +371,15 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: SymbolCoefficients(n_max=2, values=np.array([0.5, 0.1j])),
-     ValueError, r"must have n_max \+ 1 entries"),
-    (lambda: SymbolCoefficients(n_max=1, values=np.array([0.5 + 1e-9j, 0.1j])),
+    (lambda: SymbolCoefficients(np.array([[0.5, 0.1j]])),
+     ValueError, "must be a 1-D array with at least one entry"),
+    (lambda: SymbolCoefficients(np.array([], dtype=complex)),
+     ValueError, "must be a 1-D array with at least one entry"),
+    (lambda: SymbolCoefficients(np.array([0.5, np.nan, 0.1j])),
+     ValueError, "coefficients must be finite"),
+    (lambda: SymbolCoefficients(np.array([0.5 + 1e-9j, 0.1j])),
      ValueError, r"q\(0\) must be real"),
-    (lambda: SymbolCoefficients(n_max=1, values=np.array([0.5, 0.6j])),
+    (lambda: SymbolCoefficients(np.array([0.5, 0.6j])),
      ValueError, r"\|q\(k\)\| exceeds q\(0\)"),
     (lambda: fourier_coefficients(SymbolFunction.indicator(HALF), -1),
      ValueError, "n_max must be nonnegative"),
@@ -388,9 +395,9 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "block size must be >= 1, got 0"),
     (lambda: SymbolFunction.of([(0.0, 0.5)]),
      TypeError, "expected a SymbolFunction or TorusIntervalSet, got a list"),
-], ids=["coeff-shape", "coeff-q0-complex", "coeff-exceeds-q0",
-        "negative-n-max", "restriction-size", "restriction-order", "proxy-scan-size",
-        "proxy-scan-order", "series-size", "symbol-source"])
+], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
+        "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-order",
+        "proxy-scan-size", "proxy-scan-order", "series-size", "symbol-source"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -632,7 +639,7 @@ def test_real_path_charges_weyl_bound(monkeypatch):
     row = row.astype(complex)
     weyl = 0.9e-9 * 0.5
     row[2] += 1j * weyl / (2 * n - 1)
-    restriction = ToeplitzRestriction(order=n, row=row)
+    restriction = ToeplitzRestriction(row)
     top = float(np.max(_EIGVALSH(restriction.matrix)))
     # A first-moment gap that passes the gate alone but not with the bound.
     delta = 1e-8 * top - weyl / 2
@@ -648,7 +655,7 @@ def test_real_path_charges_block_rounding(monkeypatch, n):
     # the charge is the rounding charge 1.5 N eps max |r(k)| alone.
     k = np.arange(n)
     row = np.where(k == 0, 0.5, np.sin(0.5 * np.pi * k) / (np.pi * np.maximum(k, 1)))
-    restriction = ToeplitzRestriction(order=n, row=row.astype(complex))
+    restriction = ToeplitzRestriction(row.astype(complex))
     charge = 1.5 * n * np.finfo(float).eps * 0.5
     _spy_eigvalsh(monkeypatch, result=lambda w: w + 1e-6)
     with pytest.raises(EigensolveError, match=f"real-form charge {charge:.3g} included"):

@@ -3,9 +3,11 @@ import pytest
 
 from entropy_lab.toeplitz import SymbolFunction
 from entropy_lab.torus_sets import (
+    MERGE_TOL,
     CantorSpec,
     DispersionPlateauError,
     DispersionSamples,
+    TorusIntervalSet,
     TorusSetError,
     _deficit_knots,
     _separated_slots,
@@ -57,6 +59,9 @@ def test_canonicalize_full_torus():
 def test_canonicalize_rejects_bad_endpoints():
     with pytest.raises(TorusSetError):
         canonicalize([(0.2, 0.2)])
+    # 2e-21 is lost when the start moves from -1e-5 to 0.99999
+    with pytest.raises(TorusSetError, match="zero-length interval"):
+        canonicalize([(-1e-5, -1e-5 + 2e-21)])
     with pytest.raises(TorusSetError):
         canonicalize([(float("nan"), 0.5)])
     with pytest.raises(TorusSetError):
@@ -67,6 +72,22 @@ def test_canonicalize_rejects_bad_endpoints():
                 [(0.0, 1.0), (0.3, 0.3)]):
         with pytest.raises(TorusSetError):
             canonicalize(raw)
+
+
+@pytest.mark.parametrize("intervals", [
+    ((0.1, 0.5), (0.3, 0.6)),
+    ((0.5, 0.6), (0.1, 0.2)),
+    ((0.1, 0.2), (0.2 + MERGE_TOL / 2, 0.3)),
+    ((0.2, 0.1),),
+    ((0.3, 0.3),),
+    ((-0.1, 0.2),),
+    ((0.5, 1.5),),
+    ((float("nan"), 0.5),),
+], ids=["overlap", "unsorted", "gap", "reversed", "empty-piece", "below-0",
+        "above-1", "nan"])
+def test_constructor_refuses_non_canonical_pieces(intervals):
+    with pytest.raises(TorusSetError, match="canonical form"):
+        TorusIntervalSet(intervals)
 
 
 def test_canonicalize_empty_and_idempotent():
@@ -217,6 +238,10 @@ def test_cantor_invalid_specs():
         CantorSpec(0.25, 3.0, 1)             # removes more than everything
     with pytest.raises(TorusSetError):
         CantorSpec(0.25, 1.0, -1)
+    with pytest.raises(TorusSetError, match="amplitude must be positive"):
+        CantorSpec(0.25, 0.0, 1)
+    with pytest.raises(TorusSetError, match="below endpoint resolution"):
+        cantor_generate(CantorSpec(0.25, 1.0, 20))   # holes of 0.25**20 < 1e-11
     # amplitude valid for the limit but hole too long for the unit parent
     with pytest.raises(TorusSetError):
         cantor_generate(CantorSpec(0.45, 2.2, 2))
@@ -272,6 +297,10 @@ def test_dispersion_validation():
         DispersionSamples((0.0, 0.5, 0.4), (0.0, 1.0, 2.0))  # not increasing
     with pytest.raises(TorusSetError):
         DispersionSamples((0.0, 0.5, 1.0), (0.0, 1.0, 2.0))  # theta = 1
+    with pytest.raises(TorusSetError, match="sample counts differ"):
+        DispersionSamples((0.0, 0.3, 0.6), (0.0, 1.0))
+    with pytest.raises(TorusSetError, match="non-finite energy"):
+        DispersionSamples((0.0, 0.3, 0.6), (0.0, float("inf"), 1.0))
 
 
 def test_random_generators_are_wellformed():
