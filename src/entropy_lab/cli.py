@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import sys
 
@@ -44,12 +43,6 @@ def _output(path):
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         yield fh
-
-
-def _write_json(obj, path) -> None:
-    with _output(path) as out:
-        json.dump(obj, out, indent=2)
-        out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +134,7 @@ def cmd_fit(args) -> int:
     cantor = specio.cantor_parameters(specio.load_spec(args.set)) if args.set else None
     report = scaling.fit_report(records, window=_parse_window(args.window),
                                series=args.series, cantor=cantor)
-    _write_json(report, args.out)
+    specio.dump_json(report, args.out)
     return 0
 
 
@@ -171,7 +164,7 @@ def cmd_verify(args) -> int:
     report = run_verification(seed=args.seed, quick=args.quick)
     for name, suite in report["suites"].items():
         print(f"{name}: {'PASS' if suite['passed'] else 'FAIL'}")
-    _write_json(report, args.out)
+    specio.dump_json(report, args.out)
     return 0 if report["all_passed"] else 2
 
 
@@ -189,7 +182,7 @@ def cmd_cantor(args) -> int:
                 f"--depth must be an integer or 'auto', got {depth!r}") from exc
     depth = specio.resolve_cantor_depth(args.q, args.a, depth, args.nmax)
     payload = specio.cantor_spec_dict(args.q, args.a, depth)
-    _write_json(payload, args.out)
+    specio.dump_json(payload, args.out)
     return 0
 
 
@@ -204,7 +197,7 @@ def cmd_fermi(args) -> int:
         "measure": sea.measure,
         "interval_count": sea.interval_count,
     })
-    _write_json(payload, args.out)
+    specio.dump_json(payload, args.out)
     return 0
 
 

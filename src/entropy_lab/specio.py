@@ -15,12 +15,14 @@ rejected. A missing "version" is read as 1.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .torus_sets import (
     CantorSpec,
     DispersionSamples,
     TorusIntervalSet,
+    TorusSetError,
     canonicalize,
     cantor_depth_policy,
     cantor_generate,
@@ -128,8 +130,11 @@ def parse_spec(obj) -> SetSpec:
     if kind == "intervals":
         _check_keys(obj, {"version", "type", "intervals", "metadata"})
         pairs = _number_pairs(obj, "intervals", "start, end")
-        return SetSpec(kind="intervals", intervals=canonicalize(pairs),
-                       metadata=metadata)
+        try:    # a canonical list, as every emitter writes, needs no rebuild
+            intervals = TorusIntervalSet(tuple(pairs))
+        except TorusSetError:
+            intervals = canonicalize(pairs)
+        return SetSpec(kind="intervals", intervals=intervals, metadata=metadata)
 
     if kind == "cantor":
         _check_keys(obj, {"version", "type", "q", "a", "depth", "metadata"})
@@ -192,7 +197,18 @@ def cantor_spec_dict(ratio: float, amplitude: float, depth: int) -> dict:
     })
 
 
-def dump_spec(obj: dict, path) -> None:
+def dump_json(obj, path=None) -> None:
+    """Write ``obj`` as one line of JSON and a newline to ``path``, or to
+    stdout when no path is given. ``json.dumps`` without ``indent`` encodes
+    every value in C; ``indent`` would select the pure-Python encoder. Floats
+    are written by ``repr`` either way, so they read back bit for bit."""
+    text = json.dumps(obj) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+# Spec files are JSON documents like any other; the older name stays.
+dump_spec = dump_json

@@ -15,11 +15,12 @@ The coefficients of a piecewise-constant symbol come from its jumps: with
 c_j the jump at breakpoint x_j, 2 pi i k q(k) = sum_j c_j e^{-2 pi i k x_j}
 for k != 0. Writing k = r B + s with B = isqrt(n_max) + 1 turns q(1..n_max)
 into one blocked matrix product of e^{-2 pi i r B x_j} against
-c_j e^{-2 pi i s x_j}, so m jumps cost about 2 m sqrt(n_max) exponentials
-instead of 2 m n_max. Each phase k x is reduced mod 1 exactly before its
-exponential, by splitting x into a 26-bit head (k * head is exact in a
-double for k < 2^27) and a tail, which keeps every q(k) correct to a few
-ulps; orders n_max >= 2^27 are refused.
+c_j e^{-2 pi i s x_j}. Each factor of a large pass is itself the outer
+product of two tables of about B^{1/2} exponentials, so m jumps cost about
+4 m n_max^{1/4} exponentials instead of 2 m n_max. Each phase k x is
+reduced mod 1 exactly before its exponential, by splitting x into a 26-bit
+head (k * head is exact in a double for k < 2^27) and a tail, which keeps
+every q(k) correct to a few ulps; orders n_max >= 2^27 are refused.
 
 Spectra are computed from real symmetric matrices with eigenvalues only; no
 eigenvector and no complex matrix enters the solve. A set symmetric about a
@@ -221,6 +222,14 @@ _MAX_ORDER = 2 ** (_HEAD_BITS + 1)
 # factors, so memory stays near the (rows, block) accumulator whatever the
 # jump count.
 _ENDPOINT_CHUNK = 64
+# An exponential table with at least this many entries (jumps x length) is
+# built from two short tables; a smaller one takes one exponential per
+# entry, which is cheaper there. On 2 cores (numpy 2.4, OpenBLAS) a 64-jump
+# table of length 32 (2048 entries) took 108 us in two levels against 175 us
+# in one, while at 512 entries one level was as fast or faster. A single
+# interval up to N = 1448 (2 jumps, tables up to 39 long) and the depth-5
+# Cantor set up to order 255 (64 jumps, tables of 16) stay on one level.
+_TWO_LEVEL_MIN = 2048
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +241,39 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _phase(k: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """k * x mod 1 to about one ulp, for integers 0 <= k < _MAX_ORDER and
-    x = head + tail from ``_split``; the result lies in [0, 3)."""
+    x = head + tail with head a multiple of 2^-26 in [0, 1), as from
+    ``_split``; the result lies in [0, 1 + k * tail)."""
     return np.mod(k * head, 1.0) + k * tail
+
+
+def _exp_table(head: np.ndarray, tail: np.ndarray, count: int, step: int) -> np.ndarray:
+    """E[t, j] = e^{-2 pi i t step x_j} for t < count, with x = head + tail
+    from ``_split`` and t * step < _MAX_ORDER.
+
+    Below _TWO_LEVEL_MIN entries each entry is the exponential of its own
+    reduced phase. Above, step x is first reduced to the pair
+    y = (frac(step head), step tail): step head is exact, since step < 2^14
+    and head has 26 bits, so frac(step head) is again a 26-bit head, while
+    step tail < 2^-12 is one rounded product; re-splitting a rounded step x
+    instead would lose up to ``count`` ulps in t step x. With
+    w = ceil(sqrt(count)) and t = a w + d, E[t] is then the product of
+    e^{-2 pi i a w y} (a < ceil(count / w)) and e^{-2 pi i d y} (d < w), so
+    about 2 sqrt(count) exponentials per jump replace ``count``.
+
+    Error: ``_phase`` reduces a w y and d y exactly but for two roundings
+    (k * tail and the sum), and both phases stay below 4, so each short-table
+    entry is within a few ulps of its exact value, as a one-level entry is.
+    Their product adds one rounded complex product (below 2.3 ulps), so an
+    entry of the long table is still within a few ulps.
+    """
+    if len(head) * count < _TWO_LEVEL_MIN:
+        return np.exp(-2j * np.pi * _phase(np.arange(0, count * step, step)[:, None],
+                                           head, tail))
+    head, tail = np.mod(step * head, 1.0), step * tail
+    width = math.isqrt(count - 1) + 1
+    low = np.exp(-2j * np.pi * _phase(np.arange(width)[:, None], head, tail))
+    high = np.exp(-2j * np.pi * _phase(np.arange(0, count, width)[:, None], head, tail))
+    return (high[:, None, :] * low).reshape(-1, len(head))[:count]
 
 
 def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
@@ -248,11 +288,12 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     (wrapping at 0, since e^{-2 pi i k} = 1); zero jumps drop out. With
     k = r B + s and B = isqrt(n_max) + 1 the sum is the matrix product
     (H @ L)[r, s] of H[r, j] = e^{-2 pi i r B x_j} and
-    L[j, s] = c_j e^{-2 pi i s x_j}, so about 2 m sqrt(n_max) exponentials
-    and one complex matrix product replace 2 m n_max exponentials. Every
-    phase is reduced mod 1 exactly before its exponential (see ``_phase``),
-    which keeps q(k) correct to a few ulps at any k and limits n_max to
-    below 2^27.
+    L[j, s] = c_j e^{-2 pi i s x_j}. Each factor comes from ``_exp_table``,
+    which builds a large one from two tables of about B^{1/2} entries per
+    jump, so about 4 m n_max^{1/4} exponentials and one complex matrix
+    product replace 2 m n_max exponentials. Every phase is reduced mod 1
+    exactly before its exponential (see ``_phase``), which keeps q(k)
+    correct to a few ulps at any k and limits n_max to below 2^27.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -265,14 +306,13 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     x, c = np.asarray(f.breakpoints[:-1])[keep], jumps[keep]
     block = math.isqrt(n_max) + 1
     rows = n_max // block + 1
-    high = block * np.arange(rows)[:, None]
-    low = np.arange(block)[None, :]
     acc = np.zeros((rows, block), dtype=complex)
     for lo in range(0, len(x), _ENDPOINT_CHUNK):
         head, tail = _split(x[lo:lo + _ENDPOINT_CHUNK])
         cs = c[lo:lo + _ENDPOINT_CHUNK, None]
-        hmat = np.exp(-2j * np.pi * _phase(high, head, tail))
-        lmat = cs * np.exp(-2j * np.pi * _phase(low, head[:, None], tail[:, None]))
+        hmat = _exp_table(head, tail, rows, block)
+        # C order, as L always had: one-level passes keep their bits
+        lmat = np.multiply(cs, _exp_table(head, tail, block, 1).T, order="C")
         acc += hmat @ lmat
     vals = acc.ravel()[:n_max + 1]
     vals[1:] /= 2j * np.pi * np.arange(1, n_max + 1)

@@ -2,11 +2,13 @@
 
 Every set handled here is a finite union of half-open intervals, stored in a
 canonical form: pieces (s, e) with 0 <= s < e <= 1, sorted by start, split at
-the seam 0 == 1, and separated by gaps wider than ``MERGE_TOL``. The
-constructor refuses any other form; ``canonicalize`` produces it from
-arbitrary pieces. An interval crossing the seam is stored as a first piece
-starting at 0 and a last piece ending at 1, which ``wraps`` detects, so
-interval counts stay correct on the torus.
+the seam 0 == 1, and separated by gaps wider than ``MERGE_TOL``. A start is
+0 or lies in [MERGE_TOL, 1 - MERGE_TOL]; an end is 1 or at most
+1 - MERGE_TOL. The constructor refuses any other form, so it accepts exactly
+the fixed points of ``canonicalize``, which produces the form from arbitrary
+pieces. An interval crossing the seam is stored as a first piece starting at
+0 and a last piece ending at 1, which ``wraps`` detects, so interval counts
+stay correct on the torus.
 
 All values are immutable and all operations are pure functions; they can be
 shared freely across threads.
@@ -47,10 +49,13 @@ class TorusIntervalSet:
     def __post_init__(self):
         prev_end = -math.inf
         for s, e in self.intervals:
-            if not (0.0 <= s < e <= 1.0 and s > prev_end + MERGE_TOL):
+            if not (0.0 <= s < e <= 1.0 and s > prev_end + MERGE_TOL
+                    and (s == 0.0 or MERGE_TOL <= s <= 1.0 - MERGE_TOL)
+                    and (e == 1.0 or e <= 1.0 - MERGE_TOL)):
                 raise TorusSetError(
                     f"piece ({s}, {e}) breaks the canonical form: 0 <= start < end <= 1, "
-                    f"sorted, gaps above {MERGE_TOL:g} (canonicalize builds it)")
+                    f"sorted, gaps above {MERGE_TOL:g}, no start within {MERGE_TOL:g} of "
+                    f"the seam but 0, no end within it below 1 (canonicalize builds it)")
             prev_end = e
 
     @property
@@ -119,7 +124,9 @@ def canonicalize(raw) -> TorusIntervalSet:
 
     Accepts overlapping pieces, endpoints outside [0, 1), and wrapping pieces
     (given either as end > 1 or end < start). Intervals of length >= 1 cover
-    the torus. Idempotent: canonical input comes back unchanged.
+    the torus. A piece (s, e) whose start needs no move and with e > s keeps
+    its end as given; any other gets start + length. Idempotent: canonical
+    input comes back unchanged.
     """
     pieces = []
     for s, e in raw:
@@ -134,7 +141,8 @@ def canonicalize(raw) -> TorusIntervalSet:
         # s % 1.0 rounds to exactly 1.0 for starts just below an integer
         if start < MERGE_TOL or start > 1.0 - MERGE_TOL:
             start = 0.0
-        end = start + length
+        # s + (e - s) can round to a neighbour of e, so an unmoved end is kept
+        end = e if start == s < e else start + length
         if end == start:    # also a length lost to rounding at the new start
             raise TorusSetError(f"zero-length interval (mod 1): ({s}, {e})")
         if end > 1.0 - MERGE_TOL:

@@ -582,3 +582,53 @@ def test_read_scan_csv_converts_bits(tmp_path):
     records = cli.read_scan_csv(str(path))
     assert records[0].entropy == pytest.approx(2.0 * math.log(2.0))
     assert records[1].proxy == 0.6
+
+
+def test_cantor_spec_reads_back_bit_identical(tmp_path):
+    from entropy_lab.torus_sets import CantorSpec, cantor_generate
+    for q, a, depth in ((0.25, 1.0, 7), (1 / 3, 0.9, 8)):
+        out = tmp_path / "cantor.json"
+        assert run_cli("cantor", "--q", repr(q), "--a", repr(a), "--depth", str(depth),
+                       "--out", str(out)).returncode == 0
+        spec = specio.load_spec(out)
+        assert spec.intervals.intervals == cantor_generate(CantorSpec(q, a, depth)).intervals
+        assert spec.metadata == specio.cantor_spec_dict(q, a, depth)["metadata"]
+
+
+def _same_json(a, b):
+    """Equal JSON values, NaN included, by their canonical encodings."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_json_outputs_read_back_as_the_indented_writer_wrote(tmp_path, monkeypatch):
+    # Each command's object, as json.dump(obj, fh, indent=2) wrote it
+    # before the single writer, must read back the same from the new file.
+    written = []
+    writer = specio.dump_json
+    monkeypatch.setattr(specio, "dump_json", lambda obj, path=None: (
+        written.append(obj), writer(obj, path)))
+    fermi = write_spec(tmp_path / "fermi.json", {
+        "version": 1, "type": "fermi", "filling": 0.3,
+        "samples": [[t / 64, math.cos(2 * math.pi * t / 64)] for t in range(64)]})
+    cantor = write_spec(tmp_path / "c.json",
+                        {"version": 1, "type": "cantor", "q": 0.25, "a": 1.0, "depth": 4})
+    table = tmp_path / "scan.csv"
+    assert run_cli("scan", "--set", cantor, "--mode", "proxy", "--nmin", "16",
+                   "--nmax", "512", "--out", str(table)).returncode == 0
+    commands = {
+        "fit": ["fit", "--csv", str(table), "--set", cantor],
+        "verify": ["verify", "--quick", "--seed", "3"],
+        "cantor": ["cantor", "--q", "0.3", "--a", "0.8", "--depth", "5"],
+        "fermi": ["fermi", "--set", fermi],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        res = run_cli(*argv, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert _same_json(json.loads(text), json.loads(json.dumps(written[-1], indent=2)))
+    assert len(written) == len(commands)
+    # Without --out the same line goes to stdout.
+    res = run_cli("cantor", "--q", "0.3", "--a", "0.8", "--depth", "5")
+    assert res.stdout == (tmp_path / "cantor.json").read_text()

@@ -120,6 +120,73 @@ def test_fourier_coefficients_match_per_piece_sum(f, n_max):
                                rtol=0, atol=1e-14)
 
 
+def _jump_symbol(jumps, seed=0):
+    """A symbol with exactly ``jumps`` nonzero jumps: ``jumps`` pieces of
+    distinct values, so each breakpoint and the wrap at 0 is a jump."""
+    rng = np.random.default_rng(seed)
+    inner = np.sort(rng.choice(np.arange(1, 4096), jumps - 1, replace=False)) / 4096 + 1e-4
+    values = rng.permutation(np.linspace(0.0, 1.0, jumps))
+    return SymbolFunction((0.0, *inner.tolist(), 1.0), tuple(values.tolist()))
+
+
+# B = isqrt(n_max) + 1 and rows = n_max // B + 1 are the lengths of the two
+# exponential tables. With 64 jumps in a chunk a table goes to two levels at
+# length 32: 960 keeps both on one level, 961 takes B = 32 to two, 992 both.
+# 1224..1297 straddle B = 36 = 6^2 (1295: B = rows = 36) and B^2 = 1296.
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 960, 961, 992, 1023, 1024,
+                                   1224, 1225, 1295, 1296, 1297])
+@pytest.mark.parametrize("jumps", [toeplitz._ENDPOINT_CHUNK - 1, toeplitz._ENDPOINT_CHUNK,
+                                   toeplitz._ENDPOINT_CHUNK + 1])
+def test_fourier_coefficients_match_per_piece_sum_across_table_switches(jumps, n_max):
+    f = _jump_symbol(jumps)
+    assert np.count_nonzero(np.subtract(f.values, f.values[-1:] + f.values[:-1])) == jumps
+    coeffs = fourier_coefficients(f, n_max)
+    assert coeffs.n_max == n_max and coeffs.values[0] == f.mean
+    np.testing.assert_allclose(coeffs.values[1:], _per_piece(f, n_max),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 31, 32, 33, 35, 36, 37, 48, 49, 50, 128])
+@pytest.mark.parametrize("step", [1, 37, 11586])
+def test_two_level_exponential_table_matches_one_level(monkeypatch, count, step):
+    head, tail = toeplitz._split(np.random.default_rng(count).random(5))
+    monkeypatch.setattr(toeplitz, "_TWO_LEVEL_MIN", 2 ** 62)
+    one = toeplitz._exp_table(head, tail, count, step)
+    monkeypatch.setattr(toeplitz, "_TWO_LEVEL_MIN", 0)
+    two = toeplitz._exp_table(head, tail, count, step)
+    assert two.shape == one.shape == (count, 5) and two.flags.c_contiguous
+    np.testing.assert_allclose(two, one, rtol=0, atol=4e-15)
+
+
+class _ExpCounter:
+    """numpy, with the elements passed to ``exp`` counted."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def exp(self, z):
+        self.elements += np.size(z)
+        return np.exp(z)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_coefficient_pass_takes_order_n_to_the_quarter_exponentials(monkeypatch):
+    # The 511-piece truncation the Cantor proxy scan runs to N = 16384.
+    K = cantor_generate(CantorSpec(1 / 3, 0.9, cantor_depth_policy(
+        CantorSpec(1 / 3, 0.9), 16384))).translate(0.0123)
+    f = SymbolFunction.indicator(K)
+    jumps = np.count_nonzero(np.subtract(f.values, f.values[-1:] + f.values[:-1]))
+    counter = _ExpCounter()
+    monkeypatch.setattr(toeplitz, "np", counter)
+    fourier_coefficients(f, 16383)
+    # Two tables of about 2 n^{1/4} exponentials per jump; one-level tables
+    # would take 2 n^{1/2} = 256 per jump.
+    assert jumps >= 1000
+    assert 0 < counter.elements < 5 * jumps * 16384 ** 0.25
+
+
 def test_constant_symbol_has_no_higher_coefficients():
     coeffs = fourier_coefficients(SymbolFunction.constant(0.3), 17)
     assert coeffs.values[0] == 0.3
@@ -158,7 +225,8 @@ def _reference_coefficients(f, ks):
     (cantor_generate(CantorSpec(0.25, 1.0, 5)).translate(0.0123), 2047, 5e-16),
     (cantor_generate(CantorSpec(1 / 3, 0.9, cantor_depth_policy(
         CantorSpec(1 / 3, 0.9), 16384))), 16383, 2e-15),
-], ids=["depth5-translated", "q1/3-auto-16384"])
+    (cantor_generate(CantorSpec(0.25, 1.0, 5)).translate(0.0123), 2 ** 20 - 1, 5e-16),
+], ids=["depth5-translated", "q1/3-auto-16384", "depth5-translated-2^20"])
 def test_fourier_coefficients_match_40_digit_reference(K, n_max, gate):
     f = SymbolFunction.indicator(K)
     rng = np.random.default_rng(5)

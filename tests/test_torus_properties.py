@@ -1,12 +1,14 @@
 """Property tests for the set laws of ``torus_sets``: starts are drawn from
 [-2, 3], so pieces cross the seam 0 == 1 and land next to it. Every set an
-operation returns must be in canonical form."""
+operation returns must be in canonical form, and the constructor must accept
+exactly the fixed points of ``canonicalize``."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entropy_lab.torus_sets import MERGE_TOL, canonicalize
+from entropy_lab.specio import parse_spec
+from entropy_lab.torus_sets import MERGE_TOL, TorusIntervalSet, TorusSetError, canonicalize
 
 
 def canonical(K):
@@ -58,3 +60,35 @@ def test_translation_keeps_measure_and_count(K, phi):
 def test_union_and_intersection_measures_add_up(A, B):
     union, meet = canonical(A.union(B)), canonical(A.intersection(B))
     assert union.measure + meet.measure == pytest.approx(A.measure + B.measure, abs=1e-12)
+
+
+# Endpoints anywhere, next to the seam or half an ulp-step apart.
+endpoint = st.one_of(
+    st.floats(min_value=-2.0, max_value=3.0),
+    st.sampled_from([0.0, 1.0, MERGE_TOL / 2, MERGE_TOL, 1.0 - MERGE_TOL,
+                     1.0 - MERGE_TOL / 2, -MERGE_TOL / 2, 1.0 + MERGE_TOL / 2]),
+    st.integers(1, 2 ** 30).map(lambda k: (k + 0.5) * 2.0 ** -53),
+)
+raw_pairs = st.lists(st.tuples(endpoint, endpoint), max_size=4)
+# Sorted points taken two by two: mostly canonical lists, as emitters write.
+sorted_pairs = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
+                        max_size=8).map(lambda xs: sorted(xs)[:len(xs) // 2 * 2]).map(
+    lambda xs: list(zip(xs[::2], xs[1::2])))
+
+
+@laws
+@given(st.one_of(raw_pairs, sorted_pairs))
+def test_constructor_accepts_exactly_the_fixed_points_of_canonicalize(pairs):
+    spec = {"version": 1, "type": "intervals", "intervals": [list(p) for p in pairs]}
+    try:
+        expected = canonicalize(pairs)
+    except TorusSetError:
+        with pytest.raises(TorusSetError):
+            parse_spec(spec)
+        return
+    assert parse_spec(spec).intervals == canonical(expected)
+    try:
+        K = TorusIntervalSet(tuple(pairs))
+    except TorusSetError:
+        return
+    assert expected == K

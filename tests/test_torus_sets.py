@@ -83,11 +83,31 @@ def test_canonicalize_rejects_bad_endpoints():
     ((-0.1, 0.2),),
     ((0.5, 1.5),),
     ((float("nan"), 0.5),),
+    ((MERGE_TOL / 2, 0.5),),
+    ((0.5, 1.0 - MERGE_TOL / 2),),
+    ((1.0 - MERGE_TOL / 2, 1.0),),
 ], ids=["overlap", "unsorted", "gap", "reversed", "empty-piece", "below-0",
-        "above-1", "nan"])
+        "above-1", "nan", "start-next-to-0", "end-next-to-1", "start-next-to-1"])
 def test_constructor_refuses_non_canonical_pieces(intervals):
     with pytest.raises(TorusSetError, match="canonical form"):
         TorusIntervalSet(intervals)
+
+
+def test_canonicalize_moves_what_the_constructor_refuses_next_to_the_seam():
+    assert canonicalize([(5e-13, 0.5)]).intervals == ((0.0, 0.4999999999995),)
+    assert canonicalize([(0.5, 1.0 - 5e-13)]).intervals == ((0.5, 1.0),)
+    assert canonicalize([(1.0 - 5e-13, 1.0)]).intervals == ((0.0, 5.000444502911705e-13),)
+    edge = ((0.0, MERGE_TOL), (2 * MERGE_TOL + 1e-15, 1.0 - MERGE_TOL))
+    assert canonicalize(edge) == TorusIntervalSet(edge)
+
+
+def test_canonicalize_keeps_the_end_of_an_unmoved_piece():
+    # s + (e - s) rounds to the neighbour above e here
+    s, e = 2.174899149665066e-11, 0.9027301709186616
+    assert s + (e - s) != e
+    assert canonicalize([(s, e)]).intervals == ((s, e),) == TorusIntervalSet(((s, e),)).intervals
+    # a moved piece still gets start + length
+    assert canonicalize([(s + 1.0, e + 1.0)]).intervals[0][0] == pytest.approx(s, abs=1e-15)
 
 
 def test_canonicalize_empty_and_idempotent():
