@@ -50,6 +50,57 @@ Both moments cost O(p^2) against the O(p^3) solve. Every eigenvalue must
 then lie within 1e-9 of [0, 1]; one further out fails the solve as a missed
 moment does.
 
+``entropy_result`` needs only the plunge eigenvalues, the few away from 0
+and 1, since eta_tilde vanishes at both ends. For a large block H of order p
+whose plunge trace t = tr H - ||H||_F^2 = sum of v_i, v_i = l_i (1 - l_i), is
+small, it takes the top k of M = H - H^2 by one Rayleigh-Ritz pass instead
+of a dense solve (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011): from a
+fixed-seed Gaussian p x k start W, the basis Z of the range of M W (two
+products with H and one QR), then the eigenvalues theta_1..theta_k of the
+k x k matrix Z^T M Z = Z^T (H Z) - (H Z)^T (H Z) (one more product). Each
+theta maps back through h(v) = eta_tilde((1 - sqrt(1 - 4 v)) / 2), the
+entropy of the eigenvalue pair with l (1 - l) = v, so S_block = sum h(v_i)
+over all p eigenvalues. The result is certified:
+
+    sum h(theta_i) <= S_block <= sum h(theta_i) + R (2 - ln(R / p)),
+    R = t - sum theta_i.
+
+Lower end: by Cauchy interlacing the i-th largest Ritz value is at most the
+i-th largest v, and h increases. Upper end: h is concave on [0, 1/4] with
+h(0) = 0, hence subadditive, so h(v_i) <= h(theta_i) + h(v_i - theta_i) for
+i <= k; the p terms v_i - theta_i (i <= k) and v_i (i > k) are nonnegative
+and sum to R, so by Jensen's inequality their h-values sum to at most
+p h(R / p). Finally h(v) <= v (2 - ln v) for v <= 1/10: with
+ln v = ln l + ln(1 - l) and -(1 - l) ln(1 - l) <= l, eta_tilde(l) <=
+l (1 - ln v) = v (1 - ln v) / (1 - l), which is at most v (2 - ln v) when
+l (2 - ln v) <= 1, and l <= 2 v makes that so for v <= 1/10. A bracket with
+R / p > 1/10 exceeds 0.2 p and is never accepted, so every accepted one
+is at most R (2 - ln(R / p)). h is concave because its slope,
+ln((1 - l) / l) / (1 - 2 l) = 2 artanh(x) / x with x = 1 - 2 l, falls as l
+grows. An eigenvalue of H outside [0, 1] makes some v negative, so that t
+falls below the sum of the top k: sum theta > t is this path's moment check.
+
+Rounding is charged on both sides of R. t is formed as p/4 - sum of the
+squares of C = H - I/2, whose sum is at most p/4: numpy sums each row
+pairwise (blocks of at most 128 entries over eight accumulators, so an entry
+meets at most ceil(log2 p) + 19 roundings for p > 32), math.fsum adds the
+rows with one rounding, squaring and centring cost at most 3 u per square,
+and the last subtraction u t, so t is within (ceil(log2 p) + 24) u p/4 of
+its exact value (u = eps/2, one unit spare for second-order terms). The
+Ritz values come from products of length p, whose worst-case bound,
+gamma_p |H| |Z|, is about 1e-12 per value at p = 724: over k = 30 values,
+ten times all the room R has within the bracket. So each theta is charged
+the first-order probabilistic bound for such products instead (Higham &
+Mary, SIAM J. Sci. Comput. 41, 2019), lambda u sqrt(p) ||M|| with
+lambda = 8 and ||M|| <= 1/4, that is sqrt(p) eps: 2.5 to 15 times the
+largest error of a single theta, and 28 to 380 times that of their sum,
+measured against 64-bit-mantissa references on interval unions at
+p = 256..1448.
+The certified lower end takes each theta lowered by its charge, R takes the
+t charge on top, and the block is accepted when its bracket is within its
+share of CERTIFICATE_TOL; otherwise it is solved densely, as before.
+``spectrum`` always solves densely.
+
 Entropies are in nats throughout.
 """
 
@@ -329,9 +380,9 @@ class ToeplitzRestriction:
     """Hermitian N x N block Q_N with entries Q[l, k] = q(k - l).
 
     Stored as its first row q(0), ..., q(N - 1), from which ``spectrum``
-    builds its real matrices; N is the row's length. ``matrix`` builds the
-    complex Q_N on first use, for the Fock-space oracle; the solve never
-    forms it.
+    and ``entropy_result`` build its real matrices once, on first use; N is
+    the row's length. ``matrix`` builds the complex Q_N on first use, for the
+    Fock-space oracle; the solve never forms it.
     """
 
     row: np.ndarray = field(repr=False)
@@ -342,6 +393,7 @@ class ToeplitzRestriction:
         if self.order and self.row[0].imag != 0.0:
             raise ValueError(f"restriction not Hermitian: q(0) = {self.row[0]}")
         self.row.setflags(write=False)
+        self._blocks = None
 
     @property
     def order(self) -> int:
@@ -354,6 +406,14 @@ class ToeplitzRestriction:
         mat = np.where(diff >= 0, self.row[lag], np.conj(self.row[lag]))
         mat.setflags(write=False)
         return mat
+
+    @property
+    def _real_blocks(self) -> tuple[list[np.ndarray], float]:
+        # Kept by hand: a cached_property takes a lock on every first use,
+        # which small restrictions, built and solved once each, pay in full.
+        if self._blocks is None:
+            self._blocks = _real_matrices(self.row)
+        return self._blocks
 
 
 def _lags(n: int) -> np.ndarray:
@@ -531,8 +591,14 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     like the checks before it. The checked eigenvalues are clipped into
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     """
-    n = restriction.order
-    blocks, bound = _real_matrices(restriction.row)
+    blocks, bound = restriction._real_blocks
+    return _checked_eigenvalues(blocks, bound, restriction.order)
+
+
+def _checked_eigenvalues(blocks, bound: float, n: int) -> np.ndarray:
+    """The eigenvalues of ``blocks``, real symmetric matrices from
+    ``_real_matrices`` with charge ``bound``, checked and clipped as
+    ``spectrum`` describes; ``n`` names the order in messages."""
     values, gaps = [], []
     for mat in blocks:
         try:
@@ -567,20 +633,149 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     return np.clip(w, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else w
 
 
+# The certified plunge path is taken only when the bracket of S_N is at most
+# this (nats): each of the real blocks may use its share.
+CERTIFICATE_TOL = 1e-10
+# Selection rule of the plunge path, from the order p and the plunge trace t
+# alone. Measured on 2 cores (numpy 2.4, OpenBLAS) on the blocks of a single
+# interval: with k = p / 8 the Ritz pass (t included) took 0.20-0.63 of a
+# dense eigvalsh at p = 96..1024, with k = p / 6 up to 0.90 and with k = p / 4
+# up to 1.35, hence 8 k <= p. The depth-5 q = 1/4 Cantor set has t = 4.7 to
+# 8.1 on its blocks of order 128..1024 (k = 220 to 370) and stays dense, where
+# the Ritz pass was 2-3 times slower. k = ceil(45 t) + 8: on
+# [0, .1) u [.3, .45) u [.6, .9) at N = 1448 (t = 2.5) the uncaptured trace
+# was 2.2e-9 at 30 t, 7.1e-11 at 35 t, 1.3e-12 at 40 t and 4.1e-14 at 45 t,
+# and only the last certifies under the rounding charges; single intervals
+# need far less (1e-14 at 30 t). A block of order below 192 goes straight to
+# eigvalsh: no interval union measured there passed the cost rule (a single
+# interval's blocks first do near p = 208, with k = 26), and the depth-5
+# Cantor set's ~190 solves of order <= 128 per benchmark pass must not pay
+# for t (0.04 ms each).
+_PLUNGE_MIN_ORDER = 192
+_PLUNGE_SCALE = 45
+_PLUNGE_PAD = 8
+_PLUNGE_COST = 8
+_PLUNGE_SEED = 20030604
+_UNIT = np.finfo(float).eps / 2
+
+
+def _pair_entropy(v: np.ndarray) -> np.ndarray:
+    """h(v) = eta_tilde(l) with l (1 - l) = v and l <= 1/2, for v in
+    [0, 1/4]; l = 2 v / (1 + sqrt(1 - 4 v)) avoids the cancellation of
+    (1 - sqrt(1 - 4 v)) / 2 at small v."""
+    return _eta_tilde_unit(2.0 * v / (1.0 + np.sqrt(1.0 - 4.0 * v)))
+
+
+def _plunge_entropy(mat: np.ndarray, n: int,
+                    budget: float) -> tuple[float, float, float] | None:
+    """(S, sum of the Ritz values, bracket width) of one real block from its
+    plunge subspace, certified as the module docstring derives, or None when
+    the selection rule sends the block to the dense solve or its bracket
+    exceeds ``budget``. The rule reads the order p and the plunge trace t
+    only: p of at least _PLUNGE_MIN_ORDER, _PLUNGE_COST k <= p, and a
+    bracket within budget even if the Ritz values caught all of t, that is,
+    from the rounding charges alone.
+
+    A LinAlgError of the QR or of the Ritz solve, a Ritz value above 1/4 plus
+    its charge, and Ritz values summing to more than t plus the charges are
+    failed solves and raise EigensolveError.
+    """
+    p = len(mat)
+    if p < _PLUNGE_MIN_ORDER:
+        return None
+    t, t_charge = _plunge_trace(mat)
+    if not 0.0 <= t:
+        return None                                 # the dense checks name the fault
+    k = math.ceil(_PLUNGE_SCALE * t) + _PLUNGE_PAD
+    ritz_charge = 8 * _UNIT * math.sqrt(p) / 4       # lambda u sqrt(p) ||M||
+    if _PLUNGE_COST * k > p or _bracket(t_charge + k * ritz_charge, p) > budget:
+        return None
+    start = np.random.default_rng(_PLUNGE_SEED).standard_normal((p, k))
+    try:
+        image = mat @ start
+        basis = np.linalg.qr(image - mat @ image)[0]
+        image = mat @ basis
+        ritz = np.linalg.eigvalsh(basis.T @ image - image.T @ image)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveError(f"eigensolve failed for N={n}: {exc}; plunge subspace "
+                              f"of a block of order {p}, k = {k}") from exc
+    top = float(np.max(ritz))
+    if not top <= 0.25 + ritz_charge:
+        raise EigensolveError(f"Ritz value {top:.6g} of H - H^2 above 1/4 by more than "
+                              f"its charge {ritz_charge:.3g} at N={n}")
+    total = float(np.sum(ritz))
+    charge = t_charge + len(ritz) * ritz_charge
+    if not total <= t + charge:
+        raise EigensolveError(f"Ritz values sum {total:.17g} exceeds the plunge trace "
+                              f"{t:.17g} by more than its charge {charge:.3g} at N={n}")
+    lower = np.clip(ritz - ritz_charge, 0.0, 0.25)
+    bracket = _bracket(t + t_charge - float(np.sum(lower)), p)
+    if bracket > budget:
+        return None
+    return float(_pair_entropy(lower).sum()), total, bracket
+
+
+def _plunge_trace(mat: np.ndarray) -> tuple[float, float]:
+    """t = tr H - ||H||_F^2 of a real block H of order p > 32, formed as
+    p/4 - ||H - I/2||_F^2, and its rounding charge (module docstring)."""
+    p = len(mat)
+    squares = np.square(mat)
+    centre = np.diagonal(mat) - 0.5
+    np.fill_diagonal(squares, centre * centre)
+    t = p / 4 - math.fsum(np.sum(squares, axis=1))
+    return t, (math.ceil(math.log2(p)) + 24) * _UNIT * p / 4
+
+
+def _bracket(rest: float, p: int) -> float:
+    """R (2 - ln(R / p)), the bound on the entropy that R of uncaptured
+    plunge trace can carry over p eigenvalues; 0 for R <= 0."""
+    return rest * (2.0 - math.log(rest / p)) if rest > 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class EntropyResult:
-    """Block size, entropy S_N (nats) and proxy P_N = sum l(1-l)."""
+    """Block size, entropy S_N (nats) and proxy P_N = sum l(1-l).
+
+    S_N lies in [entropy, entropy + bracket]: ``bracket`` sums the
+    certificates of the ``plunge_blocks`` real blocks taken from their plunge
+    subspace, and is 0 when every block was solved densely (the
+    ``dense_blocks``). For the plunge blocks ``proxy`` adds the Ritz values
+    of H - H^2.
+    """
 
     n: int
     entropy: float
     proxy: float
+    bracket: float
+    plunge_blocks: int
+    dense_blocks: int
 
 
 def entropy_result(restriction: ToeplitzRestriction) -> EntropyResult:
-    lam = spectrum(restriction)
-    s = float(_eta_tilde_unit(lam).sum())
-    p = float((lam * (1.0 - lam)).sum())
-    return EntropyResult(n=restriction.order, entropy=s, proxy=p)
+    """S_N and P_N from the real blocks of ``_real_matrices``: each block
+    from its certified plunge subspace when the selection rule admits it and
+    its share of CERTIFICATE_TOL covers its bracket, the others densely, by
+    ``spectrum`` when no block took the plunge path."""
+    n = restriction.order
+    blocks, bound = restriction._real_blocks
+    certified, dense = [], blocks
+    if n >= _PLUNGE_MIN_ORDER:                      # else no block is that large
+        parts = [_plunge_entropy(mat, n, CERTIFICATE_TOL / len(blocks)) for mat in blocks]
+        certified = [part for part in parts if part is not None]
+        dense = [mat for mat, part in zip(blocks, parts) if part is None]
+    if not certified:
+        lam = spectrum(restriction)
+    elif dense:
+        lam = _checked_eigenvalues(dense, bound, n)
+    else:
+        lam = np.empty(0)
+    entropy = float(_eta_tilde_unit(lam).sum())
+    proxy = float((lam * (1.0 - lam)).sum())
+    bracket = 0.0
+    for part in certified:
+        entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
+    return EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,
+                         plunge_blocks=len(certified), dense_blocks=len(dense))
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

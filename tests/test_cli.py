@@ -259,6 +259,65 @@ def test_scan_exits_2_when_an_eigenvalue_leaves_the_unit_interval(tmp_path, monk
     assert "at N=8" in err and err.count("\n") == 1
 
 
+def _quarter_plus(w):
+    w[-1] = 0.25 + 1e-9
+    return w
+
+
+def _lowest_raised(w):
+    w[0] += 1e-9
+    return w
+
+
+def _raise_linalg(w):
+    raise np.linalg.LinAlgError("injected")
+
+
+# [0.3, 0.55) over 8..512: only N = 512 has blocks (order 256) on the
+# plunge path, so every fault there names N=512.
+@pytest.mark.parametrize("fault, message", [
+    (_raise_linalg, "eigensolve failed for N=512: injected"),
+    (_quarter_plus, "Ritz value 0.25 of H - H^2 above 1/4"),
+    (_lowest_raised, "Ritz values sum "),
+], ids=["ritz-linalg", "above-quarter", "sum-above-t"])
+def test_scan_exits_2_when_the_plunge_path_fails(tmp_path, ritz_fault, fault, message):
+    ritz_fault(fault)
+    code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 512)
+    assert code == 2
+    assert err.startswith(f"verification failure: {message}")
+    assert "N=512" in err and err.count("\n") == 1
+
+
+def test_scan_exits_2_when_the_plunge_qr_fails(tmp_path, monkeypatch):
+    def broken(mat):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "qr", broken)
+    code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 512)
+    assert code == 2
+    assert err.startswith("verification failure: eigensolve failed for N=512: injected")
+    assert err.count("\n") == 1
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(True)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["scan"]) == 1
+        assert cli.main(["fit", "--window"]) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().err.count("error:") == 2
+
+
 def test_fit_recovers_synthetic_power_law(tmp_path):
     csv_path = tmp_path / "power.csv"
     with csv_path.open("w", newline="") as fh:
@@ -340,13 +399,16 @@ def test_verify_default_passes(tmp_path):
     assert report["all_passed"]
     assert set(report["suites"]) == {
         "eta_pointwise_bound", "oracle_equivalence", "route_agreement",
-        "subadditivity", "set_invariances",
+        "subadditivity", "set_invariances", "solver_agreement",
     }
-    assert all("PASS" in line for line in res.stdout.splitlines()[:5])
+    assert all("PASS" in line for line in res.stdout.splitlines()[:6])
     for suite in report["suites"].values():
         assert suite["bounds"] and set(suite["bounds"]) <= set(suite)
     assert report["suites"]["route_agreement"]["bounds"] == {
         "max_relative_route_gap": 1e-6, "max_series_deviation": 1e-8}
+    solver = report["suites"]["solver_agreement"]
+    assert solver["bounds"] == {"max_excess": 5e-11}
+    assert solver["plunge_blocks"] > 0 and solver["size"] == 1024
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):

@@ -29,6 +29,7 @@ from entropy_lab.toeplitz import (
     restriction_from_coefficients,
     spectrum,
 )
+from entropy_lab.scaling import SOLVER_TOL, default_grid, scan, solver_gap
 from entropy_lab.torus_sets import (
     CantorSpec,
     canonicalize,
@@ -874,3 +875,149 @@ def test_failure_of_the_second_block_names_the_full_order(monkeypatch, n):
     with pytest.raises(EigensolveError, match=f"eigensolve failed for N={n}: injected"):
         spectrum(build_restriction(SymbolFunction.indicator(TRANSLATED), n))
     assert calls == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+
+
+# ---------------------------------------------------------------------------
+# Certified plunge path of entropy_result
+# ---------------------------------------------------------------------------
+
+def _linalg_error(w):
+    raise np.linalg.LinAlgError("injected")
+
+
+def _top_above_quarter(w):
+    out = w.copy()
+    out[-1] = 0.25 + 1e-9
+    return out
+
+
+def _lowest_raised(w):
+    """The smallest Ritz value, about 1e-16, raised by 1e-9: the sum then
+    exceeds t by far more than its charge while the top stays put."""
+    out = w.copy()
+    out[0] += 1e-9
+    return out
+
+
+def _drop_top(w):
+    return w[:-1]
+
+
+def _top_lowered(w):
+    out = w.copy()
+    out[-1] *= 1.0 - 1e-6
+    return out
+
+
+# Faults of the plunge path that fail the solve, with the message they raise.
+PLUNGE_FAULTS = {
+    "ritz-linalg": (_linalg_error, "eigensolve failed for N=1024: injected"),
+    "above-quarter": (_top_above_quarter, "Ritz value 0.25 of H - H\\^2 above 1/4 .* at N=1024"),
+    "nan": (_not_a_number, "Ritz value nan of H - H\\^2 above 1/4 .* at N=1024"),
+    "sum-above-t": (_lowest_raised, "Ritz values sum .* exceeds the plunge trace .* at N=1024"),
+}
+
+
+@pytest.mark.parametrize("fault", PLUNGE_FAULTS.keys())
+def test_plunge_path_fault_matrix(ritz_fault, fault):
+    # TRANSLATED splits at N = 1024 into two blocks of order 512, both on the
+    # plunge path without faults.
+    corrupt, message = PLUNGE_FAULTS[fault]
+    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 1024)
+    ritz_fault(corrupt)
+    with pytest.raises(EigensolveError, match=message):
+        entropy_result(restriction)
+
+
+def test_plunge_path_qr_failure_raises(monkeypatch):
+    def broken(mat):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "qr", broken)
+    with pytest.raises(EigensolveError, match="eigensolve failed for N=1024: injected"):
+        entropy_result(build_restriction(SymbolFunction.indicator(TRANSLATED), 1024))
+
+
+@pytest.mark.parametrize("fault", [_drop_top, _top_lowered], ids=["dropped", "lowered"])
+def test_missed_ritz_value_falls_back_to_the_dense_value(ritz_fault, fault):
+    # A Ritz value left out or under-estimated leaves plunge trace uncaptured,
+    # the bracket exceeds its budget and the block is solved densely.
+    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 1024)
+    dense = float(np.sum(eta_tilde(spectrum(restriction))))
+    assert entropy_result(restriction).plunge_blocks == 2
+    ritz_fault(fault)
+    result = entropy_result(restriction)
+    assert (result.plunge_blocks, result.dense_blocks, result.bracket) == (0, 2, 0.0)
+    assert result.entropy == dense
+
+
+def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
+    # No dense solve of order 256 or more in the fig-2 scan of [phi, phi + 1/2)
+    # over 8..1448; the depth-5 Cantor set keeps its dense solves.
+    seen = _spy_eigvalsh(monkeypatch)
+    phi = float(np.random.default_rng(1448).uniform(0.0, 0.5))
+    scan(canonicalize([(phi, phi + 0.5)]), default_grid(8, 1448), mode="both")
+    assert seen and max(shape[0] for _, shape in seen) < 256
+    cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
+    for n in (256, 1024):
+        seen.clear()
+        result = entropy_result(build_restriction(cantor, n))
+        assert seen == _solves(n, True)
+        assert (result.plunge_blocks, result.dense_blocks) == (0, 2)
+
+
+# Sets and sizes of the accuracy check, with the number of real blocks that
+# take the plunge path: the translated interval splits in two at every size;
+# the two asymmetric unions are one order-N block, dense at N = 512 by the
+# cost rule (8 k > p) and at N = 2048 because their rounding charges alone
+# would exceed the budget.
+PLUNGE_CASES = [
+    pytest.param(K, n, blocks, id=f"{name}-{n}")
+    for name, K, plunge in (
+        ("translated", TRANSLATED, (2, 2, 2)),
+        ("asymmetric", canonicalize([(0.05, 0.3), (0.5, 0.62)]), (0, 1, 0)),
+        ("three", canonicalize([(0.0, 0.1), (0.3, 0.45), (0.6, 0.9)]), (0, 1, 0)),
+    )
+    for n, blocks in zip((512, 1024, 2048), plunge)
+]
+
+
+@pytest.mark.parametrize("K, n, plunge", PLUNGE_CASES)
+def test_certified_entropy_brackets_the_dense_value(K, n, plunge):
+    # The dense value may sit SOLVER_TOL, its rounding allowance, outside
+    # [S, S + bracket].
+    excess, result = solver_gap(K, n)
+    assert result.plunge_blocks == plunge
+    assert 0.0 <= result.bracket <= toeplitz.CERTIFICATE_TOL
+    assert excess <= SOLVER_TOL
+
+
+def test_bracket_bounds_the_entropy_left_out():
+    # h(v) <= v (2 - ln v) on (0, 1/10], and for synthetic plunge spectra
+    # (geometric tails) with Ritz values below the top eigenvalues the exact
+    # entropy lies inside [sum h(theta), sum h(theta) + R (2 - ln(R / p))].
+    v = np.geomspace(1e-300, 0.1, 4000)
+    assert np.all(toeplitz._pair_entropy(v) <= v * (2.0 - np.log(v)))
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        p = int(rng.integers(200, 2000))
+        values = np.minimum(0.25, rng.uniform(0.05, 0.25)
+                            * np.exp(-rng.uniform(0.3, 3.0) * np.arange(p)))
+        exact = float(np.sum(toeplitz._pair_entropy(values)))
+        k = int(rng.integers(1, 40))
+        theta = values[:k] * (1.0 - rng.uniform(0.0, 1e-6, k))
+        rest = float(np.sum(values) - np.sum(theta))
+        lower = float(np.sum(toeplitz._pair_entropy(theta)))
+        assert lower <= exact <= lower + toeplitz._bracket(rest, p) + 1e-15
+
+
+@pytest.mark.parametrize("K, n", [(TRANSLATED, 512), (TRANSLATED, 1447), (THREE, 2048)])
+def test_plunge_trace_within_its_charge(K, n):
+    # t against 64-bit-mantissa sums where numpy has them.
+    wide = np.longdouble
+    if np.finfo(wide).eps >= np.finfo(float).eps:
+        pytest.skip("no extended precision")
+    for mat in toeplitz._real_matrices(build_restriction(SymbolFunction.indicator(K), n).row)[0]:
+        t, charge = toeplitz._plunge_trace(mat)
+        exact = np.trace(mat.astype(wide)) - np.sum(np.square(mat.astype(wide)))
+        assert abs(t - float(exact)) <= charge
