@@ -28,8 +28,9 @@ from . import fejer, scaling, specio, toeplitz
 
 LOG2 = math.log(2.0)
 
-CSV_COLUMNS = ("N", "S_N", "P_N", "S_over_logN", "P_over_logN", "wall_ms")
-_BITS_RENAME = {"S_N": "S_N_bits", "S_over_logN": "S_over_logN_bits"}
+CSV_COLUMNS = ("N", "S_N", "P_N", "S_over_logN", "P_over_logN", "S_N_bracket", "wall_ms")
+_BITS_RENAME = {"S_N": "S_N_bits", "S_over_logN": "S_over_logN_bits",
+                "S_N_bracket": "S_N_bracket_bits"}
 
 
 def _fmt(x: float | None) -> str:
@@ -62,6 +63,7 @@ def _records_to_rows(records, bits: bool):
             "P_N": _fmt(r.proxy),
             "S_over_logN": _fmt(None if (s is None or logn is None) else s / logn),
             "P_over_logN": _fmt(None if logn is None else r.proxy / logn),
+            "S_N_bracket": _fmt(None if r.bracket is None else r.bracket * conv),
             "wall_ms": _fmt(r.wall_time * 1e3),
         })
     return rows
@@ -90,16 +92,17 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def read_scan_csv(path):
-    """Rows back as ScanRecords (bits columns converted to nats)."""
+    """Rows back as ScanRecords (bits columns converted to nats); the bracket
+    is None where the file has no S_N_bracket column or leaves it blank."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise specio.SpecFormatError(f"{path}: empty CSV")
         names = set(reader.fieldnames)
         if "S_N_bits" in names:
-            s_col, conv = "S_N_bits", LOG2
+            s_col, b_col, conv = "S_N_bits", "S_N_bracket_bits", LOG2
         elif "S_N" in names:
-            s_col, conv = "S_N", 1.0
+            s_col, b_col, conv = "S_N", "S_N_bracket", 1.0
         else:
             raise specio.SpecFormatError(f"{path}: no S_N column")
         if "N" not in names or "P_N" not in names:
@@ -111,10 +114,12 @@ def read_scan_csv(path):
                 s_raw = line.get(s_col, "")
                 entropy = float(s_raw) * conv if s_raw else None
                 proxy = float(line["P_N"])
+                b_raw = line.get(b_col)
+                bracket = float(b_raw) * conv if b_raw else None
             except (TypeError, ValueError) as exc:
                 raise specio.SpecFormatError(f"{path}: malformed row {line}") from exc
             records.append(scaling.ScanRecord(n=n, entropy=entropy, proxy=proxy,
-                                              wall_time=0.0))
+                                              wall_time=0.0, bracket=bracket))
     if not records:
         raise specio.SpecFormatError(f"{path}: no data rows")
     return sorted(records, key=lambda r: r.n)

@@ -81,12 +81,14 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """Per-block-size result: entropy is None in proxy-only scans."""
+    """Per-block-size result: S_N lies in [entropy, entropy + bracket], and
+    both are None in proxy-only scans."""
 
     n: int
     entropy: float | None
     proxy: float
     wall_time: float
+    bracket: float | None = None
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,10 @@ def scan(source, n_grid, mode: str = "both",
     the O(N) coefficient formula. Coefficients and proxies are computed once
     up to the largest N and shared, and each record's ``wall_time`` is an
     equal share of that stage plus its own eigensolve and checks. In mode
-    "both" the eigenvalue route for P_N is checked against the coefficient
-    route and a disagreement beyond 1e-6 relative raises VerificationError.
-    Records come back in grid order.
+    "both" each record carries the certified bracket of ``entropy_result``
+    (0 when every block was solved densely), and the eigenvalue route for
+    P_N is checked against the coefficient route: a disagreement beyond 1e-6
+    relative raises VerificationError. Records come back in grid order.
     """
     grid = []
     for n in n_grid:
@@ -186,17 +189,18 @@ def scan(source, n_grid, mode: str = "both",
     for n in grid:
         t0 = time.perf_counter()
         p_direct = proxies[n]
-        s_val = None
+        s_val = bracket = None
         if want_entropy:
             res: EntropyResult = entropy_result(restriction_from_coefficients(coeffs, n))
-            s_val = res.entropy
+            s_val, bracket = res.entropy, res.bracket
             if abs(res.proxy - p_direct) > ROUTE_TOL * abs(p_direct) + 1e-9:
                 raise VerificationError(
                     f"proxy routes disagree at N={n}: eigenvalue route "
                     f"{res.proxy!r} vs coefficient route {p_direct!r}"
                 )
         records.append(ScanRecord(n=n, entropy=s_val, proxy=p_direct,
-                                  wall_time=shared + time.perf_counter() - t0))
+                                  wall_time=shared + time.perf_counter() - t0,
+                                  bracket=bracket))
     return records
 
 

@@ -80,14 +80,48 @@ ln((1 - l) / l) / (1 - 2 l) = 2 artanh(x) / x with x = 1 - 2 l, falls as l
 grows. An eigenvalue of H outside [0, 1] makes some v negative, so that t
 falls below the sum of the top k: sum theta > t is this path's moment check.
 
-Rounding is charged on both sides of R. t is formed as p/4 - sum of the
-squares of C = H - I/2, whose sum is at most p/4: numpy sums each row
-pairwise (blocks of at most 128 entries over eight accumulators, so an entry
-meets at most ceil(log2 p) + 19 roundings for p > 32), math.fsum adds the
-rows with one rounding, squaring and centring cost at most 3 u per square,
-and the last subtraction u t, so t is within (ceil(log2 p) + 24) u p/4 of
-its exact value (u = eps/2, one unit spare for second-order terms). The
-Ritz values come from products of length p, whose worst-case bound,
+t is taken from the line the blocks are built from, in O(N), never from
+the formed block. On the order-N real form t = P_N = N q(0) -
+sum_{|s| < N} (N - |s|) |q(s)|^2, since trace and Frobenius norm survive the
+unitary similarity. On the half-order split t_even + t_odd is that sum on r,
+and t_even - t_odd = 2 tr Hk - 4 <T, Hk> with Hk the Hankel part
+r(N - 1 - i - j); grouped by s = i + j,
+<T, Hk> = sum_{s < 2m - 1} r(N - 1 - s) F(min(s, 2m - 2 - s)) with
+F(j) = sum of r(|d|) over d = -j, -j + 2, ..., j, the prefix sums of the even
+and of the odd entries of r. For odd N the border adds
+r(0) - r(0)^2 - 4 sum_{j = 1..m} r(j)^2 to t_even - t_odd.
+
+These sums are compensated (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
+2005) and stay in float64. Each product is split into two doubles exactly
+(Dekker's TwoProduct), a weight N - |s| < 2^27 times a 26-bit half of a
+double is exact, and the prefix sums carry the exact error of each of their
+additions (TwoSum). The terms are then exact but for fl(w e), the weight
+times the error of a square, and the rounding of the prefix-sum
+corrections, both of second order. One error-free extraction
+(``_exact_sums``) cuts each of the n terms at a power of two
+sigma >= 1 with (n + 2) max |term| < sigma <= 4 (n + 2) max |term| (unless
+that is below 1): the parts above u sigma add up exactly, the rests, at
+most u sigma each, within (n - 1) u n u sigma in any order (u = eps/2). So
+t is within u |t| + u^2 (n^2 sigma + N^4 rho^2), rho = max |line|, of the
+exact t of the block formed from the line in exact arithmetic; N^4 rho^2
+bounds the prefix-sum corrections of the split, which the real form has
+none of. The formed block H + D differs from that block by the rounding of
+its entries: |D_ij| <= u |H_ij| for the sums, (2 u + u^2) |H_ij| on the
+sqrt(2) border, and 0 at the corner. Hence
+t(H + D) - t(H) = tr D - 2 <H, D> - ||D||_F^2 is at most
+u sum |H_ii| + 2 u (||H||_F^2 + ||b||^2) to first order, with
+||b||^2 = 4 sum_{j = 1..m} r(j)^2 for the border's two copies and
+||H||_F^2 = tr H - t <= sum |H_ii| for the t >= 0 the path admits: about
+3 u tr H. sum |H_ii| is bounded by p |r(0)| plus the absolute Hankel
+diagonal (N |q(0)| + sum |Im q(|h|)| on the real form). t is charged
+u (3 sum |H_ii| + 2 ||b||^2 + |t|) + 3 u^2 n^2 sigma, plus u^2 N^4 rho^2 on
+the split: every quantity in the chain is below 2 sigma, since the terms
+hold N q(0) and the weighted squares, so the extra 2 u^2 n^2 sigma covers
+its second-order part. This charge belongs to the formed block, as the
+Ritz values do; at N = 2048 it is 2.5e-13 on [0.05, 0.3) u [0.5, 0.62),
+where the worst-case bound on summing the p^2 entries was 2.0e-12.
+
+The Ritz values come from products of length p, whose worst-case bound,
 gamma_p |H| |Z|, is about 1e-12 per value at p = 724: over k = 30 values,
 ten times all the room R has within the bracket. So each theta is charged
 the first-order probabilistic bound for such products instead (Higham &
@@ -408,7 +442,7 @@ class ToeplitzRestriction:
         return mat
 
     @property
-    def _real_blocks(self) -> tuple[list[np.ndarray], float]:
+    def _real_blocks(self) -> tuple[list[np.ndarray], float, np.ndarray]:
         # Kept by hand: a cached_property takes a lock on every first use,
         # which small restrictions, built and solved once each, pay in full.
         if self._blocks is None:
@@ -542,20 +576,23 @@ _BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
 _FORM_ROUNDING = np.finfo(float).eps
 
 
-def _real_matrices(row: np.ndarray) -> tuple[list[np.ndarray], float]:
+def _real_matrices(row: np.ndarray) -> tuple[list[np.ndarray], float, np.ndarray]:
     """Real symmetric matrices whose spectra together are the spectrum of
-    Q_N, and the bound on how far forming them moves any eigenvalue.
+    Q_N, the bound on how far forming them moves any eigenvalue, and the line
+    they are built from.
 
     A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
-    the two half-order blocks, charged with Weyl's bound and their rounding;
-    any other row gives the order-N real form, charged with its rounding.
+    the two half-order blocks, charged with Weyl's bound and their rounding,
+    and the real line r; any other row gives the order-N real form, charged
+    with its rounding, and the row itself.
     """
     n = len(row)
     r, weyl = _centred_row(row)
     if weyl <= REAL_PATH_TOL * r[0]:
         rho = float(np.max(np.abs(r)))
-        return _centrosymmetric_blocks(r), weyl + _BLOCK_ROUNDING * n * rho
-    return [_real_form(row)], _FORM_ROUNDING * n * float(np.max(np.abs(row)))
+        return _centrosymmetric_blocks(r), weyl + _BLOCK_ROUNDING * n * rho, r
+    return ([_real_form(row)], _FORM_ROUNDING * n * float(np.max(np.abs(row))),
+            row.astype(complex, copy=False))
 
 
 def _moment_gaps(mat: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -591,7 +628,7 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     like the checks before it. The checked eigenvalues are clipped into
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     """
-    blocks, bound = restriction._real_blocks
+    blocks, bound, _ = restriction._real_blocks
     return _checked_eigenvalues(blocks, bound, restriction.order)
 
 
@@ -637,26 +674,35 @@ def _checked_eigenvalues(blocks, bound: float, n: int) -> np.ndarray:
 # this (nats): each of the real blocks may use its share.
 CERTIFICATE_TOL = 1e-10
 # Selection rule of the plunge path, from the order p and the plunge trace t
-# alone. Measured on 2 cores (numpy 2.4, OpenBLAS) on the blocks of a single
-# interval: with k = p / 8 the Ritz pass (t included) took 0.20-0.63 of a
-# dense eigvalsh at p = 96..1024, with k = p / 6 up to 0.90 and with k = p / 4
-# up to 1.35, hence 8 k <= p. The depth-5 q = 1/4 Cantor set has t = 4.7 to
-# 8.1 on its blocks of order 128..1024 (k = 220 to 370) and stays dense, where
-# the Ritz pass was 2-3 times slower. k = ceil(45 t) + 8: on
-# [0, .1) u [.3, .45) u [.6, .9) at N = 1448 (t = 2.5) the uncaptured trace
-# was 2.2e-9 at 30 t, 7.1e-11 at 35 t, 1.3e-12 at 40 t and 4.1e-14 at 45 t,
-# and only the last certifies under the rounding charges; single intervals
-# need far less (1e-14 at 30 t). A block of order below 192 goes straight to
-# eigvalsh: no interval union measured there passed the cost rule (a single
-# interval's blocks first do near p = 208, with k = 26), and the depth-5
-# Cantor set's ~190 solves of order <= 128 per benchmark pass must not pay
-# for t (0.04 ms each).
-_PLUNGE_MIN_ORDER = 192
+# alone. The Ritz pass (Gaussian draw included) over a dense eigvalsh of the
+# same order, medians on 2 cores (numpy 2.4, OpenBLAS):
+#
+#     p / k    p = 128   181   256   362   512   724   1024   2048
+#     8            0.15  0.19  0.21  0.37  0.45  0.54  0.45   0.38
+#     6            0.26  0.27  0.43  0.56  0.65  0.78  0.51   0.37
+#     5                  0.42  0.54  0.67  0.97  0.88  0.55
+#     4                                    1.23        0.85
+#
+# The pass grows like p k^2 through its QR, so 5 k <= p would already reach
+# a dense solve's cost at p = 512; hence 6 k <= p. With t from the
+# coefficients, a block pays O(N) for it, not O(p^2). The depth-5 q = 1/4
+# Cantor set has t = 4.7 to 8.1 on its blocks of order 128..1024 (k = 220 to
+# 370) and stays dense. k = ceil(45 t) + 8: on [0, .1) u [.3, .45) u [.6, .9)
+# at N = 1448 (t = 2.5) the uncaptured trace was 2.2e-9 at 30 t, 7.1e-11 at
+# 35 t, 1.3e-12 at 40 t and 4.1e-14 at 45 t, and only the last certifies under
+# the rounding charges; single intervals need far less (1e-14 at 30 t). The
+# blocks of a single interval of length L first pass the rule at p = 120
+# (L = 0.01), 132 (0.05), 144 (0.1), 156 (0.25) and 162 (0.5). A block of
+# order below 128, where a dense solve takes under 0.7 ms, goes straight to
+# eigvalsh without computing t (0.08 ms at N = 256), so the Cantor set's ~180
+# solves of order <= 64 per benchmark pass pay nothing; the fig-2 blocks of
+# order 128 pay for a t that the rule then rejects.
+_PLUNGE_MIN_ORDER = 128
 _PLUNGE_SCALE = 45
 _PLUNGE_PAD = 8
-_PLUNGE_COST = 8
+_PLUNGE_COST = 6
 _PLUNGE_SEED = 20030604
-_UNIT = np.finfo(float).eps / 2
+_UNIT = float(np.finfo(float).eps) / 2
 
 
 def _pair_entropy(v: np.ndarray) -> np.ndarray:
@@ -666,31 +712,60 @@ def _pair_entropy(v: np.ndarray) -> np.ndarray:
     return _eta_tilde_unit(2.0 * v / (1.0 + np.sqrt(1.0 - 4.0 * v)))
 
 
-def _plunge_entropy(mat: np.ndarray, n: int,
-                    budget: float) -> tuple[float, float, float] | None:
-    """(S, sum of the Ritz values, bracket width) of one real block from its
+def _ritz_charge(p: int) -> float:
+    """Rounding charge of one Ritz value of H - H^2 for a block of order p:
+    lambda u sqrt(p) ||M|| with lambda = 8 and ||M|| <= 1/4."""
+    return 2.0 * _UNIT * math.sqrt(p)
+
+
+def _plunge_rank(p: int, t: float, t_charge: float, budget: float) -> int | None:
+    """The number k of Ritz values a block of order p with plunge trace t
+    takes, or None when the selection rule sends it to the dense solve: p of
+    at least _PLUNGE_MIN_ORDER, _PLUNGE_COST k <= p, and a bracket within
+    ``budget`` even if the Ritz values caught all of t, that is, from the
+    rounding charges alone. A negative or NaN t is left to the dense checks,
+    which name the fault."""
+    if p < _PLUNGE_MIN_ORDER or not 0.0 <= t:
+        return None
+    k = math.ceil(_PLUNGE_SCALE * t) + _PLUNGE_PAD
+    if _PLUNGE_COST * k > p or _bracket(t_charge + k * _ritz_charge(p), p) > budget:
+        return None
+    return k
+
+
+def _plunge_entropies(blocks: list[np.ndarray], line: np.ndarray,
+                      n: int) -> list[tuple[float, float, float] | None]:
+    """Per real block, (S, sum of the Ritz values, bracket width) from its
     plunge subspace, certified as the module docstring derives, or None when
-    the selection rule sends the block to the dense solve or its bracket
-    exceeds ``budget``. The rule reads the order p and the plunge trace t
-    only: p of at least _PLUNGE_MIN_ORDER, _PLUNGE_COST k <= p, and a
-    bracket within budget even if the Ritz values caught all of t, that is,
-    from the rounding charges alone.
+    the selection rule or a bracket beyond the block's share of
+    CERTIFICATE_TOL sends it to the dense solve. Each t comes from
+    ``_plunge_traces`` of ``line``; the admitted blocks share one fixed-seed
+    Gaussian start, drawn once.
+    """
+    budget = CERTIFICATE_TOL / len(blocks)
+    traces = _plunge_traces(line)
+    ranks = [_plunge_rank(len(mat), t, charge, budget)
+             for mat, (t, charge) in zip(blocks, traces)]
+    if not any(ranks):
+        return [None] * len(blocks)
+    gauss = np.random.default_rng(_PLUNGE_SEED).standard_normal(
+        (len(blocks[0]), max(k for k in ranks if k)))
+    return [None if k is None else
+            _plunge_entropy(mat, gauss[:len(mat), :k], t, charge, n, budget)
+            for mat, k, (t, charge) in zip(blocks, ranks, traces)]
+
+
+def _plunge_entropy(mat: np.ndarray, start: np.ndarray, t: float, t_charge: float,
+                    n: int, budget: float) -> tuple[float, float, float] | None:
+    """(S, sum of the Ritz values, bracket width) of one real block of order
+    p from the p x k Gaussian ``start``, or None when its bracket exceeds
+    ``budget``.
 
     A LinAlgError of the QR or of the Ritz solve, a Ritz value above 1/4 plus
     its charge, and Ritz values summing to more than t plus the charges are
     failed solves and raise EigensolveError.
     """
-    p = len(mat)
-    if p < _PLUNGE_MIN_ORDER:
-        return None
-    t, t_charge = _plunge_trace(mat)
-    if not 0.0 <= t:
-        return None                                 # the dense checks name the fault
-    k = math.ceil(_PLUNGE_SCALE * t) + _PLUNGE_PAD
-    ritz_charge = 8 * _UNIT * math.sqrt(p) / 4       # lambda u sqrt(p) ||M||
-    if _PLUNGE_COST * k > p or _bracket(t_charge + k * ritz_charge, p) > budget:
-        return None
-    start = np.random.default_rng(_PLUNGE_SEED).standard_normal((p, k))
+    p, k = start.shape
     try:
         image = mat @ start
         basis = np.linalg.qr(image - mat @ image)[0]
@@ -699,6 +774,7 @@ def _plunge_entropy(mat: np.ndarray, n: int,
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"eigensolve failed for N={n}: {exc}; plunge subspace "
                               f"of a block of order {p}, k = {k}") from exc
+    ritz_charge = _ritz_charge(p)
     top = float(np.max(ritz))
     if not top <= 0.25 + ritz_charge:
         raise EigensolveError(f"Ritz value {top:.6g} of H - H^2 above 1/4 by more than "
@@ -715,15 +791,116 @@ def _plunge_entropy(mat: np.ndarray, n: int,
     return float(_pair_entropy(lower).sum()), total, bracket
 
 
-def _plunge_trace(mat: np.ndarray) -> tuple[float, float]:
-    """t = tr H - ||H||_F^2 of a real block H of order p > 32, formed as
-    p/4 - ||H - I/2||_F^2, and its rounding charge (module docstring)."""
-    p = len(mat)
-    squares = np.square(mat)
-    centre = np.diagonal(mat) - 0.5
-    np.fill_diagonal(squares, centre * centre)
-    t = p / 4 - math.fsum(np.sum(squares, axis=1))
-    return t, (math.ceil(math.log2(p)) + 24) * _UNIT * p / 4
+# Dekker's splitter: fl(c a) - (fl(c a) - a) with c = 2^27 + 1 cuts a double
+# into two halves of at most 26 significant bits each, whose products with
+# each other, or with an integer below 2^27, are exact.
+_SPLITTER = 2.0 ** 27 + 1.0
+
+
+def _halves(a):
+    """hi, lo with a = hi + lo exactly, each of at most 26 bits (Dekker)."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p, e with p = fl(a b) and a b = p + e exactly (Dekker's TwoProduct),
+    barring underflow."""
+    p = a * b
+    ah, al = _halves(a)
+    bh, bl = _halves(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _prefix_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo the prefix sums of ``a`` down axis 0 but for the
+    rounding of lo: hi is np.cumsum, which adds in order, and lo the running
+    sum of the exact error of each of its additions (Knuth's TwoSum)."""
+    hi = np.cumsum(a, axis=0)
+    s = hi[:-1] + a[1:]                             # = hi[1:]
+    z = s - hi[:-1]
+    lo = np.zeros_like(hi)
+    np.cumsum((hi[:-1] - (s - z)) + (a[1:] - z), axis=0, out=lo[1:])
+    return hi, lo
+
+
+def _weighted_squares(p: np.ndarray, e: np.ndarray) -> list[np.ndarray]:
+    """Terms summing to -sum_{|s| < n} (n - |s|) x(|s|)^2 from the exact
+    squares x^2 = p + e of a line x of length n: w p in two exact halves and
+    fl(w e), off by at most u |w e|, with w = -n at s = 0 and -2 (n - s)
+    else."""
+    w = np.arange(-len(p), 0, dtype=float)
+    w[1:] *= 2.0
+    ph, pl = _halves(p)
+    return [w * ph, w * pl, w * e]
+
+
+def _exact_sums(groups: list[np.ndarray]) -> tuple[list[tuple[float, float]], float]:
+    """The sum of each term array of ``groups`` as an exact part and a rest,
+    and u^2 n^2 sigma, which bounds the error of the rests (module
+    docstring). Every term is cut at the power of two sigma >= 1 with
+    sigma > (n + 2) max |term| over the n terms of all groups: its part
+    above u sigma is a multiple of u sigma, so these parts, and the sums and
+    differences of their group sums, add up exactly in any order (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008); each rest is at most
+    u sigma."""
+    count = sum(len(g) for g in groups)
+    big = max(float(np.abs(g).max()) for g in groups)
+    sigma = math.ldexp(1.0, max(0, math.frexp(count + 2)[1] + math.frexp(big)[1]))
+    sums = []
+    for g in groups:
+        exact = (sigma + g) - sigma
+        sums.append((float(exact.sum()), float((g - exact).sum())))
+    return sums, _UNIT * _UNIT * count * count * sigma
+
+
+def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
+    """(t, charge) of each real block that ``_real_matrices`` builds from
+    ``line`` of length N >= 2, in its order: t = tr H - ||H||_F^2 of the
+    block H formed from the line in exact arithmetic, from O(N) compensated
+    sums, and a charge for those sums and for the rounding of the formed
+    block's entries (module docstring). A complex line is the row of the
+    order-N real form, a real one the line r of the half-order split."""
+    n = len(line)
+    r0 = float(line[0].real)
+    head = n * np.array(_halves(r0))               # n q(0), exactly
+    if np.iscomplexobj(line):
+        re, im = line.real, line.imag
+        terms = np.concatenate([head, *_weighted_squares(*_two_product(re, re)),
+                                *_weighted_squares(*_two_product(im, im))])
+        [(exact, rest)], spare = _exact_sums([terms])
+        t = exact + rest
+        # diagonal re(0) + sgn(h) im(|h|), h = 2 i - N + 1, and im(0) = 0
+        diag = n * abs(r0) + 2.0 * float(np.abs(im[n - 1::-2]).sum())
+        return [(t, _UNIT * (3.0 * diag + abs(t)) + 3.0 * spare)]
+    r, m = line, n // 2
+    p, e = _two_product(r, r)
+    # <T, Hk> = sum over s < 2m - 1 of r(N - 1 - s) F(min(s, 2m - 2 - s)), with
+    # F(j) = r(0) [j even] + 2 (r(j) + r(j - 2) + ...) over the j' >= 1 of j's
+    # parity: prefix sums of the even and odd entries, as two columns.
+    a = np.zeros(m + m % 2)
+    a[:m] = 2.0 * r[:m]
+    a[0] = r0
+    fh, fl = (f.ravel()[:m] for f in _prefix_sums(a.reshape(-1, 2)))
+    x = r[n - 1:n - 2 * m:-1]
+    cross, cross_err = _two_product(x, np.concatenate([fh, fh[:m - 1][::-1]]))
+    diff = [2.0 * x[::2], -4.0 * cross, -4.0 * cross_err,
+            -4.0 * (x * np.concatenate([fl, fl[:m - 1][::-1]]))]
+    border = 0.0
+    if n % 2:
+        diff += [np.array([r0, -p[0], -e[0]]), -4.0 * p[1:m + 1], -4.0 * e[1:m + 1]]
+        border = 4.0 * float(p[1:m + 1].sum())
+    [(proxy, proxy_rest), (twist, twist_rest)], spare = _exact_sums(
+        [np.concatenate([head, *_weighted_squares(p, e)]), np.concatenate(diff)])
+    spare = 3.0 * spare + (_UNIT * n * n * float(np.abs(r).max())) ** 2
+    hankel_diag = float(np.abs(x[::2]).sum())
+    traces = []
+    for sign, order, rim in ((1.0, n - m, border), (-1.0, m, 0.0)):
+        t = ((proxy + sign * twist) + (proxy_rest + sign * twist_rest)) / 2
+        diag = order * abs(r0) + hankel_diag
+        traces.append((t, _UNIT * (3.0 * diag + 2.0 * rim + abs(t)) + spare))
+    return traces
 
 
 def _bracket(rest: float, p: int) -> float:
@@ -757,10 +934,10 @@ def entropy_result(restriction: ToeplitzRestriction) -> EntropyResult:
     its share of CERTIFICATE_TOL covers its bracket, the others densely, by
     ``spectrum`` when no block took the plunge path."""
     n = restriction.order
-    blocks, bound = restriction._real_blocks
+    blocks, bound, line = restriction._real_blocks
     certified, dense = [], blocks
-    if n >= _PLUNGE_MIN_ORDER:                      # else no block is that large
-        parts = [_plunge_entropy(mat, n, CERTIFICATE_TOL / len(blocks)) for mat in blocks]
+    if len(blocks[0]) >= _PLUNGE_MIN_ORDER:         # the largest block
+        parts = _plunge_entropies(blocks, line, n)
         certified = [part for part in parts if part is not None]
         dense = [mat for mat, part in zip(blocks, parts) if part is None]
     if not certified:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from entropy_lab import cli, fejer, scaling, specio
+from entropy_lab import cli, fejer, scaling, specio, toeplitz
 from entropy_lab.torus_sets import canonicalize
 
 
@@ -148,6 +148,40 @@ def test_round_trip_cantor_scan_bit_identical(tmp_path):
         assert row["P_N"] == f"{rec.proxy:.17g}"
 
 
+def test_scan_csv_carries_the_bracket(tmp_path):
+    # [0.3, 0.55) over 8..362: only N = 362 takes the plunge path.
+    spec = write_spec(tmp_path / "set.json",
+                      {"version": 1, "type": "intervals", "intervals": [[0.3, 0.55]]})
+    paths = {}
+    for name, extra in (("nats", []), ("bits", ["--bits"]), ("proxy", ["--mode", "proxy"])):
+        paths[name] = tmp_path / f"{name}.csv"
+        assert run_cli("scan", "--set", spec, "--nmin", "8", "--nmax", "362",
+                       "--out", str(paths[name]), *extra).returncode == 0
+    nats = list(csv.DictReader(paths["nats"].open()))
+    assert list(nats[0]) == list(cli.CSV_COLUMNS)
+    assert all(r["S_N_bracket"] == "0" for r in nats[:-1])
+    assert 0.0 < float(nats[-1]["S_N_bracket"]) <= toeplitz.CERTIFICATE_TOL
+    bits = list(csv.DictReader(paths["bits"].open()))
+    assert float(bits[-1]["S_N_bracket_bits"]) == pytest.approx(
+        float(nats[-1]["S_N_bracket"]) / math.log(2), rel=1e-15)
+    assert all(r["S_N_bracket"] == "" for r in csv.DictReader(paths["proxy"].open()))
+    for name in ("nats", "bits"):
+        back = cli.read_scan_csv(str(paths[name]))
+        assert back[-1].bracket == pytest.approx(float(nats[-1]["S_N_bracket"]), rel=1e-15)
+        assert back[0].bracket == 0.0
+    assert cli.read_scan_csv(str(paths["proxy"]))[0].bracket is None
+
+
+def test_read_scan_csv_without_a_bracket_column(tmp_path):
+    path = tmp_path / "old.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["N", "S_N", "P_N", "S_over_logN", "P_over_logN", "wall_ms"])
+        writer.writerow([4, "2.0", "0.5", "", "", "0"])
+    [record] = cli.read_scan_csv(str(path))
+    assert (record.entropy, record.proxy, record.bracket) == (2.0, 0.5, None)
+
+
 def test_scan_deterministic_run_to_run(tmp_path):
     spec = write_spec(tmp_path / "set.json",
                       {"version": 1, "type": "intervals",
@@ -273,19 +307,19 @@ def _raise_linalg(w):
     raise np.linalg.LinAlgError("injected")
 
 
-# [0.3, 0.55) over 8..512: only N = 512 has blocks (order 256) on the
-# plunge path, so every fault there names N=512.
+# [0.3, 0.55) over 8..362: only N = 362 has blocks (orders 181) on the
+# plunge path, so every fault there names N=362.
 @pytest.mark.parametrize("fault, message", [
-    (_raise_linalg, "eigensolve failed for N=512: injected"),
+    (_raise_linalg, "eigensolve failed for N=362: injected"),
     (_quarter_plus, "Ritz value 0.25 of H - H^2 above 1/4"),
     (_lowest_raised, "Ritz values sum "),
 ], ids=["ritz-linalg", "above-quarter", "sum-above-t"])
 def test_scan_exits_2_when_the_plunge_path_fails(tmp_path, ritz_fault, fault, message):
     ritz_fault(fault)
-    code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 512)
+    code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 362)
     assert code == 2
     assert err.startswith(f"verification failure: {message}")
-    assert "N=512" in err and err.count("\n") == 1
+    assert "N=362" in err and err.count("\n") == 1
 
 
 def test_scan_exits_2_when_the_plunge_qr_fails(tmp_path, monkeypatch):
@@ -293,10 +327,29 @@ def test_scan_exits_2_when_the_plunge_qr_fails(tmp_path, monkeypatch):
         raise np.linalg.LinAlgError("injected")
 
     monkeypatch.setattr(np.linalg, "qr", broken)
-    code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 512)
+    code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 362)
     assert code == 2
-    assert err.startswith("verification failure: eigensolve failed for N=512: injected")
+    assert err.startswith("verification failure: eigensolve failed for N=362: injected")
     assert err.count("\n") == 1
+
+
+def test_scan_exits_2_when_a_plunge_block_leaves_its_trace(tmp_path, monkeypatch):
+    # The even block's (0, 1) pair, about 0.23, lowered by 1e-9 after it is
+    # formed raises its t by about 9e-10 over the t of the coefficients.
+    blocks = toeplitz._centrosymmetric_blocks
+
+    def shifted(r):
+        out = blocks(r)
+        if len(r) == 362:
+            out[0][0, 1] -= 1e-9
+            out[0][1, 0] -= 1e-9
+        return out
+
+    monkeypatch.setattr(toeplitz, "_centrosymmetric_blocks", shifted)
+    code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 362)
+    assert code == 2
+    assert err.startswith("verification failure: Ritz values sum ")
+    assert "exceeds the plunge trace" in err and "N=362" in err
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

@@ -952,12 +952,12 @@ def test_missed_ritz_value_falls_back_to_the_dense_value(ritz_fault, fault):
 
 
 def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
-    # No dense solve of order 256 or more in the fig-2 scan of [phi, phi + 1/2)
+    # No dense solve of order 181 or more in the fig-2 scan of [phi, phi + 1/2)
     # over 8..1448; the depth-5 Cantor set keeps its dense solves.
     seen = _spy_eigvalsh(monkeypatch)
     phi = float(np.random.default_rng(1448).uniform(0.0, 0.5))
     scan(canonicalize([(phi, phi + 0.5)]), default_grid(8, 1448), mode="both")
-    assert seen and max(shape[0] for _, shape in seen) < 256
+    assert seen and max(shape[0] for _, shape in seen) < 181
     cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
     for n in (256, 1024):
         seen.clear()
@@ -966,17 +966,66 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
         assert (result.plunge_blocks, result.dense_blocks) == (0, 2)
 
 
+@pytest.mark.parametrize("K, largest", [(HALF, 254), (THREE, 127)], ids=["split", "real-form"])
+def test_small_blocks_compute_no_plunge_trace(monkeypatch, K, largest):
+    # Below _PLUNGE_MIN_ORDER no t is computed and no generator is built, so
+    # the many small solves of Cantor and oracle runs pay nothing for the
+    # plunge path; the first order with a block that large computes t once.
+    traces, generators = [], []
+    plunge_traces, default_rng = toeplitz._plunge_traces, np.random.default_rng
+
+    def traces_spy(line):
+        traces.append(len(line))
+        return plunge_traces(line)
+
+    def rng_spy(*args):
+        generators.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(toeplitz, "_plunge_traces", traces_spy)
+    monkeypatch.setattr(np.random, "default_rng", rng_spy)
+    assert toeplitz._PLUNGE_MIN_ORDER == 128
+    f = SymbolFunction.indicator(K)
+    for n in (8, 64, largest):
+        entropy_result(build_restriction(f, n))
+    cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
+    for n in range(1, 65):
+        entropy_result(build_restriction(cantor, n))
+    assert traces == [] and generators == []
+    entropy_result(build_restriction(f, largest + 1))
+    assert traces == [largest + 1]
+
+
+@pytest.mark.parametrize("delta", [1e-9, -1e-9], ids=["raised", "lowered"])
+@pytest.mark.parametrize("K", [TRANSLATED, canonicalize([(0.05, 0.3), (0.5, 0.62)])],
+                         ids=["split", "real-form"])
+def test_plunge_block_off_its_coefficients_never_certifies(K, delta):
+    # t comes from the coefficients, not from the formed block: a block whose
+    # (0, 1) pair moved by 1e-9 after it was formed either fails the
+    # sum-theta <= t check or goes back to the dense solve.
+    restriction = build_restriction(SymbolFunction.indicator(K), 1024)
+    blocks = restriction._real_blocks[0]
+    assert entropy_result(restriction).plunge_blocks == len(blocks)
+    blocks[0][0, 1] += delta
+    blocks[0][1, 0] += delta
+    try:
+        result = entropy_result(restriction)
+    except EigensolveError as exc:
+        assert "exceeds the plunge trace" in str(exc) and "N=1024" in str(exc)
+    else:
+        assert result.plunge_blocks == len(blocks) - 1 and result.dense_blocks == 1
+
+
 # Sets and sizes of the accuracy check, with the number of real blocks that
 # take the plunge path: the translated interval splits in two at every size;
-# the two asymmetric unions are one order-N block, dense at N = 512 by the
-# cost rule (8 k > p) and at N = 2048 because their rounding charges alone
-# would exceed the budget.
+# the two asymmetric unions are one order-N block, and the three-interval one
+# is dense at N = 512 by the cost rule (6 k > p).
 PLUNGE_CASES = [
     pytest.param(K, n, blocks, id=f"{name}-{n}")
     for name, K, plunge in (
         ("translated", TRANSLATED, (2, 2, 2)),
-        ("asymmetric", canonicalize([(0.05, 0.3), (0.5, 0.62)]), (0, 1, 0)),
-        ("three", canonicalize([(0.0, 0.1), (0.3, 0.45), (0.6, 0.9)]), (0, 1, 0)),
+        ("asymmetric", canonicalize([(0.05, 0.3), (0.5, 0.62)]), (1, 1, 1)),
+        ("three", canonicalize([(0.0, 0.1), (0.3, 0.45), (0.6, 0.9)]), (0, 1, 1)),
     )
     for n, blocks in zip((512, 1024, 2048), plunge)
 ]
@@ -1011,13 +1060,53 @@ def test_bracket_bounds_the_entropy_left_out():
         assert lower <= exact <= lower + toeplitz._bracket(rest, p) + 1e-15
 
 
-@pytest.mark.parametrize("K, n", [(TRANSLATED, 512), (TRANSLATED, 1447), (THREE, 2048)])
-def test_plunge_trace_within_its_charge(K, n):
-    # t against 64-bit-mantissa sums where numpy has them.
-    wide = np.longdouble
-    if np.finfo(wide).eps >= np.finfo(float).eps:
-        pytest.skip("no extended precision")
-    for mat in toeplitz._real_matrices(build_restriction(SymbolFunction.indicator(K), n).row)[0]:
-        t, charge = toeplitz._plunge_trace(mat)
-        exact = np.trace(mat.astype(wide)) - np.sum(np.square(mat.astype(wide)))
-        assert abs(t - float(exact)) <= charge
+def _mp_block_trace(mat):
+    """tr H - ||H||_F^2 of a formed block, entry by entry in 40 digits."""
+    with mpmath.workdps(40):
+        entries = [mpmath.mpf(float(v)) for v in mat.ravel()]
+        return (mpmath.fsum(entries[::len(mat) + 1])
+                - mpmath.fsum(v * v for v in entries))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 40, 41])
+@pytest.mark.parametrize("K", [TRANSLATED, THREE, TWO_QUARTERS],
+                         ids=["split", "real-form", "q1-zero"])
+def test_plunge_trace_matches_40_digit_blocks(K, n):
+    # The O(N) t of the line against tr H - ||H||_F^2 of the formed blocks.
+    blocks, _, line = toeplitz._real_matrices(
+        build_restriction(SymbolFunction.indicator(K), n).row)
+    traces = toeplitz._plunge_traces(line)
+    assert len(traces) == len(blocks)
+    for mat, (t, charge) in zip(blocks, traces):
+        assert abs(mpmath.mpf(t) - _mp_block_trace(mat)) <= charge
+
+
+def _mp_line_traces(line):
+    """The sums of toeplitz._plunge_traces in 40 digits: t of the order-N
+    real form, or t_even and t_odd of the half-order split."""
+    n, m = len(line), len(line) // 2
+    with mpmath.workdps(40):
+        re = [mpmath.mpf(float(v)) for v in line.real]
+        im = [mpmath.mpf(float(v)) for v in np.imag(line)]
+        total = n * re[0] - n * (re[0] ** 2 + im[0] ** 2) - 2 * mpmath.fsum(
+            (n - s) * (re[s] ** 2 + im[s] ** 2) for s in range(1, n))
+        if np.iscomplexobj(line):
+            return [total]
+        prefix = [re[0], 2 * re[1]][:m]
+        for j in range(2, m):
+            prefix.append(prefix[j - 2] + 2 * re[j])
+        cross = mpmath.fsum(re[n - 1 - s] * prefix[min(s, 2 * m - 2 - s)]
+                            for s in range(2 * m - 1))
+        diff = 2 * mpmath.fsum(re[n - 1 - 2 * i] for i in range(m)) - 4 * cross
+        if n % 2:
+            diff += re[0] - re[0] ** 2 - 4 * mpmath.fsum(v * v for v in re[1:m + 1])
+        return [(total + diff) / 2, (total - diff) / 2]
+
+
+@pytest.mark.parametrize("n", [511, 512, 1447, 1448, 2047, 2048])
+@pytest.mark.parametrize("K", [TRANSLATED, THREE], ids=["split", "real-form"])
+def test_plunge_trace_matches_40_digit_sums(K, n):
+    line = toeplitz._real_matrices(build_restriction(SymbolFunction.indicator(K), n).row)[2]
+    for (t, charge), ref in zip(toeplitz._plunge_traces(line), _mp_line_traces(line),
+                                strict=True):
+        assert abs(mpmath.mpf(t) - ref) <= charge
