@@ -32,9 +32,11 @@ from .toeplitz import (
     build_restriction,
     entropy_density,
     entropy_result,
+    entropy_results,
     eta,
     eta_tilde,
     fourier_coefficients,
+    joint_fourier_coefficients,
     purity_proxy_direct,
     purity_proxy_single_interval_series,
     restriction_from_coefficients,

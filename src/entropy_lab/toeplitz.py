@@ -21,6 +21,8 @@ product of two tables of about B^{1/2} exponentials, so m jumps cost about
 reduced mod 1 exactly before its exponential, by splitting x into a 26-bit
 head (k * head is exact in a double for k < 2^27) and a tail, which keeps
 every q(k) correct to a few ulps; orders n_max >= 2^27 are refused.
+Several symbols can share one pass (``joint_fourier_coefficients``), since
+the tables depend on the jump positions only.
 
 Spectra are computed from real symmetric matrices with eigenvalues only; no
 eigenvector and no complex matrix enters the solve. A set symmetric about a
@@ -48,7 +50,9 @@ charge for forming the real matrices (Weyl's bound on the split, and the
 rounding of the matrix entries, at most 1.5 N eps max |q(k)|) is added.
 Both moments cost O(p^2) against the O(p^3) solve. Every eigenvalue must
 then lie within 1e-9 of [0, 1]; one further out fails the solve as a missed
-moment does.
+moment does. Several restrictions of one order below 128
+(``entropy_results``) are solved together, all their blocks of one order
+as one ``eigvalsh`` stack, and each restriction is checked on its own.
 
 ``entropy_result`` needs only the plunge eigenvalues, the few away from 0
 and 1, since eta_tilde vanishes at both ends. For a large block H of order p
@@ -282,12 +286,13 @@ class SymbolCoefficients:
     def __post_init__(self):
         if self.values.ndim != 1 or not len(self.values):
             raise ValueError("coefficients must be a 1-D array with at least one entry")
-        if not np.isfinite(self.values).all():
+        largest = np.abs(self.values).max()         # not finite if any entry is not
+        if not np.isfinite(largest):
             raise ValueError("coefficients must be finite")
         if abs(self.values[0].imag) > 1e-13:
             raise ValueError(f"q(0) must be real, got {self.values[0]}")
         q0 = self.values[0].real
-        if np.abs(self.values).max() > q0 + 1e-9:
+        if largest > q0 + 1e-9:
             raise ValueError("|q(k)| exceeds q(0); symbol not in [0, 1]")
         self.values = self.values.copy()
         self.values[0] = q0
@@ -380,29 +385,58 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     exactly before its exponential (see ``_phase``), which keeps q(k)
     correct to a few ulps at any k and limits n_max to below 2^27.
     """
+    return joint_fourier_coefficients([f], n_max)[0]
+
+
+def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
+    """``fourier_coefficients`` of each of ``symbols`` up to ``n_max``, from
+    one table pass: the exponential tables depend only on the jump
+    positions, so each chunk of _ENDPOINT_CHUNK jumps of all the symbols
+    gets its tables H and L once. With several symbols, L is widened to one
+    block of columns per symbol, holding the rows of that symbol's jumps and
+    zeros elsewhere, so one product gives every symbol's sums side by side.
+    One symbol takes exactly the arithmetic of a pass of its own."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max >= _MAX_ORDER:
         raise ValueError(f"n_max must be below 2^{_HEAD_BITS + 1} = {_MAX_ORDER}, "
                          f"the limit of exact phase reduction; got {n_max}")
-    v = f.values
-    jumps = np.subtract(v, v[-1:] + v[:-1])          # v_j - v_{j-1}, wrapping at 0
-    keep = jumps != 0.0
-    x, c = np.asarray(f.breakpoints[:-1])[keep], jumps[keep]
+    symbols = list(symbols)
+    count = len(symbols)
+    parts = []
+    for f in symbols:
+        v = f.values
+        jumps = np.subtract(v, v[-1:] + v[:-1])      # v_j - v_{j-1}, wrapping at 0
+        keep = jumps != 0.0
+        parts.append((np.asarray(f.breakpoints[:-1])[keep], jumps[keep]))
+    if count == 1:
+        (x, c), = parts
+    else:
+        x, c = (np.concatenate(arrays) for arrays in zip(*parts))
+        owner = np.repeat(np.arange(count), [len(jumps) for _, jumps in parts])
     block = math.isqrt(n_max) + 1
     rows = n_max // block + 1
-    acc = np.zeros((rows, block), dtype=complex)
+    acc = np.zeros((rows, count * block), dtype=complex)
     for lo in range(0, len(x), _ENDPOINT_CHUNK):
         head, tail = _split(x[lo:lo + _ENDPOINT_CHUNK])
         cs = c[lo:lo + _ENDPOINT_CHUNK, None]
         hmat = _exp_table(head, tail, rows, block)
         # C order, as L always had: one-level passes keep their bits
         lmat = np.multiply(cs, _exp_table(head, tail, block, 1).T, order="C")
+        if count > 1:
+            wide = np.zeros((len(cs), count, block), dtype=complex)
+            wide[np.arange(len(cs)), owner[lo:lo + _ENDPOINT_CHUNK]] = lmat
+            lmat = wide.reshape(len(cs), -1)
         acc += hmat @ lmat
-    vals = acc.ravel()[:n_max + 1]
-    vals[1:] /= 2j * np.pi * np.arange(1, n_max + 1)
-    vals[0] = f.mean
-    return SymbolCoefficients(vals)
+    divisor = 2j * np.pi * np.arange(1, n_max + 1)
+    out = []
+    for i, f in enumerate(symbols):
+        # a view of acc for one symbol, a copy of its columns for several
+        vals = acc[:, i * block:(i + 1) * block].ravel()[:n_max + 1]
+        vals[1:] /= divisor
+        vals[0] = f.mean
+        out.append(SymbolCoefficients(vals))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -629,45 +663,67 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     """
     blocks, bound, _ = restriction._real_blocks
-    return _checked_eigenvalues(blocks, bound, restriction.order)
+    return _checked_eigenvalues([(blocks, bound)], restriction.order)[0]
 
 
-def _checked_eigenvalues(blocks, bound: float, n: int) -> np.ndarray:
-    """The eigenvalues of ``blocks``, real symmetric matrices from
-    ``_real_matrices`` with charge ``bound``, checked and clipped as
-    ``spectrum`` describes; ``n`` names the order in messages."""
-    values, gaps = [], []
-    for mat in blocks:
+def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
+    """The eigenvalues of each of ``sets``, pairs (blocks, bound) of the
+    real symmetric matrices that ``_real_matrices`` builds for one
+    restriction of order ``n`` and their charge, checked and clipped as
+    ``spectrum`` describes; ``n`` names the order in messages.
+
+    Given several sets, the blocks of one order from all of them are solved
+    as one ``eigvalsh`` stack; a single set's blocks are solved one by one,
+    as ``spectrum`` always solved them.
+    Every gate is applied per set: the eigenvalue count, the moment gaps of
+    its blocks plus its own charge against RESIDUAL_TOL times its own
+    ||Q||, and the range check of its eigenvalues.
+    """
+    groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    for i, (blocks, _) in enumerate(sets):
+        for j, mat in enumerate(blocks):
+            owners, mats = groups.setdefault(len(mat) if len(sets) > 1 else j, ([], []))
+            owners.append(i)
+            mats.append(mat)
+    values = [[] for _ in sets]
+    gaps = [[] for _ in sets]
+    for owners, mats in groups.values():
+        p, stacked = len(mats[0]), len(mats) > 1
         try:
-            w = np.linalg.eigvalsh(mat)
+            w = np.linalg.eigvalsh(np.stack(mats) if stacked else mats[0])
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(
                 f"eigensolve failed for N={n}: {exc}; "
-                f"matrix max |entry| {np.max(np.abs(mat)):.3g}"
+                f"matrix max |entry| {max(np.max(np.abs(mat)) for mat in mats):.3g}"
             ) from exc
-        if np.shape(w) != (len(mat),):
+        if np.shape(w) != (len(mats), p)[not stacked:]:
+            what = f"{len(mats)} blocks" if stacked else "a block"
             raise EigensolveError(f"eigensolve returned {np.size(w)} eigenvalues for "
-                                  f"a block of order {len(mat)} at N={n}")
-        values.append(w)
-        gaps.append(_moment_gaps(mat, w))
-    # eigvalsh returns ascending values, so one block needs no sort.
-    w = values[0] if len(values) == 1 else np.sort(np.concatenate(values))
-    # A NaN anywhere makes lo, hi and so norm NaN, which fails the moment gates.
-    lo, hi = float(w.min()), float(w.max())
-    norm = max(-lo, hi)
-    for moment, gap in enumerate(map(max, zip(*gaps)), start=1):
-        gap += bound
-        if not gap <= RESIDUAL_TOL * norm:
+                                  f"{what} of order {p} at N={n}")
+        for i, mat, wi in zip(owners, mats, w if stacked else [w]):
+            values[i].append(wi)
+            gaps[i].append(_moment_gaps(mat, wi))
+    checked = []
+    for vals, set_gaps, (_, bound) in zip(values, gaps, sets):
+        # eigvalsh returns ascending values, so one block needs no sort.
+        w = vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
+        # A NaN anywhere makes lo, hi and so norm NaN, which fails the moment gates.
+        lo, hi = float(w.min()), float(w.max())
+        norm = max(-lo, hi)
+        for moment, gap in enumerate(map(max, zip(*set_gaps)), start=1):
+            gap += bound
+            if not gap <= RESIDUAL_TOL * norm:
+                raise EigensolveError(
+                    f"trace moment {moment} gap {gap:.3g} (real-form charge {bound:.3g} "
+                    f"included) exceeds 1e-8 * ||Q|| = {RESIDUAL_TOL * norm:.3g} at N={n}"
+                )
+        if lo < -CLIP_TOL or hi > 1.0 + CLIP_TOL:
             raise EigensolveError(
-                f"trace moment {moment} gap {gap:.3g} (real-form charge {bound:.3g} "
-                f"included) exceeds 1e-8 * ||Q|| = {RESIDUAL_TOL * norm:.3g} at N={n}"
+                f"eigenvalue outside [0, 1] by {max(-lo, hi - 1.0):.3g}, beyond the "
+                f"clip tolerance {CLIP_TOL:g}, at N={n}"
             )
-    if lo < -CLIP_TOL or hi > 1.0 + CLIP_TOL:
-        raise EigensolveError(
-            f"eigenvalue outside [0, 1] by {max(-lo, hi - 1.0):.3g}, beyond the "
-            f"clip tolerance {CLIP_TOL:g}, at N={n}"
-        )
-    return np.clip(w, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else w
+        checked.append(np.clip(w, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else w)
+    return checked
 
 
 # The certified plunge path is taken only when the bracket of S_N is at most
@@ -943,16 +999,43 @@ def entropy_result(restriction: ToeplitzRestriction) -> EntropyResult:
     if not certified:
         lam = spectrum(restriction)
     elif dense:
-        lam = _checked_eigenvalues(dense, bound, n)
+        lam = _checked_eigenvalues([(dense, bound)], n)[0]
     else:
         lam = np.empty(0)
-    entropy = float(_eta_tilde_unit(lam).sum())
-    proxy = float((lam * (1.0 - lam)).sum())
+    entropy, proxy = map(float, _dense_sums(lam))
     bracket = 0.0
     for part in certified:
         entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
     return EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,
                          plunge_blocks=len(certified), dense_blocks=len(dense))
+
+
+def entropy_results(restrictions) -> list[EntropyResult]:
+    """``entropy_result`` of each of ``restrictions``, all of one order N.
+
+    Below N = _PLUNGE_MIN_ORDER, where every block is solved densely, the
+    real blocks of all of them go to ``_checked_eigenvalues`` together: one
+    ``eigvalsh`` stack per block order, with every gate applied per
+    restriction. From that order on each goes through ``entropy_result``.
+    """
+    restrictions = list(restrictions)
+    n = restrictions[0].order
+    if any(r.order != n for r in restrictions):
+        raise ValueError(f"restrictions of one order needed, got orders "
+                         f"{sorted({r.order for r in restrictions})}")
+    if n >= _PLUNGE_MIN_ORDER:
+        return [entropy_result(r) for r in restrictions]
+    sets = [r._real_blocks[:2] for r in restrictions]
+    entropies, proxies = _dense_sums(np.stack(_checked_eigenvalues(sets, n)))
+    return [EntropyResult(n=n, entropy=float(s), proxy=float(p), bracket=0.0,
+                          plunge_blocks=0, dense_blocks=len(blocks))
+            for s, p, (blocks, _) in zip(entropies, proxies, sets)]
+
+
+def _dense_sums(lam: np.ndarray) -> tuple:
+    """S and P of checked eigenvalues, the sums of eta_tilde and of
+    l (1 - l) over the last axis of ``lam``."""
+    return _eta_tilde_unit(lam).sum(axis=-1), (lam * (1.0 - lam)).sum(axis=-1)
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

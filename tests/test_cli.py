@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -350,6 +351,74 @@ def test_scan_exits_2_when_a_plunge_block_leaves_its_trace(tmp_path, monkeypatch
     assert code == 2
     assert err.startswith("verification failure: Ritz values sum ")
     assert "exceeds the plunge trace" in err and "N=362" in err
+
+
+def _raise_on_stack(w):
+    raise np.linalg.LinAlgError("injected")
+
+
+def _top_shifted(w):
+    w[-1] += 1e-6
+    return True
+
+
+def _top_past_one(w):
+    """The largest eigenvalue moved to 1 + 1e-6 and the next one down by as
+    much, where both lie within 1e-9 of 1: the sum is unchanged and the sum
+    of squares moves by about 2e-12, so only the range check sees it."""
+    if not 1.0 - w[-2] < 1e-9:
+        return False
+    shift = 1.0 + 1e-6 - w[-1]
+    w[-1] += shift
+    w[-2] -= shift
+    return True
+
+
+def _one_stacked_set(fault):
+    """np.linalg.eigvalsh that hands the eigenvalues of the slices of a
+    stacked (3-D) solve to ``fault`` until it changes one, so that a single
+    set of the stack is hit; 2-D solves pass through."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def stub(mat):
+        w = eigvalsh(mat)
+        if mat.ndim == 3:
+            any(fault(row) for row in w)
+        return w
+
+    return stub
+
+
+STACK_FAULTS = {
+    "linalg": (_raise_on_stack, "eigensolve failed for N={n}: injected"),
+    "shift": (_top_shifted, "trace moment 1 gap .* at N={n}"),
+    "past-one": (_top_past_one, "eigenvalue outside \\[0, 1\\] by 1e-06.* at N={n}"),
+}
+
+
+@pytest.mark.parametrize("fault", STACK_FAULTS)
+def test_check_subadditivity_fails_on_one_set_of_the_stack(monkeypatch, fault):
+    # Both sets and their union lack a centre, so at N = 64 the three are
+    # order-64 real forms, solved as one stack.
+    corrupt, message = STACK_FAULTS[fault]
+    k1 = canonicalize([(0.05, 0.3), (0.5, 0.62)])
+    k2 = canonicalize([(0.7, 0.75), (0.8, 0.95)])
+    monkeypatch.setattr(np.linalg, "eigvalsh", _one_stacked_set(corrupt))
+    with pytest.raises(toeplitz.EigensolveError, match=message.format(n=64)):
+        scaling.check_subadditivity(k1, k2, 64)
+
+
+# verify --quick solves nothing stacked before its subadditivity suite. There
+# the first stack comes at N = 4, and the first with two eigenvalues within
+# 1e-9 of 1 at N = 16.
+@pytest.mark.parametrize("fault, n", [("linalg", 4), ("shift", 4), ("past-one", 16)])
+def test_verify_exits_2_when_one_set_of_the_stack_fails(monkeypatch, capsys, fault, n):
+    corrupt, message = STACK_FAULTS[fault]
+    monkeypatch.setattr(np.linalg, "eigvalsh", _one_stacked_set(corrupt))
+    assert cli.main(["verify", "--quick"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(f"verification failure: {message.format(n=n)}", err)
+    assert err.count("\n") == 1
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

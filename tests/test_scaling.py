@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from entropy_lab import toeplitz
 from entropy_lab.scaling import (
     ScanRecord,
     bound_envelope,
@@ -11,14 +12,22 @@ from entropy_lab.scaling import (
     check_subadditivity,
     default_grid,
     fit_exponent,
+    invariance_report,
     scan,
 )
-from entropy_lab.toeplitz import SymbolFunction
+from entropy_lab.toeplitz import (
+    SymbolCoefficients,
+    SymbolFunction,
+    entropy_result,
+    joint_fourier_coefficients,
+    restriction_from_coefficients,
+)
 from entropy_lab.torus_sets import (
     CantorSpec,
     cantor_depth_policy,
     cantor_generate,
     canonicalize,
+    empty_set,
     full_torus,
     predicted_alpha,
     random_disjoint_pair,
@@ -196,6 +205,71 @@ def test_subadditivity_random_pairs():
         k1, k2 = random_disjoint_pair(rng)
         for n in (4, 16):
             assert check_subadditivity(k1, k2, n) >= -1e-9
+
+
+@pytest.mark.parametrize("n", [1, 8, 17, 64, 200])
+def test_subadditivity_with_an_empty_partner_is_exactly_zero(n):
+    for K in (canonicalize([(0.0, 0.25)]), canonicalize([(0.05, 0.3), (0.5, 0.62)]),
+              cantor_generate(CantorSpec(0.25, 1.0, 3))):
+        assert check_subadditivity(K, empty_set(), n) == 0.0
+        assert check_subadditivity(empty_set(), K, n) == 0.0
+
+
+def test_subadditivity_refuses_any_overlap():
+    # An overlap of 1e-13 would count [0.2, 0.2 + 1e-13) twice in q1 + q2.
+    k1, k2 = canonicalize([(0.1, 0.2 + 1e-13)]), canonicalize([(0.2, 0.3)])
+    with pytest.raises(ValueError, match="disjoint") as info:
+        check_subadditivity(k1, k2, 8)
+    assert "\n" not in str(info.value)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Calls of module.name, recorded as their arguments."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, shapes", [
+    # [0.1, 0.3) splits into blocks of orders 8 and 8 (or 9 and 8); the other
+    # set and the union have no centre and are real forms of order N.
+    (16, [(2, 8, 8), (2, 16, 16)]),
+    (17, [(9, 9), (8, 8), (2, 17, 17)]),
+])
+def test_subadditivity_makes_one_table_pass_and_one_solve_per_order(monkeypatch, n, shapes):
+    k1, k2 = canonicalize([(0.1, 0.3)]), canonicalize([(0.45, 0.5), (0.6, 0.8)])
+    tables = _count_calls(monkeypatch, toeplitz, "_exp_table")
+    solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    check_subadditivity(k1, k2, n)
+    assert len(tables) == 2          # one H and one L table for both sets
+    assert [a[0].shape for a in solves] == shapes
+
+
+def test_subadditivity_from_order_128_solves_each_set_on_its_own(monkeypatch):
+    k1, k2 = canonicalize([(0.1, 0.3)]), canonicalize([(0.45, 0.5), (0.6, 0.8)])
+    results = _count_calls(monkeypatch, toeplitz, "entropy_result")
+    gap = check_subadditivity(k1, k2, 200)
+    assert len(results) == 3
+    c1, c2 = joint_fourier_coefficients(
+        [SymbolFunction.indicator(k1), SymbolFunction.indicator(k2)], 199)
+    s1, s2, s12 = (entropy_result(restriction_from_coefficients(c, 200)).entropy
+                   for c in (c1, c2, SymbolCoefficients(c1.values + c2.values)))
+    assert gap == s1 + s2 - s12
+
+
+def test_invariance_report_solves_each_set_triple_together(monkeypatch):
+    tables = _count_calls(monkeypatch, toeplitz, "_exp_table")
+    solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    report = invariance_report(np.random.default_rng(3), 1, 16)
+    assert report["passed"]
+    orders = [a[0].shape[-1] for a in solves]
+    assert len(tables) == 2 and len(orders) == len(set(orders))
+    assert any(a[0].ndim == 3 for a in solves)
 
 
 def test_monotonicity():

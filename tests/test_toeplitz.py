@@ -20,9 +20,11 @@ from entropy_lab.toeplitz import (
     build_restriction,
     entropy_density,
     entropy_result,
+    entropy_results,
     eta,
     eta_tilde,
     fourier_coefficients,
+    joint_fourier_coefficients,
     proxy_scan,
     purity_proxy_direct,
     purity_proxy_single_interval_series,
@@ -36,6 +38,7 @@ from entropy_lab.torus_sets import (
     cantor_depth_policy,
     cantor_generate,
     full_torus,
+    random_disjoint_pair,
     random_interval_set,
 )
 
@@ -192,6 +195,58 @@ def test_constant_symbol_has_no_higher_coefficients():
     coeffs = fourier_coefficients(SymbolFunction.constant(0.3), 17)
     assert coeffs.values[0] == 0.3
     assert np.all(coeffs.values[1:] == 0.0)
+
+
+def _jump_mass(f: SymbolFunction) -> float:
+    """Sum of |c_j| over the jumps of f, wrapping at 0."""
+    v = np.array(f.values)
+    return float(np.abs(v - np.roll(v, 1)).sum())
+
+
+def _union_pairs():
+    """Random disjoint pairs, and a touching pair whose union merges two
+    pieces into one: the union's own pass has no jump at 0.2, while the sum
+    has two that cancel."""
+    rng = np.random.default_rng(29)
+    return [random_disjoint_pair(rng) for _ in range(12)] + [
+        (canonicalize([(0.1, 0.2)]), canonicalize([(0.2, 0.3)]))]
+
+
+UNION_PAIRS = _union_pairs()
+
+
+@pytest.mark.parametrize("k1, k2", UNION_PAIRS)
+def test_union_coefficients_are_the_sum_of_the_parts(k1, k2):
+    # The indicator of a disjoint union is the sum of the indicators, so
+    # q1 + q2 is the union's q(k) term by term, up to the rounding of both
+    # passes: a few ulps of the jump mass sum |c_j| of the pair.
+    f1, f2 = SymbolFunction.indicator(k1), SymbolFunction.indicator(k2)
+    c1, c2 = joint_fourier_coefficients([f1, f2], 255)
+    union = fourier_coefficients(SymbolFunction.indicator(k1.union(k2)), 255)
+    ulp = np.finfo(float).eps * (_jump_mass(f1) + _jump_mass(f2))
+    assert np.max(np.abs(c1.values + c2.values - union.values)) <= 4 * ulp
+    # each set's share of the joint pass is its own pass, to the same few ulps
+    for f, c in ((f1, c1), (f2, c2)):
+        assert np.max(np.abs(c.values - fourier_coefficients(f, 255).values)) \
+            <= 4 * np.finfo(float).eps * _jump_mass(f)
+
+
+@pytest.mark.parametrize("n_max", [0, 63, 3000])
+def test_joint_pass_matches_one_pass_per_symbol(n_max):
+    # 64 + 4 + 64 jumps: chunks of 64 hold jumps of two symbols, one symbol
+    # spans two chunks, and at n_max = 3000 the tables have two levels.
+    cantor = cantor_generate(CantorSpec(0.25, 1.0, 5))
+    symbols = [SymbolFunction.indicator(cantor.translate(0.0123)),
+               SymbolFunction((0.0, 0.2, 0.45, 0.7, 1.0), (0.3, 1.0, 0.0, 0.6)),
+               SymbolFunction.indicator(cantor.complement().translate(0.31))]
+    for f, joint in zip(symbols, joint_fourier_coefficients(symbols, n_max)):
+        alone = fourier_coefficients(f, n_max).values
+        assert joint.values[0] == alone[0]
+        assert np.max(np.abs(joint.values - alone)) \
+            <= 4 * np.finfo(float).eps * _jump_mass(f)
+    # one symbol alone is the single pass, bit for bit
+    assert np.array_equal(joint_fourier_coefficients(symbols[:1], n_max)[0].values,
+                          fourier_coefficients(symbols[0], n_max).values)
 
 
 class _NoNumpy:
@@ -875,6 +930,56 @@ def test_failure_of_the_second_block_names_the_full_order(monkeypatch, n):
     with pytest.raises(EigensolveError, match=f"eigensolve failed for N={n}: injected"):
         spectrum(build_restriction(SymbolFunction.indicator(TRANSLATED), n))
     assert calls == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+
+
+# Symbols of every path side by side: split sets, real forms and a mixed
+# symbol, so one call of entropy_results stacks blocks of several sets.
+STACK_SYMBOLS = [SymbolFunction.indicator(K) for K in SPLIT_SETS.values()] + \
+    list(FULL_SYMBOLS.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 64, 127, 200])
+def test_entropy_results_equal_one_solve_per_restriction(monkeypatch, n):
+    restrictions = [build_restriction(f, n) for f in STACK_SYMBOLS]
+    alone = [entropy_result(build_restriction(f, n)) for f in STACK_SYMBOLS]
+    seen = _spy_eigvalsh(monkeypatch)
+    assert entropy_results(restrictions) == alone
+    if n < 128:
+        # one solve per distinct block order, stacked over the restrictions
+        orders = [shape[-1] for _, shape in seen]
+        assert len(orders) == len(set(orders)) and any(len(s) == 3 for _, s in seen)
+
+
+def test_entropy_results_need_one_order():
+    with pytest.raises(ValueError, match="one order"):
+        entropy_results([build_restriction(SymbolFunction.indicator(HALF), n)
+                         for n in (8, 9)])
+
+
+def _raise_top_of_slice(k, delta):
+    """Move the largest eigenvalue of slice ``k`` of a stacked solve up by
+    ``delta``; solves of one matrix pass through."""
+    def corrupt(w):
+        out = w.copy()
+        if out.ndim == 2:
+            out[k, -1] += delta
+        return out
+    return corrupt
+
+
+def test_stacked_gates_take_each_set_on_its_own_scale(monkeypatch):
+    # Both restrictions split into two blocks of order 8: one stack of four,
+    # whose first slice is the even block of the first restriction. The
+    # constant symbol 0.001 has ||Q|| = 0.001, so a 1e-10 shift of one of its
+    # eigenvalues misses its gate of 1e-8 * 0.001; the same shift on the
+    # other set, whose ||Q|| is near 1, stays inside that set's gate.
+    faint = build_restriction(SymbolFunction.constant(0.001), 16)
+    bright = build_restriction(SymbolFunction.indicator(TRANSLATED), 16)
+    seen = _spy_eigvalsh(monkeypatch, result=_raise_top_of_slice(0, 1e-10))
+    with pytest.raises(EigensolveError, match="trace moment 1 gap .* at N=16"):
+        entropy_results([faint, bright])
+    assert seen == [(np.float64, (4, 8, 8))]
+    entropy_results([bright, faint])
 
 
 # ---------------------------------------------------------------------------
