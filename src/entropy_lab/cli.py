@@ -234,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--nmax", type=int, default=2048)
     p_scan.add_argument("--ratio", type=float, default=scaling.DEFAULT_RATIO)
     p_scan.add_argument("--mode", choices=("both", "proxy"), default="both")
-    p_scan.add_argument("--eig-cap", type=int, default=scaling.DEFAULT_EIG_CAP)
+    p_scan.add_argument("--eig-cap", type=int, default=scaling.DEFAULT_EIG_CAP,
+                        help="largest N whose entropy may need a dense eigensolve; "
+                             "above it only sizes whose blocks all take the "
+                             "certified plunge path are solved (default "
+                             f"{scaling.DEFAULT_EIG_CAP})")
     p_scan.add_argument("--out", default=None, help="CSV path (stdout default)")
     p_scan.add_argument("--bits", action="store_true",
                         help="report entropies in bits instead of nats")

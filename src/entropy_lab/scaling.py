@@ -151,15 +151,19 @@ def scan(source, n_grid, mode: str = "both",
          eig_cap: int = DEFAULT_EIG_CAP) -> list[ScanRecord]:
     """Sweep block sizes and collect (S_N, P_N) records.
 
-    ``mode`` is "both" or "proxy". The entropy of "both" needs the O(N^3)
-    eigensolve and is refused above ``eig_cap``; the proxy always comes from
-    the O(N) coefficient formula. Coefficients and proxies are computed once
-    up to the largest N and shared, and each record's ``wall_time`` is an
-    equal share of that stage plus its own eigensolve and checks. In mode
-    "both" each record carries the certified bracket of ``entropy_result``
-    (0 when every block was solved densely), and the eigenvalue route for
-    P_N is checked against the coefficient route: a disagreement beyond 1e-6
-    relative raises VerificationError. Records come back in grid order.
+    ``mode`` is "both" or "proxy". The entropy of "both" comes from
+    ``entropy_result``; an N above ``eig_cap`` is refused with ValueError
+    when a block of it would need the O(N^3) dense eigensolve, before that
+    solve starts, and is solved when all its blocks take the plunge path.
+    Sizes above the cap are solved first, so a refusal comes before the
+    work below it. The proxy always comes from the O(N) coefficient formula.
+    Coefficients and proxies are computed once up to the largest N and
+    shared, and each record's ``wall_time`` is an equal share of that stage
+    plus its own eigensolve and checks. In mode "both" each record carries
+    the certified bracket of ``entropy_result`` (0 when every block was
+    solved densely), and the eigenvalue route for P_N is checked against the
+    coefficient route: a disagreement beyond 1e-6 relative raises
+    VerificationError. Records come back in grid order.
     """
     grid = []
     for n in n_grid:
@@ -177,10 +181,6 @@ def scan(source, n_grid, mode: str = "both",
     if mode not in ("both", "proxy"):
         raise ValueError(f"unknown scan mode {mode!r}")
     want_entropy = mode == "both"
-    if want_entropy and grid[-1] > eig_cap:
-        raise ValueError(
-            f"mode both needs N <= eig_cap = {eig_cap}, grid reaches {grid[-1]}"
-        )
 
     t0 = time.perf_counter()
     f = SymbolFunction.of(source)
@@ -188,23 +188,24 @@ def scan(source, n_grid, mode: str = "both",
     proxies = dict(zip(grid, proxy_scan(coeffs, grid)))
     shared = (time.perf_counter() - t0) / len(grid)
 
-    records = []
-    for n in grid:
+    records = {}
+    for n in sorted(grid, key=lambda n: n <= eig_cap):
         t0 = time.perf_counter()
         p_direct = proxies[n]
         s_val = bracket = None
         if want_entropy:
-            res: EntropyResult = entropy_result(restriction_from_coefficients(coeffs, n))
+            res: EntropyResult = entropy_result(restriction_from_coefficients(coeffs, n),
+                                                eig_cap=eig_cap)
             s_val, bracket = res.entropy, res.bracket
             if abs(res.proxy - p_direct) > ROUTE_TOL * abs(p_direct) + 1e-9:
                 raise VerificationError(
                     f"proxy routes disagree at N={n}: eigenvalue route "
                     f"{res.proxy!r} vs coefficient route {p_direct!r}"
                 )
-        records.append(ScanRecord(n=n, entropy=s_val, proxy=p_direct,
-                                  wall_time=shared + time.perf_counter() - t0,
-                                  bracket=bracket))
-    return records
+        records[n] = ScanRecord(n=n, entropy=s_val, proxy=p_direct,
+                                wall_time=shared + time.perf_counter() - t0,
+                                bracket=bracket)
+    return [records[n] for n in grid]
 
 
 def _series(records, series: str) -> tuple[np.ndarray, np.ndarray]:

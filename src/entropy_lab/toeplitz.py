@@ -59,12 +59,12 @@ and 1, since eta_tilde vanishes at both ends. For a large block H of order p
 whose plunge trace t = tr H - ||H||_F^2 = sum of v_i, v_i = l_i (1 - l_i), is
 small, it takes the top k of M = H - H^2 by one Rayleigh-Ritz pass instead
 of a dense solve (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011): from a
-fixed-seed Gaussian p x k start W, the basis Z of the range of M W (two
-products with H and one QR), then the eigenvalues theta_1..theta_k of the
-k x k matrix Z^T M Z = Z^T (H Z) - (H Z)^T (H Z) (one more product). Each
-theta maps back through h(v) = eta_tilde((1 - sqrt(1 - 4 v)) / 2), the
-entropy of the eigenvalue pair with l (1 - l) = v, so S_block = sum h(v_i)
-over all p eigenvalues. The result is certified:
+fixed-seed start W of k uniform rows on [-1, 1), the orthonormal rows Z of
+the row space of W M (two products with H and one QR), then the eigenvalues
+theta_1..theta_k of the k x k matrix Z M Z^T (one more product). Each theta
+maps back through h(v) = eta_tilde((1 - sqrt(1 - 4 v)) / 2), the entropy of
+the eigenvalue pair with l (1 - l) = v, so S_block = sum h(v_i) over all p
+eigenvalues. The result is certified:
 
     sum h(theta_i) <= S_block <= sum h(theta_i) + R (2 - ln(R / p)),
     R = t - sum theta_i.
@@ -83,12 +83,31 @@ is at most R (2 - ln(R / p)). h is concave because its slope,
 ln((1 - l) / l) / (1 - 2 l) = 2 artanh(x) / x with x = 1 - 2 l, falls as l
 grows. An eigenvalue of H outside [0, 1] makes some v negative, so that t
 falls below the sum of the top k: sum theta > t is this path's moment check.
+The start's distribution does not enter the certificate, which is checked
+after the pass.
 
-t is taken from the line the blocks are built from, in O(N), never from
-the formed block. On the order-N real form t = P_N = N q(0) -
-sum_{|s| < N} (N - |s|) |q(s)|^2, since trace and Frobenius norm survive the
-unitary similarity. On the half-order split t_even + t_odd is that sum on r,
-and t_even - t_odd = 2 tr Hk - 4 <T, Hk> with Hk the Hankel part
+The pass never forms a block. Each is D (T + s Hk) D with T[i, j] =
+a(|i - j|) and Hk[i, j] = g(i + j): on the split a = r, g(s) = r(N - 1 - s),
+s = +1 for the even block and -1 for the odd one; on the real form
+a = Re q, g(s) = sgn(h) Im q(|h|) with h = s - N + 1, and s = +1. D is the
+identity but for the odd-N even block, whose last entry sqrt(1/2) gives the
+border sqrt(2) r(m - i) and the corner r(0). Zero-padded to a length
+L >= 2 p - 1, T x is the circular convolution of x with the symmetric column
+c = a(min(j, L - j)), whose transform C is real (circulant embedding:
+Strang, Stud. Appl. Math. 74, 1986; Chan & Ng, SIAM Rev. 38, 1996), and
+Hk x that of g with x read backwards, whose transform is conj(X) for a real
+row x with transform X. So one rfft of the rows and one irfft of
+C X +- G conj(X) apply a block (``_PlungeOperator``). L is the smallest
+5-smooth integer >= 2 p - 1 for the larger order p: about N on the split,
+whose two blocks share C, G and, at even N, the transform of the start, and
+about 2 N on the order-N real form. The path holds O(N k) numbers, no
+p x p array, so it runs past any order a dense solve could take.
+
+t is taken from the line the blocks are built from, in O(N). On the
+order-N real form t = P_N = N q(0) - sum_{|s| < N} (N - |s|) |q(s)|^2,
+since trace and Frobenius norm survive the unitary similarity. On the
+half-order split t_even + t_odd is that sum on r, and
+t_even - t_odd = 2 tr Hk - 4 <T, Hk> with Hk the Hankel part
 r(N - 1 - i - j); grouped by s = i + j,
 <T, Hk> = sum_{s < 2m - 1} r(N - 1 - s) F(min(s, 2m - 2 - s)) with
 F(j) = sum of r(|d|) over d = -j, -j + 2, ..., j, the prefix sums of the even
@@ -101,43 +120,64 @@ These sums are compensated (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
 double is exact, and the prefix sums carry the exact error of each of their
 additions (TwoSum). The terms are then exact but for fl(w e), the weight
 times the error of a square, and the rounding of the prefix-sum
-corrections, both of second order. One error-free extraction
-(``_exact_sums``) cuts each of the n terms at a power of two
-sigma >= 1 with (n + 2) max |term| < sigma <= 4 (n + 2) max |term| (unless
-that is below 1): the parts above u sigma add up exactly, the rests, at
-most u sigma each, within (n - 1) u n u sigma in any order (u = eps/2). So
-t is within u |t| + u^2 (n^2 sigma + N^4 rho^2), rho = max |line|, of the
-exact t of the block formed from the line in exact arithmetic; N^4 rho^2
-bounds the prefix-sum corrections of the split, which the real form has
-none of. The formed block H + D differs from that block by the rounding of
-its entries: |D_ij| <= u |H_ij| for the sums, (2 u + u^2) |H_ij| on the
-sqrt(2) border, and 0 at the corner. Hence
-t(H + D) - t(H) = tr D - 2 <H, D> - ||D||_F^2 is at most
-u sum |H_ii| + 2 u (||H||_F^2 + ||b||^2) to first order, with
-||b||^2 = 4 sum_{j = 1..m} r(j)^2 for the border's two copies and
-||H||_F^2 = tr H - t <= sum |H_ii| for the t >= 0 the path admits: about
-3 u tr H. sum |H_ii| is bounded by p |r(0)| plus the absolute Hankel
-diagonal (N |q(0)| + sum |Im q(|h|)| on the real form). t is charged
-u (3 sum |H_ii| + 2 ||b||^2 + |t|) + 3 u^2 n^2 sigma, plus u^2 N^4 rho^2 on
-the split: every quantity in the chain is below 2 sigma, since the terms
-hold N q(0) and the weighted squares, so the extra 2 u^2 n^2 sigma covers
-its second-order part. This charge belongs to the formed block, as the
-Ritz values do; at N = 2048 it is 2.5e-13 on [0.05, 0.3) u [0.5, 0.62),
-where the worst-case bound on summing the p^2 entries was 2.0e-12.
+corrections, both of second order. Two error-free extractions
+(``_exact_sums``) cut each of the n terms at a power of two sigma >= 1 with
+(n + 2) max |term| < sigma <= 4 (n + 2) max |term| (unless that is below
+1), and each rest once more at the like power sigma_2 of the rests: the
+parts above u sigma, and the rests' parts above u sigma_2, add up exactly;
+the second rests, at most u sigma_2 each, add within (n - 1) u n u sigma_2
+in any order (u = eps/2), and each group's rest, at most n u sigma, is
+rounded once: u^2 (n sigma + n^2 sigma_2) per group. The errors
+u |w e| <= 2 N u^2 r(s)^2 of fl(w e) add to less than u^2 n sigma, since
+sigma > n N q(0), and on the split the sum of the two groups' rests rounds
+once more, by at most u^2 n sigma. So t is within
+u |t| + 3 u^2 (n sigma + n^2 sigma_2) + u^2 N^4 rho^2, rho = max |line|, of
+the exact t of the block formed from the line in exact arithmetic, where
+N^4 rho^2 bounds the prefix-sum corrections of the split; the real form,
+with one group and no prefix sums, needs u |t| + 2 u^2 (n sigma +
+n^2 sigma_2). That block is what the FFT products apply, so t carries no
+charge for the rounding of formed entries. On [0.3, 0.55) at N = 16384 the
+charge is 1.2e-16; one extraction left 4.5e-13, and the formed entries'
+rounding, about 3 u tr H, 6.8e-13.
 
-The Ritz values come from products of length p, whose worst-case bound,
-gamma_p |H| |Z|, is about 1e-12 per value at p = 724: over k = 30 values,
-ten times all the room R has within the bracket. So each theta is charged
-the first-order probabilistic bound for such products instead (Higham &
-Mary, SIAM J. Sci. Comput. 41, 2019), lambda u sqrt(p) ||M|| with
-lambda = 8 and ||M|| <= 1/4, that is sqrt(p) eps: 2.5 to 15 times the
-largest error of a single theta, and 28 to 380 times that of their sum,
-measured against 64-bit-mantissa references on interval unions at
-p = 256..1448.
+The Ritz values carry two charges. The Ritz matrix is
+((Z - Y) Y^T + its transpose) / 2 with Y the computed rows Z H, from inner
+products of length p whose worst-case bound, gamma_p |Z - Y| |Y|, is about
+1e-12 per value at p = 724: over k = 30 values, ten times all the room R has
+within the bracket. So each theta is charged the first-order probabilistic
+bound for such products instead (Higham & Mary, SIAM J. Sci. Comput. 41,
+2019), lambda u sqrt(p) ||M|| with lambda = 8 and ||M|| <= 1/4, that is
+sqrt(p) eps. The products with H are FFTs (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 2002, ch. 24). A transform of length L
+runs through about log2 L stages, each rounding every entry by a few u at
+most. Under the same model these errors are independent with mean zero, so
+over the 2 log2 L stages of both transforms and the pointwise step they add
+in quadrature, and the error of a row is a norm over L entries, which
+concentrates about its root mean square. The pointwise step scales the
+rows by at most max |C| + max |G| <= ||c||_1 + ||g||_1, which also bounds
+||H|| and so the rounding of D. Per row x the computed H x is then off by
+at most beta ||x||, with
+
+    beta = 2 u sqrt(2 log2 L + 1) (||c||_1 + ||g||_1),
+
+the factor 2 for the few u of a complex multiply-add; ||c||_1 counts a(0)
+once and every other lag twice. With Y = Z H + E the computed Ritz matrix is
+Z M Z^T + sym((Z - Y) E^T - E Y^T) to first order, and a Ritz value with
+unit eigenvector v moves by v^T (Z - 2 Y) E^T v = (E^T v)^T (I - 2 H) Z^T v,
+at most ||E^T v|| since 0 <= H <= I; E^T v weighs the rows' independent
+errors with unit total, so its norm is about beta. Each theta is charged
+sqrt(p) eps + beta. The explicit symmetrisation matters: eigvalsh reads one
+triangle, and one triangle of (Z - Y) E^T would not have that quadratic
+form. On interval unions at N = 2 to 2048 the FFT products stayed within
+0.68 beta per row (at N = 2; 0.14 beta from N = 362 on). Against
+64-bit-mantissa products on the same rows Z, the largest Ritz-value error
+was 1.2% to 6.4% of its charge and at most 0.17 beta, at N = 362 to 2048.
+beta is known before the operator is built, since L depends on p only: the
+selection rule charges it at once.
 The certified lower end takes each theta lowered by its charge, R takes the
 t charge on top, and the block is accepted when its bracket is within its
-share of CERTIFICATE_TOL; otherwise it is solved densely, as before.
-``spectrum`` always solves densely.
+share of CERTIFICATE_TOL; otherwise it is formed (``_real_matrices``) and
+solved densely, as before. ``spectrum`` always solves densely.
 
 Entropies are in nats throughout.
 """
@@ -448,9 +488,10 @@ class ToeplitzRestriction:
     """Hermitian N x N block Q_N with entries Q[l, k] = q(k - l).
 
     Stored as its first row q(0), ..., q(N - 1), from which ``spectrum``
-    and ``entropy_result`` build its real matrices once, on first use; N is
-    the row's length. ``matrix`` builds the complex Q_N on first use, for the
-    Fock-space oracle; the solve never forms it.
+    and ``entropy_result`` build the line of its real matrices once, on
+    first use, and ``spectrum`` the matrices; N is the row's length.
+    ``matrix`` builds the complex Q_N on first use, for the Fock-space
+    oracle; the solve never forms it.
     """
 
     row: np.ndarray = field(repr=False)
@@ -461,7 +502,7 @@ class ToeplitzRestriction:
         if self.order and self.row[0].imag != 0.0:
             raise ValueError(f"restriction not Hermitian: q(0) = {self.row[0]}")
         self.row.setflags(write=False)
-        self._blocks = None
+        self._line = self._blocks = None
 
     @property
     def order(self) -> int:
@@ -475,12 +516,18 @@ class ToeplitzRestriction:
         mat.setflags(write=False)
         return mat
 
+    # Both kept by hand: a cached_property takes a lock on every first use,
+    # which small restrictions, built and solved once each, pay in full.
     @property
-    def _real_blocks(self) -> tuple[list[np.ndarray], float, np.ndarray]:
-        # Kept by hand: a cached_property takes a lock on every first use,
-        # which small restrictions, built and solved once each, pay in full.
+    def _real_line(self) -> tuple[np.ndarray, float]:
+        if self._line is None:
+            self._line = _real_line(self.row)
+        return self._line
+
+    @property
+    def _real_blocks(self) -> list[np.ndarray]:
         if self._blocks is None:
-            self._blocks = _real_matrices(self.row)
+            self._blocks = _real_matrices(self._real_line[0])
         return self._blocks
 
 
@@ -552,11 +599,12 @@ def _hankel(g: np.ndarray, p: int) -> np.ndarray:
     return _window(np.ascontiguousarray(g[:2 * p - 1]), p, 1)
 
 
-def _centrosymmetric_blocks(r: np.ndarray) -> list[np.ndarray]:
+def _centrosymmetric_blocks(r: np.ndarray, keep=(0, 1)) -> list[np.ndarray]:
     """The blocks of the real symmetric Toeplitz matrix T[i, j] = r(|i - j|)
     of order N under the orthogonal similarity onto the vectors with
     u = +-J u: the even block of order ceil(N/2), then the odd block of
-    order floor(N/2), which is left out when empty (N = 1).
+    order floor(N/2), which is left out when empty (N = 1); only those of
+    the indices ``keep`` are formed.
 
     With m = N // 2 and i, j < m, the Toeplitz part r(|i - j|) plus or minus
     the Hankel part r(N - 1 - i - j) gives the even and odd blocks. For odd N
@@ -565,16 +613,21 @@ def _centrosymmetric_blocks(r: np.ndarray) -> list[np.ndarray]:
     """
     n = len(r)
     m = n // 2
-    even = np.empty((n - m, n - m))
-    if n % 2:
-        border = math.sqrt(2.0) * r[m::-1]
-        even[m, :] = even[:, m] = border
-        even[m, m] = r[0]
-    if not m:
-        return [even]
-    toeplitz, hankel = _toeplitz(r[:m]), _hankel(r[::-1], m)
-    np.add(toeplitz, hankel, out=even[:m, :m])
-    return [even, toeplitz - hankel]
+    if m:
+        toeplitz, hankel = _toeplitz(r[:m]), _hankel(r[::-1], m)
+    blocks = []
+    if 0 in keep:
+        even = np.empty((n - m, n - m))
+        if n % 2:
+            border = math.sqrt(2.0) * r[m::-1]
+            even[m, :] = even[:, m] = border
+            even[m, m] = r[0]
+        if m:
+            np.add(toeplitz, hankel, out=even[:m, :m])
+        blocks.append(even)
+    if m and 1 in keep:
+        blocks.append(toeplitz - hankel)
+    return blocks
 
 
 def _real_form(row: np.ndarray) -> np.ndarray:
@@ -610,23 +663,38 @@ _BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
 _FORM_ROUNDING = np.finfo(float).eps
 
 
-def _real_matrices(row: np.ndarray) -> tuple[list[np.ndarray], float, np.ndarray]:
-    """Real symmetric matrices whose spectra together are the spectrum of
-    Q_N, the bound on how far forming them moves any eigenvalue, and the line
-    they are built from.
+def _real_line(row: np.ndarray) -> tuple[np.ndarray, float]:
+    """The line the real symmetric matrices whose spectra together are the
+    spectrum of Q_N are built from, and the bound on how far forming them
+    moves any eigenvalue.
 
     A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
-    the two half-order blocks, charged with Weyl's bound and their rounding,
-    and the real line r; any other row gives the order-N real form, charged
-    with its rounding, and the row itself.
+    the real line r of the two half-order blocks, charged with Weyl's bound
+    and their rounding; any other row is itself the line of the order-N real
+    form, charged with its rounding. The line is real exactly when it is
+    that of the split.
     """
     n = len(row)
     r, weyl = _centred_row(row)
     if weyl <= REAL_PATH_TOL * r[0]:
-        rho = float(np.max(np.abs(r)))
-        return _centrosymmetric_blocks(r), weyl + _BLOCK_ROUNDING * n * rho, r
-    return ([_real_form(row)], _FORM_ROUNDING * n * float(np.max(np.abs(row))),
-            row.astype(complex, copy=False))
+        return r, weyl + _BLOCK_ROUNDING * n * float(np.max(np.abs(r)))
+    return row.astype(complex, copy=False), _FORM_ROUNDING * n * float(np.max(np.abs(row)))
+
+
+def _block_orders(line: np.ndarray) -> list[int]:
+    """Orders of the real blocks built from ``line``, largest first."""
+    n = len(line)
+    if np.iscomplexobj(line):
+        return [n]
+    return [n - n // 2, n // 2][:1 + (n > 1)]
+
+
+def _real_matrices(line: np.ndarray, keep=(0, 1)) -> list[np.ndarray]:
+    """The real blocks built from ``line`` (see ``_real_line``), in the order
+    of ``_block_orders``; only those of the indices ``keep`` are formed."""
+    if np.iscomplexobj(line):
+        return [_real_form(line)] if 0 in keep else []
+    return _centrosymmetric_blocks(line, keep)
 
 
 def _moment_gaps(mat: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -662,8 +730,8 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     like the checks before it. The checked eigenvalues are clipped into
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     """
-    blocks, bound, _ = restriction._real_blocks
-    return _checked_eigenvalues([(blocks, bound)], restriction.order)[0]
+    return _checked_eigenvalues([(restriction._real_blocks, restriction._real_line[1])],
+                                restriction.order)[0]
 
 
 def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
@@ -730,18 +798,23 @@ def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
 # this (nats): each of the real blocks may use its share.
 CERTIFICATE_TOL = 1e-10
 # Selection rule of the plunge path, from the order p and the plunge trace t
-# alone. The Ritz pass (Gaussian draw included) over a dense eigvalsh of the
-# same order, medians on 2 cores (numpy 2.4, OpenBLAS):
+# alone. One block's share of the FFT Ritz pass over both blocks of the split
+# (t, operator and start included) over a dense eigvalsh of the same order,
+# first quartiles on 2 cores (numpy 2.4, OpenBLAS):
 #
 #     p / k    p = 128   181   256   362   512   724   1024   2048
-#     8            0.15  0.19  0.21  0.37  0.45  0.54  0.45   0.38
-#     6            0.26  0.27  0.43  0.56  0.65  0.78  0.51   0.37
-#     5                  0.42  0.54  0.67  0.97  0.88  0.55
-#     4                                    1.23        0.85
+#     8            0.78  0.78  0.53  0.60  0.56  0.68  0.54   0.26
+#     6            0.84  1.03  0.71  0.91  0.86  1.06  0.64   0.31
+#     5            0.88  1.17  0.96  1.16  1.11  1.18  0.71   0.38
+#     4            1.06  1.28  1.37  1.55  1.54  1.45  0.98   0.53
 #
-# The pass grows like p k^2 through its QR, so 5 k <= p would already reach
-# a dense solve's cost at p = 512; hence 6 k <= p. With t from the
-# coefficients, a block pays O(N) for it, not O(p^2). The depth-5 q = 1/4
+# The order-N real form, at twice the FFT length, reads 0.78 to 1.05 at
+# p / k = 6. The pass grows like p k^2 through its QR and like k p log p
+# through its FFTs, so 5 k <= p would cost about a dense solve or more from
+# p = 181 to 724; 6 k <= p stays, at about a dense solve's cost there and
+# well below it from p = 1024. A single interval's blocks take k = 27 to 31
+# from p = 181 to 1024, p / k from 6.7 to 33. With t from the coefficients,
+# a block pays O(N) for it, not O(p^2). The depth-5 q = 1/4
 # Cantor set has t = 4.7 to 8.1 on its blocks of order 128..1024 (k = 220 to
 # 370) and stays dense. k = ceil(45 t) + 8: on [0, .1) u [.3, .45) u [.6, .9)
 # at N = 1448 (t = 2.5) the uncaptured trace was 2.2e-9 at 30 t, 7.1e-11 at
@@ -759,6 +832,7 @@ _PLUNGE_PAD = 8
 _PLUNGE_COST = 6
 _PLUNGE_SEED = 20030604
 _UNIT = float(np.finfo(float).eps) / 2
+_HALF_ROOT = math.sqrt(0.5)
 
 
 def _pair_entropy(v: np.ndarray) -> np.ndarray:
@@ -768,13 +842,51 @@ def _pair_entropy(v: np.ndarray) -> np.ndarray:
     return _eta_tilde_unit(2.0 * v / (1.0 + np.sqrt(1.0 - 4.0 * v)))
 
 
-def _ritz_charge(p: int) -> float:
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer L >= n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        length = five
+        while length < best:
+            m = length
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            length *= 3
+        five *= 5
+    return best
+
+
+def _operator_norms(line: np.ndarray, p: int) -> float:
+    """||c||_1 + ||g||_1 of the Toeplitz column c (both directions) and
+    the Hankel line g that ``_PlungeOperator`` embeds for the blocks of
+    ``line``, p the largest order; each bounds the largest entry of its
+    transform at any length."""
+    if np.iscomplexobj(line):
+        a, g = np.abs(line.real), np.abs(line.imag)
+        return 2.0 * float(a.sum() + g.sum()) - a[0]
+    a = np.abs(line)
+    return 2.0 * float(a[:p].sum()) - a[0] + float(a[len(line) - 2 * p + 1:].sum())
+
+
+def _fft_charge(line: np.ndarray, p: int) -> float:
+    """beta = 2 u sqrt(2 log2 L + 1) (||c||_1 + ||g||_1), the rounding
+    charge of one Ritz value, and of one unit row, for the FFT products with
+    the blocks of ``line``, p the largest order (module docstring)."""
+    length = _fft_length(2 * p - 1)
+    return 2.0 * _UNIT * math.sqrt(2.0 * math.log2(length) + 1.0) * _operator_norms(line, p)
+
+
+def _ritz_charge(p: int, fft_charge: float) -> float:
     """Rounding charge of one Ritz value of H - H^2 for a block of order p:
-    lambda u sqrt(p) ||M|| with lambda = 8 and ||M|| <= 1/4."""
-    return 2.0 * _UNIT * math.sqrt(p)
+    lambda u sqrt(p) ||M|| with lambda = 8 and ||M|| <= 1/4 for the inner
+    products of the Ritz matrix, and ``fft_charge`` for the products with H."""
+    return 2.0 * _UNIT * math.sqrt(p) + fft_charge
 
 
-def _plunge_rank(p: int, t: float, t_charge: float, budget: float) -> int | None:
+def _plunge_rank(p: int, t: float, t_charge: float, ritz_charge: float,
+                 budget: float) -> int | None:
     """The number k of Ritz values a block of order p with plunge trace t
     takes, or None when the selection rule sends it to the dense solve: p of
     at least _PLUNGE_MIN_ORDER, _PLUNGE_COST k <= p, and a bracket within
@@ -784,53 +896,144 @@ def _plunge_rank(p: int, t: float, t_charge: float, budget: float) -> int | None
     if p < _PLUNGE_MIN_ORDER or not 0.0 <= t:
         return None
     k = math.ceil(_PLUNGE_SCALE * t) + _PLUNGE_PAD
-    if _PLUNGE_COST * k > p or _bracket(t_charge + k * _ritz_charge(p), p) > budget:
+    if _PLUNGE_COST * k > p or _bracket(t_charge + k * ritz_charge, p) > budget:
         return None
     return k
 
 
-def _plunge_entropies(blocks: list[np.ndarray], line: np.ndarray,
-                      n: int) -> list[tuple[float, float, float] | None]:
-    """Per real block, (S, sum of the Ritz values, bracket width) from its
-    plunge subspace, certified as the module docstring derives, or None when
-    the selection rule or a bracket beyond the block's share of
-    CERTIFICATE_TOL sends it to the dense solve. Each t comes from
-    ``_plunge_traces`` of ``line``; the admitted blocks share one fixed-seed
-    Gaussian start, drawn once.
-    """
-    budget = CERTIFICATE_TOL / len(blocks)
-    traces = _plunge_traces(line)
-    ranks = [_plunge_rank(len(mat), t, charge, budget)
-             for mat, (t, charge) in zip(blocks, traces)]
-    if not any(ranks):
-        return [None] * len(blocks)
-    gauss = np.random.default_rng(_PLUNGE_SEED).standard_normal(
-        (len(blocks[0]), max(k for k in ranks if k)))
-    return [None if k is None else
-            _plunge_entropy(mat, gauss[:len(mat), :k], t, charge, n, budget)
-            for mat, k, (t, charge) in zip(blocks, ranks, traces)]
+class _PlungeOperator:
+    """The real blocks built from one line, D (T +- Hk) D, applied to rows
+    through FFTs of length L, the smallest 5-smooth L >= 2 p - 1 for the
+    largest order p, without forming them (module docstring): C and G are
+    the transforms of the Toeplitz column and of the Hankel line."""
+
+    def __init__(self, line: np.ndarray):
+        self.orders = _block_orders(line)
+        p = self.orders[0]
+        n = len(line)
+        if np.iscomplexobj(line):
+            a = line.real
+            g = np.concatenate([-line.imag[:0:-1], line.imag])
+            self.border = False
+        else:
+            a, g = line[:p], line[::-1][:2 * p - 1]
+            self.border = n % 2 == 1
+        self.length = _fft_length(2 * p - 1)
+        column = np.zeros(self.length)
+        column[:p] = a[:p]
+        column[self.length - p + 1:] = a[p - 1:0:-1]
+        self.toeplitz = np.fft.rfft(column).real
+        self.hankel = np.fft.rfft(g, self.length)
+
+    def __call__(self, rows: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+        """H_b x for each (block b, rows x of length p_b) pair: one rfft of
+        the distinct row arrays, zero-padded and scaled by D, and one irfft
+        of all the images. An array given for both blocks, as the start is
+        at even N, is transformed once."""
+        inputs = {}
+        for b, x in rows:
+            inputs.setdefault(id(x), (b, x))
+        inputs = list(inputs.values())
+        if len(inputs) == 1 and not self.border:
+            spectra = np.fft.rfft(inputs[0][1], self.length)
+        else:
+            stack = np.zeros((sum(len(x) for _, x in inputs), self.orders[0]))
+            i = 0
+            for b, x in inputs:
+                stack[i:i + len(x), :x.shape[1]] = x
+                if b == 0 and self.border:
+                    stack[i:i + len(x), -1] *= _HALF_ROOT
+                i += len(x)
+            spectra = np.fft.rfft(stack, self.length)
+            del stack
+        if len(inputs) < len(rows):
+            spectra = np.concatenate([spectra] * len(rows))
+        i = 0
+        for b, x in rows:
+            part = spectra[i:i + len(x)]
+            cross = np.conj(part)
+            cross *= self.hankel
+            part *= self.toeplitz
+            if b:
+                part -= cross
+            else:
+                part += cross
+            i += len(x)
+        out = np.fft.irfft(spectra, self.length)
+        images, i = [], 0
+        for b, x in rows:
+            y = out[i:i + len(x), :self.orders[b]]
+            if b == 0 and self.border:
+                y[:, -1] *= _HALF_ROOT
+            images.append(y)
+            i += len(x)
+        return images
 
 
-def _plunge_entropy(mat: np.ndarray, start: np.ndarray, t: float, t_charge: float,
-                    n: int, budget: float) -> tuple[float, float, float] | None:
-    """(S, sum of the Ritz values, bracket width) of one real block of order
-    p from the p x k Gaussian ``start``, or None when its bracket exceeds
-    ``budget``.
+def _plunge_entropies(line: np.ndarray, n: int) -> list[tuple[float, float, float] | None]:
+    """Per real block of ``line``, (S, sum of the Ritz values, bracket
+    width) from its plunge subspace, certified as the module docstring
+    derives, or None when the selection rule or a bracket beyond the block's
+    share of CERTIFICATE_TOL sends it to the dense solve.
 
-    A LinAlgError of the QR or of the Ritz solve, a Ritz value above 1/4 plus
+    Each t comes from ``_plunge_traces`` of ``line``. The admitted blocks
+    run one Rayleigh-Ritz pass in step, through one ``_PlungeOperator``:
+    from one fixed-seed start of uniform rows on [-1, 1), their images
+    H W and H (H W), one QR each of the rows of M W = H W - H (H W), the
+    images H Z of the orthonormal rows Z, and the eigenvalues theta of the
+    k x k matrix Z M Z^T = ((Z - H Z) (H Z)^T + its transpose) / 2. Block b
+    takes the first p_b columns of the start and keeps the first k_b rows
+    of their images.
+
+    A LinAlgError of a QR or of a Ritz solve, a Ritz value above 1/4 plus
     its charge, and Ritz values summing to more than t plus the charges are
     failed solves and raise EigensolveError.
     """
-    p, k = start.shape
+    orders = _block_orders(line)
+    budget = CERTIFICATE_TOL / len(orders)
+    traces = _plunge_traces(line)
+    fft_charge = _fft_charge(line, orders[0])
+    ritz_charges = [_ritz_charge(p, fft_charge) for p in orders]
+    ranks = [_plunge_rank(p, t, t_charge, charge, budget)
+             for p, (t, t_charge), charge in zip(orders, traces, ritz_charges)]
+    admitted = [b for b, k in enumerate(ranks) if k]
+    if not admitted:
+        return [None] * len(orders)
+    op = _PlungeOperator(line)
+    start = np.random.default_rng(_PLUNGE_SEED).uniform(
+        -1.0, 1.0, (max(ranks[b] for b in admitted), orders[0]))
+    images = op([(b, start if orders[b] == orders[0] else start[:, :orders[b]])
+                 for b in admitted])
+    images = [image[:ranks[b]] for b, image in zip(admitted, images)]
+    again = op(list(zip(admitted, images)))
+    bases = []
+    for b, image, image2 in zip(admitted, images, again):
+        bases.append(_linalg(np.linalg.qr, (image - image2).T, n, orders[b], ranks[b])[0].T)
+    images = op(list(zip(admitted, bases)))
+    parts = [None] * len(orders)
+    for b, basis, image in zip(admitted, bases, images):
+        cross = (basis - image) @ image.T
+        ritz = _linalg(np.linalg.eigvalsh, (cross + cross.T) / 2, n, orders[b], ranks[b])
+        parts[b] = _certify(ritz, orders[b], *traces[b], ritz_charges[b], n, budget)
+    return parts
+
+
+def _linalg(solve, mat: np.ndarray, n: int, p: int, k: int):
+    """``solve(mat)`` for the plunge subspace of a block of order p, with a
+    LinAlgError raised again as EigensolveError."""
     try:
-        image = mat @ start
-        basis = np.linalg.qr(image - mat @ image)[0]
-        image = mat @ basis
-        ritz = np.linalg.eigvalsh(basis.T @ image - image.T @ image)
+        return solve(mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"eigensolve failed for N={n}: {exc}; plunge subspace "
                               f"of a block of order {p}, k = {k}") from exc
-    ritz_charge = _ritz_charge(p)
+
+
+def _certify(ritz: np.ndarray, p: int, t: float, t_charge: float, ritz_charge: float,
+             n: int, budget: float) -> tuple[float, float, float] | None:
+    """(S, sum of the Ritz values, bracket width) of a block of order p from
+    its Ritz values of H - H^2, or None when the bracket exceeds ``budget``.
+    A Ritz value above 1/4 plus its charge, or Ritz values summing to more
+    than t plus the charges, raise EigensolveError."""
     top = float(np.max(ritz))
     if not top <= 0.25 + ritz_charge:
         raise EigensolveError(f"Ritz value {top:.6g} of H - H^2 above 1/4 by more than "
@@ -893,31 +1096,45 @@ def _weighted_squares(p: np.ndarray, e: np.ndarray) -> list[np.ndarray]:
 
 
 def _exact_sums(groups: list[np.ndarray]) -> tuple[list[tuple[float, float]], float]:
-    """The sum of each term array of ``groups`` as an exact part and a rest,
-    and u^2 n^2 sigma, which bounds the error of the rests (module
-    docstring). Every term is cut at the power of two sigma >= 1 with
+    """The sum of each term array of ``groups`` as an exact part and a
+    rest, and a bound on the error of each rest (module docstring).
+
+    Every term is cut at the power of two sigma >= 1 with
     sigma > (n + 2) max |term| over the n terms of all groups: its part
     above u sigma is a multiple of u sigma, so these parts, and the sums and
     differences of their group sums, add up exactly in any order (Rump,
-    Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008); each rest is at most
-    u sigma."""
+    Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008). The rests, at most
+    u sigma each, are cut once more in the same way at sigma_2 >
+    (n + 2) max |rest|, so each rest of a group sum is an exact sum plus
+    the float sum of the second rests, at most u sigma_2 each, added once:
+    off by at most u^2 (n sigma + n^2 sigma_2), the bound returned."""
     count = sum(len(g) for g in groups)
-    big = max(float(np.abs(g).max()) for g in groups)
-    sigma = math.ldexp(1.0, max(0, math.frexp(count + 2)[1] + math.frexp(big)[1]))
+    sigma = max(1.0, _cut(groups, count))
+    parts = [(sigma + g) - sigma for g in groups]
+    rests = [g - part for g, part in zip(groups, parts)]
+    second = _cut(rests, count)
     sums = []
-    for g in groups:
-        exact = (sigma + g) - sigma
-        sums.append((float(exact.sum()), float((g - exact).sum())))
-    return sums, _UNIT * _UNIT * count * count * sigma
+    for part, rest in zip(parts, rests):
+        exact = (second + rest) - second
+        sums.append((float(part.sum()), float(exact.sum()) + float((rest - exact).sum())))
+    return sums, _UNIT * _UNIT * count * (sigma + count * second)
+
+
+def _cut(groups: list[np.ndarray], count: int) -> float:
+    """The power of two 2^(e_1 + e_2) with count + 2 < 2^e_1 and
+    max |term| < 2^e_2 over ``groups``: above (count + 2) max |term| and at
+    most 4 times that."""
+    big = max(float(np.abs(g).max()) for g in groups)
+    return math.ldexp(1.0, math.frexp(count + 2)[1] + math.frexp(big)[1])
 
 
 def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
     """(t, charge) of each real block that ``_real_matrices`` builds from
     ``line`` of length N >= 2, in its order: t = tr H - ||H||_F^2 of the
     block H formed from the line in exact arithmetic, from O(N) compensated
-    sums, and a charge for those sums and for the rounding of the formed
-    block's entries (module docstring). A complex line is the row of the
-    order-N real form, a real one the line r of the half-order split."""
+    sums, and the charge for those sums (module docstring). A complex line is
+    the row of the order-N real form, a real one the line r of the
+    half-order split."""
     n = len(line)
     r0 = float(line[0].real)
     head = n * np.array(_halves(r0))               # n q(0), exactly
@@ -927,9 +1144,7 @@ def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
                                 *_weighted_squares(*_two_product(im, im))])
         [(exact, rest)], spare = _exact_sums([terms])
         t = exact + rest
-        # diagonal re(0) + sgn(h) im(|h|), h = 2 i - N + 1, and im(0) = 0
-        diag = n * abs(r0) + 2.0 * float(np.abs(im[n - 1::-2]).sum())
-        return [(t, _UNIT * (3.0 * diag + abs(t)) + 3.0 * spare)]
+        return [(t, _UNIT * abs(t) + 2.0 * spare)]
     r, m = line, n // 2
     p, e = _two_product(r, r)
     # <T, Hk> = sum over s < 2m - 1 of r(N - 1 - s) F(min(s, 2m - 2 - s)), with
@@ -943,19 +1158,15 @@ def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
     cross, cross_err = _two_product(x, np.concatenate([fh, fh[:m - 1][::-1]]))
     diff = [2.0 * x[::2], -4.0 * cross, -4.0 * cross_err,
             -4.0 * (x * np.concatenate([fl, fl[:m - 1][::-1]]))]
-    border = 0.0
     if n % 2:
         diff += [np.array([r0, -p[0], -e[0]]), -4.0 * p[1:m + 1], -4.0 * e[1:m + 1]]
-        border = 4.0 * float(p[1:m + 1].sum())
     [(proxy, proxy_rest), (twist, twist_rest)], spare = _exact_sums(
         [np.concatenate([head, *_weighted_squares(p, e)]), np.concatenate(diff)])
     spare = 3.0 * spare + (_UNIT * n * n * float(np.abs(r).max())) ** 2
-    hankel_diag = float(np.abs(x[::2]).sum())
     traces = []
-    for sign, order, rim in ((1.0, n - m, border), (-1.0, m, 0.0)):
+    for sign in (1.0, -1.0):
         t = ((proxy + sign * twist) + (proxy_rest + sign * twist_rest)) / 2
-        diag = order * abs(r0) + hankel_diag
-        traces.append((t, _UNIT * (3.0 * diag + 2.0 * rim + abs(t)) + spare))
+        traces.append((t, _UNIT * abs(t) + spare))
     return traces
 
 
@@ -984,22 +1195,30 @@ class EntropyResult:
     dense_blocks: int
 
 
-def entropy_result(restriction: ToeplitzRestriction) -> EntropyResult:
-    """S_N and P_N from the real blocks of ``_real_matrices``: each block
-    from its certified plunge subspace when the selection rule admits it and
-    its share of CERTIFICATE_TOL covers its bracket, the others densely, by
-    ``spectrum`` when no block took the plunge path."""
+def entropy_result(restriction: ToeplitzRestriction, *,
+                   eig_cap: int | None = None) -> EntropyResult:
+    """S_N and P_N from the real blocks of ``restriction``: each block from
+    its certified plunge subspace when the selection rule admits it and its
+    share of CERTIFICATE_TOL covers its bracket, the others densely, by
+    ``spectrum`` when no block took the plunge path. Only the blocks solved
+    densely are formed. With ``eig_cap`` given, an N above it whose blocks
+    do not all take the plunge path raises ValueError before any dense
+    solve starts."""
     n = restriction.order
-    blocks, bound, line = restriction._real_blocks
-    certified, dense = [], blocks
-    if len(blocks[0]) >= _PLUNGE_MIN_ORDER:         # the largest block
-        parts = _plunge_entropies(blocks, line, n)
-        certified = [part for part in parts if part is not None]
-        dense = [mat for mat, part in zip(blocks, parts) if part is None]
+    line, bound = restriction._real_line
+    orders = _block_orders(line)
+    parts = [None] * len(orders)
+    if orders[0] >= _PLUNGE_MIN_ORDER:
+        parts = _plunge_entropies(line, n)
+    dense = [b for b, part in enumerate(parts) if part is None]
+    if dense and eig_cap is not None and n > eig_cap:
+        raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
+                         f"{orders[dense[0]]}, above eig_cap = {eig_cap}")
+    certified = [part for part in parts if part is not None]
     if not certified:
         lam = spectrum(restriction)
     elif dense:
-        lam = _checked_eigenvalues([(dense, bound)], n)[0]
+        lam = _checked_eigenvalues([(_real_matrices(line, dense), bound)], n)[0]
     else:
         lam = np.empty(0)
     entropy, proxy = map(float, _dense_sums(lam))
@@ -1025,7 +1244,7 @@ def entropy_results(restrictions) -> list[EntropyResult]:
                          f"{sorted({r.order for r in restrictions})}")
     if n >= _PLUNGE_MIN_ORDER:
         return [entropy_result(r) for r in restrictions]
-    sets = [r._real_blocks[:2] for r in restrictions]
+    sets = [(r._real_blocks, r._real_line[1]) for r in restrictions]
     entropies, proxies = _dense_sums(np.stack(_checked_eigenvalues(sets, n)))
     return [EntropyResult(n=n, entropy=float(s), proxy=float(p), bracket=0.0,
                           plunge_blocks=0, dense_blocks=len(blocks))

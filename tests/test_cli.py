@@ -334,19 +334,11 @@ def test_scan_exits_2_when_the_plunge_qr_fails(tmp_path, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_scan_exits_2_when_a_plunge_block_leaves_its_trace(tmp_path, monkeypatch):
-    # The even block's (0, 1) pair, about 0.23, lowered by 1e-9 after it is
-    # formed raises its t by about 9e-10 over the t of the coefficients.
-    blocks = toeplitz._centrosymmetric_blocks
-
-    def shifted(r):
-        out = blocks(r)
-        if len(r) == 362:
-            out[0][0, 1] -= 1e-9
-            out[0][1, 0] -= 1e-9
-        return out
-
-    monkeypatch.setattr(toeplitz, "_centrosymmetric_blocks", shifted)
+def test_scan_exits_2_when_a_plunge_block_leaves_its_trace(tmp_path, operator_coupling):
+    # The even block's (0, 1) pair, about 0.23, lowered by 1e-9 in the
+    # operator that applies it at N = 362 raises its t by about 9e-10 over
+    # the t of the coefficients.
+    operator_coupling(-1e-9, order=362)
     code, err = _scan_exit(tmp_path, [[0.3, 0.55]], 362)
     assert code == 2
     assert err.startswith("verification failure: Ritz values sum ")
@@ -816,3 +808,45 @@ def test_json_outputs_read_back_as_the_indented_writer_wrote(tmp_path, monkeypat
     # Without --out the same line goes to stdout.
     res = run_cli("cantor", "--q", "0.3", "--a", "0.8", "--depth", "5")
     assert res.stdout == (tmp_path / "cantor.json").read_text()
+
+
+def test_scan_refuses_a_dense_solve_above_the_eig_cap(tmp_path, monkeypatch):
+    # The depth-5 Cantor set's blocks of order 724 at N = 1448 fail the
+    # plunge rule; sizes above the cap are solved first, so the refusal comes
+    # before any eigensolve and before any block is formed.
+    solved, formed = [], []
+    eigvalsh, real_matrices = np.linalg.eigvalsh, toeplitz._real_matrices
+
+    def eigvalsh_spy(mat):
+        solved.append(mat.shape)
+        return eigvalsh(mat)
+
+    def forming_spy(line, *args):
+        formed.append(len(line))
+        return real_matrices(line, *args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
+    spec = write_spec(tmp_path / "c.json",
+                      {"version": 1, "type": "cantor", "q": 0.25, "a": 1.0, "depth": 5})
+    res = run_cli("scan", "--set", spec, "--nmin", "8", "--nmax", "1448",
+                  "--eig-cap", "1024", "--out", str(tmp_path / "scan.csv"))
+    assert res.returncode == 1
+    assert res.stderr == ("error: N=1448 needs a dense eigensolve of a block of order "
+                          "724, above eig_cap = 1024\n")
+    assert solved == [] and formed == []
+
+
+def test_scan_solves_plunge_sizes_above_the_eig_cap(tmp_path):
+    # Every block of [0.3, 0.55) from N = 362 on takes the plunge path, so a
+    # cap below the grid's top refuses nothing and changes no value.
+    spec = write_spec(tmp_path / "set.json",
+                      {"version": 1, "type": "intervals", "intervals": [[0.3, 0.55]]})
+    rows = {}
+    for cap in ("362", "2048"):
+        out = tmp_path / f"{cap}.csv"
+        assert run_cli("scan", "--set", spec, "--nmin", "8", "--nmax", "2048",
+                       "--eig-cap", cap, "--out", str(out)).returncode == 0
+        rows[cap] = [{k: v for k, v in row.items() if k != "wall_ms"}
+                     for row in csv.DictReader(out.open())]
+    assert rows["362"] == rows["2048"]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -1058,16 +1059,26 @@ def test_missed_ritz_value_falls_back_to_the_dense_value(ritz_fault, fault):
 
 def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     # No dense solve of order 181 or more in the fig-2 scan of [phi, phi + 1/2)
-    # over 8..1448; the depth-5 Cantor set keeps its dense solves.
+    # over 8..1448, and no block formed from N = 362 on; the depth-5 Cantor
+    # set keeps its dense solves and forms its blocks.
     seen = _spy_eigvalsh(monkeypatch)
+    formed, real_matrices = [], toeplitz._real_matrices
+
+    def forming_spy(line, *args):
+        formed.append(len(line))
+        return real_matrices(line, *args)
+
+    monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
     phi = float(np.random.default_rng(1448).uniform(0.0, 0.5))
     scan(canonicalize([(phi, phi + 0.5)]), default_grid(8, 1448), mode="both")
     assert seen and max(shape[0] for _, shape in seen) < 181
+    assert formed and max(formed) < 362
     cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
     for n in (256, 1024):
         seen.clear()
+        formed.clear()
         result = entropy_result(build_restriction(cantor, n))
-        assert seen == _solves(n, True)
+        assert seen == _solves(n, True) and formed == [n]
         assert (result.plunge_blocks, result.dense_blocks) == (0, 2)
 
 
@@ -1101,24 +1112,32 @@ def test_small_blocks_compute_no_plunge_trace(monkeypatch, K, largest):
     assert traces == [largest + 1]
 
 
+# Which way a 1e-9 coupling of the (0, 1) pair goes at N = 1024: past the
+# sum-theta <= t check, or to the dense solve through a bracket past its budget.
+COUPLING_FAILS = {("split", 1e-9): False, ("split", -1e-9): True,
+                  ("real-form", 1e-9): True, ("real-form", -1e-9): False}
+
+
 @pytest.mark.parametrize("delta", [1e-9, -1e-9], ids=["raised", "lowered"])
-@pytest.mark.parametrize("K", [TRANSLATED, canonicalize([(0.05, 0.3), (0.5, 0.62)])],
+@pytest.mark.parametrize("layout, K", [("split", TRANSLATED),
+                                       ("real-form", canonicalize([(0.05, 0.3), (0.5, 0.62)]))],
                          ids=["split", "real-form"])
-def test_plunge_block_off_its_coefficients_never_certifies(K, delta):
-    # t comes from the coefficients, not from the formed block: a block whose
-    # (0, 1) pair moved by 1e-9 after it was formed either fails the
-    # sum-theta <= t check or goes back to the dense solve.
+def test_plunge_block_off_its_coefficients_never_certifies(operator_coupling, layout, K,
+                                                          delta):
+    # t comes from the coefficients, not from the operator: an operator whose
+    # (0, 1) pair is coupled by 1e-9 more than the line says either fails the
+    # sum-theta <= t check or sends its block to the dense solve; on each
+    # layout one sign of the coupling reaches the check.
     restriction = build_restriction(SymbolFunction.indicator(K), 1024)
-    blocks = restriction._real_blocks[0]
-    assert entropy_result(restriction).plunge_blocks == len(blocks)
-    blocks[0][0, 1] += delta
-    blocks[0][1, 0] += delta
-    try:
-        result = entropy_result(restriction)
-    except EigensolveError as exc:
-        assert "exceeds the plunge trace" in str(exc) and "N=1024" in str(exc)
+    blocks = len(toeplitz._block_orders(restriction._real_line[0]))
+    assert entropy_result(restriction).plunge_blocks == blocks
+    operator_coupling(delta)
+    if COUPLING_FAILS[layout, delta]:
+        with pytest.raises(EigensolveError, match="exceeds the plunge trace .* at N=1024"):
+            entropy_result(restriction)
     else:
-        assert result.plunge_blocks == len(blocks) - 1 and result.dense_blocks == 1
+        result = entropy_result(restriction)
+        assert result.plunge_blocks == blocks - 1 and result.dense_blocks == 1
 
 
 # Sets and sizes of the accuracy check, with the number of real blocks that
@@ -1165,25 +1184,45 @@ def test_bracket_bounds_the_entropy_left_out():
         assert lower <= exact <= lower + toeplitz._bracket(rest, p) + 1e-15
 
 
-def _mp_block_trace(mat):
-    """tr H - ||H||_F^2 of a formed block, entry by entry in 40 digits."""
+def _mp_block_traces(line):
+    """tr H - ||H||_F^2 of each real block formed from ``line`` in 40
+    digits, entry by entry: r(|i - j|) +- r(N - 1 - i - j) with the
+    sqrt(2) r(m - i) border and r(0) corner on the split, and
+    Re q(|k - l|) + sgn(h) Im q(|h|) on the real form."""
+    n, m = len(line), len(line) // 2
     with mpmath.workdps(40):
-        entries = [mpmath.mpf(float(v)) for v in mat.ravel()]
-        return (mpmath.fsum(entries[::len(mat) + 1])
-                - mpmath.fsum(v * v for v in entries))
+        re = [mpmath.mpf(float(v)) for v in line.real]
+        if np.iscomplexobj(line):
+            im = [mpmath.mpf(float(v)) for v in line.imag]
+            blocks = [[[re[abs(i - j)] + mpmath.sign(i + j - n + 1) * im[abs(i + j - n + 1)]
+                        for j in range(n)] for i in range(n)]]
+        else:
+            blocks = []
+            for sign, order in ((1, n - m), (-1, m)):
+                rows = [[re[abs(i - j)] + sign * re[n - 1 - i - j] for j in range(order)]
+                        for i in range(order)]
+                if sign > 0 and n % 2:
+                    for i in range(m):
+                        rows[i][m] = rows[m][i] = mpmath.sqrt(2) * re[m - i]
+                    rows[m][m] = re[0]
+                blocks.append(rows)
+        return [mpmath.fsum(rows[i][i] for i in range(len(rows)))
+                - mpmath.fsum(v * v for row in rows for v in row)
+                for rows in blocks if rows]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 40, 41])
 @pytest.mark.parametrize("K", [TRANSLATED, THREE, TWO_QUARTERS],
                          ids=["split", "real-form", "q1-zero"])
 def test_plunge_trace_matches_40_digit_blocks(K, n):
-    # The O(N) t of the line against tr H - ||H||_F^2 of the formed blocks.
-    blocks, _, line = toeplitz._real_matrices(
-        build_restriction(SymbolFunction.indicator(K), n).row)
+    # The O(N) t of the line against tr H - ||H||_F^2 of the blocks formed
+    # from the line in 40 digits.
+    line = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)[0]
     traces = toeplitz._plunge_traces(line)
-    assert len(traces) == len(blocks)
-    for mat, (t, charge) in zip(blocks, traces):
-        assert abs(mpmath.mpf(t) - _mp_block_trace(mat)) <= charge
+    refs = _mp_block_traces(line)
+    assert len(traces) == len(refs) == len(toeplitz._block_orders(line))
+    for (t, charge), ref in zip(traces, refs):
+        assert abs(mpmath.mpf(t) - ref) <= charge
 
 
 def _mp_line_traces(line):
@@ -1211,7 +1250,136 @@ def _mp_line_traces(line):
 @pytest.mark.parametrize("n", [511, 512, 1447, 1448, 2047, 2048])
 @pytest.mark.parametrize("K", [TRANSLATED, THREE], ids=["split", "real-form"])
 def test_plunge_trace_matches_40_digit_sums(K, n):
-    line = toeplitz._real_matrices(build_restriction(SymbolFunction.indicator(K), n).row)[2]
+    line = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)[0]
     for (t, charge), ref in zip(toeplitz._plunge_traces(line), _mp_line_traces(line),
                                 strict=True):
         assert abs(mpmath.mpf(t) - ref) <= charge
+
+
+def _slices(x, axis=None):
+    """Three slices of x, each a multiple of 2^(e - 20 s) for s = 1, 2, 3
+    with |x| < 2^e along ``axis`` (over all of x when None): a product of
+    two such slices is exact, and so is a sum of up to 2^13 of them in any
+    order, as every partial sum is an integer below 2^53 on that grid.
+    Their sum is x but for a rest below 2^(e - 60)."""
+    top = np.max(np.abs(x), axis=axis, keepdims=axis is not None)
+    e = np.frexp(np.maximum(top, np.finfo(float).tiny))[1]
+    out = []
+    for s in range(1, 4):
+        sigma = np.ldexp(1.0, e + 52 - 20 * s)
+        part = (sigma + x) - sigma
+        out.append(part)
+        x = x - part
+    return out
+
+
+def _exact_product(rows, line, b):
+    """rows @ H_b to 64-bit mantissas, with H_b the real block b formed from
+    ``line`` in exact arithmetic: D (T + s Hk) D, T = a(|i - j|) and
+    Hk = g(i + j) from the entries of the line themselves, each product of
+    slices exact in float64 and summed in np.longdouble; D scales the
+    border of the odd-N even block by sqrt(1/2) in np.longdouble."""
+    n, p = len(line), toeplitz._block_orders(line)[b]
+    if np.iscomplexobj(line):
+        a, g = line.real, np.concatenate([-line.imag[:0:-1], line.imag])
+    else:
+        a, g = line, line[::-1] * (-1.0 if b else 1.0)
+    pieces = _slices(rows, axis=1)
+    out = np.zeros((len(rows), p), dtype=np.longdouble)
+    for part, form in ((a, lambda x: toeplitz._toeplitz(x[:p])),
+                       (g, lambda x: toeplitz._hankel(x, p))):
+        # the pairs of slices whose products reach 2^-80 of the largest
+        for t, piece in enumerate(_slices(np.ascontiguousarray(part[:2 * p - 1]))):
+            product = np.concatenate(pieces[:3 - t]) @ form(piece)
+            out += sum(product.reshape(3 - t, len(rows), p).astype(np.longdouble))
+    if b == 0 and n % 2 and not np.iscomplexobj(line):
+        root = np.sqrt(np.longdouble(0.5))
+        edge = (a[np.abs(p - 1 - np.arange(p))].astype(np.longdouble)
+                + g[p - 1 + np.arange(p)].astype(np.longdouble))
+        out += (root - 1) * rows[:, -1:].astype(np.longdouble) * edge
+        out[:, -1] *= root
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 362, 363, 1447, 1448])
+@pytest.mark.parametrize("K", [TRANSLATED, THREE, TWO_QUARTERS],
+                         ids=["split", "real-form", "q1-zero"])
+def test_plunge_operator_matches_the_blocks(K, n):
+    # Each row of the FFT products lies within its charge, times the row's
+    # norm, of the product with the block formed from the line.
+    line = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)[0]
+    orders = toeplitz._block_orders(line)
+    op = toeplitz._PlungeOperator(line)
+    charge = toeplitz._fft_charge(line, orders[0])
+    rng = np.random.default_rng(n)
+    for b, p in enumerate(orders):
+        rows = rng.uniform(-1.0, 1.0, (3, p))
+        [image] = op([(b, rows)])
+        error = np.sqrt(np.sum(((image - _exact_product(rows, line, b)) ** 2).astype(float),
+                               axis=1))
+        assert np.all(error <= charge * np.linalg.norm(rows, axis=1))
+
+
+@pytest.mark.parametrize("K, n", [(TRANSLATED, 362), (TRANSLATED, 1448), (TRANSLATED, 2048),
+                                  (canonicalize([(0.05, 0.3), (0.5, 0.62)]), 1024),
+                                  (canonicalize([(0.05, 0.3), (0.5, 0.62)]), 2048)],
+                         ids=["split-362", "split-1448", "split-2048",
+                              "real-form-1024", "real-form-2048"])
+def test_ritz_values_within_their_charge(monkeypatch, K, n):
+    # The Ritz values of the plunge path against the eigenvalues of
+    # Z H Z^T - (Z H)(Z H)^T on the same orthonormal rows Z, with Z H taken
+    # to 64-bit mantissas and each eigenvalue as the Rayleigh quotient, in
+    # np.longdouble, of an eigenvector of that matrix.
+    bases, solved = [], []
+    qr, certify = np.linalg.qr, toeplitz._certify
+
+    def qr_spy(mat):
+        out = qr(mat)
+        bases.append(out[0].T)
+        return out
+
+    def certify_spy(ritz, p, t, t_charge, ritz_charge, *args):
+        solved.append((ritz, ritz_charge))
+        return certify(ritz, p, t, t_charge, ritz_charge, *args)
+
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    monkeypatch.setattr(toeplitz, "_certify", certify_spy)
+    restriction = build_restriction(SymbolFunction.indicator(K), n)
+    result = entropy_result(restriction)
+    line = restriction._real_line[0]
+    assert result.plunge_blocks == len(bases) == len(solved) == len(toeplitz._block_orders(line))
+    for b, (basis, (ritz, charge)) in enumerate(zip(bases, solved)):
+        image = _exact_product(basis, line, b)
+        exact = image @ (basis.astype(np.longdouble) - image).T
+        vectors = np.linalg.eigh(exact.astype(float))[1].astype(np.longdouble)
+        reference = np.einsum("ij,ik,kj->j", vectors, exact, vectors).astype(float)
+        assert np.all(np.abs(ritz - reference) <= charge)
+
+
+def test_plunge_path_memory_stays_order_n():
+    # [0.3, 0.55) at N = 4096: formed, its two order-2048 blocks would take
+    # 64 MiB; the FFT products hold a few arrays of k = 35 rows of length
+    # L = 4096 instead (traced peak 13.6 MiB measured).
+    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 4096)
+    tracemalloc.start()
+    try:
+        result = entropy_result(restriction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.plunge_blocks == 2
+    assert peak <= 20 * 2 ** 20
+
+
+def test_jin_korepin_anchor_at_16384():
+    # [0.3, 0.55) at N = 16384 certifies through scan, far above eig_cap; its
+    # residual against the Jin-Korepin asymptotics is the N^-2 term,
+    # -0.1 / N^2 = -3.73e-10 (test_jin_korepin_correction_falls_as_n_minus_2
+    # measures -0.10001 and -0.09999 at N = 256 and 1024). Gate: a quarter of
+    # that term; measured -3.99e-10 with a bracket of 3.0e-11.
+    n = 16384
+    [record] = scan(TRANSLATED, [n], mode="both")
+    assert 0.0 < record.bracket <= toeplitz.CERTIFICATE_TOL
+    residual = record.entropy - (math.log(2 * n * math.sin(math.pi * 0.25)) / 3 + UPSILON)
+    term = -0.1 / n ** 2
+    assert abs(residual - term) <= 0.25 * abs(term)
