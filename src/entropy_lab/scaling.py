@@ -329,11 +329,13 @@ def _subadditivity_gaps(k1: TorusIntervalSet, k2: TorusIntervalSet, sizes) -> li
     union's coefficients are q1 + q2, term by term: one table pass for both
     sets (``joint_fourier_coefficients``) up to the largest N gives all
     three. That holds only for disjoint sets, so any overlap, however
-    small, is refused. At each N the three restrictions go through
-    ``entropy_results``, which below order 128 solves their blocks of one
-    order as one stacked eigensolve and checks each set on its own gates.
+    small, is refused. At each N the three restrictions go through one
+    ``entropy_results`` call, which solves their dense blocks of one order
+    as one stacked eigensolve and checks each set on its own gates.
     """
     sizes = list(sizes)
+    if min(sizes) < 1:
+        raise ValueError(f"block size must be >= 1, got {min(sizes)}")
     top = max(sizes)
     if top > DEFAULT_EIG_CAP:
         raise ValueError(f"N={top} above eigensolve cap {DEFAULT_EIG_CAP}")

@@ -50,9 +50,9 @@ charge for forming the real matrices (Weyl's bound on the split, and the
 rounding of the matrix entries, at most 1.5 N eps max |q(k)|) is added.
 Both moments cost O(p^2) against the O(p^3) solve. Every eigenvalue must
 then lie within 1e-9 of [0, 1]; one further out fails the solve as a missed
-moment does. Several restrictions of one order below 128
-(``entropy_results``) are solved together, all their blocks of one order
-as one ``eigvalsh`` stack, and each restriction is checked on its own.
+moment does. The dense blocks of one order, from one restriction or from
+several of one N (``entropy_results``), are solved as one ``eigvalsh``
+stack, and each restriction is checked on its own.
 
 ``entropy_result`` needs only the plunge eigenvalues, the few away from 0
 and 1, since eta_tilde vanishes at both ends. For a large block H of order p
@@ -487,22 +487,20 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
 class ToeplitzRestriction:
     """Hermitian N x N block Q_N with entries Q[l, k] = q(k - l).
 
-    Stored as its first row q(0), ..., q(N - 1), from which ``spectrum``
-    and ``entropy_result`` build the line of its real matrices once, on
-    first use, and ``spectrum`` the matrices; N is the row's length.
-    ``matrix`` builds the complex Q_N on first use, for the Fock-space
-    oracle; the solve never forms it.
+    Stored as its first row q(0), ..., q(N - 1), N >= 1 the row's length,
+    from which ``spectrum`` and ``entropy_results`` build the line of its
+    real matrices. ``matrix`` builds the complex Q_N on first use, for the
+    Fock-space oracle; the solve never forms it.
     """
 
     row: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.row.ndim != 1:
-            raise ValueError("first row must be a 1-D array")
-        if self.order and self.row[0].imag != 0.0:
+        if self.row.ndim != 1 or not len(self.row):
+            raise ValueError("first row must be a 1-D array with at least one entry")
+        if self.row[0].imag != 0.0:
             raise ValueError(f"restriction not Hermitian: q(0) = {self.row[0]}")
         self.row.setflags(write=False)
-        self._line = self._blocks = None
 
     @property
     def order(self) -> int:
@@ -515,20 +513,6 @@ class ToeplitzRestriction:
         mat = np.where(diff >= 0, self.row[lag], np.conj(self.row[lag]))
         mat.setflags(write=False)
         return mat
-
-    # Both kept by hand: a cached_property takes a lock on every first use,
-    # which small restrictions, built and solved once each, pay in full.
-    @property
-    def _real_line(self) -> tuple[np.ndarray, float]:
-        if self._line is None:
-            self._line = _real_line(self.row)
-        return self._line
-
-    @property
-    def _real_blocks(self) -> list[np.ndarray]:
-        if self._blocks is None:
-            self._blocks = _real_matrices(self._real_line[0])
-        return self._blocks
 
 
 def _lags(n: int) -> np.ndarray:
@@ -730,8 +714,8 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     like the checks before it. The checked eigenvalues are clipped into
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     """
-    return _checked_eigenvalues([(restriction._real_blocks, restriction._real_line[1])],
-                                restriction.order)[0]
+    line, bound = _real_line(restriction.row)
+    return _checked_eigenvalues([(_real_matrices(line), bound)], restriction.order)[0]
 
 
 def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
@@ -740,39 +724,40 @@ def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
     restriction of order ``n`` and their charge, checked and clipped as
     ``spectrum`` describes; ``n`` names the order in messages.
 
-    Given several sets, the blocks of one order from all of them are solved
-    as one ``eigvalsh`` stack; a single set's blocks are solved one by one,
-    as ``spectrum`` always solved them.
-    Every gate is applied per set: the eigenvalue count, the moment gaps of
-    its blocks plus its own charge against RESIDUAL_TOL times its own
-    ||Q||, and the range check of its eigenvalues.
+    The blocks of one order, from all the sets, are solved as one
+    ``eigvalsh`` stack; a set without blocks gets no eigenvalues. Every gate
+    is applied per set: the eigenvalue count, the moment gaps of its blocks
+    plus its own charge against RESIDUAL_TOL times its own ||Q||, and the
+    range check of its eigenvalues.
     """
     groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
     for i, (blocks, _) in enumerate(sets):
-        for j, mat in enumerate(blocks):
-            owners, mats = groups.setdefault(len(mat) if len(sets) > 1 else j, ([], []))
+        for mat in blocks:
+            owners, mats = groups.setdefault(len(mat), ([], []))
             owners.append(i)
             mats.append(mat)
     values = [[] for _ in sets]
     gaps = [[] for _ in sets]
-    for owners, mats in groups.values():
-        p, stacked = len(mats[0]), len(mats) > 1
+    for p, (owners, mats) in groups.items():
         try:
-            w = np.linalg.eigvalsh(np.stack(mats) if stacked else mats[0])
+            w = np.linalg.eigvalsh(np.stack(mats))
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(
                 f"eigensolve failed for N={n}: {exc}; "
                 f"matrix max |entry| {max(np.max(np.abs(mat)) for mat in mats):.3g}"
             ) from exc
-        if np.shape(w) != (len(mats), p)[not stacked:]:
-            what = f"{len(mats)} blocks" if stacked else "a block"
+        if np.shape(w) != (len(mats), p):
+            what = f"{len(mats)} blocks" if len(mats) > 1 else "a block"
             raise EigensolveError(f"eigensolve returned {np.size(w)} eigenvalues for "
                                   f"{what} of order {p} at N={n}")
-        for i, mat, wi in zip(owners, mats, w if stacked else [w]):
+        for i, mat, wi in zip(owners, mats, w):
             values[i].append(wi)
             gaps[i].append(_moment_gaps(mat, wi))
     checked = []
     for vals, set_gaps, (_, bound) in zip(values, gaps, sets):
+        if not vals:
+            checked.append(np.empty(0))
+            continue
         # eigvalsh returns ascending values, so one block needs no sort.
         w = vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
         # A NaN anywhere makes lo, hi and so norm NaN, which fails the moment gates.
@@ -976,7 +961,8 @@ def _plunge_entropies(line: np.ndarray, n: int) -> list[tuple[float, float, floa
     derives, or None when the selection rule or a bracket beyond the block's
     share of CERTIFICATE_TOL sends it to the dense solve.
 
-    Each t comes from ``_plunge_traces`` of ``line``. The admitted blocks
+    Each t comes from ``_plunge_traces`` of ``line``, which is not called
+    when every block is below _PLUNGE_MIN_ORDER. The admitted blocks
     run one Rayleigh-Ritz pass in step, through one ``_PlungeOperator``:
     from one fixed-seed start of uniform rows on [-1, 1), their images
     H W and H (H W), one QR each of the rows of M W = H W - H (H W), the
@@ -990,6 +976,8 @@ def _plunge_entropies(line: np.ndarray, n: int) -> list[tuple[float, float, floa
     failed solves and raise EigensolveError.
     """
     orders = _block_orders(line)
+    if orders[0] < _PLUNGE_MIN_ORDER:
+        return [None] * len(orders)
     budget = CERTIFICATE_TOL / len(orders)
     traces = _plunge_traces(line)
     fft_charge = _fft_charge(line, orders[0])
@@ -1197,64 +1185,54 @@ class EntropyResult:
 
 def entropy_result(restriction: ToeplitzRestriction, *,
                    eig_cap: int | None = None) -> EntropyResult:
-    """S_N and P_N from the real blocks of ``restriction``: each block from
-    its certified plunge subspace when the selection rule admits it and its
-    share of CERTIFICATE_TOL covers its bracket, the others densely, by
-    ``spectrum`` when no block took the plunge path. Only the blocks solved
-    densely are formed. With ``eig_cap`` given, an N above it whose blocks
-    do not all take the plunge path raises ValueError before any dense
-    solve starts."""
-    n = restriction.order
-    line, bound = restriction._real_line
-    orders = _block_orders(line)
-    parts = [None] * len(orders)
-    if orders[0] >= _PLUNGE_MIN_ORDER:
-        parts = _plunge_entropies(line, n)
-    dense = [b for b, part in enumerate(parts) if part is None]
-    if dense and eig_cap is not None and n > eig_cap:
-        raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
-                         f"{orders[dense[0]]}, above eig_cap = {eig_cap}")
-    certified = [part for part in parts if part is not None]
-    if not certified:
-        lam = spectrum(restriction)
-    elif dense:
-        lam = _checked_eigenvalues([(_real_matrices(line, dense), bound)], n)[0]
-    else:
-        lam = np.empty(0)
-    entropy, proxy = map(float, _dense_sums(lam))
-    bracket = 0.0
-    for part in certified:
-        entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
-    return EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,
-                         plunge_blocks=len(certified), dense_blocks=len(dense))
+    """``entropy_results`` of ``restriction`` alone."""
+    return entropy_results([restriction], eig_cap=eig_cap)[0]
 
 
-def entropy_results(restrictions) -> list[EntropyResult]:
-    """``entropy_result`` of each of ``restrictions``, all of one order N.
-
-    Below N = _PLUNGE_MIN_ORDER, where every block is solved densely, the
-    real blocks of all of them go to ``_checked_eigenvalues`` together: one
-    ``eigvalsh`` stack per block order, with every gate applied per
-    restriction. From that order on each goes through ``entropy_result``.
+def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[EntropyResult]:
+    """S_N and P_N of each of ``restrictions``, all of one order N, from
+    their real blocks: each block from its certified plunge subspace
+    (``_plunge_entropies``) when the selection rule admits it and its share
+    of CERTIFICATE_TOL covers its bracket, the others densely. Only the
+    blocks solved densely are formed, and those of all the restrictions go
+    to one ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block
+    order, with every gate applied per restriction. With ``eig_cap`` given,
+    an N above it with a block that does not take the plunge path raises
+    ValueError before any dense solve starts.
     """
     restrictions = list(restrictions)
+    if not restrictions:
+        return []
     n = restrictions[0].order
     if any(r.order != n for r in restrictions):
         raise ValueError(f"restrictions of one order needed, got orders "
                          f"{sorted({r.order for r in restrictions})}")
-    if n >= _PLUNGE_MIN_ORDER:
-        return [entropy_result(r) for r in restrictions]
-    sets = [(r._real_blocks, r._real_line[1]) for r in restrictions]
-    entropies, proxies = _dense_sums(np.stack(_checked_eigenvalues(sets, n)))
-    return [EntropyResult(n=n, entropy=float(s), proxy=float(p), bracket=0.0,
-                          plunge_blocks=0, dense_blocks=len(blocks))
-            for s, p, (blocks, _) in zip(entropies, proxies, sets)]
+    lines = [_real_line(r.row) for r in restrictions]
+    parts = [_plunge_entropies(line, n) for line, _ in lines]
+    dense = [[b for b, part in enumerate(blocks) if part is None] for blocks in parts]
+    if eig_cap is not None and n > eig_cap:
+        for (line, _), indices in zip(lines, dense):
+            if indices:
+                raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
+                                 f"{_block_orders(line)[indices[0]]}, above eig_cap = {eig_cap}")
+    sets = [(_real_matrices(line, indices), bound)
+            for (line, bound), indices in zip(lines, dense)]
+    results = []
+    for lam, blocks, indices in zip(_checked_eigenvalues(sets, n), parts, dense):
+        entropy, proxy = map(float, _dense_sums(lam))
+        bracket = 0.0
+        certified = [part for part in blocks if part is not None]
+        for part in certified:
+            entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
+        results.append(EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,
+                                     plunge_blocks=len(certified), dense_blocks=len(indices)))
+    return results
 
 
 def _dense_sums(lam: np.ndarray) -> tuple:
     """S and P of checked eigenvalues, the sums of eta_tilde and of
-    l (1 - l) over the last axis of ``lam``."""
-    return _eta_tilde_unit(lam).sum(axis=-1), (lam * (1.0 - lam)).sum(axis=-1)
+    l (1 - l) over ``lam``."""
+    return _eta_tilde_unit(lam).sum(), (lam * (1.0 - lam)).sum()
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

@@ -108,14 +108,17 @@ def test_tracer_can_produce_every_per_layer_metric(monkeypatch):
 
 def test_traced_spectrum_spans_carry_their_counts(monkeypatch):
     # A traced benchmark pass reads n, eigs and plunge off every
-    # toeplitz.spectrum span, for the half-order split (a scan of [0, 1/2),
-    # and two intervals alone) and for the order-N real form (their
+    # toeplitz.spectrum span, for the half-order split ([0, 1/2) at N = 8
+    # and 16, and two intervals alone) and for the order-N real form (their
     # asymmetric union), the three order-16 restrictions that
-    # check_subadditivity solves.
+    # check_subadditivity solves. scan solves through entropy_result, not
+    # spectrum, so [0, 1/2) is solved by spectrum directly.
     tracing = _tracing_module(monkeypatch)
     k1, k2 = canonicalize([(0.05, 0.3)]), canonicalize([(0.5, 0.62)])
+    half = entropy_lab.SymbolFunction.indicator(canonicalize([(0.0, 0.5)]))
     with tracing.Tracer() as tracer:
-        entropy_lab.scaling.scan(canonicalize([(0.0, 0.5)]), [8, 16], mode="both")
+        for n in (8, 16):
+            entropy_lab.spectrum(entropy_lab.build_restriction(half, n))
         for K in (k1, k2, k1.union(k2)):
             entropy_lab.spectrum(entropy_lab.build_restriction(
                 entropy_lab.SymbolFunction.indicator(K), 16))

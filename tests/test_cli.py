@@ -222,12 +222,12 @@ def test_scan_exits_2_when_eigensolve_fails(tmp_path, monkeypatch, intervals):
 
 
 def _failing_from(order):
-    """np.linalg.eigvalsh that raises LinAlgError on matrices of ``order`` or
-    more."""
+    """np.linalg.eigvalsh that raises LinAlgError on stacks of matrices of
+    ``order`` or more."""
     eigvalsh = np.linalg.eigvalsh
 
     def failing(mat):
-        if len(mat) >= order:
+        if mat.shape[-1] >= order:
             raise np.linalg.LinAlgError("injected")
         return eigvalsh(mat)
 
@@ -260,7 +260,7 @@ def test_scan_exits_2_when_the_moment_gate_fails(tmp_path, monkeypatch, interval
 
     def shifted(mat):
         w = eigvalsh(mat)
-        w[-1] += 1e-6
+        w[0, -1] += 1e-6                            # the top of the stack's first slice
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
@@ -282,9 +282,9 @@ def test_scan_exits_2_when_an_eigenvalue_leaves_the_unit_interval(tmp_path, monk
 
     def below_zero(mat):
         w = eigvalsh(mat)
-        shift = w[0] + 1e-6
-        w[0] -= shift
-        w[1] += shift
+        shift = w[0, 0] + 1e-6                      # in the stack's first slice
+        w[0, 0] -= shift
+        w[0, 1] += shift
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", below_zero)
@@ -368,13 +368,14 @@ def _top_past_one(w):
 
 def _one_stacked_set(fault):
     """np.linalg.eigvalsh that hands the eigenvalues of the slices of a
-    stacked (3-D) solve to ``fault`` until it changes one, so that a single
-    set of the stack is hit; 2-D solves pass through."""
+    stack of more than two blocks, which only several sets fill, to
+    ``fault`` until it changes one, so that a single set of the stack is
+    hit; other solves pass through."""
     eigvalsh = np.linalg.eigvalsh
 
     def stub(mat):
         w = eigvalsh(mat)
-        if mat.ndim == 3:
+        if mat.ndim == 3 and len(mat) > 2:
             any(fault(row) for row in w)
         return w
 
@@ -400,9 +401,9 @@ def test_check_subadditivity_fails_on_one_set_of_the_stack(monkeypatch, fault):
         scaling.check_subadditivity(k1, k2, 64)
 
 
-# verify --quick solves nothing stacked before its subadditivity suite. There
-# the first stack comes at N = 4, and the first with two eigenvalues within
-# 1e-9 of 1 at N = 16.
+# verify --quick fills no stack of more than two blocks before its
+# subadditivity suite. There the first such stack comes at N = 4, and the
+# first with two eigenvalues within 1e-9 of 1 at N = 16.
 @pytest.mark.parametrize("fault, n", [("linalg", 4), ("shift", 4), ("past-one", 16)])
 def test_verify_exits_2_when_one_set_of_the_stack_fails(monkeypatch, capsys, fault, n):
     corrupt, message = STACK_FAULTS[fault]

@@ -203,7 +203,8 @@ def test_oracle_solves_rho_once_and_q_only_as_real_blocks(monkeypatch, n):
     block_entropy_oracle(SKEW, n)
     dim = 1 << n
     assert [s for s in solved if s[1]] == [((dim, dim), True)]
-    assert sum(shape[0] for shape, complex_ in solved if not complex_) == n
+    # the real blocks come in stacks of shape (blocks, order, order)
+    assert sum(math.prod(shape[:2]) for shape, complex_ in solved if not complex_) == n
 
 
 def test_density_matrix_size_guard():

@@ -15,13 +15,7 @@ from entropy_lab.scaling import (
     invariance_report,
     scan,
 )
-from entropy_lab.toeplitz import (
-    SymbolCoefficients,
-    SymbolFunction,
-    entropy_result,
-    joint_fourier_coefficients,
-    restriction_from_coefficients,
-)
+from entropy_lab.toeplitz import SymbolFunction
 from entropy_lab.torus_sets import (
     CantorSpec,
     cantor_depth_policy,
@@ -239,7 +233,7 @@ def _count_calls(monkeypatch, module, name):
     # [0.1, 0.3) splits into blocks of orders 8 and 8 (or 9 and 8); the other
     # set and the union have no centre and are real forms of order N.
     (16, [(2, 8, 8), (2, 16, 16)]),
-    (17, [(9, 9), (8, 8), (2, 17, 17)]),
+    (17, [(1, 9, 9), (1, 8, 8), (2, 17, 17)]),
 ])
 def test_subadditivity_makes_one_table_pass_and_one_solve_per_order(monkeypatch, n, shapes):
     k1, k2 = canonicalize([(0.1, 0.3)]), canonicalize([(0.45, 0.5), (0.6, 0.8)])
@@ -248,18 +242,6 @@ def test_subadditivity_makes_one_table_pass_and_one_solve_per_order(monkeypatch,
     check_subadditivity(k1, k2, n)
     assert len(tables) == 2          # one H and one L table for both sets
     assert [a[0].shape for a in solves] == shapes
-
-
-def test_subadditivity_from_order_128_solves_each_set_on_its_own(monkeypatch):
-    k1, k2 = canonicalize([(0.1, 0.3)]), canonicalize([(0.45, 0.5), (0.6, 0.8)])
-    results = _count_calls(monkeypatch, toeplitz, "entropy_result")
-    gap = check_subadditivity(k1, k2, 200)
-    assert len(results) == 3
-    c1, c2 = joint_fourier_coefficients(
-        [SymbolFunction.indicator(k1), SymbolFunction.indicator(k2)], 199)
-    s1, s2, s12 = (entropy_result(restriction_from_coefficients(c, 200)).entropy
-                   for c in (c1, c2, SymbolCoefficients(c1.values + c2.values)))
-    assert gap == s1 + s2 - s12
 
 
 def test_invariance_report_solves_each_set_triple_together(monkeypatch):
@@ -335,13 +317,16 @@ def _proxy_only(sizes):
     (lambda: check_subadditivity(canonicalize([(0.0, 0.25)]),
                                  canonicalize([(0.5, 0.75)]), 4096),
      "N=4096 above eigensolve cap 2048"),
+    (lambda: check_subadditivity(canonicalize([(0.0, 0.25)]),
+                                 canonicalize([(0.5, 0.75)]), 0),
+     "^block size must be >= 1, got 0$"),
     (lambda: check_monotonicity(_proxy_only([4, 8])), "needs records with S_N"),
     (lambda: bound_envelope(_proxy_only([4, 8])), "needs records with S_N"),
     (lambda: bound_envelope(_synthetic({1: 0.5})), "no records with N >= 2"),
     (lambda: bound_envelope(_synthetic({2: 0.5, 4: 0.7})), "no records with N >= 8"),
 ], ids=["scan-size", "series-proxy-only", "series-unknown", "fit-nonpositive",
-        "subadditivity-cap", "monotonicity-proxy-only", "envelope-proxy-only",
-        "envelope-no-records", "envelope-below-window"])
+        "subadditivity-cap", "subadditivity-size", "monotonicity-proxy-only",
+        "envelope-proxy-only", "envelope-no-records", "envelope-below-window"])
 def test_scaling_raises_name_the_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

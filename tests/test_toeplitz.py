@@ -32,7 +32,7 @@ from entropy_lab.toeplitz import (
     restriction_from_coefficients,
     spectrum,
 )
-from entropy_lab.scaling import SOLVER_TOL, default_grid, scan, solver_gap
+from entropy_lab.scaling import SOLVER_TOL, check_subadditivity, default_grid, scan, solver_gap
 from entropy_lab.torus_sets import (
     CantorSpec,
     canonicalize,
@@ -510,6 +510,8 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "n_max must be nonnegative"),
     (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 0),
      ValueError, "block size must be >= 1, got 0"),
+    (lambda: ToeplitzRestriction(np.zeros(0)),
+     ValueError, "^first row must be a 1-D array with at least one entry$"),
     (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 6),
      ValueError, "need coefficients up to 5, have 4"),
     (lambda: proxy_scan(_QUARTER_COEFFS, [4, 0, 2]),
@@ -521,8 +523,9 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
     (lambda: SymbolFunction.of([(0.0, 0.5)]),
      TypeError, "expected a SymbolFunction or TorusIntervalSet, got a list"),
 ], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
-        "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-order",
-        "proxy-scan-size", "proxy-scan-order", "series-size", "symbol-source"])
+        "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
+        "restriction-order", "proxy-scan-size", "proxy-scan-order", "series-size",
+        "symbol-source"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -547,10 +550,11 @@ def _spy_eigvalsh(monkeypatch, result=None):
 
 
 def _solves(n, split):
-    """What _spy_eigvalsh records for one spectrum of order n: the even and
-    odd half-order blocks of the split, or one order-n real form."""
-    orders = ((n + 1) // 2, n // 2) if split else (n,)
-    return [(np.float64, (k, k)) for k in orders if k]
+    """What _spy_eigvalsh records for one spectrum of order n: one stack per
+    block order, the even and odd half-order blocks of the split (one stack
+    of two at even n) or one order-n real form."""
+    orders = [k for k in (((n + 1) // 2, n // 2) if split else (n,)) if k]
+    return [(np.float64, (orders.count(k), k, k)) for k in dict.fromkeys(orders)]
 
 
 def _no_complex_solve(monkeypatch):
@@ -605,7 +609,9 @@ def _raise_top(delta):
 
 
 def _drop_one(w):
-    return w[1:]
+    """The stack's eigenvalues flattened, less the lowest of its first
+    slice: one fewer than its blocks have."""
+    return w.reshape(-1)[1:]
 
 
 def _swap_mass(w):
@@ -623,6 +629,19 @@ def _not_a_number(w):
     return out
 
 
+def _in_slice(k, fault):
+    """Apply ``fault`` to the eigenvalues of slice ``k`` of a stacked solve
+    only; solves of one matrix, the Ritz solves of the plunge path, pass
+    through."""
+    def corrupt(w):
+        if w.ndim == 1:
+            return w
+        out = w.copy()
+        out[k] = fault(w[k])
+        return out
+    return corrupt
+
+
 def _below_zero(w):
     """The smallest eigenvalue moved to -1e-6 and the next one up by as much:
     both sit near 0, so the sum is unchanged and the sum of squares moves far
@@ -634,19 +653,21 @@ def _below_zero(w):
     return out
 
 
-# Each fault is injected into every solve and must be caught by the named
-# check. A zero-sum perturbation escapes the first moment and shows in the
-# second as 1e-6 (w_i - w_j) / ||H||, so it is caught while the two
+# Each fault is injected into the first slice of every stacked solve (the
+# drop into the stack as a whole) and must be caught by the named check. A
+# zero-sum perturbation escapes the first moment and shows in the second as
+# 1e-6 (w_i - w_j) / ||H||, so it is caught while the two
 # eigenvalues are more than 1e-2 ||H|| apart. A third moment would move by
 # 3e-6 (w_i - w_j)(w_i + w_j), which shrinks with the same gap. Two
 # eigenvalues near 0 are that close, so an eigenvalue pushed below 0 by a
 # zero-sum fault is caught by the range check instead.
 FAULTS = {
-    "shift": (_raise_top(1e-6), "trace moment 1 gap"),
-    "drop": (_drop_one, "eigensolve returned 15 eigenvalues for a block of order 16"),
-    "zero-sum": (_swap_mass, "trace moment 2 gap"),
-    "nan": (_not_a_number, "trace moment 1 gap nan"),
-    "below-zero": (_below_zero, "eigenvalue outside \\[0, 1\\] by 1e-06"),
+    "shift": (_in_slice(0, _raise_top(1e-6)), "trace moment 1 gap"),
+    "drop": (_drop_one, "eigensolve returned (31 eigenvalues for 2 blocks|15 eigenvalues "
+                        "for a block) of order 16"),
+    "zero-sum": (_in_slice(0, _swap_mass), "trace moment 2 gap"),
+    "nan": (_in_slice(0, _not_a_number), "trace moment 1 gap nan"),
+    "below-zero": (_in_slice(0, _below_zero), "eigenvalue outside \\[0, 1\\] by 1e-06"),
 }
 
 
@@ -655,8 +676,8 @@ FAULTS = {
 @pytest.mark.parametrize("fault", FAULTS.keys())
 def test_fault_matrix(monkeypatch, K, fault):
     corrupt, message = FAULTS[fault]
-    # Order 32 splits into blocks of order 16; the real form of THREE has
-    # order 16 itself.
+    # Order 32 splits into two blocks of order 16, one stack of two; the real
+    # form of THREE has order 16 itself, a stack of one.
     n = 32 if K is TRANSLATED else 16
     _spy_eigvalsh(monkeypatch, result=corrupt)
     with pytest.raises(EigensolveError, match=f"{message}.* at N={n}"):
@@ -768,7 +789,7 @@ def test_real_path_charges_weyl_bound(monkeypatch):
     top = float(np.max(_EIGVALSH(restriction.matrix)))
     # A first-moment gap that passes the gate alone but not with the bound.
     delta = 1e-8 * top - weyl / 2
-    seen = _spy_eigvalsh(monkeypatch, result=_raise_top(delta))
+    seen = _spy_eigvalsh(monkeypatch, result=_raise_top_of_slice(0, delta))
     with pytest.raises(EigensolveError, match="real-form charge 4.5e-10"):
         spectrum(restriction)
     assert seen == _solves(n, True)
@@ -906,9 +927,10 @@ def test_residual_gate_catches_a_shift_of_the_odd_block_only(monkeypatch, n):
 
     def spy(mat):
         w = _EIGVALSH(mat)
-        if np.array_equal(mat, odd):
-            shifted.append(mat.shape)
-            w = w + 1e-6
+        for i, block in enumerate(mat):
+            if np.array_equal(block, odd):
+                shifted.append(block.shape)
+                w[i] += 1e-6
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
@@ -919,18 +941,22 @@ def test_residual_gate_catches_a_shift_of_the_odd_block_only(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [32, 33])
 def test_failure_of_the_second_block_names_the_full_order(monkeypatch, n):
+    # The solve that holds the odd block fails: the stack of both blocks at
+    # even N, the second stack at odd N.
+    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), n)
+    odd = _odd_block(restriction)
     calls = []
 
     def second_fails(mat):
         calls.append(mat.shape)
-        if len(calls) == 2:
+        if any(np.array_equal(block, odd) for block in mat):
             raise np.linalg.LinAlgError("injected")
         return _EIGVALSH(mat)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", second_fails)
     with pytest.raises(EigensolveError, match=f"eigensolve failed for N={n}: injected"):
-        spectrum(build_restriction(SymbolFunction.indicator(TRANSLATED), n))
-    assert calls == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+        spectrum(restriction)
+    assert calls == [shape for _, shape in _solves(n, True)]
 
 
 # Symbols of every path side by side: split sets, real forms and a mixed
@@ -939,16 +965,48 @@ STACK_SYMBOLS = [SymbolFunction.indicator(K) for K in SPLIT_SETS.values()] + \
     list(FULL_SYMBOLS.values())
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 64, 127, 200])
-def test_entropy_results_equal_one_solve_per_restriction(monkeypatch, n):
-    restrictions = [build_restriction(f, n) for f in STACK_SYMBOLS]
-    alone = [entropy_result(build_restriction(f, n)) for f in STACK_SYMBOLS]
+def _stack_restrictions(n):
+    return [build_restriction(f, n) for f in STACK_SYMBOLS]
+
+
+# A disjoint pair with no shared centre, as check_subadditivity solves it:
+# both sets and their union from the sum of their coefficients.
+PAIR = (canonicalize([(0.1, 0.3)]), canonicalize([(0.45, 0.5), (0.6, 0.8)]))
+
+
+def _pair_restrictions(n):
+    c1, c2 = joint_fourier_coefficients([SymbolFunction.indicator(K) for K in PAIR], n - 1)
+    return [restriction_from_coefficients(c, n)
+            for c in (c1, c2, SymbolCoefficients(c1.values + c2.values))]
+
+
+# From N = 362 on some restrictions certify and others stack their dense
+# blocks in one call.
+@pytest.mark.parametrize("n, build", [
+    *(pytest.param(n, _stack_restrictions, id=str(n))
+      for n in (1, 2, 5, 16, 17, 64, 127, 200, 362, 1024)),
+    pytest.param(200, _pair_restrictions, id="subadditivity-200"),
+])
+def test_entropy_results_equal_one_solve_per_restriction(monkeypatch, n, build):
+    restrictions = build(n)
+    alone = [entropy_result(r) for r in restrictions]
     seen = _spy_eigvalsh(monkeypatch)
     assert entropy_results(restrictions) == alone
-    if n < 128:
-        # one solve per distinct block order, stacked over the restrictions
-        orders = [shape[-1] for _, shape in seen]
-        assert len(orders) == len(set(orders)) and any(len(s) == 3 for _, s in seen)
+    if n >= 362:
+        assert any(r.plunge_blocks for r in alone) and any(r.dense_blocks for r in alone)
+    # one dense solve per distinct block order, stacked over the restrictions;
+    # the Ritz solves of the plunge path take one matrix each
+    stacks = [shape for _, shape in seen if len(shape) == 3]
+    orders = [shape[-1] for shape in stacks]
+    assert len(orders) == len(set(orders)) and any(shape[0] > 1 for shape in stacks)
+    if build is _pair_restrictions:
+        s1, s2, s12 = (res.entropy for res in alone)
+        assert check_subadditivity(*PAIR, n) == s1 + s2 - s12
+
+
+def test_entropy_results_of_no_restriction_are_empty():
+    assert entropy_results([]) == []
+    assert entropy_results(iter([]), eig_cap=8) == []
 
 
 def test_entropy_results_need_one_order():
@@ -960,12 +1018,7 @@ def test_entropy_results_need_one_order():
 def _raise_top_of_slice(k, delta):
     """Move the largest eigenvalue of slice ``k`` of a stacked solve up by
     ``delta``; solves of one matrix pass through."""
-    def corrupt(w):
-        out = w.copy()
-        if out.ndim == 2:
-            out[k, -1] += delta
-        return out
-    return corrupt
+    return _in_slice(k, _raise_top(delta))
 
 
 def test_stacked_gates_take_each_set_on_its_own_scale(monkeypatch):
@@ -1065,13 +1118,15 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     formed, real_matrices = [], toeplitz._real_matrices
 
     def forming_spy(line, *args):
-        formed.append(len(line))
-        return real_matrices(line, *args)
+        blocks = real_matrices(line, *args)
+        if blocks:
+            formed.append(len(line))
+        return blocks
 
     monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
     phi = float(np.random.default_rng(1448).uniform(0.0, 0.5))
     scan(canonicalize([(phi, phi + 0.5)]), default_grid(8, 1448), mode="both")
-    assert seen and max(shape[0] for _, shape in seen) < 181
+    assert seen and max(shape[-1] for _, shape in seen) < 181
     assert formed and max(formed) < 362
     cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
     for n in (256, 1024):
@@ -1129,7 +1184,7 @@ def test_plunge_block_off_its_coefficients_never_certifies(operator_coupling, la
     # sum-theta <= t check or sends its block to the dense solve; on each
     # layout one sign of the coupling reaches the check.
     restriction = build_restriction(SymbolFunction.indicator(K), 1024)
-    blocks = len(toeplitz._block_orders(restriction._real_line[0]))
+    blocks = len(toeplitz._block_orders(toeplitz._real_line(restriction.row)[0]))
     assert entropy_result(restriction).plunge_blocks == blocks
     operator_coupling(delta)
     if COUPLING_FAILS[layout, delta]:
@@ -1346,7 +1401,7 @@ def test_ritz_values_within_their_charge(monkeypatch, K, n):
     monkeypatch.setattr(toeplitz, "_certify", certify_spy)
     restriction = build_restriction(SymbolFunction.indicator(K), n)
     result = entropy_result(restriction)
-    line = restriction._real_line[0]
+    line = toeplitz._real_line(restriction.row)[0]
     assert result.plunge_blocks == len(bases) == len(solved) == len(toeplitz._block_orders(line))
     for b, (basis, (ritz, charge)) in enumerate(zip(bases, solved)):
         image = _exact_product(basis, line, b)
