@@ -331,14 +331,16 @@ def _subadditivity_gaps(k1: TorusIntervalSet, k2: TorusIntervalSet, sizes) -> li
     three. That holds only for disjoint sets, so any overlap, however
     small, is refused. At each N the three restrictions go through one
     ``entropy_results`` call, which solves their dense blocks of one order
-    as one stacked eigensolve and checks each set on its own gates.
+    as one stacked eigensolve and checks each set on its own gates. The cap
+    is ``scan``'s: an N above DEFAULT_EIG_CAP is refused with ValueError
+    when a block of any of the three would need a dense eigensolve, before
+    that solve starts, and is solved when all their blocks take the
+    certified plunge path.
     """
     sizes = list(sizes)
     if min(sizes) < 1:
         raise ValueError(f"block size must be >= 1, got {min(sizes)}")
     top = max(sizes)
-    if top > DEFAULT_EIG_CAP:
-        raise ValueError(f"N={top} above eigensolve cap {DEFAULT_EIG_CAP}")
     overlap = k1.intersection(k2)
     if not overlap.is_empty:
         raise ValueError(f"subadditivity check needs disjoint sets, these share "
@@ -349,7 +351,8 @@ def _subadditivity_gaps(k1: TorusIntervalSet, k2: TorusIntervalSet, sizes) -> li
     gaps = []
     for n in sizes:
         s1, s2, s12 = (res.entropy for res in entropy_results(
-            restriction_from_coefficients(c, n) for c in (c1, c2, union)))
+            (restriction_from_coefficients(c, n) for c in (c1, c2, union)),
+            eig_cap=DEFAULT_EIG_CAP))
         gaps.append(s1 + s2 - s12)
     return gaps
 

@@ -35,13 +35,23 @@ when that bound is at most 1e-9 q(0). The real symmetric Toeplitz matrix T
 of Re r is centrosymmetric, J T J = T with J the index reversal, so the
 orthogonal similarity onto the vectors with u = +-J u splits it into two
 Toeplitz-plus-Hankel blocks of half the order (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976). With m = N // 2 and i, j < m these are
-r(|i - j|) +- r(N - 1 - i - j); for odd N the even block is bordered by the
-column sqrt(2) r(m - i) and the corner r(0). Every other symbol (q(1) = 0,
-asymmetric sets, mixed symbols without a centre) is solved at order N as
-U* Q_N U with U = (I + i J) / sqrt(2): writing Q_N = A + i B, this is the
-real symmetric Toeplitz-plus-Hankel matrix A + (J B - B J) / 2 with entries
-Re q(|k - l|) + sgn(h) Im q(|h|), h = l + k - N + 1.
+Algebra Appl. 13, 1976). Every other symbol (q(1) = 0, asymmetric sets,
+mixed symbols without a centre) is solved at order N as U* Q_N U with
+U = (I + i J) / sqrt(2): writing Q_N = A + i B, this is the real symmetric
+Toeplitz-plus-Hankel matrix A + (J B - B J) / 2. Either way each real block
+of order p is
+
+    D (T + s Hk) D,   T[i, j] = a(|i - j|),   Hk[i, j] = g(i + j),   i, j < p,
+
+and ``_blocks`` reads its column a, its Hankel line g, its sign s and D off
+the line of ``_real_line``. On the split a = r and g(k) = r(N - 1 - k), with
+s = +1 for the even block, of order N - m, m = N // 2, and s = -1 for the
+odd one, of order m; on the real form a = Re q, g(k) = sgn(h) Im q(|h|) with
+h = k - N + 1, and s = +1. D is the identity but for the odd-N even block:
+the middle site pairs with the even vectors only, and the last entry
+sqrt(1/2) of D gives the border column sqrt(2) r(m - i) and the corner r(0).
+A dense solve forms the blocks from two strided views of the line
+(``_real_matrices``); the plunge pass below applies them through FFTs.
 
 The eigenvalues w of each solved matrix H of order p are checked without
 eigenvectors: there must be p of them, and |sum w - tr H| and
@@ -86,18 +96,13 @@ falls below the sum of the top k: sum theta > t is this path's moment check.
 The start's distribution does not enter the certificate, which is checked
 after the pass.
 
-The pass never forms a block. Each is D (T + s Hk) D with T[i, j] =
-a(|i - j|) and Hk[i, j] = g(i + j): on the split a = r, g(s) = r(N - 1 - s),
-s = +1 for the even block and -1 for the odd one; on the real form
-a = Re q, g(s) = sgn(h) Im q(|h|) with h = s - N + 1, and s = +1. D is the
-identity but for the odd-N even block, whose last entry sqrt(1/2) gives the
-border sqrt(2) r(m - i) and the corner r(0). Zero-padded to a length
+The pass never forms a block D (T + s Hk) D. Zero-padded to a length
 L >= 2 p - 1, T x is the circular convolution of x with the symmetric column
 c = a(min(j, L - j)), whose transform C is real (circulant embedding:
 Strang, Stud. Appl. Math. 74, 1986; Chan & Ng, SIAM Rev. 38, 1996), and
 Hk x that of g with x read backwards, whose transform is conj(X) for a real
 row x with transform X. So one rfft of the rows and one irfft of
-C X +- G conj(X) apply a block (``_PlungeOperator``). L is the smallest
+C X + s G conj(X) apply a block (``_PlungeOperator``). L is the smallest
 5-smooth integer >= 2 p - 1 for the larger order p: about N on the split,
 whose two blocks share C, G and, at even N, the transform of the start, and
 about 2 N on the order-N real form. The path holds O(N k) numbers, no
@@ -508,16 +513,7 @@ class ToeplitzRestriction:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        diff = _lags(self.order)                    # diff[l, k] = k - l
-        lag = np.abs(diff)
-        mat = np.where(diff >= 0, self.row[lag], np.conj(self.row[lag]))
-        mat.setflags(write=False)
-        return mat
-
-
-def _lags(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return idx[None, :] - idx[:, None]
+        return _toeplitz(self.row)
 
 
 def restriction_from_coefficients(coeffs: SymbolCoefficients, n: int) -> ToeplitzRestriction:
@@ -573,59 +569,15 @@ def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
 
 
 def _toeplitz(a: np.ndarray) -> np.ndarray:
-    """Read-only view of the symmetric Toeplitz matrix T[i, j] = a(|i - j|)."""
-    line = np.concatenate([a[:0:-1], a])            # a(|t - p + 1|), t < 2p - 1
+    """Read-only view of the Toeplitz matrix T[i, j] = a(j - i) of the
+    Hermitian column a, a(-k) = conj a(k); symmetric for a real column."""
+    line = np.concatenate([a[:0:-1].conj(), a])     # a(t - p + 1), t < 2p - 1
     return _window(line, len(a), -1)
 
 
 def _hankel(g: np.ndarray, p: int) -> np.ndarray:
     """Read-only view of the Hankel matrix H[i, j] = g(i + j) of order p."""
     return _window(np.ascontiguousarray(g[:2 * p - 1]), p, 1)
-
-
-def _centrosymmetric_blocks(r: np.ndarray, keep=(0, 1)) -> list[np.ndarray]:
-    """The blocks of the real symmetric Toeplitz matrix T[i, j] = r(|i - j|)
-    of order N under the orthogonal similarity onto the vectors with
-    u = +-J u: the even block of order ceil(N/2), then the odd block of
-    order floor(N/2), which is left out when empty (N = 1); only those of
-    the indices ``keep`` are formed.
-
-    With m = N // 2 and i, j < m, the Toeplitz part r(|i - j|) plus or minus
-    the Hankel part r(N - 1 - i - j) gives the even and odd blocks. For odd N
-    the middle site pairs with the even vectors only: the even block is
-    bordered by the column sqrt(2) r(m - i) and the corner r(0).
-    """
-    n = len(r)
-    m = n // 2
-    if m:
-        toeplitz, hankel = _toeplitz(r[:m]), _hankel(r[::-1], m)
-    blocks = []
-    if 0 in keep:
-        even = np.empty((n - m, n - m))
-        if n % 2:
-            border = math.sqrt(2.0) * r[m::-1]
-            even[m, :] = even[:, m] = border
-            even[m, m] = r[0]
-        if m:
-            np.add(toeplitz, hankel, out=even[:m, :m])
-        blocks.append(even)
-    if m and 1 in keep:
-        blocks.append(toeplitz - hankel)
-    return blocks
-
-
-def _real_form(row: np.ndarray) -> np.ndarray:
-    """The real symmetric matrix U* Q_N U with U = (I + i J) / sqrt(2).
-
-    Write Q_N = A + i B with A[l, k] = Re q(|k - l|) symmetric Toeplitz and
-    B[l, k] = sgn(k - l) Im q(|k - l|) antisymmetric Toeplitz, so J A J = A
-    and J B J = -B. Then U* Q_N U = A + (J B - B J) / 2, whose imaginary
-    parts cancel because A J = J A. (J B - B J) / 2 is the Hankel matrix
-    sgn(h) Im q(|h|) with h = l + k - N + 1.
-    """
-    n = len(row)
-    im = row.imag                                   # Im q(0) = 0
-    return _toeplitz(row.real) + _hankel(np.concatenate([-im[:0:-1], im]), n)
 
 
 # Rounding charges of the real matrices. The similarities are exact, so a
@@ -647,10 +599,10 @@ _BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
 _FORM_ROUNDING = np.finfo(float).eps
 
 
-def _real_line(row: np.ndarray) -> tuple[np.ndarray, float]:
+def _real_line(row: np.ndarray) -> tuple[np.ndarray, tuple, float]:
     """The line the real symmetric matrices whose spectra together are the
-    spectrum of Q_N are built from, and the bound on how far forming them
-    moves any eigenvalue.
+    spectrum of Q_N are built from, those blocks (``_blocks``), and the
+    bound on how far forming them moves any eigenvalue.
 
     A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
     the real line r of the two half-order blocks, charged with Weyl's bound
@@ -661,24 +613,49 @@ def _real_line(row: np.ndarray) -> tuple[np.ndarray, float]:
     n = len(row)
     r, weyl = _centred_row(row)
     if weyl <= REAL_PATH_TOL * r[0]:
-        return r, weyl + _BLOCK_ROUNDING * n * float(np.max(np.abs(r)))
-    return row.astype(complex, copy=False), _FORM_ROUNDING * n * float(np.max(np.abs(row)))
+        line, bound = r, weyl + _BLOCK_ROUNDING * n * float(np.max(np.abs(r)))
+    else:
+        line = row.astype(complex, copy=False)
+        bound = _FORM_ROUNDING * n * float(np.max(np.abs(row)))
+    return line, _blocks(line), bound
 
 
-def _block_orders(line: np.ndarray) -> list[int]:
-    """Orders of the real blocks built from ``line``, largest first."""
+def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
+    """The real blocks of a line from ``_real_line``: their orders, largest
+    first, the Toeplitz column a of length p and the Hankel line g of length
+    2 p - 1 for the largest order p, and whether D borders the first block (odd N on
+    the split). Block b is D (T + s Hk) D with T[i, j] = a(|i - j|),
+    Hk[i, j] = g(i + j) and s = (-1)^b; the module docstring derives a and
+    g of the half-order split of a real line and of the order-N real form
+    of a complex one."""
     n = len(line)
     if np.iscomplexobj(line):
-        return [n]
-    return [n - n // 2, n // 2][:1 + (n > 1)]
+        return [n], line.real, np.concatenate([-line.imag[:0:-1], line.imag]), False
+    p = n - n // 2
+    return [p, n // 2][:1 + (n > 1)], line[:p], line[::-1][:2 * p - 1], n % 2 == 1
 
 
-def _real_matrices(line: np.ndarray, keep=(0, 1)) -> list[np.ndarray]:
-    """The real blocks built from ``line`` (see ``_real_line``), in the order
-    of ``_block_orders``; only those of the indices ``keep`` are formed."""
-    if np.iscomplexobj(line):
-        return [_real_form(line)] if 0 in keep else []
-    return _centrosymmetric_blocks(line, keep)
+def _real_matrices(blocks, keep=(0, 1)) -> list[np.ndarray]:
+    """The real blocks D (T + s Hk) D that ``_blocks`` describes, formed
+    from strided views, for the block indices ``keep`` only; a smaller block
+    reads the leading corner of the views of the largest. D scales the
+    last row and column of the odd-N even block by sqrt(1/2), which gives
+    the border fl(sqrt 2) r(m - i) exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2,
+    and its corner is a(0)."""
+    orders, a, g, border = blocks
+    toeplitz, hankel = _toeplitz(a), _hankel(g, orders[0])
+    mats = []
+    for b, p in enumerate(orders):
+        if b not in keep:
+            continue
+        part, cross = toeplitz[:p, :p], hankel[:p, :p]
+        mat = part - cross if b else part + cross
+        if border and not b:
+            mat[-1] *= _HALF_ROOT
+            mat[:, -1] *= _HALF_ROOT
+            mat[-1, -1] = a[0]
+        mats.append(mat)
+    return mats
 
 
 def _moment_gaps(mat: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -700,10 +677,11 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     only (``np.linalg.eigvalsh``); no eigenvector and no complex matrix is
     formed. When the demodulated first row is real up to REAL_PATH_TOL * q(0)
     in Weyl's bound, its real symmetric Toeplitz matrix T is centrosymmetric
-    and an orthogonal similarity splits it into an even and an odd
-    Toeplitz-plus-Hankel block of half the order (``_centrosymmetric_blocks``).
-    Any other restriction is solved at order N as the real form
-    U* Q_N U = A + (J B - B J) / 2 (``_real_form``).
+    and an orthogonal similarity splits it into an even and an odd block of
+    half the order. Any other restriction is solved at order N as the real
+    form U* Q_N U = A + (J B - B J) / 2. Each block is D (T + s Hk) D, as
+    ``_blocks`` reads it off the line (module docstring), formed by
+    ``_real_matrices``.
 
     Each solved matrix H of order p must give exactly p eigenvalues w, and
     both |sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||), plus the
@@ -714,8 +692,8 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     like the checks before it. The checked eigenvalues are clipped into
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     """
-    line, bound = _real_line(restriction.row)
-    return _checked_eigenvalues([(_real_matrices(line), bound)], restriction.order)[0]
+    _, blocks, bound = _real_line(restriction.row)
+    return _checked_eigenvalues([(_real_matrices(blocks), bound)], restriction.order)[0]
 
 
 def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
@@ -763,7 +741,8 @@ def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
         # A NaN anywhere makes lo, hi and so norm NaN, which fails the moment gates.
         lo, hi = float(w.min()), float(w.max())
         norm = max(-lo, hi)
-        for moment, gap in enumerate(map(max, zip(*set_gaps)), start=1):
+        # np.max, unlike max, keeps a NaN gap of any block, not only the first.
+        for moment, gap in enumerate(np.max(set_gaps, axis=0), start=1):
             gap += bound
             if not gap <= RESIDUAL_TOL * norm:
                 raise EigensolveError(
@@ -843,24 +822,15 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _operator_norms(line: np.ndarray, p: int) -> float:
-    """||c||_1 + ||g||_1 of the Toeplitz column c (both directions) and
-    the Hankel line g that ``_PlungeOperator`` embeds for the blocks of
-    ``line``, p the largest order; each bounds the largest entry of its
-    transform at any length."""
-    if np.iscomplexobj(line):
-        a, g = np.abs(line.real), np.abs(line.imag)
-        return 2.0 * float(a.sum() + g.sum()) - a[0]
-    a = np.abs(line)
-    return 2.0 * float(a[:p].sum()) - a[0] + float(a[len(line) - 2 * p + 1:].sum())
-
-
-def _fft_charge(line: np.ndarray, p: int) -> float:
+def _fft_charge(blocks) -> float:
     """beta = 2 u sqrt(2 log2 L + 1) (||c||_1 + ||g||_1), the rounding
     charge of one Ritz value, and of one unit row, for the FFT products with
-    the blocks of ``line``, p the largest order (module docstring)."""
-    length = _fft_length(2 * p - 1)
-    return 2.0 * _UNIT * math.sqrt(2.0 * math.log2(length) + 1.0) * _operator_norms(line, p)
+    ``blocks`` (module docstring): ||c||_1 counts a(0) once and every other
+    lag of the column twice, and each bounds the largest entry of its
+    transform at any length."""
+    _, a, g, _ = blocks
+    norms = 2.0 * float(np.abs(a).sum()) - abs(a[0]) + float(np.abs(g).sum())
+    return 2.0 * _UNIT * math.sqrt(2.0 * math.log2(_fft_length(2 * len(a) - 1)) + 1.0) * norms
 
 
 def _ritz_charge(p: int, fft_charge: float) -> float:
@@ -887,25 +857,18 @@ def _plunge_rank(p: int, t: float, t_charge: float, ritz_charge: float,
 
 
 class _PlungeOperator:
-    """The real blocks built from one line, D (T +- Hk) D, applied to rows
-    through FFTs of length L, the smallest 5-smooth L >= 2 p - 1 for the
-    largest order p, without forming them (module docstring): C and G are
-    the transforms of the Toeplitz column and of the Hankel line."""
+    """The real blocks D (T + s Hk) D of one line, as ``_blocks`` gives
+    them, applied to rows through FFTs of length L, the smallest 5-smooth
+    L >= 2 p - 1 for the largest order p, without forming them (module
+    docstring): C and G are the transforms of the Toeplitz column a and of
+    the Hankel line g."""
 
-    def __init__(self, line: np.ndarray):
-        self.orders = _block_orders(line)
+    def __init__(self, blocks):
+        self.orders, a, g, self.border = blocks
         p = self.orders[0]
-        n = len(line)
-        if np.iscomplexobj(line):
-            a = line.real
-            g = np.concatenate([-line.imag[:0:-1], line.imag])
-            self.border = False
-        else:
-            a, g = line[:p], line[::-1][:2 * p - 1]
-            self.border = n % 2 == 1
         self.length = _fft_length(2 * p - 1)
         column = np.zeros(self.length)
-        column[:p] = a[:p]
+        column[:p] = a
         column[self.length - p + 1:] = a[p - 1:0:-1]
         self.toeplitz = np.fft.rfft(column).real
         self.hankel = np.fft.rfft(g, self.length)
@@ -955,11 +918,13 @@ class _PlungeOperator:
         return images
 
 
-def _plunge_entropies(line: np.ndarray, n: int) -> list[tuple[float, float, float] | None]:
-    """Per real block of ``line``, (S, sum of the Ritz values, bracket
-    width) from its plunge subspace, certified as the module docstring
-    derives, or None when the selection rule or a bracket beyond the block's
-    share of CERTIFICATE_TOL sends it to the dense solve.
+def _plunge_entropies(line: np.ndarray, blocks,
+                      n: int) -> list[tuple[float, float, float] | None]:
+    """Per real block of ``line``, as ``_blocks`` gives them in ``blocks``,
+    (S, sum of the Ritz values, bracket width) from its plunge subspace,
+    certified as the module docstring derives, or None when the selection
+    rule or a bracket beyond the block's share of CERTIFICATE_TOL sends it
+    to the dense solve.
 
     Each t comes from ``_plunge_traces`` of ``line``, which is not called
     when every block is below _PLUNGE_MIN_ORDER. The admitted blocks
@@ -975,19 +940,19 @@ def _plunge_entropies(line: np.ndarray, n: int) -> list[tuple[float, float, floa
     its charge, and Ritz values summing to more than t plus the charges are
     failed solves and raise EigensolveError.
     """
-    orders = _block_orders(line)
+    orders = blocks[0]
     if orders[0] < _PLUNGE_MIN_ORDER:
         return [None] * len(orders)
     budget = CERTIFICATE_TOL / len(orders)
     traces = _plunge_traces(line)
-    fft_charge = _fft_charge(line, orders[0])
+    fft_charge = _fft_charge(blocks)
     ritz_charges = [_ritz_charge(p, fft_charge) for p in orders]
     ranks = [_plunge_rank(p, t, t_charge, charge, budget)
              for p, (t, t_charge), charge in zip(orders, traces, ritz_charges)]
     admitted = [b for b, k in enumerate(ranks) if k]
     if not admitted:
         return [None] * len(orders)
-    op = _PlungeOperator(line)
+    op = _PlungeOperator(blocks)
     start = np.random.default_rng(_PLUNGE_SEED).uniform(
         -1.0, 1.0, (max(ranks[b] for b in admitted), orders[0]))
     images = op([(b, start if orders[b] == orders[0] else start[:, :orders[b]])
@@ -1117,8 +1082,8 @@ def _cut(groups: list[np.ndarray], count: int) -> float:
 
 
 def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
-    """(t, charge) of each real block that ``_real_matrices`` builds from
-    ``line`` of length N >= 2, in its order: t = tr H - ||H||_F^2 of the
+    """(t, charge) of each real block that ``_blocks`` reads off ``line``
+    of length N >= 2, in its order: t = tr H - ||H||_F^2 of the
     block H formed from the line in exact arithmetic, from O(N) compensated
     sums, and the charge for those sums (module docstring). A complex line is
     the row of the order-N real form, a real one the line r of the
@@ -1208,20 +1173,20 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
         raise ValueError(f"restrictions of one order needed, got orders "
                          f"{sorted({r.order for r in restrictions})}")
     lines = [_real_line(r.row) for r in restrictions]
-    parts = [_plunge_entropies(line, n) for line, _ in lines]
-    dense = [[b for b, part in enumerate(blocks) if part is None] for blocks in parts]
+    parts = [_plunge_entropies(line, blocks, n) for line, blocks, _ in lines]
+    dense = [[b for b, part in enumerate(plunge) if part is None] for plunge in parts]
     if eig_cap is not None and n > eig_cap:
-        for (line, _), indices in zip(lines, dense):
+        for (_, blocks, _), indices in zip(lines, dense):
             if indices:
                 raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
-                                 f"{_block_orders(line)[indices[0]]}, above eig_cap = {eig_cap}")
-    sets = [(_real_matrices(line, indices), bound)
-            for (line, bound), indices in zip(lines, dense)]
+                                 f"{blocks[0][indices[0]]}, above eig_cap = {eig_cap}")
+    sets = [(_real_matrices(blocks, indices), bound)
+            for (_, blocks, bound), indices in zip(lines, dense)]
     results = []
-    for lam, blocks, indices in zip(_checked_eigenvalues(sets, n), parts, dense):
+    for lam, plunge, indices in zip(_checked_eigenvalues(sets, n), parts, dense):
         entropy, proxy = map(float, _dense_sums(lam))
         bracket = 0.0
-        certified = [part for part in blocks if part is not None]
+        certified = [part for part in plunge if part is not None]
         for part in certified:
             entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
         results.append(EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,

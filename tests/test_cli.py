@@ -822,9 +822,9 @@ def test_scan_refuses_a_dense_solve_above_the_eig_cap(tmp_path, monkeypatch):
         solved.append(mat.shape)
         return eigvalsh(mat)
 
-    def forming_spy(line, *args):
-        formed.append(len(line))
-        return real_matrices(line, *args)
+    def forming_spy(blocks, *args):
+        formed.append(sum(blocks[0]))
+        return real_matrices(blocks, *args)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
     monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)

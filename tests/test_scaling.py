@@ -6,6 +6,7 @@ import pytest
 
 from entropy_lab import toeplitz
 from entropy_lab.scaling import (
+    GAP_TOL,
     ScanRecord,
     bound_envelope,
     check_monotonicity,
@@ -186,6 +187,9 @@ def test_subadditivity_examples():
     k1 = canonicalize([(0.0, 0.25)])
     k2 = canonicalize([(0.5, 0.75)])
     assert check_subadditivity(k1, k2, 8) >= -1e-9
+    # Above the eigensolve cap every block of the three sets certifies, so
+    # the cap refuses nothing.
+    assert check_subadditivity(k1, k2, 4096) >= -GAP_TOL
     # empty partner: union equals the set itself, so the gap is exactly zero
     from entropy_lab.torus_sets import empty_set
     assert check_subadditivity(k1, empty_set(), 8) == 0.0
@@ -314,9 +318,9 @@ def _proxy_only(sizes):
      "unknown series 'purity'"),
     (lambda: fit_exponent(_synthetic({16: 1.0, 32: 0.0, 64: 2.0, 128: 3.0}), "log"),
      "strictly positive"),
-    (lambda: check_subadditivity(canonicalize([(0.0, 0.25)]),
-                                 canonicalize([(0.5, 0.75)]), 4096),
-     "N=4096 above eigensolve cap 2048"),
+    (lambda: check_subadditivity(cantor_generate(CantorSpec(0.25, 1.0, 5)),
+                                 canonicalize([(0.4, 0.6)]), 4096),
+     "^N=4096 needs a dense eigensolve of a block of order 2048, above eig_cap = 2048$"),
     (lambda: check_subadditivity(canonicalize([(0.0, 0.25)]),
                                  canonicalize([(0.5, 0.75)]), 0),
      "^block size must be >= 1, got 0$"),

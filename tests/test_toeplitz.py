@@ -654,9 +654,10 @@ def _below_zero(w):
 
 
 # Each fault is injected into the first slice of every stacked solve (the
-# drop into the stack as a whole) and must be caught by the named check. A
-# zero-sum perturbation escapes the first moment and shows in the second as
-# 1e-6 (w_i - w_j) / ||H||, so it is caught while the two
+# drop into the stack as a whole, nan-odd into the second slice, which only
+# the split has, so that the NaN gap is not the first) and must be caught by
+# the named check. A zero-sum perturbation escapes the first moment and shows
+# in the second as 1e-6 (w_i - w_j) / ||H||, so it is caught while the two
 # eigenvalues are more than 1e-2 ||H|| apart. A third moment would move by
 # 3e-6 (w_i - w_j)(w_i + w_j), which shrinks with the same gap. Two
 # eigenvalues near 0 are that close, so an eigenvalue pushed below 0 by a
@@ -667,13 +668,15 @@ FAULTS = {
                         "for a block) of order 16"),
     "zero-sum": (_in_slice(0, _swap_mass), "trace moment 2 gap"),
     "nan": (_in_slice(0, _not_a_number), "trace moment 1 gap nan"),
+    "nan-odd": (_in_slice(1, _not_a_number), "trace moment 1 gap nan"),
     "below-zero": (_in_slice(0, _below_zero), "eigenvalue outside \\[0, 1\\] by 1e-06"),
 }
 
 
-@pytest.mark.parametrize("K", [pytest.param(TRANSLATED, id="split"),
-                               pytest.param(THREE, id="full")])
-@pytest.mark.parametrize("fault", FAULTS.keys())
+@pytest.mark.parametrize("fault, K", [
+    pytest.param(fault, K, id=f"{fault}-{layout}")
+    for fault in FAULTS for layout, K in (("split", TRANSLATED), ("full", THREE))
+    if layout == "split" or fault != "nan-odd"])
 def test_fault_matrix(monkeypatch, K, fault):
     corrupt, message = FAULTS[fault]
     # Order 32 splits into two blocks of order 16, one stack of two; the real
@@ -867,7 +870,7 @@ def test_real_form_entries():
         restriction = build_restriction(FULL_SYMBOLS["asymmetric"], n)
         u = (np.eye(n) + 1j * np.eye(n)[::-1]) / math.sqrt(2.0)
         ref = u.conj().T @ restriction.matrix @ u
-        form = toeplitz._real_form(restriction.row)
+        [form] = toeplitz._real_matrices(toeplitz._blocks(restriction.row))
         assert form.dtype == np.float64
         assert np.max(np.abs(form - ref)) <= 1e-15
 
@@ -896,19 +899,28 @@ def test_strided_views_match_fancy_index_references(n):
     if n % 2:
         even[m, :] = even[:, m] = math.sqrt(2.0) * r[m - np.arange(m + 1)]
         even[m, m] = r[0]
-    refs = [even, r[np.abs(bi - bj)] - r[n - 1 - bi - bj]][:1 + (m > 0)]
-    # spectrum passes the real part of a complex row, a strided view.
-    blocks = toeplitz._centrosymmetric_blocks((r + 0j).real)
-    assert len(blocks) == len(refs)
-    for block, ref in zip(blocks, refs):
-        assert same_bits(block, ref)
+    split = [even, r[np.abs(bi - bj)] - r[n - 1 - bi - bj]][:1 + (m > 0)]
 
     row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     row[0] = row[0].real
     h = i + j - n + 1
-    ref = row.real[np.abs(i - j)] + np.where(h >= 0, row.imag[np.abs(h)],
-                                             -row.imag[np.abs(h)])
-    assert same_bits(toeplitz._real_form(row), ref)
+    form = row.real[np.abs(i - j)] + np.where(h >= 0, row.imag[np.abs(h)],
+                                              -row.imag[np.abs(h)])
+    # spectrum passes the real part of a complex row, a strided view.
+    for line, refs in (((r + 0j).real, split), (row, [form])):
+        blocks = toeplitz._blocks(line)
+        assert blocks[0] == [len(ref) for ref in refs]
+        for keep in ((0, 1), (0,), (1,), ()):
+            mats = toeplitz._real_matrices(blocks, keep)
+            expect = [ref for b, ref in enumerate(refs) if b in keep]
+            assert len(mats) == len(expect)
+            assert all(same_bits(mat, ref) for mat, ref in zip(mats, expect))
+
+    diff = j - i
+    lag = np.abs(diff)
+    matrix = ToeplitzRestriction(row).matrix
+    assert not matrix.flags.writeable
+    assert same_bits(matrix, np.where(diff >= 0, row[lag], np.conj(row[lag])))
 
 
 def _odd_block(restriction):
@@ -1117,11 +1129,11 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     seen = _spy_eigvalsh(monkeypatch)
     formed, real_matrices = [], toeplitz._real_matrices
 
-    def forming_spy(line, *args):
-        blocks = real_matrices(line, *args)
-        if blocks:
-            formed.append(len(line))
-        return blocks
+    def forming_spy(blocks, *args):
+        mats = real_matrices(blocks, *args)
+        if mats:
+            formed.append(sum(blocks[0]))
+        return mats
 
     monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
     phi = float(np.random.default_rng(1448).uniform(0.0, 0.5))
@@ -1184,7 +1196,7 @@ def test_plunge_block_off_its_coefficients_never_certifies(operator_coupling, la
     # sum-theta <= t check or sends its block to the dense solve; on each
     # layout one sign of the coupling reaches the check.
     restriction = build_restriction(SymbolFunction.indicator(K), 1024)
-    blocks = len(toeplitz._block_orders(toeplitz._real_line(restriction.row)[0]))
+    blocks = len(toeplitz._real_line(restriction.row)[1][0])
     assert entropy_result(restriction).plunge_blocks == blocks
     operator_coupling(delta)
     if COUPLING_FAILS[layout, delta]:
@@ -1272,10 +1284,10 @@ def _mp_block_traces(line):
 def test_plunge_trace_matches_40_digit_blocks(K, n):
     # The O(N) t of the line against tr H - ||H||_F^2 of the blocks formed
     # from the line in 40 digits.
-    line = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)[0]
+    line, blocks, _ = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)
     traces = toeplitz._plunge_traces(line)
     refs = _mp_block_traces(line)
-    assert len(traces) == len(refs) == len(toeplitz._block_orders(line))
+    assert len(traces) == len(refs) == len(blocks[0])
     for (t, charge), ref in zip(traces, refs):
         assert abs(mpmath.mpf(t) - ref) <= charge
 
@@ -1334,11 +1346,11 @@ def _exact_product(rows, line, b):
     Hk = g(i + j) from the entries of the line themselves, each product of
     slices exact in float64 and summed in np.longdouble; D scales the
     border of the odd-N even block by sqrt(1/2) in np.longdouble."""
-    n, p = len(line), toeplitz._block_orders(line)[b]
+    n = len(line)
     if np.iscomplexobj(line):
-        a, g = line.real, np.concatenate([-line.imag[:0:-1], line.imag])
+        p, a, g = n, line.real, np.concatenate([-line.imag[:0:-1], line.imag])
     else:
-        a, g = line, line[::-1] * (-1.0 if b else 1.0)
+        p, a, g = (n - n // 2, n // 2)[b], line, line[::-1] * (-1.0 if b else 1.0)
     pieces = _slices(rows, axis=1)
     out = np.zeros((len(rows), p), dtype=np.longdouble)
     for part, form in ((a, lambda x: toeplitz._toeplitz(x[:p])),
@@ -1362,12 +1374,11 @@ def _exact_product(rows, line, b):
 def test_plunge_operator_matches_the_blocks(K, n):
     # Each row of the FFT products lies within its charge, times the row's
     # norm, of the product with the block formed from the line.
-    line = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)[0]
-    orders = toeplitz._block_orders(line)
-    op = toeplitz._PlungeOperator(line)
-    charge = toeplitz._fft_charge(line, orders[0])
+    line, blocks, _ = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)
+    op = toeplitz._PlungeOperator(blocks)
+    charge = toeplitz._fft_charge(blocks)
     rng = np.random.default_rng(n)
-    for b, p in enumerate(orders):
+    for b, p in enumerate(blocks[0]):
         rows = rng.uniform(-1.0, 1.0, (3, p))
         [image] = op([(b, rows)])
         error = np.sqrt(np.sum(((image - _exact_product(rows, line, b)) ** 2).astype(float),
@@ -1401,8 +1412,8 @@ def test_ritz_values_within_their_charge(monkeypatch, K, n):
     monkeypatch.setattr(toeplitz, "_certify", certify_spy)
     restriction = build_restriction(SymbolFunction.indicator(K), n)
     result = entropy_result(restriction)
-    line = toeplitz._real_line(restriction.row)[0]
-    assert result.plunge_blocks == len(bases) == len(solved) == len(toeplitz._block_orders(line))
+    line, blocks, _ = toeplitz._real_line(restriction.row)
+    assert result.plunge_blocks == len(bases) == len(solved) == len(blocks[0])
     for b, (basis, (ritz, charge)) in enumerate(zip(bases, solved)):
         image = _exact_product(basis, line, b)
         exact = image @ (basis.astype(np.longdouble) - image).T
