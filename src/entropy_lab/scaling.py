@@ -25,6 +25,7 @@ from .toeplitz import (
     EntropyResult,
     SymbolCoefficients,
     SymbolFunction,
+    _block_sizes,
     block_entropy,
     build_restriction,
     entropy_result,
@@ -165,15 +166,7 @@ def scan(source, n_grid, mode: str = "both",
     coefficient route: a disagreement beyond 1e-6 relative raises
     VerificationError. Records come back in grid order.
     """
-    grid = []
-    for n in n_grid:
-        try:
-            integral = int(n) == n
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ValueError(f"block sizes must be integers, got {n!r}")
-        grid.append(int(n))
+    grid = _block_sizes(n_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing and nonempty")
     if grid[0] < 1:

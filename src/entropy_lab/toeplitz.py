@@ -119,31 +119,34 @@ F(j) = sum of r(|d|) over d = -j, -j + 2, ..., j, the prefix sums of the even
 and of the odd entries of r. For odd N the border adds
 r(0) - r(0)^2 - 4 sum_{j = 1..m} r(j)^2 to t_even - t_odd.
 
-These sums are compensated (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
-2005) and stay in float64. Each product is split into two doubles exactly
-(Dekker's TwoProduct), a weight N - |s| < 2^27 times a 26-bit half of a
-double is exact, and the prefix sums carry the exact error of each of their
-additions (TwoSum). The terms are then exact but for fl(w e), the weight
-times the error of a square, and the rounding of the prefix-sum
-corrections, both of second order. Two error-free extractions
-(``_exact_sums``) cut each of the n terms at a power of two sigma >= 1 with
-(n + 2) max |term| < sigma <= 4 (n + 2) max |term| (unless that is below
-1), and each rest once more at the like power sigma_2 of the rests: the
-parts above u sigma, and the rests' parts above u sigma_2, add up exactly;
-the second rests, at most u sigma_2 each, add within (n - 1) u n u sigma_2
-in any order (u = eps/2), and each group's rest, at most n u sigma, is
-rounded once: u^2 (n sigma + n^2 sigma_2) per group. The errors
-u |w e| <= 2 N u^2 r(s)^2 of fl(w e) add to less than u^2 n sigma, since
-sigma > n N q(0), and on the split the sum of the two groups' rests rounds
-once more, by at most u^2 n sigma. So t is within
-u |t| + 3 u^2 (n sigma + n^2 sigma_2) + u^2 N^4 rho^2, rho = max |line|, of
-the exact t of the block formed from the line in exact arithmetic, where
-N^4 rho^2 bounds the prefix-sum corrections of the split; the real form,
-with one group and no prefix sums, needs u |t| + 2 u^2 (n sigma +
-n^2 sigma_2). That block is what the FFT products apply, so t carries no
-charge for the rounding of formed entries. On [0.3, 0.55) at N = 16384 the
-charge is 1.2e-16; one extraction left 4.5e-13, and the formed entries'
-rounding, about 3 u tr H, 6.8e-13.
+These sums stay in float64 and are exact but for a few roundings (Ogita,
+Rump & Oishi, SIAM J. Sci. Comput. 26, 2005). P_N of a line x is the
+double prefix sum sum_{j < N} sum_{s <= j} z(s) of z(0) = x(0) - |x(0)|^2
+and z(s) = -2 |x(s)|^2, so one O(n) pass (``_proxies``) gives it at every N
+up to the line's length n; ``proxy_scan`` reads its grid off the same pass.
+Each square is split into two doubles exactly (Dekker's TwoProduct), so the
+terms of P_N, rows of n, are exact. The twist's prefix sums carry the exact
+error of each of their additions (TwoSum), and its terms are exact but for
+the rounding of those corrections, of second order. Two error-free
+extractions (``_exact_sums``) cut each of the C terms at a power of two
+sigma > 4 (n S_P + S_T), S_P and S_T the sums of |term| over P_N and over
+the twist, which bounds every partial sum of the double prefix sums, and
+each rest once more at the power of two sigma_2 > 4 u sigma (n C_P + C_T)
+over the C_P and C_T terms: the parts above u sigma, and the rests' parts
+above u sigma_2, add up exactly while n C u <= 1/4, so up to N = 2^24
+(u = eps/2). The second rests, at most u sigma_2 each, pass through the two
+float prefix sums within 3 n C^2 u^2 sigma_2, and each rest, at most
+n C u sigma, is rounded once: B = u^2 n C (sigma + 3 C sigma_2) per group.
+So P_N, and t on the real form, is within u |t| + B of its exact value for
+the line's doubles. On the split the two groups' rests are added and the
+sum rounds once more, by at most B, for u |t| + 2 B + u^2 N^4 rho^2,
+rho = max |line|, where N^4 rho^2 bounds the twist's prefix-sum
+corrections. That is t of the block formed from the line in exact
+arithmetic, which is what the FFT products apply, so t carries no charge
+for the rounding of formed entries. On [0.3, 0.55) at N = 16384 the charge
+is 1.2e-16, with B = 1.6e-18; one extraction would leave
+3 n C^2 u^2 sigma = 4.5e-13, and the formed entries' rounding, about
+3 u tr H, 6.8e-13.
 
 The Ritz values carry two charges. The Ritz matrix is
 ((Z - Y) Y^T + its transpose) / 2 with Y the computed rows Z H, from inner
@@ -1021,7 +1024,7 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     barring underflow."""
     p = a * b
     ah, al = _halves(a)
-    bh, bl = _halves(b)
+    bh, bl = (ah, al) if b is a else _halves(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -1037,48 +1040,77 @@ def _prefix_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _weighted_squares(p: np.ndarray, e: np.ndarray) -> list[np.ndarray]:
-    """Terms summing to -sum_{|s| < n} (n - |s|) x(|s|)^2 from the exact
-    squares x^2 = p + e of a line x of length n: w p in two exact halves and
-    fl(w e), off by at most u |w e|, with w = -n at s = 0 and -2 (n - s)
-    else."""
-    w = np.arange(-len(p), 0, dtype=float)
-    w[1:] *= 2.0
-    ph, pl = _halves(p)
-    return [w * ph, w * pl, w * e]
+def _exact_sums(groups: list[np.ndarray]) -> tuple[list[tuple], float]:
+    """The totals of the term arrays ``groups`` as exact parts and rests,
+    and a bound on the error of each rest (module docstring). A 1-D group
+    totals to the sum of its terms, a 2-D group of n columns c to the array
+    over N = 1..n of sum_{s < N} (N - s) c(s), c(s) the sum of column s,
+    from two prefix sums (``_total``). The groups are overwritten.
 
-
-def _exact_sums(groups: list[np.ndarray]) -> tuple[list[tuple[float, float]], float]:
-    """The sum of each term array of ``groups`` as an exact part and a
-    rest, and a bound on the error of each rest (module docstring).
-
-    Every term is cut at the power of two sigma >= 1 with
-    sigma > (n + 2) max |term| over the n terms of all groups: its part
-    above u sigma is a multiple of u sigma, so these parts, and the sums and
-    differences of their group sums, add up exactly in any order (Rump,
-    Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008). The rests, at most
-    u sigma each, are cut once more in the same way at sigma_2 >
-    (n + 2) max |rest|, so each rest of a group sum is an exact sum plus
-    the float sum of the second rests, at most u sigma_2 each, added once:
-    off by at most u^2 (n sigma + n^2 sigma_2), the bound returned."""
-    count = sum(len(g) for g in groups)
-    sigma = max(1.0, _cut(groups, count))
-    parts = [(sigma + g) - sigma for g in groups]
-    rests = [g - part for g, part in zip(groups, parts)]
-    second = _cut(rests, count)
+    Every term is cut at the power of two sigma > 4 sum_g n_g S_g, with n_g
+    the column count of group g (1 for a 1-D group) and S_g the sum of its
+    |term|, which bounds every partial sum of the totals and of their sums
+    across groups: its part above u sigma is a multiple of u sigma, so these
+    parts, their totals and the sums and differences of those add up
+    exactly in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008)
+    while n C u <= 1/4, with n the largest n_g and C the number of terms of
+    all groups. The rests, at most u sigma each, are cut once more in the
+    same way at the power of two sigma_2 > 4 u sigma sum_g n_g C_g, C_g the
+    number of terms of group g, so each rest of a total is an exact total
+    plus the float total of the second rests, at most u sigma_2 each,
+    rounded once: off by at most u^2 n C (sigma + 3 C sigma_2), the bound
+    returned."""
+    count = sum(g.size for g in groups)
+    reach = [g.shape[1] if g.ndim == 2 else 1 for g in groups]
+    # In place, with one array beside each group: every further array of the
+    # P_N group's size is fresh memory, paid for in page faults.
+    parts = [np.abs(g) for g in groups]
+    sigma = _cut(sum(n * float(part.sum()) for part, n in zip(parts, reach)))
+    second = _cut(_UNIT * sigma * sum(n * g.size for g, n in zip(groups, reach)))
     sums = []
-    for part, rest in zip(parts, rests):
-        exact = (second + rest) - second
-        sums.append((float(part.sum()), float(exact.sum()) + float((rest - exact).sum())))
-    return sums, _UNIT * _UNIT * count * (sigma + count * second)
+    for g, part in zip(groups, parts):
+        np.add(g, sigma, out=part)
+        part -= sigma
+        g -= part
+        first = _total(part)
+        np.add(g, second, out=part)
+        part -= second
+        g -= part
+        sums.append((first, _total(part) + _total(g)))
+    return sums, _UNIT * _UNIT * max(reach) * count * (sigma + 3.0 * count * second)
 
 
-def _cut(groups: list[np.ndarray], count: int) -> float:
-    """The power of two 2^(e_1 + e_2) with count + 2 < 2^e_1 and
-    max |term| < 2^e_2 over ``groups``: above (count + 2) max |term| and at
-    most 4 times that."""
-    big = max(float(np.abs(g).max()) for g in groups)
-    return math.ldexp(1.0, math.frexp(count + 2)[1] + math.frexp(big)[1])
+def _cut(bound: float) -> float:
+    """The power of two above 4 ``bound``, and at most 8 times it."""
+    return math.ldexp(1.0, math.frexp(4.0 * bound)[1])
+
+
+def _total(terms: np.ndarray):
+    """The sum of a 1-D term array; for a 2-D one, the double prefix sums
+    sum_{j < N} sum_{s <= j} c(s) = sum_{s < N} (N - s) c(s) of its column
+    sums c, for N = 1..n."""
+    if terms.ndim == 1:
+        return float(terms.sum())
+    return np.cumsum(np.cumsum(terms.sum(axis=0)))
+
+
+def _proxies(line: np.ndarray, *groups: np.ndarray) -> tuple[list[tuple], float]:
+    """P_N = N x(0) - sum_{|s| < N} (N - |s|) |x(s)|^2 of a line x of
+    length n with x(0) real, for N = 1..n, from one ``_exact_sums`` pass:
+    the exact part and the rest of P as arrays over N, then those of the
+    total of each of ``groups``, cut alike, and the bound on each rest.
+
+    The terms form one 2-D group: x(0) at s = 0, and the exact squares
+    p + e (``_two_product``) of the real and imaginary parts of x, times -1
+    at s = 0 and -2 at s >= 1; their double prefix sums are P_N."""
+    x = (line.real, line.imag) if np.iscomplexobj(line) else (line,)
+    terms = np.zeros((1 + 2 * len(x), len(line)))
+    terms[0, 0] = line[0].real
+    for i, part in enumerate(x):
+        terms[1 + 2 * i:3 + 2 * i] = _two_product(part, part)
+    terms[1:, 0] *= -1.0
+    terms[1:, 1:] *= -2.0
+    return _exact_sums([terms, *groups])
 
 
 def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
@@ -1086,39 +1118,35 @@ def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
     of length N >= 2, in its order: t = tr H - ||H||_F^2 of the
     block H formed from the line in exact arithmetic, from O(N) compensated
     sums, and the charge for those sums (module docstring). A complex line is
-    the row of the order-N real form, a real one the line r of the
-    half-order split."""
+    the row of the order-N real form, whose t is its P_N (``_proxies``), a
+    real one the line r of the half-order split, whose t_even + t_odd is
+    the P_N of r."""
     n = len(line)
-    r0 = float(line[0].real)
-    head = n * np.array(_halves(r0))               # n q(0), exactly
     if np.iscomplexobj(line):
-        re, im = line.real, line.imag
-        terms = np.concatenate([head, *_weighted_squares(*_two_product(re, re)),
-                                *_weighted_squares(*_two_product(im, im))])
-        [(exact, rest)], spare = _exact_sums([terms])
-        t = exact + rest
-        return [(t, _UNIT * abs(t) + 2.0 * spare)]
+        [(exact, rest)], spare = _proxies(line)
+        t = float(exact[-1] + rest[-1])
+        return [(t, _UNIT * abs(t) + spare)]
     r, m = line, n // 2
-    p, e = _two_product(r, r)
     # <T, Hk> = sum over s < 2m - 1 of r(N - 1 - s) F(min(s, 2m - 2 - s)), with
     # F(j) = r(0) [j even] + 2 (r(j) + r(j - 2) + ...) over the j' >= 1 of j's
     # parity: prefix sums of the even and odd entries, as two columns.
     a = np.zeros(m + m % 2)
     a[:m] = 2.0 * r[:m]
-    a[0] = r0
+    a[0] = r[0]
     fh, fl = (f.ravel()[:m] for f in _prefix_sums(a.reshape(-1, 2)))
     x = r[n - 1:n - 2 * m:-1]
     cross, cross_err = _two_product(x, np.concatenate([fh, fh[:m - 1][::-1]]))
     diff = [2.0 * x[::2], -4.0 * cross, -4.0 * cross_err,
             -4.0 * (x * np.concatenate([fl, fl[:m - 1][::-1]]))]
     if n % 2:
-        diff += [np.array([r0, -p[0], -e[0]]), -4.0 * p[1:m + 1], -4.0 * e[1:m + 1]]
-    [(proxy, proxy_rest), (twist, twist_rest)], spare = _exact_sums(
-        [np.concatenate([head, *_weighted_squares(p, e)]), np.concatenate(diff)])
-    spare = 3.0 * spare + (_UNIT * n * n * float(np.abs(r).max())) ** 2
+        head = r[:m + 1]
+        p, e = _two_product(head, head)
+        diff += [np.array([r[0], -p[0], -e[0]]), -4.0 * p[1:], -4.0 * e[1:]]
+    [(proxy, proxy_rest), (twist, twist_rest)], spare = _proxies(r, np.concatenate(diff))
+    spare = 2.0 * spare + (_UNIT * n * n * float(np.abs(r).max())) ** 2
     traces = []
     for sign in (1.0, -1.0):
-        t = ((proxy + sign * twist) + (proxy_rest + sign * twist_rest)) / 2
+        t = float((proxy[-1] + sign * twist) + (proxy_rest[-1] + sign * twist_rest)) / 2
         traces.append((t, _UNIT * abs(t) + spare))
     return traces
 
@@ -1163,7 +1191,8 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
     to one ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block
     order, with every gate applied per restriction. With ``eig_cap`` given,
     an N above it with a block that does not take the plunge path raises
-    ValueError before any dense solve starts.
+    ValueError as soon as that restriction's plunge pass is done, before the
+    passes of the restrictions after it and before any dense solve starts.
     """
     restrictions = list(restrictions)
     if not restrictions:
@@ -1172,32 +1201,32 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
     if any(r.order != n for r in restrictions):
         raise ValueError(f"restrictions of one order needed, got orders "
                          f"{sorted({r.order for r in restrictions})}")
-    lines = [_real_line(r.row) for r in restrictions]
-    parts = [_plunge_entropies(line, blocks, n) for line, blocks, _ in lines]
-    dense = [[b for b, part in enumerate(plunge) if part is None] for plunge in parts]
-    if eig_cap is not None and n > eig_cap:
-        for (_, blocks, _), indices in zip(lines, dense):
-            if indices:
-                raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
-                                 f"{blocks[0][indices[0]]}, above eig_cap = {eig_cap}")
-    sets = [(_real_matrices(blocks, indices), bound)
-            for (_, blocks, bound), indices in zip(lines, dense)]
+    solves = []
+    for restriction in restrictions:
+        line, blocks, bound = _real_line(restriction.row)
+        plunge = _plunge_entropies(line, blocks, n)
+        dense = [b for b, part in enumerate(plunge) if part is None]
+        if eig_cap is not None and n > eig_cap and dense:
+            raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
+                             f"{blocks[0][dense[0]]}, above eig_cap = {eig_cap}")
+        solves.append((blocks, bound, plunge, dense))
+    checked = _checked_eigenvalues([(_real_matrices(blocks, dense), bound)
+                                    for blocks, bound, _, dense in solves], n)
+    # eta_tilde and l (1 - l) in one pass over all restrictions; each slice
+    # sums as its own array would.
+    lam = np.concatenate(checked)
+    ends = np.cumsum([len(w) for w in checked])[:-1]
+    sums = zip(np.split(_eta_tilde_unit(lam), ends), np.split(lam * (1.0 - lam), ends))
     results = []
-    for lam, plunge, indices in zip(_checked_eigenvalues(sets, n), parts, dense):
-        entropy, proxy = map(float, _dense_sums(lam))
+    for (entropies, proxies), (_, _, plunge, dense) in zip(sums, solves):
+        entropy, proxy = float(entropies.sum()), float(proxies.sum())
         bracket = 0.0
         certified = [part for part in plunge if part is not None]
         for part in certified:
             entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
         results.append(EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,
-                                     plunge_blocks=len(certified), dense_blocks=len(indices)))
+                                     plunge_blocks=len(certified), dense_blocks=len(dense)))
     return results
-
-
-def _dense_sums(lam: np.ndarray) -> tuple:
-    """S and P of checked eigenvalues, the sums of eta_tilde and of
-    l (1 - l) over ``lam``."""
-    return _eta_tilde_unit(lam).sum(), (lam * (1.0 - lam)).sum()
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:
@@ -1214,23 +1243,37 @@ def purity_proxy_direct(coeffs: SymbolCoefficients, n: int) -> float:
 
 
 def proxy_scan(coeffs: SymbolCoefficients, grid) -> list[float]:
-    """purity_proxy_direct over a whole grid via cumulative sums (O(1) per N
-    after an O(N_max) pass)."""
-    grid = list(grid)
+    """purity_proxy_direct at each N of ``grid``, all from one O(N_max)
+    pass of error-free sums over q(0)..q(N_max - 1) (``_proxies``, which
+    also gives the plunge trace t of the order-N real form): up to
+    N = 2^24 each P_N is within u |P_N| and a far smaller bound of its exact
+    value for the float coefficients (module docstring). An empty grid gives
+    an empty list; a size that is not an integer raises ValueError."""
+    grid = _block_sizes(grid)
+    if not grid:
+        return []
     if min(grid) < 1:
         raise ValueError(f"block size must be >= 1, got {min(grid)}")
     n_top = max(grid)
     if coeffs.n_max < n_top - 1:
         raise ValueError(f"need coefficients up to {n_top - 1}, have {coeffs.n_max}")
-    q0 = coeffs.values[0].real
-    sq = np.abs(coeffs.values[1:n_top]) ** 2
-    cum = np.concatenate([[0.0], np.cumsum(sq)])             # sum of |q(m)|^2, m<=k
-    mcum = np.concatenate([[0.0], np.cumsum(np.arange(1, n_top) * sq)])
-    out = []
-    for n in grid:
-        s1, s2 = cum[n - 1], mcum[n - 1]
-        out.append(float(n * q0 * (1.0 - q0) - 2.0 * (n * s1 - s2)))
-    return out
+    [(exact, rest)], _ = _proxies(coeffs.values[:n_top])
+    return [float(exact[n - 1] + rest[n - 1]) for n in grid]
+
+
+def _block_sizes(values) -> list[int]:
+    """``values`` as ints; a value that is not integral raises ValueError
+    naming it."""
+    sizes = []
+    for n in values:
+        try:
+            integral = int(n) == n
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"block sizes must be integers, got {n!r}")
+        sizes.append(int(n))
+    return sizes
 
 
 # Jin-Korepin constant of the single-interval asymptotics

@@ -336,6 +336,25 @@ def test_scaling_raises_name_the_bad_input(call, message):
         call()
 
 
+def test_subadditivity_cap_refuses_before_the_later_plunge_passes(monkeypatch):
+    # The Cantor set comes first and its blocks of order 2048 go dense, so the
+    # cap refuses N = 4096 right after its plunge pass, before the passes of
+    # [0.4, 0.6) and of the union.
+    passes = []
+    plunge_entropies = toeplitz._plunge_entropies
+
+    def spy(line, blocks, n):
+        passes.append(n)
+        return plunge_entropies(line, blocks, n)
+
+    monkeypatch.setattr(toeplitz, "_plunge_entropies", spy)
+    with pytest.raises(ValueError, match="^N=4096 needs a dense eigensolve of a block "
+                                         "of order 2048, above eig_cap = 2048$"):
+        check_subadditivity(cantor_generate(CantorSpec(0.25, 1.0, 5)),
+                            canonicalize([(0.4, 0.6)]), 4096)
+    assert passes == [4096]
+
+
 def test_exponent_route_equivalence_same_window():
     # entropy and proxy fits agree on a shared window for a Cantor truncation
     spec = CantorSpec(0.25, 1.0)

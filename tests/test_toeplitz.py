@@ -400,6 +400,75 @@ def test_purity_proxy_matches_eigenvalue_route():
             assert direct == pytest.approx(eig, rel=1e-8, abs=1e-10)
 
 
+# The two sets the Cantor proxy benchmark scans to N = 16384, translated so
+# that no coefficient is real, on its 15-point grid.
+CANTOR_PROXY_GRID = default_grid(128, 16384)
+
+
+def _cantor_proxy_coefficients(q, a):
+    K = cantor_generate(CantorSpec(q, a, cantor_depth_policy(CantorSpec(q, a), 16384)))
+    return fourier_coefficients(SymbolFunction.indicator(K.translate(0.0123)), 16383)
+
+
+def _mp_proxies(values, grid):
+    """N q(0) - sum_{|s| < N} (N - |s|) |q(s)|^2 at each N of ``grid``, in 40
+    digits from the float coefficients ``values``."""
+    want, top, out = set(grid), max(grid), {}
+    with mpmath.workdps(40):
+        q0 = mpmath.mpf(float(values[0].real))
+        total = weighted = mpmath.mpf(0)             # over 1 <= s < n
+        for n in range(1, top + 1):
+            if n in want:
+                out[n] = n * (q0 - q0 * q0) - 2 * (n * total - weighted)
+            if n < top:
+                square = mpmath.mpf(float(values[n].real)) ** 2 \
+                    + mpmath.mpf(float(values[n].imag)) ** 2
+                total += square
+                weighted += n * square
+    return [out[n] for n in grid]
+
+
+@pytest.mark.parametrize("q, a", [(0.25, 1.0), (1 / 3, 0.9)], ids=["quarter", "third"])
+def test_proxy_scan_matches_40_digit_sums(q, a):
+    # About one rounding of the exact sum: the terms near N q(0) are far
+    # larger than P_N, so plain float sums would be off by about 1e-13 here.
+    coeffs = _cantor_proxy_coefficients(q, a)
+    for got, ref in zip(proxy_scan(coeffs, CANTOR_PROXY_GRID),
+                        _mp_proxies(coeffs.values, CANTOR_PROXY_GRID), strict=True):
+        assert abs(mpmath.mpf(got) - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128, 1001, 2048])
+def test_proxy_scan_is_the_real_form_plunge_trace(n):
+    # One implementation of P_N: the coefficient route gives, bit for bit,
+    # the plunge trace t of the order-N real form of the same row.
+    coeffs = fourier_coefficients(SymbolFunction.indicator(THREE), 2047)
+    [(t, _)] = toeplitz._plunge_traces(coeffs.values[:n])
+    assert proxy_scan(coeffs, [n])[0] == purity_proxy_direct(coeffs, n) == t
+
+
+def test_proxy_scan_takes_one_pass_to_the_top_of_its_grid(monkeypatch):
+    # The squares of q(0..N_max - 1) are taken once, real and imaginary
+    # parts, whatever the grid; one pass per grid point would take 111 258.
+    coeffs = _cantor_proxy_coefficients(0.25, 1.0)
+    two_product, elements = toeplitz._two_product, []
+
+    def counted(a, b):
+        elements.append(np.size(a))
+        return two_product(a, b)
+
+    monkeypatch.setattr(toeplitz, "_two_product", counted)
+    proxy_scan(coeffs, CANTOR_PROXY_GRID)
+    assert len(CANTOR_PROXY_GRID) == 15
+    assert sum(elements) == 2 * 16384
+
+
+def test_proxy_scan_of_no_size_is_empty():
+    assert proxy_scan(_QUARTER_COEFFS, []) == []
+    assert proxy_scan(_QUARTER_COEFFS, iter([])) == []
+    assert proxy_scan(_QUARTER_COEFFS, [4.0, 2]) == proxy_scan(_QUARTER_COEFFS, [4, 2])
+
+
 def test_series_route_half_interval():
     assert purity_proxy_single_interval_series(0.5, 1) == pytest.approx(0.25,
                                                                         abs=1e-10)
@@ -518,13 +587,18 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "block size must be >= 1, got 0"),
     (lambda: proxy_scan(_QUARTER_COEFFS, [2, 6]),
      ValueError, "need coefficients up to 5, have 4"),
+    (lambda: proxy_scan(_QUARTER_COEFFS, [2.5]),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: proxy_scan(_QUARTER_COEFFS, [2, "4"]),
+     ValueError, "^block sizes must be integers, got '4'$"),
     (lambda: purity_proxy_single_interval_series(0.25, 0),
      ValueError, "block size must be >= 1, got 0"),
     (lambda: SymbolFunction.of([(0.0, 0.5)]),
      TypeError, "expected a SymbolFunction or TorusIntervalSet, got a list"),
 ], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
         "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
-        "restriction-order", "proxy-scan-size", "proxy-scan-order", "series-size",
+        "restriction-order", "proxy-scan-size", "proxy-scan-order",
+        "proxy-scan-fraction", "proxy-scan-string", "series-size",
         "symbol-source"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
