@@ -30,7 +30,12 @@ import math
 
 import numpy as np
 
-from .torus_sets import TorusIntervalSet, deficit_breakpoints, overlap_deficit_profile
+from .torus_sets import (
+    TorusIntervalSet,
+    _block_sizes,
+    deficit_breakpoints,
+    overlap_deficit_profile,
+)
 
 # Every panel is at most 1/N wide. On it k_N is a trigonometric polynomial
 # of degree N - 1 with |k_N(x + iy)| <= N e^{2 pi (N-1) |y|}, times an affine
@@ -62,6 +67,7 @@ def fejer_kernel(n: int, phi) -> np.ndarray | float:
     The removable singularities at integer phi take the limit value N; near
     them a series evaluation N (1 - (N^2 - 1)(pi phi)^2 / 3) is used.
     """
+    [n] = _block_sizes([n])
     if n < 1:
         raise ValueError(f"kernel order must be >= 1, got {n}")
     phi_arr = np.asarray(phi, dtype=float)
@@ -99,6 +105,7 @@ def panel_rule(edges) -> tuple[np.ndarray, np.ndarray]:
 def purity_proxy_kernel(K: TorusIntervalSet, n: int) -> float:
     """Kernel-integral evaluation of Tr Q_N(1 - Q_N) for the pure symbol
     chi_K."""
+    [n] = _block_sizes([n])
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
     edges = np.unique(np.round(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import SymbolFunction, build_restriction, eta, spectrum
-from .torus_sets import TorusIntervalSet
+from .torus_sets import TorusIntervalSet, _block_sizes
 
 MAX_WORD_LEN = 24
 MAX_ORACLE_SITES = 8
@@ -194,6 +194,7 @@ def density_matrix(source, n: int) -> FockDensityMatrix:
     occupation sectors of different particle number vanish by gauge
     invariance and are skipped.
     """
+    [n] = _block_sizes([n])
     if not (1 <= n <= MAX_ORACLE_SITES):
         raise OracleError(f"oracle handles 1..{MAX_ORACLE_SITES} sites, got {n}")
     q = _validated_window(SymbolFunction.of(source), n)

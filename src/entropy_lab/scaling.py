@@ -25,7 +25,6 @@ from .toeplitz import (
     EntropyResult,
     SymbolCoefficients,
     SymbolFunction,
-    _block_sizes,
     block_entropy,
     build_restriction,
     entropy_result,
@@ -42,6 +41,7 @@ from .toeplitz import (
 from .torus_sets import (
     CantorSpec,
     TorusIntervalSet,
+    _block_sizes,
     canonicalize,
     predicted_alpha,
     random_disjoint_pair,
@@ -330,7 +330,7 @@ def _subadditivity_gaps(k1: TorusIntervalSet, k2: TorusIntervalSet, sizes) -> li
     that solve starts, and is solved when all their blocks take the
     certified plunge path.
     """
-    sizes = list(sizes)
+    sizes = _block_sizes(sizes)
     if min(sizes) < 1:
         raise ValueError(f"block size must be >= 1, got {min(sizes)}")
     top = max(sizes)

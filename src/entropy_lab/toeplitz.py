@@ -120,33 +120,46 @@ and of the odd entries of r. For odd N the border adds
 r(0) - r(0)^2 - 4 sum_{j = 1..m} r(j)^2 to t_even - t_odd.
 
 These sums stay in float64 and are exact but for a few roundings (Ogita,
-Rump & Oishi, SIAM J. Sci. Comput. 26, 2005). P_N of a line x is the
-double prefix sum sum_{j < N} sum_{s <= j} z(s) of z(0) = x(0) - |x(0)|^2
-and z(s) = -2 |x(s)|^2, so one O(n) pass (``_proxies``) gives it at every N
-up to the line's length n; ``proxy_scan`` reads its grid off the same pass.
-Each square is split into two doubles exactly (Dekker's TwoProduct), so the
-terms of P_N, rows of n, are exact. The twist's prefix sums carry the exact
-error of each of their additions (TwoSum), and its terms are exact but for
-the rounding of those corrections, of second order. Two error-free
-extractions (``_exact_sums``) cut each of the C terms at a power of two
-sigma > 4 (n S_P + S_T), S_P and S_T the sums of |term| over P_N and over
-the twist, which bounds every partial sum of the double prefix sums, and
-each rest once more at the power of two sigma_2 > 4 u sigma (n C_P + C_T)
-over the C_P and C_T terms: the parts above u sigma, and the rests' parts
-above u sigma_2, add up exactly while n C u <= 1/4, so up to N = 2^24
-(u = eps/2). The second rests, at most u sigma_2 each, pass through the two
-float prefix sums within 3 n C^2 u^2 sigma_2, and each rest, at most
-n C u sigma, is rounded once: B = u^2 n C (sigma + 3 C sigma_2) per group.
-So P_N, and t on the real form, is within u |t| + B of its exact value for
-the line's doubles. On the split the two groups' rests are added and the
-sum rounds once more, by at most B, for u |t| + 2 B + u^2 N^4 rho^2,
-rho = max |line|, where N^4 rho^2 bounds the twist's prefix-sum
-corrections. That is t of the block formed from the line in exact
-arithmetic, which is what the FFT products apply, so t carries no charge
-for the rounding of formed entries. On [0.3, 0.55) at N = 16384 the charge
-is 1.2e-16, with B = 1.6e-18; one extraction would leave
-3 n C^2 u^2 sigma = 4.5e-13, and the formed entries' rounding, about
-3 u tr H, 6.8e-13.
+Rump & Oishi, SIAM J. Sci. Comput. 26, 2005). With c(0) = x(0) - |x(0)|^2
+and c(s) = -2 |x(s)|^2 for s >= 1, P_N = N C(N) - W(N), where C(N) and W(N)
+sum c(s) and s c(s) over s < N. So one O(n) pass over a line of length n
+(``_proxies``) gives P_N at any sizes up to n; ``proxy_scan`` asks it for its
+grid, the plunge trace for N = n alone. Each square is split into two
+doubles exactly (Dekker's TwoProduct), so the terms of c, k = 3 or 5 rows of
+n (x(0), then p and e of the real and of the imaginary parts), are exact.
+The twist's prefix sums carry the exact error of each of their additions
+(TwoSum), and its terms are exact but for the rounding of those corrections,
+of second order. Each term is cut at the power of two
+sigma > 4 (n S_P + S_T), S_P and S_T the sums of |term| over c and over the
+twist. Its part above u sigma is a multiple of u sigma, and sigma bounds
+every such part times s or N and every partial sum of those, so the parts
+and their sums, products with s and N and differences are exact in any
+order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008) while
+n C u <= 1/4, C = k n + C_T the count of terms: up to N = 2^24 (u = eps/2).
+An e, at most u |p| < u sigma / 4, has no such part. The rests, at most
+u sigma each, are cut once more in the same way at the power of two
+sigma_2 > 4 u sigma (k n^2 + C_T), and those parts add up exactly too. The
+parts go into three accumulators over s: the first parts, the second parts,
+and the second rests, at most u sigma_2 each, in float. Only the sizes asked
+for are totalled: the exact accumulators by segments between the sizes
+(np.add.reduceat), the float one by prefix sums over every s, in an order
+set by the line alone, so that no P_N depends on the other sizes. The
+column sums of the second rests, at most k u sigma_2 each, pass through
+their own sums and N C(N) - W(N) within k u^2 sigma_2 N^2 (3 N / 2 + k + 1/2)
+to first order, and the rest of P_N, at most n C u sigma, is rounded once:
+B = u^2 n C (sigma + 2 (n + k) sigma_2) covers both. It is at most the
+u^2 n C (sigma + 3 C sigma_2) of double prefix sums over every N, since
+2 (n + k) <= 3 k n. So P_N, and t on the real form, is within u |t| + B of
+its exact value for the line's doubles. On the split the twist's rests,
+summed in float, are off by at most u^2 C_T^2 sigma_2, its rest rounds
+once, and the sum of the two groups' rests once more: 2 B covers all three,
+for u |t| + 2 B + u^2 N^4 rho^2, rho = max |line|, where N^4 rho^2 bounds
+the twist's prefix-sum corrections. That is t of the block formed from the
+line in exact arithmetic, which is what the FFT products apply, so t
+carries no charge for the rounding of formed entries. On [0.3, 0.55) at
+N = 16384 the charge is 1.2e-16, with B = 1.4e-18; one extraction would
+leave 2 u^2 sigma n C (n + k) = 4.6e-14, and the formed entries' rounding,
+about 3 u tr H, 6.8e-13.
 
 The Ritz values carry two charges. The Ritz matrix is
 ((Z - Y) Y^T + its transpose) / 2 with Y the computed rows Z H, from inner
@@ -198,7 +211,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .torus_sets import TorusIntervalSet
+from .torus_sets import TorusIntervalSet, _block_sizes
 
 # Eigenvalues and entropy arguments may poke this far outside [0, 1] before
 # we refuse to clip them; eta_tilde has infinite slope at the endpoints, so
@@ -520,6 +533,7 @@ class ToeplitzRestriction:
 
 
 def restriction_from_coefficients(coeffs: SymbolCoefficients, n: int) -> ToeplitzRestriction:
+    [n] = _block_sizes([n])
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
     if coeffs.n_max < n - 1:
@@ -528,6 +542,7 @@ def restriction_from_coefficients(coeffs: SymbolCoefficients, n: int) -> Toeplit
 
 
 def build_restriction(f: SymbolFunction, n: int) -> ToeplitzRestriction:
+    [n] = _block_sizes([n])
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
     return restriction_from_coefficients(fourier_coefficients(f, n - 1), n)
@@ -1012,20 +1027,31 @@ def _certify(ritz: np.ndarray, p: int, t: float, t_charge: float, ritz_charge: f
 _SPLITTER = 2.0 ** 27 + 1.0
 
 
-def _halves(a):
-    """hi, lo with a = hi + lo exactly, each of at most 26 bits (Dekker)."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with a = hi + lo exactly, each of at most 26 bits (Dekker):
+    hi = c - (c - a) with c = fl(2^27 a + a)."""
+    hi = _SPLITTER * a
+    lo = hi - a
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p, e with p = fl(a b) and a b = p + e exactly (Dekker's TwoProduct),
-    barring underflow."""
+    barring underflow: e = ((ah bh - p) + ah bl + al bh) + al bl, every
+    step exact. In place where it can be: each fresh array costs more than
+    the arithmetic on it."""
     p = a * b
     ah, al = _halves(a)
     bh, bl = (ah, al) if b is a else _halves(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ah * bh
+    e -= p
+    step = ah * bl
+    e += step
+    e += np.multiply(al, bh, out=step)
+    e += np.multiply(al, bl, out=step)
+    return p, e
 
 
 def _prefix_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1040,77 +1066,80 @@ def _prefix_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _exact_sums(groups: list[np.ndarray]) -> tuple[list[tuple], float]:
-    """The totals of the term arrays ``groups`` as exact parts and rests,
-    and a bound on the error of each rest (module docstring). A 1-D group
-    totals to the sum of its terms, a 2-D group of n columns c to the array
-    over N = 1..n of sum_{s < N} (N - s) c(s), c(s) the sum of column s,
-    from two prefix sums (``_total``). The groups are overwritten.
-
-    Every term is cut at the power of two sigma > 4 sum_g n_g S_g, with n_g
-    the column count of group g (1 for a 1-D group) and S_g the sum of its
-    |term|, which bounds every partial sum of the totals and of their sums
-    across groups: its part above u sigma is a multiple of u sigma, so these
-    parts, their totals and the sums and differences of those add up
-    exactly in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008)
-    while n C u <= 1/4, with n the largest n_g and C the number of terms of
-    all groups. The rests, at most u sigma each, are cut once more in the
-    same way at the power of two sigma_2 > 4 u sigma sum_g n_g C_g, C_g the
-    number of terms of group g, so each rest of a total is an exact total
-    plus the float total of the second rests, at most u sigma_2 each,
-    rounded once: off by at most u^2 n C (sigma + 3 C sigma_2), the bound
-    returned."""
-    count = sum(g.size for g in groups)
-    reach = [g.shape[1] if g.ndim == 2 else 1 for g in groups]
-    # In place, with one array beside each group: every further array of the
-    # P_N group's size is fresh memory, paid for in page faults.
-    parts = [np.abs(g) for g in groups]
-    sigma = _cut(sum(n * float(part.sum()) for part, n in zip(parts, reach)))
-    second = _cut(_UNIT * sigma * sum(n * g.size for g, n in zip(groups, reach)))
-    sums = []
-    for g, part in zip(groups, parts):
-        np.add(g, sigma, out=part)
-        part -= sigma
-        g -= part
-        first = _total(part)
-        np.add(g, second, out=part)
-        part -= second
-        g -= part
-        sums.append((first, _total(part) + _total(g)))
-    return sums, _UNIT * _UNIT * max(reach) * count * (sigma + 3.0 * count * second)
-
-
 def _cut(bound: float) -> float:
     """The power of two above 4 ``bound``, and at most 8 times it."""
     return math.ldexp(1.0, math.frexp(4.0 * bound)[1])
 
 
-def _total(terms: np.ndarray):
-    """The sum of a 1-D term array; for a 2-D one, the double prefix sums
-    sum_{j < N} sum_{s <= j} c(s) = sum_{s < N} (N - s) c(s) of its column
-    sums c, for N = 1..n."""
-    if terms.ndim == 1:
-        return float(terms.sum())
-    return np.cumsum(np.cumsum(terms.sum(axis=0)))
+def _peel(terms: np.ndarray, cut: float, out: np.ndarray) -> np.ndarray:
+    """``out``, the parts fl(term + cut) - cut of ``terms``, with those parts
+    taken off ``terms`` in place, which leaves their exact rests there."""
+    np.add(terms, cut, out=out)
+    out -= cut
+    terms -= out
+    return out
 
 
-def _proxies(line: np.ndarray, *groups: np.ndarray) -> tuple[list[tuple], float]:
+def _proxies(line: np.ndarray, sizes: list[int],
+             *groups: np.ndarray) -> tuple[list[tuple], float]:
     """P_N = N x(0) - sum_{|s| < N} (N - |s|) |x(s)|^2 of a line x of
-    length n with x(0) real, for N = 1..n, from one ``_exact_sums`` pass:
-    the exact part and the rest of P as arrays over N, then those of the
-    total of each of ``groups``, cut alike, and the bound on each rest.
+    length n with x(0) real, at each N of ``sizes`` (increasing and
+    distinct, the last n), from one error-free pass (module docstring):
+    the exact parts and the rests of those P_N as two arrays, then the
+    exact part and the rest of the sum of each 1-D array of ``groups``,
+    cut alike and overwritten, and the bound on each rest.
 
-    The terms form one 2-D group: x(0) at s = 0, and the exact squares
-    p + e (``_two_product``) of the real and imaginary parts of x, times -1
-    at s = 0 and -2 at s >= 1; their double prefix sums are P_N."""
-    x = (line.real, line.imag) if np.iscomplexobj(line) else (line,)
-    terms = np.zeros((1 + 2 * len(x), len(line)))
-    terms[0, 0] = line[0].real
-    for i, part in enumerate(x):
-        terms[1 + 2 * i:3 + 2 * i] = _two_product(part, part)
-    terms[1:, 0] *= -1.0
-    terms[1:, 1:] *= -2.0
-    return _exact_sums([terms, *groups])
+    The terms are x(0) at s = 0 and the exact squares p + e
+    (``_two_product``) of the real and imaginary parts of x, times -1 at
+    s = 0 and -2 at s >= 1: k = 3 or 5 rows, x(0) a row of one term. Each
+    row is cut into three accumulators over s: exact first parts, exact
+    second parts and float rests. With c(s) the sum of column s,
+    P_N = N C(N) - W(N), C(N) and W(N) the sums of c(s) and of s c(s) over
+    s < N: the exact parts are totalled by segments between the sizes,
+    since they add up exactly in any order, the rests by prefix sums over
+    every s, so that each P_N is the same whatever the other sizes."""
+    n = len(line)
+    rows = [(np.array([line[0].real]), True)]
+    for part in (line.real, line.imag) if np.iscomplexobj(line) else (line,):
+        p, e = _two_product(part, part)
+        for row in p, e:
+            row *= -2.0
+            row[0] *= 0.5
+        # |e| <= u |p| < u sigma / 4: e has no part above u sigma.
+        rows += [(p, True), (e, False)]
+    k, buf = len(rows), np.empty(n)
+    size = n * sum(float(np.abs(row, out=buf[:len(row)]).sum()) for row, _ in rows)
+    spares = [np.abs(g) for g in groups]
+    sigma = _cut(size + sum(float(spare.sum()) for spare in spares))
+    extra = sum(g.size for g in groups)
+    second = _cut(_UNIT * sigma * (k * n * n + extra))
+    # Line-sized arrays only: a larger one comes back as fresh pages on
+    # every call, paid for in page faults.
+    high, low, rest = (np.zeros(n) for _ in range(3))
+    for row, above in rows:
+        m = len(row)
+        if above:
+            high[:m] += _peel(row, sigma, buf[:m])
+        low[:m] += _peel(row, second, buf[:m])
+        rest[:m] += row
+    del rows
+    s = np.arange(n, dtype=float)
+    ends = np.array(sizes, dtype=float)
+    starts = [0, *sizes[:-1]]
+
+    def exact(c):
+        # Exact in any order: by segments between the sizes.
+        return (ends * np.cumsum(np.add.reduceat(c, starts))
+                - np.cumsum(np.add.reduceat(np.multiply(s, c, out=buf), starts)))
+
+    # The float rests in one order for every N: prefix sums over all s.
+    at = np.array(sizes) - 1
+    floats = ends * np.cumsum(rest)[at] - np.cumsum(np.multiply(s, rest, out=buf))[at]
+    sums = [(exact(high), exact(low) + floats)]
+    for g, part in zip(groups, spares):
+        first = float(_peel(g, sigma, part).sum())
+        sums.append((first, float(_peel(g, second, part).sum()) + float(g.sum())))
+    return sums, _UNIT * _UNIT * n * (k * n + extra) * (sigma + 2.0 * (n + k) * second)
 
 
 def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
@@ -1118,13 +1147,14 @@ def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
     of length N >= 2, in its order: t = tr H - ||H||_F^2 of the
     block H formed from the line in exact arithmetic, from O(N) compensated
     sums, and the charge for those sums (module docstring). A complex line is
-    the row of the order-N real form, whose t is its P_N (``_proxies``), a
-    real one the line r of the half-order split, whose t_even + t_odd is
-    the P_N of r."""
+    the row of the order-N real form, whose t is its P_N, a real one the
+    line r of the half-order split, whose t_even + t_odd is the P_N of r
+    and t_even - t_odd a twist group cut at the same sigma: one
+    ``_proxies`` pass at N alone either way."""
     n = len(line)
     if np.iscomplexobj(line):
-        [(exact, rest)], spare = _proxies(line)
-        t = float(exact[-1] + rest[-1])
+        [(exact, rest)], spare = _proxies(line, [n])
+        t = float(exact[0] + rest[0])
         return [(t, _UNIT * abs(t) + spare)]
     r, m = line, n // 2
     # <T, Hk> = sum over s < 2m - 1 of r(N - 1 - s) F(min(s, 2m - 2 - s)), with
@@ -1142,11 +1172,11 @@ def _plunge_traces(line: np.ndarray) -> list[tuple[float, float]]:
         head = r[:m + 1]
         p, e = _two_product(head, head)
         diff += [np.array([r[0], -p[0], -e[0]]), -4.0 * p[1:], -4.0 * e[1:]]
-    [(proxy, proxy_rest), (twist, twist_rest)], spare = _proxies(r, np.concatenate(diff))
+    [(proxy, proxy_rest), (twist, twist_rest)], spare = _proxies(r, [n], np.concatenate(diff))
     spare = 2.0 * spare + (_UNIT * n * n * float(np.abs(r).max())) ** 2
     traces = []
     for sign in (1.0, -1.0):
-        t = float((proxy[-1] + sign * twist) + (proxy_rest[-1] + sign * twist_rest)) / 2
+        t = float((proxy[0] + sign * twist) + (proxy_rest[0] + sign * twist_rest)) / 2
         traces.append((t, _UNIT * abs(t) + spare))
     return traces
 
@@ -1245,10 +1275,12 @@ def purity_proxy_direct(coeffs: SymbolCoefficients, n: int) -> float:
 def proxy_scan(coeffs: SymbolCoefficients, grid) -> list[float]:
     """purity_proxy_direct at each N of ``grid``, all from one O(N_max)
     pass of error-free sums over q(0)..q(N_max - 1) (``_proxies``, which
-    also gives the plunge trace t of the order-N real form): up to
-    N = 2^24 each P_N is within u |P_N| and a far smaller bound of its exact
-    value for the float coefficients (module docstring). An empty grid gives
-    an empty list; a size that is not an integer raises ValueError."""
+    also gives the plunge trace t of the order-N real form), totalled at
+    the distinct N of the grid only: up to N = 2^24 each P_N is within
+    u |P_N| and a far smaller bound of its exact value for the float
+    coefficients (module docstring), and for one N_max the other sizes of
+    the grid do not change its bits. An empty grid gives an empty list; a
+    size that is not an integer raises ValueError."""
     grid = _block_sizes(grid)
     if not grid:
         return []
@@ -1257,23 +1289,10 @@ def proxy_scan(coeffs: SymbolCoefficients, grid) -> list[float]:
     n_top = max(grid)
     if coeffs.n_max < n_top - 1:
         raise ValueError(f"need coefficients up to {n_top - 1}, have {coeffs.n_max}")
-    [(exact, rest)], _ = _proxies(coeffs.values[:n_top])
-    return [float(exact[n - 1] + rest[n - 1]) for n in grid]
-
-
-def _block_sizes(values) -> list[int]:
-    """``values`` as ints; a value that is not integral raises ValueError
-    naming it."""
-    sizes = []
-    for n in values:
-        try:
-            integral = int(n) == n
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ValueError(f"block sizes must be integers, got {n!r}")
-        sizes.append(int(n))
-    return sizes
+    sizes = sorted(set(grid))
+    [(exact, rest)], _ = _proxies(coeffs.values[:n_top], sizes)
+    proxies = dict(zip(sizes, (exact + rest).tolist()))
+    return [proxies[n] for n in grid]
 
 
 # Jin-Korepin constant of the single-interval asymptotics
@@ -1320,6 +1339,7 @@ def purity_proxy_single_interval_series(length: float, n: int) -> float:
     """
     if not (0.0 < length <= 0.5):
         raise ValueError(f"interval length must lie in (0, 1/2], got {length}")
+    [n] = _block_sizes([n])
     if n < 1:
         raise ValueError(f"block size must be >= 1, got {n}")
     cutoff = _series_cutoff(length, n)

@@ -36,6 +36,21 @@ class DispersionPlateauError(TorusSetError):
     """Requested filling sits on a flat stretch of the dispersion relation."""
 
 
+def _block_sizes(values) -> list[int]:
+    """``values`` as ints, for every layer that takes block sizes; a value
+    that is not an integer, or is a bool, raises ValueError naming it."""
+    sizes = []
+    for n in values:
+        try:
+            integral = not isinstance(n, (bool, np.bool_)) and int(n) == n
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"block sizes must be integers, got {n!r}")
+        sizes.append(int(n))
+    return sizes
+
+
 @dataclass(frozen=True)
 class TorusIntervalSet:
     """Finite union of disjoint half-open intervals on the torus.

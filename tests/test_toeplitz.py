@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from entropy_lab import toeplitz
+from entropy_lab.fejer import fejer_kernel, purity_proxy_kernel
+from entropy_lab.oracle import block_entropy_oracle
 from entropy_lab.toeplitz import (
     UPSILON,
     EigensolveError,
@@ -463,6 +465,46 @@ def test_proxy_scan_takes_one_pass_to_the_top_of_its_grid(monkeypatch):
     assert sum(elements) == 2 * 16384
 
 
+@pytest.mark.parametrize("q, a", [(0.25, 1.0), (1 / 3, 0.9)], ids=["quarter", "third"])
+def test_the_grid_does_not_change_proxy_scan(q, a):
+    # The float rests are summed in an order fixed by the line, so the other
+    # sizes of the grid cannot move a P_N by a bit; and each size alone, with
+    # a shorter line, rounds to the same double.
+    coeffs = _cantor_proxy_coefficients(q, a)
+    grid = CANTOR_PROXY_GRID
+    want = proxy_scan(coeffs, grid)
+    assert [proxy_scan(coeffs, [n])[0] for n in grid] == want
+    shuffled = [grid[i] for i in np.random.default_rng(23).permutation(len(grid))]
+    shuffled.insert(5, shuffled[9])
+    by_n = dict(zip(grid, want))
+    assert proxy_scan(coeffs, shuffled) == [by_n[n] for n in shuffled]
+    [(t, _)] = toeplitz._plunge_traces(coeffs.values[:16384])
+    assert want[-1] == t
+
+
+def test_proxy_scan_holds_few_line_arrays():
+    # The pass keeps its rows and three line-sized accumulators, never a
+    # (5, N) term array with a |term| copy (14 arrays at its peak): at most
+    # 12 float64 arrays of length 16384 (8 measured).
+    coeffs = _cantor_proxy_coefficients(1 / 3, 0.9)
+    tracemalloc.start()
+    try:
+        proxy_scan(coeffs, CANTOR_PROXY_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 16384 * 8
+
+
+def test_integral_floats_are_block_sizes():
+    f = SymbolFunction.indicator(THREE)
+    k1, k2 = canonicalize([(0.0, 0.25)]), canonicalize([(0.5, 0.6)])
+    assert check_subadditivity(k1, k2, 4.0) == check_subadditivity(k1, k2, 4)
+    assert block_entropy(f, 6.0) == block_entropy(f, 6)
+    assert block_entropy_oracle(HALF, np.float64(3.0)) == block_entropy_oracle(HALF, 3)
+    assert purity_proxy_kernel(HALF, 8.0) == purity_proxy_kernel(HALF, 8)
+
+
 def test_proxy_scan_of_no_size_is_empty():
     assert proxy_scan(_QUARTER_COEFFS, []) == []
     assert proxy_scan(_QUARTER_COEFFS, iter([])) == []
@@ -591,6 +633,29 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "^block sizes must be integers, got 2.5$"),
     (lambda: proxy_scan(_QUARTER_COEFFS, [2, "4"]),
      ValueError, "^block sizes must be integers, got '4'$"),
+    (lambda: proxy_scan(_QUARTER_COEFFS, [True, 2]),
+     ValueError, "^block sizes must be integers, got True$"),
+    (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 2.5),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: build_restriction(SymbolFunction.indicator(HALF), True),
+     ValueError, "^block sizes must be integers, got True$"),
+    (lambda: block_entropy(SymbolFunction.indicator(HALF), 2.5),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: block_entropy_oracle(HALF, 2.5),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: block_entropy_oracle(HALF, True),
+     ValueError, "^block sizes must be integers, got True$"),
+    (lambda: purity_proxy_kernel(HALF, 2.5),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: fejer_kernel(np.True_, 0.25),
+     ValueError, r"^block sizes must be integers, got (np\.)?True_?$"),
+    (lambda: check_subadditivity(canonicalize([(0.0, 0.25)]), canonicalize([(0.5, 0.6)]),
+                                 2.5),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: scan(HALF, [True, 4], mode="proxy"),
+     ValueError, "^block sizes must be integers, got True$"),
+    (lambda: purity_proxy_single_interval_series(0.25, 2.5),
+     ValueError, "^block sizes must be integers, got 2.5$"),
     (lambda: purity_proxy_single_interval_series(0.25, 0),
      ValueError, "block size must be >= 1, got 0"),
     (lambda: SymbolFunction.of([(0.0, 0.5)]),
@@ -598,7 +663,10 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
 ], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
         "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
         "restriction-order", "proxy-scan-size", "proxy-scan-order",
-        "proxy-scan-fraction", "proxy-scan-string", "series-size",
+        "proxy-scan-fraction", "proxy-scan-string", "proxy-scan-bool",
+        "restriction-fraction", "build-restriction-bool", "block-entropy-fraction",
+        "oracle-fraction", "oracle-bool", "kernel-fraction", "fejer-kernel-bool",
+        "subadditivity-fraction", "scan-bool", "series-fraction", "series-size",
         "symbol-source"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
