@@ -12,6 +12,7 @@ from .torus_sets import (
     CantorSpec,
     DispersionPlateauError,
     DispersionSamples,
+    FailedCheckError,
     TorusIntervalSet,
     TorusSetError,
     canonicalize,

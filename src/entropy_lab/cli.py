@@ -5,7 +5,7 @@ the affected CSV columns are renamed with a _bits suffix so files stay
 self-describing. CSV numbers carry 17 significant digits and round-trip
 exactly. Exit codes: 0 success (also for --help), 1 invalid input or usage
 (one "error:" line on stderr, also when a request is too large to
-allocate), 2 verification failure.
+allocate), 2 verification failure (a ``FailedCheckError`` from any layer).
 
 ``verify`` and ``fit`` hold no checks of their own: they call the
 cross-checks and gates in ``scaling`` (the same functions the acceptance
@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import fejer, scaling, specio, toeplitz
+from . import scaling, specio, torus_sets
 
 LOG2 = math.log(2.0)
 
@@ -99,8 +99,8 @@ def read_scan_csv(path):
         if reader.fieldnames is None:
             raise specio.SpecFormatError(f"{path}: empty CSV")
         names = set(reader.fieldnames)
-        if "S_N_bits" in names:
-            s_col, b_col, conv = "S_N_bits", "S_N_bracket_bits", LOG2
+        if _BITS_RENAME["S_N"] in names:
+            s_col, b_col, conv = _BITS_RENAME["S_N"], _BITS_RENAME["S_N_bracket"], LOG2
         elif "S_N" in names:
             s_col, b_col, conv = "S_N", "S_N_bracket", 1.0
         else:
@@ -296,8 +296,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
-    except (scaling.VerificationError, fejer.QuadratureError,
-            toeplitz.EigensolveError) as exc:
+    except torus_sets.FailedCheckError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
 

@@ -31,8 +31,9 @@ import math
 import numpy as np
 
 from .torus_sets import (
+    FailedCheckError,
     TorusIntervalSet,
-    _block_sizes,
+    _counts,
     deficit_breakpoints,
     overlap_deficit_profile,
 )
@@ -57,7 +58,7 @@ QUAD_TOL = 1e-9
 _SMALL_PHI = 1e-8
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(FailedCheckError):
     """The quadrature rule failed to reproduce the kernel's unit mass."""
 
 
@@ -67,9 +68,7 @@ def fejer_kernel(n: int, phi) -> np.ndarray | float:
     The removable singularities at integer phi take the limit value N; near
     them a series evaluation N (1 - (N^2 - 1)(pi phi)^2 / 3) is used.
     """
-    [n] = _block_sizes([n])
-    if n < 1:
-        raise ValueError(f"kernel order must be >= 1, got {n}")
+    [n] = _counts([n])
     phi_arr = np.asarray(phi, dtype=float)
     r = phi_arr - np.round(phi_arr)
     small = np.abs(r) < _SMALL_PHI
@@ -105,9 +104,7 @@ def panel_rule(edges) -> tuple[np.ndarray, np.ndarray]:
 def purity_proxy_kernel(K: TorusIntervalSet, n: int) -> float:
     """Kernel-integral evaluation of Tr Q_N(1 - Q_N) for the pure symbol
     chi_K."""
-    [n] = _block_sizes([n])
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    [n] = _counts([n])
     edges = np.unique(np.round(
         np.concatenate([kernel_zeros(n), deficit_breakpoints(K)]), 15))
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import SymbolFunction, build_restriction, eta, spectrum
-from .torus_sets import TorusIntervalSet, _block_sizes
+from .torus_sets import FailedCheckError, TorusIntervalSet, _counts
 
 MAX_WORD_LEN = 24
 MAX_ORACLE_SITES = 8
@@ -150,7 +150,9 @@ def matrix_unit_word(site: int, a: int, b: int, n: int):
 @dataclass(eq=False)
 class FockDensityMatrix:
     """Reduced density matrix on n sites in the occupation basis, with its
-    ascending eigenvalues from the positivity check."""
+    ascending eigenvalues from the positivity check. A matrix of the wrong
+    shape raises ValueError; one that fails the Hermitian, unit-trace or
+    positivity check raises FailedCheckError."""
 
     n: int
     matrix: np.ndarray = field(repr=False)
@@ -162,14 +164,14 @@ class FockDensityMatrix:
             raise ValueError(f"expected {dim} x {dim} matrix for n={self.n}")
         herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
         if herm > 1e-10:
-            raise ValueError(f"density matrix not Hermitian: deviation {herm:.3g}")
+            raise FailedCheckError(f"density matrix not Hermitian: deviation {herm:.3g}")
         tr = complex(np.trace(self.matrix))
         if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
+            raise FailedCheckError(f"density matrix trace {tr} differs from 1")
         self.eigenvalues = np.linalg.eigvalsh(self.matrix)
         pmin = float(self.eigenvalues[0])
         if pmin < -1e-10:
-            raise ValueError(f"density matrix has eigenvalue {pmin:.3g} < 0")
+            raise FailedCheckError(f"density matrix has eigenvalue {pmin:.3g} < 0")
         self.matrix.setflags(write=False)
         self.eigenvalues.setflags(write=False)
 
@@ -194,8 +196,8 @@ def density_matrix(source, n: int) -> FockDensityMatrix:
     occupation sectors of different particle number vanish by gauge
     invariance and are skipped.
     """
-    [n] = _block_sizes([n])
-    if not (1 <= n <= MAX_ORACLE_SITES):
+    [n] = _counts([n])
+    if n > MAX_ORACLE_SITES:
         raise OracleError(f"oracle handles 1..{MAX_ORACLE_SITES} sites, got {n}")
     q = _validated_window(SymbolFunction.of(source), n)
     dim = 1 << n
@@ -240,7 +242,8 @@ def density_matrix_from_matrix_units(source, n: int) -> FockDensityMatrix:
     cancelled), so it is capped at 4 sites; it exists as the definitional
     reference the optimized assembly is tested against.
     """
-    if not (1 <= n <= 4):
+    [n] = _counts([n])
+    if n > 4:
         raise OracleError(f"reference assembly is capped at 4 sites, got {n}")
     q = _validated_window(SymbolFunction.of(source), n)
     dim = 1 << n

@@ -40,8 +40,9 @@ from .toeplitz import (
 )
 from .torus_sets import (
     CantorSpec,
+    FailedCheckError,
     TorusIntervalSet,
-    _block_sizes,
+    _counts,
     canonicalize,
     predicted_alpha,
     random_disjoint_pair,
@@ -79,7 +80,7 @@ ETA_GRID_POINTS = 100_000
 MODELS = ("power", "log", "logsq")
 
 
-class VerificationError(RuntimeError):
+class VerificationError(FailedCheckError):
     """An internal cross-check (route agreement) failed beyond tolerance."""
 
 
@@ -122,7 +123,8 @@ def default_grid(n_min: int, n_max: int, ratio: float = DEFAULT_RATIO) -> list[i
     rounds above it, estimated from logarithms and corrected by direct
     evaluation, so the cost is per grid point, not per power of the ratio.
     """
-    if n_min < 1 or n_max < n_min:
+    n_min, n_max = _counts([n_min, n_max])
+    if n_max < n_min:
         raise ValueError(f"bad grid bounds [{n_min}, {n_max}]")
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise ValueError(f"grid ratio must be finite and exceed 1, got {ratio}")
@@ -166,11 +168,9 @@ def scan(source, n_grid, mode: str = "both",
     coefficient route: a disagreement beyond 1e-6 relative raises
     VerificationError. Records come back in grid order.
     """
-    grid = _block_sizes(n_grid)
+    grid = _counts(n_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing and nonempty")
-    if grid[0] < 1:
-        raise ValueError("block sizes must be >= 1")
     if mode not in ("both", "proxy"):
         raise ValueError(f"unknown scan mode {mode!r}")
     want_entropy = mode == "both"
@@ -222,12 +222,14 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
 
     ``window`` bounds N inclusively; by default sizes below DEFAULT_FIT_NMIN
     are discarded. Also reports slopes between consecutive grid points in the
-    same coordinates. A block size given twice, block sizes below 1 and
-    non-finite values inside the window raise ValueError.
+    same coordinates. A block size given twice and non-finite values inside
+    the window raise ValueError.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; pick one of {MODELS}")
-    ns, ys = _series(sorted(records, key=lambda r: r.n), series)
+    records = sorted(records, key=lambda r: r.n)
+    _counts(r.n for r in records)
+    ns, ys = _series(records, series)
     repeated = ns[1:] == ns[:-1]
     if np.any(repeated):
         raise ValueError(f"each block size may appear once, got N = "
@@ -241,8 +243,6 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
     ns, ys = ns[keep], ys[keep]
     if len(ns) < 4:
         raise ValueError(f"need >= 4 records inside window [{lo}, {hi}], have {len(ns)}")
-    if ns[0] < 1:
-        raise ValueError(f"block sizes must be >= 1, got N = {int(ns[0])}")
     bad = ~np.isfinite(ys)
     if np.any(bad):
         raise ValueError(f"growth fits need finite values, got {ys[bad][0]} "
@@ -330,9 +330,7 @@ def _subadditivity_gaps(k1: TorusIntervalSet, k2: TorusIntervalSet, sizes) -> li
     that solve starts, and is solved when all their blocks take the
     certified plunge path.
     """
-    sizes = _block_sizes(sizes)
-    if min(sizes) < 1:
-        raise ValueError(f"block size must be >= 1, got {min(sizes)}")
+    sizes = _counts(sizes)
     top = max(sizes)
     overlap = k1.intersection(k2)
     if not overlap.is_empty:

@@ -141,10 +141,8 @@ def parse_spec(obj) -> SetSpec:
         ratio = _number(obj.get("q"), 'cantor spec needs numeric "q" and "a"')
         amplitude = _number(obj.get("a"), 'cantor spec needs numeric "q" and "a"')
         depth = obj.get("depth", "auto")
-        if depth != "auto":
-            if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-                raise SpecFormatError('"depth" must be a nonnegative integer or "auto"')
-        CantorSpec(ratio, amplitude)    # validate parameters eagerly
+        # validate the parameters and a fixed depth eagerly
+        CantorSpec(ratio, amplitude, 0 if depth == "auto" else depth)
         return SetSpec(kind="cantor", cantor_ratio=ratio, cantor_amplitude=amplitude,
                        cantor_depth=depth, metadata=metadata)
 

@@ -211,7 +211,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .torus_sets import TorusIntervalSet, _block_sizes
+from .torus_sets import FailedCheckError, TorusIntervalSet, _counts
 
 # Eigenvalues and entropy arguments may poke this far outside [0, 1] before
 # we refuse to clip them; eta_tilde has infinite slope at the endpoints, so
@@ -223,7 +223,7 @@ class EntropyDomainError(ValueError):
     """Argument outside [0, 1] by more than the clip tolerance."""
 
 
-class EigensolveError(RuntimeError):
+class EigensolveError(FailedCheckError):
     """Eigensolve failed, or its eigenvalues missed the trace-moment check."""
 
 
@@ -457,8 +457,7 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
     block of columns per symbol, holding the rows of that symbol's jumps and
     zeros elsewhere, so one product gives every symbol's sums side by side.
     One symbol takes exactly the arithmetic of a pass of its own."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    [n_max] = _counts([n_max], "coefficient order", 0)
     if n_max >= _MAX_ORDER:
         raise ValueError(f"n_max must be below 2^{_HEAD_BITS + 1} = {_MAX_ORDER}, "
                          f"the limit of exact phase reduction; got {n_max}")
@@ -533,18 +532,14 @@ class ToeplitzRestriction:
 
 
 def restriction_from_coefficients(coeffs: SymbolCoefficients, n: int) -> ToeplitzRestriction:
-    [n] = _block_sizes([n])
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    [n] = _counts([n])
     if coeffs.n_max < n - 1:
         raise ValueError(f"need coefficients up to {n - 1}, have {coeffs.n_max}")
     return ToeplitzRestriction(coeffs.values[:n])
 
 
 def build_restriction(f: SymbolFunction, n: int) -> ToeplitzRestriction:
-    [n] = _block_sizes([n])
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    [n] = _counts([n])
     return restriction_from_coefficients(fourier_coefficients(f, n - 1), n)
 
 
@@ -1279,18 +1274,13 @@ def proxy_scan(coeffs: SymbolCoefficients, grid) -> list[float]:
     the distinct N of the grid only: up to N = 2^24 each P_N is within
     u |P_N| and a far smaller bound of its exact value for the float
     coefficients (module docstring), and for one N_max the other sizes of
-    the grid do not change its bits. An empty grid gives an empty list; a
-    size that is not an integer raises ValueError."""
-    grid = _block_sizes(grid)
+    the grid do not change its bits. An empty grid gives an empty list."""
+    grid = _counts(grid)
     if not grid:
         return []
-    if min(grid) < 1:
-        raise ValueError(f"block size must be >= 1, got {min(grid)}")
-    n_top = max(grid)
-    if coeffs.n_max < n_top - 1:
-        raise ValueError(f"need coefficients up to {n_top - 1}, have {coeffs.n_max}")
     sizes = sorted(set(grid))
-    [(exact, rest)], _ = _proxies(coeffs.values[:n_top], sizes)
+    line = restriction_from_coefficients(coeffs, sizes[-1]).row
+    [(exact, rest)], _ = _proxies(line, sizes)
     proxies = dict(zip(sizes, (exact + rest).tolist()))
     return [proxies[n] for n in grid]
 
@@ -1339,9 +1329,7 @@ def purity_proxy_single_interval_series(length: float, n: int) -> float:
     """
     if not (0.0 < length <= 0.5):
         raise ValueError(f"interval length must lie in (0, 1/2], got {length}")
-    [n] = _block_sizes([n])
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    [n] = _counts([n])
     cutoff = _series_cutoff(length, n)
 
     head = np.arange(1, n)

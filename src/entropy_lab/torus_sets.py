@@ -36,19 +36,29 @@ class DispersionPlateauError(TorusSetError):
     """Requested filling sits on a flat stretch of the dispersion relation."""
 
 
-def _block_sizes(values) -> list[int]:
-    """``values`` as ints, for every layer that takes block sizes; a value
-    that is not an integer, or is a bool, raises ValueError naming it."""
-    sizes = []
+class FailedCheckError(RuntimeError):
+    """A computed result failed one of the library's own consistency checks,
+    as opposed to bad input (ValueError); the CLI exits 2 on it."""
+
+
+def _counts(values, kind: str = "block size", least: int = 1) -> list[int]:
+    """``values`` as ints: the one check of every count the library takes,
+    block sizes (``least`` = 1), coefficient orders and Cantor depths
+    (``least`` = 0). A value that is not an integer, is a bool or is below
+    ``least`` raises ValueError naming it and its ``kind``."""
+    counts = []
     for n in values:
         try:
             integral = not isinstance(n, (bool, np.bool_)) and int(n) == n
         except (TypeError, ValueError, OverflowError):
             integral = False
         if not integral:
-            raise ValueError(f"block sizes must be integers, got {n!r}")
-        sizes.append(int(n))
-    return sizes
+            raise ValueError(f"{kind}s must be integers, got {n!r}")
+        n = int(n)
+        if n < least:
+            raise ValueError(f"{kind} must be >= {least}, got {n}")
+        counts.append(n)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -256,8 +266,8 @@ class CantorSpec:
                 f"total removed measure {removed:.6g} >= 1; "
                 "need amplitude*ratio/(1-2*ratio) < 1"
             )
-        if self.depth < 0 or self.depth != int(self.depth):
-            raise TorusSetError(f"depth must be a nonnegative integer, got {self.depth}")
+        [depth] = _counts([self.depth], "cantor depth", 0)
+        object.__setattr__(self, "depth", depth)
 
     def hole_length(self, m: int) -> float:
         return self.amplitude * self.ratio ** m
@@ -283,8 +293,7 @@ def cantor_depth_policy(spec: CantorSpec, n_max: int) -> int:
     """Smallest depth whose first omitted holes are finer than the resolution
     scale 1/(2 N_max); equivalently the depth m with
     hole(m) >= 1/(2 N_max) > hole(m+1)."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    [n_max] = _counts([n_max])
     scale = 1.0 / (2.0 * n_max)
     for depth in range(MAX_CANTOR_DEPTH + 1):
         if spec.hole_length(depth + 1) < scale:

@@ -552,6 +552,17 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_verify_exit_2_on_a_failed_oracle_check(monkeypatch, capsys):
+    # Only the oracle takes determinants; scaled ones break the Hermitian
+    # check of its density matrix, a failed check, not bad input.
+    real = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: real(a) * (1.0 + 0.01j))
+    assert cli.main(["verify", "--quick"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: density matrix not Hermitian: deviation ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cantor", "--q", "0.25", "--a", "1", "--depth", "auto"], 'depth "auto" needs a target N_max'),
     (["cantor", "--q", "0.25", "--a", "1", "--depth", "x"], "--depth must be an integer"),
@@ -565,7 +576,7 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     (["scan", "--set", "{half}", "--ratio", "nan"], "grid ratio must be finite"),
     (["scan", "--set", "{null_end}"], '"intervals" must hold numeric'),
     (["fermi", "--set", "{null_sample}"], '"samples" must hold numeric'),
-    (["scan", "--set", "{bool_depth}", "--nmax", "8"], '"depth" must be a nonnegative'),
+    (["scan", "--set", "{bool_depth}", "--nmax", "8"], "depths must be integers, got True"),
     (["scan", "--set", "{bool_start}", "--nmax", "8"], '"intervals" must hold numeric'),
     (["scan", "--set", "{huge_end}", "--nmax", "8"], "integer too large for a float"),
     (["scan", "--set", "{bool_a}", "--nmax", "8"], 'cantor spec needs numeric "q" and "a"'),
@@ -583,7 +594,7 @@ def test_verify_exit_2_on_quadrature_error(monkeypatch, capsys):
     ([], "the following arguments are required: command"),
     (["fit", "--csv", "{nan_proxy}"], "growth fits need finite values, got nan at N = 32"),
     (["fit", "--csv", "{inf_proxy}"], "growth fits need finite values, got inf at N = 64"),
-    (["fit", "--csv", "{zero_n}", "--window", "0:4"], "block sizes must be >= 1, got N = 0"),
+    (["fit", "--csv", "{zero_n}", "--window", "0:4"], "block size must be >= 1, got 0"),
     (["fit", "--csv", "{repeated_n}"], "got N = 16 more than once"),
     (["fit", "--csv", "{blank}"], "empty CSV"),
     (["fit", "--csv", "{no_proxy_column}"], "need N and P_N columns"),

@@ -18,7 +18,7 @@ from entropy_lab.oracle import (
 )
 from entropy_lab.scaling import ORACLE_TOL
 from entropy_lab.toeplitz import SymbolFunction, block_entropy, build_restriction
-from entropy_lab.torus_sets import canonicalize, full_torus, random_interval_set
+from entropy_lab.torus_sets import FailedCheckError, canonicalize, full_torus, random_interval_set
 
 HALF = canonicalize([(0.0, 0.5)])
 S2_HALF = 0.9478932674675549
@@ -245,11 +245,11 @@ def test_oracle_equivalence_small_sweep():
 def test_density_matrix_validation():
     bad = np.eye(4, dtype=complex) * 0.25
     bad[0, 1] = 0.5                          # not Hermitian
-    with pytest.raises(ValueError):
+    with pytest.raises(FailedCheckError, match="not Hermitian"):
         FockDensityMatrix(n=2, matrix=bad)
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(FailedCheckError, match="trace"):
         FockDensityMatrix(n=2, matrix=np.eye(4, dtype=complex))
     with pytest.raises(ValueError, match="expected 4 x 4"):
         FockDensityMatrix(n=2, matrix=np.eye(2, dtype=complex) / 2)
-    with pytest.raises(ValueError, match="eigenvalue"):
+    with pytest.raises(FailedCheckError, match="eigenvalue"):
         FockDensityMatrix(n=1, matrix=np.diag([1.5, -0.5]).astype(complex))

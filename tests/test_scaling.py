@@ -302,7 +302,7 @@ def test_cantor_depth_policy():
     assert slow > depth
     with pytest.raises(ValueError):
         cantor_depth_policy(CantorSpec(0.49, 0.0367), 2 ** 70)
-    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="block size must be >= 1, got 0"):
         cantor_depth_policy(spec, 0)
 
 
@@ -311,7 +311,7 @@ def _proxy_only(sizes):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: scan(HALF, [0, 4], mode="proxy"), "block sizes must be >= 1"),
+    (lambda: scan(HALF, [0, 4], mode="proxy"), "block size must be >= 1, got 0"),
     (lambda: fit_exponent(_proxy_only([16, 32, 64, 128]), "log", series="entropy"),
      "entropy series requested but records are proxy-only"),
     (lambda: fit_exponent(_proxy_only([16, 32, 64, 128]), "log", series="purity"),

@@ -34,7 +34,15 @@ from entropy_lab.toeplitz import (
     restriction_from_coefficients,
     spectrum,
 )
-from entropy_lab.scaling import SOLVER_TOL, check_subadditivity, default_grid, scan, solver_gap
+from entropy_lab.scaling import (
+    SOLVER_TOL,
+    ScanRecord,
+    check_subadditivity,
+    default_grid,
+    fit_exponent,
+    scan,
+    solver_gap,
+)
 from entropy_lab.torus_sets import (
     CantorSpec,
     canonicalize,
@@ -503,6 +511,9 @@ def test_integral_floats_are_block_sizes():
     assert block_entropy(f, 6.0) == block_entropy(f, 6)
     assert block_entropy_oracle(HALF, np.float64(3.0)) == block_entropy_oracle(HALF, 3)
     assert purity_proxy_kernel(HALF, 8.0) == purity_proxy_kernel(HALF, 8)
+    # a Cantor depth is a count like any other: 2.0 is depth 2
+    assert CantorSpec(0.25, 1.0, 2.0).depth == 2
+    assert cantor_generate(CantorSpec(0.25, 1.0, 2.0)) == cantor_generate(CantorSpec(0.25, 1.0, 2))
 
 
 def test_proxy_scan_of_no_size_is_empty():
@@ -618,7 +629,7 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
     (lambda: SymbolCoefficients(np.array([0.5, 0.6j])),
      ValueError, r"\|q\(k\)\| exceeds q\(0\)"),
     (lambda: fourier_coefficients(SymbolFunction.indicator(HALF), -1),
-     ValueError, "n_max must be nonnegative"),
+     ValueError, "coefficient order must be >= 0, got -1"),
     (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 0),
      ValueError, "block size must be >= 1, got 0"),
     (lambda: ToeplitzRestriction(np.zeros(0)),
@@ -660,6 +671,23 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "block size must be >= 1, got 0"),
     (lambda: SymbolFunction.of([(0.0, 0.5)]),
      TypeError, "expected a SymbolFunction or TorusIntervalSet, got a list"),
+    (lambda: default_grid(2.5, 10),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: default_grid(True, 4),
+     ValueError, "^block sizes must be integers, got True$"),
+    (lambda: fourier_coefficients(SymbolFunction.indicator(HALF), 2.5),
+     ValueError, "^coefficient orders must be integers, got 2.5$"),
+    (lambda: fourier_coefficients(SymbolFunction.indicator(HALF), True),
+     ValueError, "^coefficient orders must be integers, got True$"),
+    (lambda: cantor_depth_policy(CantorSpec(0.25, 1.0), 2.5),
+     ValueError, "^block sizes must be integers, got 2.5$"),
+    (lambda: cantor_depth_policy(CantorSpec(0.25, 1.0), True),
+     ValueError, "^block sizes must be integers, got True$"),
+    (lambda: CantorSpec(0.25, 1.0, True),
+     ValueError, "^cantor depths must be integers, got True$"),
+    (lambda: fit_exponent([ScanRecord(n=n, entropy=None, proxy=1.0 + n, wall_time=0.0)
+                           for n in (0, 16, 32, 64, 128)], "log", window=(16, 128)),
+     ValueError, "^block size must be >= 1, got 0$"),
 ], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
         "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
         "restriction-order", "proxy-scan-size", "proxy-scan-order",
@@ -667,7 +695,9 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
         "restriction-fraction", "build-restriction-bool", "block-entropy-fraction",
         "oracle-fraction", "oracle-bool", "kernel-fraction", "fejer-kernel-bool",
         "subadditivity-fraction", "scan-bool", "series-fraction", "series-size",
-        "symbol-source"])
+        "symbol-source", "default-grid-fraction", "default-grid-bool",
+        "coefficients-fraction", "coefficients-bool", "depth-policy-fraction",
+        "depth-policy-bool", "cantor-depth-bool", "fit-size-outside-window"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

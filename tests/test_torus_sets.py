@@ -256,7 +256,7 @@ def test_cantor_invalid_specs():
         CantorSpec(0.6, 1.0, 1)              # ratio >= 1/2
     with pytest.raises(TorusSetError):
         CantorSpec(0.25, 3.0, 1)             # removes more than everything
-    with pytest.raises(TorusSetError):
+    with pytest.raises(ValueError, match="^cantor depth must be >= 0, got -1$"):
         CantorSpec(0.25, 1.0, -1)
     with pytest.raises(TorusSetError, match="amplitude must be positive"):
         CantorSpec(0.25, 0.0, 1)
