@@ -80,10 +80,10 @@ def fejer_kernel(n: int, phi) -> np.ndarray | float:
 
 
 def kernel_zeros(n: int) -> np.ndarray:
-    """Zeros j/N of k_N inside [-1/2, 1/2]."""
-    j = np.arange(-(n // 2), n // 2 + 1)
-    z = j / n
-    return z[(z >= -0.5) & (z <= 0.5)]
+    """Zeros j/N of k_N inside [-1/2, 1/2], |j| <= N // 2, for a block size N
+    (``torus_sets._counts``)."""
+    [n] = _counts([n])
+    return np.arange(-(n // 2), n // 2 + 1) / n
 
 
 def panel_rule(edges) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,13 @@ gauge-invariant quasi-free state only c+c and cc+ contractions survive, so
 Wick's Pfaffian of the word is sgn(pi) det M, with C and A the sorted
 creator and annihilator sites, M[i, j] = Q[C_i, A_j] - delta(C_i, A_j) when
 b = b' = 1 at C_i (there the pair is cc+ = 1 - n), else Q[C_i, A_j], and pi
-the permutation taking the word to C_1 A_1 C_2 A_2 ... The Wick recursion
-``wick_expectation`` and the literal ``density_matrix_from_matrix_units``
-are the definitional reference that assembly is tested against.
+the permutation taking the word to C_1 A_1 C_2 A_2 ... Everything but Q in
+that recipe, the entries' places, signs, sites and deltas, depends on n
+alone and is built once per n (``_layout``, cached for n up to
+MAX_ORACLE_SITES, read-only); each call reads Q into it, one batch of
+determinants per word size. The Wick recursion ``wick_expectation`` and
+the literal ``density_matrix_from_matrix_units`` are the definitional
+reference that assembly is tested against.
 
 Conventions fixed here:
   * Basis index bit order: site 0 is the most significant bit.
@@ -30,6 +34,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -184,24 +189,22 @@ def _validated_window(f: SymbolFunction, n: int) -> np.ndarray:
     return restriction.matrix
 
 
-def density_matrix(source, n: int) -> FockDensityMatrix:
-    """Reduced density matrix of an n-site block, each entry one signed
-    determinant (see the module docstring), batched by word size.
+@functools.lru_cache(maxsize=MAX_ORACLE_SITES)
+def _layout(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The part of ``density_matrix`` at n sites that depends on n alone,
+    built once per n: for each word size m, the rows and columns of its
+    entries, their signs (-1)^(P + H + G) sgn(pi), the sorted creator and
+    annihilator sites of each entry (m of each), and where M takes the
+    delta off (a cc+ pair, b = b' = 1 at a creator that is also an
+    annihilator). All arrays are read-only.
 
     Pairing consecutive sites with b != b', the parity strings cancel to
     (-1)^(P + H + G): P pairs, H pairs whose first site holds c, and G
-    units E_22 (cc+) between the two sites of a pair. Every entry is
-    evaluated independently (no Hermitian mirroring), so the Hermiticity of
-    the result is a genuine consistency check. Entries between
+    units E_22 (cc+) between the two sites of a pair. Entries between
     occupation sectors of different particle number vanish by gauge
-    invariance and are skipped.
+    invariance and are left out.
     """
-    [n] = _counts([n])
-    if n > MAX_ORACLE_SITES:
-        raise OracleError(f"oracle handles 1..{MAX_ORACLE_SITES} sites, got {n}")
-    q = _validated_window(SymbolFunction.of(source), n)
-    dim = 1 << n
-    bits = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     weight = bits.sum(axis=1)
     rows, cols = np.nonzero(weight[:, None] == weight[None, :])
     b_row, b_col = bits[rows], bits[cols]
@@ -223,15 +226,33 @@ def density_matrix(source, n: int) -> FockDensityMatrix:
 
     has_c, has_a = (b_col == 0) | (b_row == 1), (b_col == 1) | (b_row == 0)
     sizes = has_c.sum(axis=1)
-    rho = np.zeros((dim, dim), dtype=complex)
+    groups = []
     for m in np.unique(sizes):
         sel = np.flatnonzero(sizes == m)
-        creators = np.nonzero(has_c[sel])[1].reshape(len(sel), m)
-        annihilators = np.nonzero(has_a[sel])[1].reshape(len(sel), m)
-        hole = np.take_along_axis(cc[sel], creators, axis=1)[:, :, None]
-        mat = (q[creators[:, :, None], annihilators[:, None, :]]
-               - (hole & (creators[:, :, None] == annihilators[:, None, :])))
-        rho[rows[sel], cols[sel]] = sign[sel] * np.linalg.det(mat)
+        creators = np.nonzero(has_c[sel])[1].reshape(len(sel), m, 1)
+        annihilators = np.nonzero(has_a[sel])[1].reshape(len(sel), 1, m)
+        holes = np.take_along_axis(cc[sel, :, None], creators, axis=1) & (creators == annihilators)
+        groups.append((rows[sel], cols[sel], sign[sel], creators, annihilators, holes))
+    for array in itertools.chain(*groups):
+        array.setflags(write=False)
+    return tuple(groups)
+
+
+def density_matrix(source, n: int) -> FockDensityMatrix:
+    """Reduced density matrix of an n-site block, each entry one signed
+    determinant (see the module docstring), batched by word size over the
+    layout of n sites (``_layout``, built once per n).
+
+    Every entry is evaluated independently (no Hermitian mirroring), so the
+    Hermiticity of the result is a genuine consistency check.
+    """
+    [n] = _counts([n])
+    if n > MAX_ORACLE_SITES:
+        raise OracleError(f"oracle handles 1..{MAX_ORACLE_SITES} sites, got {n}")
+    q = _validated_window(SymbolFunction.of(source), n)
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    for rows, cols, sign, creators, annihilators, holes in _layout(n):
+        rho[rows, cols] = sign * np.linalg.det(q[creators, annihilators] - holes)
     return FockDensityMatrix(n=n, matrix=rho)
 
 

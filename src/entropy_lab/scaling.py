@@ -155,7 +155,8 @@ def scan(source, n_grid, mode: str = "both",
     """Sweep block sizes and collect (S_N, P_N) records.
 
     ``mode`` is "both" or "proxy". The entropy of "both" comes from
-    ``entropy_result``; an N above ``eig_cap`` is refused with ValueError
+    ``entropy_result``; ``eig_cap``, a count of at least 0, passes the one
+    count check in either mode, and an N above it is refused with ValueError
     when a block of it would need the O(N^3) dense eigensolve, before that
     solve starts, and is solved when all its blocks take the plunge path.
     Sizes above the cap are solved first, so a refusal comes before the
@@ -173,6 +174,7 @@ def scan(source, n_grid, mode: str = "both",
         raise ValueError("n_grid must be strictly increasing and nonempty")
     if mode not in ("both", "proxy"):
         raise ValueError(f"unknown scan mode {mode!r}")
+    [eig_cap] = _counts([eig_cap], "eig_cap", 0)
     want_entropy = mode == "both"
 
     t0 = time.perf_counter()

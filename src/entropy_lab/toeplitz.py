@@ -50,8 +50,9 @@ odd one, of order m; on the real form a = Re q, g(k) = sgn(h) Im q(|h|) with
 h = k - N + 1, and s = +1. D is the identity but for the odd-N even block:
 the middle site pairs with the even vectors only, and the last entry
 sqrt(1/2) of D gives the border column sqrt(2) r(m - i) and the corner r(0).
-A dense solve forms the blocks from two strided views of the line
-(``_real_matrices``); the plunge pass below applies them through FFTs.
+A dense solve forms the blocks from two strided views of the lines of all
+restrictions of one N that take the same path (``_real_matrices``); the
+plunge pass below applies them through FFTs.
 
 The eigenvalues w of each solved matrix H of order p are checked without
 eigenvectors: there must be p of them, and |sum w - tr H| and
@@ -62,7 +63,8 @@ Both moments cost O(p^2) against the O(p^3) solve. Every eigenvalue must
 then lie within 1e-9 of [0, 1]; one further out fails the solve as a missed
 moment does. The dense blocks of one order, from one restriction or from
 several of one N (``entropy_results``), are solved as one ``eigvalsh``
-stack, and each restriction is checked on its own.
+stack, whose moments, counts and extremes are taken for all its blocks at
+once, and each restriction is checked on its own.
 
 ``entropy_result`` needs only the plunge eigenvalues, the few away from 0
 and 1, since eta_tilde vanishes at both ends. For a large block H of order p
@@ -551,46 +553,50 @@ RESIDUAL_TOL = 1e-8
 REAL_PATH_TOL = 1e-9
 
 
-def _centred_row(row: np.ndarray) -> tuple[np.ndarray, float]:
-    """Real part of the demodulated row r(k) = q(k) exp(2 pi i k c), with
-    c = -arg q(1) / (2 pi), and the Weyl bound (2N - 1) max |Im r(k)| on how
-    far dropping Im r moves any eigenvalue.
+def _centred_row(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real part of the demodulated rows r(k) = q(k) exp(2 pi i k c), with
+    c = -arg q(1) / (2 pi), of a first row or a stack of them (..., N), and
+    the Weyl bound (2N - 1) max |Im r(k)| of each on how far dropping Im r
+    moves any eigenvalue.
 
     A symbol symmetric about c (or c + 1/2) has every r(k) real; for any
     other the bound comes out large.
     """
-    if len(row) < 2:
-        return row.real, 0.0
-    r = row * np.exp(-1j * np.angle(row[1]) * np.arange(len(row)))
-    return r.real, (2 * len(row) - 1) * float(np.max(np.abs(r.imag)))
+    n = rows.shape[-1]
+    # the phase of q(1); at N = 1 that of q(0) >= 0, which is 0
+    r = rows * np.exp(-1j * np.angle(rows[..., 1 % n, None]) * np.arange(n))
+    return r.real, (2 * n - 1) * np.abs(r.imag).max(axis=-1)
 
 
 def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
-    """Read-only p x p view W[i, j] = line[i + j] (row_step 1) or
-    line[p - 1 - i + j] (row_step -1) of a contiguous line of length 2p - 1.
+    """Read-only p x p views W[i, j] = line[i + j] (row_step 1) or
+    line[p - 1 - i + j] (row_step -1) of a C-contiguous line of length
+    2p - 1, or of each line of a stack of them (..., 2p - 1).
 
-    Built as a strided ndarray on the line's buffer: the same view as
+    Built as a strided ndarray on the lines' buffer: the same view as
     ``sliding_window_view``, without its argument checks, which cost several
     times the view itself on small blocks.
     """
     size = line.itemsize
-    view = np.ndarray((p, p), line.dtype, buffer=line,
+    view = np.ndarray(line.shape[:-1] + (p, p), line.dtype, buffer=line,
                       offset=(p - 1) * size if row_step < 0 else 0,
-                      strides=(row_step * size, size))
-    view.flags.writeable = False
+                      strides=line.strides[:-1] + (row_step * size, size))
+    view.setflags(write=False)
     return view
 
 
 def _toeplitz(a: np.ndarray) -> np.ndarray:
     """Read-only view of the Toeplitz matrix T[i, j] = a(j - i) of the
-    Hermitian column a, a(-k) = conj a(k); symmetric for a real column."""
-    line = np.concatenate([a[:0:-1].conj(), a])     # a(t - p + 1), t < 2p - 1
-    return _window(line, len(a), -1)
+    Hermitian column a, a(-k) = conj a(k), or of each column of a stack
+    (..., p); symmetric for a real column."""
+    line = np.concatenate([a[..., :0:-1].conj(), a], axis=-1)  # a(t - p + 1), t < 2p - 1
+    return _window(line, a.shape[-1], -1)
 
 
 def _hankel(g: np.ndarray, p: int) -> np.ndarray:
-    """Read-only view of the Hankel matrix H[i, j] = g(i + j) of order p."""
-    return _window(np.ascontiguousarray(g[:2 * p - 1]), p, 1)
+    """Read-only view of the Hankel matrix H[i, j] = g(i + j) of order p,
+    or of each line of a stack (..., 2p - 1 or more)."""
+    return _window(np.ascontiguousarray(g[..., :2 * p - 1]), p, 1)
 
 
 # Rounding charges of the real matrices. The similarities are exact, so a
@@ -612,74 +618,70 @@ _BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
 _FORM_ROUNDING = np.finfo(float).eps
 
 
-def _real_line(row: np.ndarray) -> tuple[np.ndarray, tuple, float]:
-    """The line the real symmetric matrices whose spectra together are the
-    spectrum of Q_N are built from, those blocks (``_blocks``), and the
-    bound on how far forming them moves any eigenvalue.
+def _real_lines(rows: np.ndarray) -> tuple[list[bool], dict[bool, np.ndarray], list[float]]:
+    """The lines that the real symmetric matrices whose spectra together are
+    the spectra of the Q_N of a stack of first rows (R, N) are built from:
+    whether each row takes the half-order split, the stack of every row's
+    line on each path taken (the split first if the first row takes it), of
+    which only the rows on that path are read, and the bound for each row on
+    how far forming its matrices moves any eigenvalue.
 
     A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
     the real line r of the two half-order blocks, charged with Weyl's bound
     and their rounding; any other row is itself the line of the order-N real
-    form, charged with its rounding. The line is real exactly when it is
-    that of the split.
+    form, charged with its rounding. A line is real exactly when it is that
+    of the split.
     """
-    n = len(row)
-    r, weyl = _centred_row(row)
-    if weyl <= REAL_PATH_TOL * r[0]:
-        line, bound = r, weyl + _BLOCK_ROUNDING * n * float(np.max(np.abs(r)))
-    else:
-        line = row.astype(complex, copy=False)
-        bound = _FORM_ROUNDING * n * float(np.max(np.abs(row)))
-    return line, _blocks(line), bound
+    n = rows.shape[1]
+    r, weyl = _centred_row(rows)
+    split = (weyl <= REAL_PATH_TOL * r[:, 0]).tolist()
+    paths = {flag: r if flag else rows for flag in dict.fromkeys(split)}
+    tops = {flag: np.abs(lines).max(axis=1).tolist() for flag, lines in paths.items()}
+    bounds = [w + _BLOCK_ROUNDING * n * tops[True][i] if flag
+              else _FORM_ROUNDING * n * tops[False][i]
+              for i, (flag, w) in enumerate(zip(split, weyl.tolist()))]
+    return split, paths, bounds
 
 
 def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
-    """The real blocks of a line from ``_real_line``: their orders, largest
-    first, the Toeplitz column a of length p and the Hankel line g of length
-    2 p - 1 for the largest order p, and whether D borders the first block (odd N on
-    the split). Block b is D (T + s Hk) D with T[i, j] = a(|i - j|),
-    Hk[i, j] = g(i + j) and s = (-1)^b; the module docstring derives a and
-    g of the half-order split of a real line and of the order-N real form
-    of a complex one."""
-    n = len(line)
+    """The real blocks of a line from ``_real_lines``, or of a stack of
+    lines of one path: their orders, largest first, the Toeplitz column a
+    of length p and the Hankel line g of length 2 p - 1 for the largest
+    order p (one of each per line of a stack), and whether D borders the
+    first block (odd N on the split). Block b is D (T + s Hk) D with
+    T[i, j] = a(|i - j|), Hk[i, j] = g(i + j) and s = (-1)^b; the module
+    docstring derives a and g of the half-order split of a real line and of
+    the order-N real form of a complex one."""
+    n = line.shape[-1]
     if np.iscomplexobj(line):
-        return [n], line.real, np.concatenate([-line.imag[:0:-1], line.imag]), False
+        return [n], line.real, np.concatenate([-line.imag[..., :0:-1], line.imag], axis=-1), False
     p = n - n // 2
-    return [p, n // 2][:1 + (n > 1)], line[:p], line[::-1][:2 * p - 1], n % 2 == 1
+    return [p, n // 2][:1 + (n > 1)], line[..., :p], line[..., ::-1][..., :2 * p - 1], n % 2 == 1
 
 
-def _real_matrices(blocks, keep=(0, 1)) -> list[np.ndarray]:
-    """The real blocks D (T + s Hk) D that ``_blocks`` describes, formed
-    from strided views, for the block indices ``keep`` only; a smaller block
-    reads the leading corner of the views of the largest. D scales the
-    last row and column of the odd-N even block by sqrt(1/2), which gives
-    the border fl(sqrt 2) r(m - i) exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2,
-    and its corner is a(0)."""
+def _real_matrices(blocks, groups) -> list[np.ndarray]:
+    """The real blocks D (T + s Hk) D that ``_blocks`` describes for a stack
+    of lines: for each group of (line, block) pairs, all of one order, the
+    stack of those blocks in the group's order. Each is read from strided
+    windows over the stacked lines; a smaller block reads the leading corner
+    of the windows of the largest. D scales the last row and column of the
+    odd-N even block by sqrt(1/2), which gives the border fl(sqrt 2) r(m - i)
+    exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2, and its corner is a(0)."""
     orders, a, g, border = blocks
     toeplitz, hankel = _toeplitz(a), _hankel(g, orders[0])
-    mats = []
-    for b, p in enumerate(orders):
-        if b not in keep:
-            continue
-        part, cross = toeplitz[:p, :p], hankel[:p, :p]
-        mat = part - cross if b else part + cross
-        if border and not b:
-            mat[-1] *= _HALF_ROOT
-            mat[:, -1] *= _HALF_ROOT
-            mat[-1, -1] = a[0]
-        mats.append(mat)
-    return mats
-
-
-def _moment_gaps(mat: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """|sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||) for eigenvalues w
-    of the symmetric matrix H, both on the scale of an eigenvalue shift; O(p^2)
-    for order p. ||H|| is taken as max |w|."""
-    scale = 2.0 * float(np.abs(w).max()) or 1.0
-    flat = mat.ravel()
-    first = float(w.sum()) - float(mat.trace())
-    second = (float(w @ w) - float(flat @ flat)) / scale
-    return abs(first), abs(second)
+    stacks = []
+    for group in groups:
+        lines, which = (list(column) for column in zip(*group))
+        p = orders[which[0]]
+        # s = (-1)^b, and t + (-h) is t - h exactly
+        mats = toeplitz[:, :p, :p].take(lines, axis=0)
+        mats += hankel[:, :p, :p].take(lines, axis=0) * np.power(-1.0, which)[:, None, None]
+        if border and not which[0]:         # odd N: the even block has its own order
+            mats[:, -1] *= _HALF_ROOT
+            mats[:, :, -1] *= _HALF_ROOT
+            mats[:, -1, -1] = a[lines, 0]
+        stacks.append(mats)
+    return stacks
 
 
 def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
@@ -704,71 +706,62 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     an eigenvalue further out is a failed solve and raises EigensolveError,
     like the checks before it. The checked eigenvalues are clipped into
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
+    This is ``_solve`` of the one restriction with every block dense.
     """
-    _, blocks, bound = _real_line(restriction.row)
-    return _checked_eigenvalues([(_real_matrices(blocks), bound)], restriction.order)[0]
+    return _solve([restriction], plunge=False)[1][0, :restriction.order]
 
 
-def _checked_eigenvalues(sets, n: int) -> list[np.ndarray]:
-    """The eigenvalues of each of ``sets``, pairs (blocks, bound) of the
-    real symmetric matrices that ``_real_matrices`` builds for one
-    restriction of order ``n`` and their charge, checked and clipped as
-    ``spectrum`` describes; ``n`` names the order in messages.
+def _checked_eigenvalues(stacks, bounds: list[float], n: int) -> np.ndarray:
+    """The eigenvalues of the sets whose real blocks ``stacks`` holds,
+    checked and clipped as ``spectrum`` describes, as one array: row i holds
+    the eigenvalues of set i ascending, then NaN. Each stack is (the blocks
+    of one order, as ``_real_matrices`` forms them, and the (set, block)
+    pair of each); ``bounds`` are the sets' charges, and ``n`` names the
+    order in messages.
 
-    The blocks of one order, from all the sets, are solved as one
-    ``eigvalsh`` stack; a set without blocks gets no eigenvalues. Every gate
-    is applied per set: the eigenvalue count, the moment gaps of its blocks
-    plus its own charge against RESIDUAL_TOL times its own ||Q||, and the
-    range check of its eigenvalues.
+    Each stack is solved as one ``eigvalsh`` call, and its count check, both
+    trace moments (``np.vecdot``) and the extremes of its eigenvalues are
+    taken for all its blocks at once. The gates are then applied per set:
+    the moment gaps of its blocks plus its own charge against RESIDUAL_TOL
+    times its own ||Q||, and the range check of its eigenvalues; the first
+    set that fails, in order, names its first failed check. A set without
+    blocks gets no eigenvalues and no check. A NaN eigenvalue makes its
+    block's gaps and extremes NaN, which fails the moment gates.
     """
-    groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
-    for i, (blocks, _) in enumerate(sets):
-        for mat in blocks:
-            owners, mats = groups.setdefault(len(mat), ([], []))
-            owners.append(i)
-            mats.append(mat)
-    values = [[] for _ in sets]
-    gaps = [[] for _ in sets]
-    for p, (owners, mats) in groups.items():
+    stats = [[] for _ in bounds]                   # per set: each block's gaps and extremes
+    values = np.full((2 * len(bounds), n), np.nan)  # NaN sorts after every eigenvalue
+    for mats, pairs in stacks:
+        size, p = len(mats), mats.shape[-1]
         try:
-            w = np.linalg.eigvalsh(np.stack(mats))
+            w = np.linalg.eigvalsh(mats)
         except np.linalg.LinAlgError as exc:
-            raise EigensolveError(
-                f"eigensolve failed for N={n}: {exc}; "
-                f"matrix max |entry| {max(np.max(np.abs(mat)) for mat in mats):.3g}"
-            ) from exc
-        if np.shape(w) != (len(mats), p):
-            what = f"{len(mats)} blocks" if len(mats) > 1 else "a block"
+            raise EigensolveError(f"eigensolve failed for N={n}: {exc}; "
+                                  f"matrix max |entry| {np.max(np.abs(mats)):.3g}") from exc
+        if np.shape(w) != (size, p):
+            what = f"{size} blocks" if size > 1 else "a block"
             raise EigensolveError(f"eigensolve returned {np.size(w)} eigenvalues for "
                                   f"{what} of order {p} at N={n}")
-        for i, mat, wi in zip(owners, mats, w):
-            values[i].append(wi)
-            gaps[i].append(_moment_gaps(mat, wi))
-    checked = []
-    for vals, set_gaps, (_, bound) in zip(values, gaps, sets):
-        if not vals:
-            checked.append(np.empty(0))
-            continue
-        # eigvalsh returns ascending values, so one block needs no sort.
-        w = vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
-        # A NaN anywhere makes lo, hi and so norm NaN, which fails the moment gates.
-        lo, hi = float(w.min()), float(w.max())
-        norm = max(-lo, hi)
-        # np.max, unlike max, keeps a NaN gap of any block, not only the first.
-        for moment, gap in enumerate(np.max(set_gaps, axis=0), start=1):
-            gap += bound
-            if not gap <= RESIDUAL_TOL * norm:
+        # sum w, tr H, sum w^2, ||H||_F^2 and the extremes of each block
+        sums = (w.sum(axis=1), mats.trace(axis1=1, axis2=2), np.vecdot(w, w),
+                np.vecdot(*[mats.reshape(size, -1)] * 2), w.min(axis=1), w.max(axis=1))
+        for (i, _), s, tr, sq, fr, lo, hi in zip(pairs, *map(np.ndarray.tolist, sums)):
+            top = max(-lo, hi)                      # ||H|| = max |w|
+            stats[i].append((abs(s - tr), abs(sq - fr) / (2.0 * top or 1.0), top, lo, hi))
+        values[[2 * i + b for i, b in pairs], :p] = w
+    for blocks, bound in ((blocks, bound) for blocks, bound in zip(stats, bounds) if blocks):
+        firsts, seconds, tops, lows, highs = zip(*blocks)
+        for moment, gaps in enumerate((firsts, seconds), start=1):
+            # a NaN gap fails, and np.max, unlike max, keeps it in the message
+            if not all(gap + bound <= RESIDUAL_TOL * max(tops) for gap in gaps):
+                gap, norm = float(np.max(gaps)) + bound, float(np.max(tops))
                 raise EigensolveError(
                     f"trace moment {moment} gap {gap:.3g} (real-form charge {bound:.3g} "
-                    f"included) exceeds 1e-8 * ||Q|| = {RESIDUAL_TOL * norm:.3g} at N={n}"
-                )
-        if lo < -CLIP_TOL or hi > 1.0 + CLIP_TOL:
+                    f"included) exceeds 1e-8 * ||Q|| = {RESIDUAL_TOL * norm:.3g} at N={n}")
+        if min(lows) < -CLIP_TOL or max(highs) > 1.0 + CLIP_TOL:
             raise EigensolveError(
-                f"eigenvalue outside [0, 1] by {max(-lo, hi - 1.0):.3g}, beyond the "
-                f"clip tolerance {CLIP_TOL:g}, at N={n}"
-            )
-        checked.append(np.clip(w, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else w)
-    return checked
+                f"eigenvalue outside [0, 1] by {max(-min(lows), max(highs) - 1.0):.3g}, "
+                f"beyond the clip tolerance {CLIP_TOL:g}, at N={n}")
+    return np.clip(np.sort(values.reshape(len(bounds), -1), axis=1), 0.0, 1.0)
 
 
 # The certified plunge path is taken only when the bracket of S_N is at most
@@ -939,8 +932,9 @@ def _plunge_entropies(line: np.ndarray, blocks,
     rule or a bracket beyond the block's share of CERTIFICATE_TOL sends it
     to the dense solve.
 
-    Each t comes from ``_plunge_traces`` of ``line``, which is not called
-    when every block is below _PLUNGE_MIN_ORDER. The admitted blocks
+    Called only when the largest block reaches _PLUNGE_MIN_ORDER (no t is
+    computed below it); each t comes from ``_plunge_traces`` of ``line``.
+    The admitted blocks
     run one Rayleigh-Ritz pass in step, through one ``_PlungeOperator``:
     from one fixed-seed start of uniform rows on [-1, 1), their images
     H W and H (H W), one QR each of the rows of M W = H W - H (H W), the
@@ -954,8 +948,6 @@ def _plunge_entropies(line: np.ndarray, blocks,
     failed solves and raise EigensolveError.
     """
     orders = blocks[0]
-    if orders[0] < _PLUNGE_MIN_ORDER:
-        return [None] * len(orders)
     budget = CERTIFICATE_TOL / len(orders)
     traces = _plunge_traces(line)
     fft_charge = _fft_charge(blocks)
@@ -1211,13 +1203,19 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
     """S_N and P_N of each of ``restrictions``, all of one order N, from
     their real blocks: each block from its certified plunge subspace
     (``_plunge_entropies``) when the selection rule admits it and its share
-    of CERTIFICATE_TOL covers its bracket, the others densely. Only the
-    blocks solved densely are formed, and those of all the restrictions go
-    to one ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block
-    order, with every gate applied per restriction. With ``eig_cap`` given,
-    an N above it with a block that does not take the plunge path raises
-    ValueError as soon as that restriction's plunge pass is done, before the
-    passes of the restrictions after it and before any dense solve starts.
+    of CERTIFICATE_TOL covers its bracket, the others densely; ``_solve``
+    does both. The rows of all the restrictions are demodulated as one
+    stack; only the blocks solved densely are formed, from strided windows
+    over the stacked lines of their path, and those of all the restrictions
+    go to one ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block
+    order, with every gate applied per restriction. S and P come from one
+    2-D array of all the dense eigenvalues, each restriction's sorted in its
+    own row; the rows with the same number of them are summed at once, each
+    as its own array would sum. With ``eig_cap`` given (a count of at least
+    0; None sets no cap), an N above it with a block that does not take the
+    plunge path raises ValueError as soon as that restriction's plunge pass
+    is done, before the passes of the restrictions after it and before any
+    dense solve starts.
     """
     restrictions = list(restrictions)
     if not restrictions:
@@ -1226,32 +1224,56 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
     if any(r.order != n for r in restrictions):
         raise ValueError(f"restrictions of one order needed, got orders "
                          f"{sorted({r.order for r in restrictions})}")
-    solves = []
-    for restriction in restrictions:
-        line, blocks, bound = _real_line(restriction.row)
-        plunge = _plunge_entropies(line, blocks, n)
-        dense = [b for b, part in enumerate(plunge) if part is None]
-        if eig_cap is not None and n > eig_cap and dense:
-            raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
-                             f"{blocks[0][dense[0]]}, above eig_cap = {eig_cap}")
-        solves.append((blocks, bound, plunge, dense))
-    checked = _checked_eigenvalues([(_real_matrices(blocks, dense), bound)
-                                    for blocks, bound, _, dense in solves], n)
-    # eta_tilde and l (1 - l) in one pass over all restrictions; each slice
-    # sums as its own array would.
-    lam = np.concatenate(checked)
-    ends = np.cumsum([len(w) for w in checked])[:-1]
-    sums = zip(np.split(_eta_tilde_unit(lam), ends), np.split(lam * (1.0 - lam), ends))
+    if eig_cap is not None:
+        [eig_cap] = _counts([eig_cap], "eig_cap", 0)
+    parts, values = _solve(restrictions, plunge=True, eig_cap=eig_cap)
+    counts = np.count_nonzero(values == values, axis=1).tolist()    # not NaN
+    sums = {}
+    for count in set(counts):
+        rows = [i for i, c in enumerate(counts) if c == count]
+        lam = values[rows, :count]
+        sums.update(zip(rows, zip(_eta_tilde_unit(lam).sum(axis=1).tolist(),
+                                  (lam * (1.0 - lam)).sum(axis=1).tolist())))
     results = []
-    for (entropies, proxies), (_, _, plunge, dense) in zip(sums, solves):
-        entropy, proxy = float(entropies.sum()), float(proxies.sum())
-        bracket = 0.0
+    for i, plunge in enumerate(parts):
+        (entropy, proxy), bracket = sums[i], 0.0
         certified = [part for part in plunge if part is not None]
         for part in certified:
             entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
         results.append(EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,
-                                     plunge_blocks=len(certified), dense_blocks=len(dense)))
+                                     plunge_blocks=len(certified),
+                                     dense_blocks=len(plunge) - len(certified)))
     return results
+
+
+def _solve(restrictions, *, plunge: bool, eig_cap: int | None = None):
+    """The real blocks of ``restrictions``, all of one order N: per
+    restriction its ``_plunge_entropies`` (None for every block without
+    ``plunge``), and the checked eigenvalues of all the dense blocks, as
+    ``_checked_eigenvalues`` gives them. The rows are demodulated as one
+    stack (``_real_lines``). The plunge passes run in the order of the
+    restrictions, and an N above ``eig_cap`` that leaves a block dense raises
+    ValueError right after the pass of its restriction. The dense blocks of
+    one path and order are stacked restriction-major, formed by
+    ``_real_matrices`` from the stacked lines of that path."""
+    n = restrictions[0].order
+    split, paths, bounds = _real_lines(np.array([r.row for r in restrictions], dtype=complex))
+    paths = {flag: (lines, _blocks(lines), {}) for flag, lines in paths.items()}
+    parts = []
+    for i, flag in enumerate(split):
+        lines, (orders, a, g, border), groups = paths[flag]
+        part = (_plunge_entropies(lines[i], (orders, a[i], g[i], border), n)
+                if plunge and orders[0] >= _PLUNGE_MIN_ORDER else [None] * len(orders))
+        keep = [b for b, entry in enumerate(part) if entry is None]
+        if eig_cap is not None and n > eig_cap and keep:
+            raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
+                             f"{orders[keep[0]]}, above eig_cap = {eig_cap}")
+        for b in keep:                              # order -> (row, block) pairs
+            groups.setdefault(orders[b], []).append((i, b))
+        parts.append(part)
+    stacks = [stack for _, blocks, groups in paths.values()
+              for stack in zip(_real_matrices(blocks, list(groups.values())), groups.values())]
+    return parts, _checked_eigenvalues(stacks, bounds, n)
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

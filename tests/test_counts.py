@@ -1,7 +1,8 @@
 """Every count the library takes passes the one gate, torus_sets._counts.
 
-Each public entry point that takes a block size, a coefficient order or a
-Cantor depth is listed here with the kind of count and its minimum. A bool,
+Each public entry point that takes a block size, a coefficient order, a
+Cantor depth or an eigensolve cap is listed here with the kind of count and
+its minimum. A bool,
 a fraction and the value one below the minimum must raise the gate's own
 ValueError, which names the kind and the value, so an entry point that
 checks a count by hand fails here once it is added to the list.
@@ -11,7 +12,7 @@ import re
 
 import pytest
 
-from entropy_lab.fejer import fejer_kernel, purity_proxy_kernel
+from entropy_lab.fejer import fejer_kernel, kernel_zeros, purity_proxy_kernel
 from entropy_lab.oracle import (
     block_entropy_oracle,
     density_matrix,
@@ -29,6 +30,8 @@ from entropy_lab.toeplitz import (
     SymbolFunction,
     block_entropy,
     build_restriction,
+    entropy_result,
+    entropy_results,
     fourier_coefficients,
     joint_fourier_coefficients,
     proxy_scan,
@@ -62,10 +65,16 @@ ENTRY_POINTS = {
     "purity_proxy_single_interval_series": (
         lambda n: purity_proxy_single_interval_series(0.25, n), "block size", 1),
     "fejer_kernel": (lambda n: fejer_kernel(n, 0.25), "block size", 1),
+    "kernel_zeros": (kernel_zeros, "block size", 1),
     "purity_proxy_kernel": (lambda n: purity_proxy_kernel(HALF, n), "block size", 1),
     "default_grid-n_min": (lambda n: default_grid(n, 10), "block size", 1),
     "default_grid-n_max": (lambda n: default_grid(1, n), "block size", 1),
     "scan": (lambda n: scan(HALF, [n, 16], mode="proxy"), "block size", 1),
+    "scan-eig_cap": (lambda n: scan(HALF, [4, 8], eig_cap=n), "eig_cap", 0),
+    "entropy_results-eig_cap": (
+        lambda n: entropy_results([build_restriction(F_HALF, 8)], eig_cap=n), "eig_cap", 0),
+    "entropy_result-eig_cap": (
+        lambda n: entropy_result(build_restriction(F_HALF, 8), eig_cap=n), "eig_cap", 0),
     "fit_exponent": (_fit, "block size", 1),
     "check_subadditivity": (lambda n: check_subadditivity(QUARTER, NEAR, n), "block size", 1),
     "density_matrix": (lambda n: density_matrix(HALF, n), "block size", 1),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from entropy_lab import oracle
 from entropy_lab.oracle import (
     MAX_ORACLE_SITES,
     OracleError,
@@ -205,6 +206,39 @@ def test_oracle_solves_rho_once_and_q_only_as_real_blocks(monkeypatch, n):
     assert [s for s in solved if s[1]] == [((dim, dim), True)]
     # the real blocks come in stacks of shape (blocks, order, order)
     assert sum(math.prod(shape[:2]) for shape, complex_ in solved if not complex_) == n
+
+
+def test_layout_is_built_once_per_n_across_sets():
+    # The occupation-basis layout depends on n alone: three sets at n = 1..4
+    # build it four times and reuse it for every other call.
+    oracle._layout.cache_clear()
+    for K in (HALF, SKEW, canonicalize([(0.13, 0.77)])):
+        for n in range(1, 5):
+            density_matrix(K, n)
+    info = oracle._layout.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (4, 8, MAX_ORACLE_SITES)
+
+
+def test_layout_arrays_refuse_writes():
+    for group in oracle._layout(3):
+        for array in group:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+
+def test_density_matrices_from_a_shared_layout_match_fresh_ones():
+    # Two sets, interleaved over n = 1..6, against each built with the layout
+    # cache cleared first.
+    other = canonicalize([(0.13, 0.77)])
+    fresh = {}
+    for K in (SKEW, other):
+        for n in range(1, 7):
+            oracle._layout.cache_clear()
+            fresh[K, n] = density_matrix(K, n).matrix.tobytes()
+    for n in range(1, 7):
+        for K in (SKEW, other, SKEW):
+            assert density_matrix(K, n).matrix.tobytes() == fresh[K, n]
 
 
 def test_density_matrix_size_guard():

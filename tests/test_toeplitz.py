@@ -1042,7 +1042,7 @@ def test_real_form_entries():
         restriction = build_restriction(FULL_SYMBOLS["asymmetric"], n)
         u = (np.eye(n) + 1j * np.eye(n)[::-1]) / math.sqrt(2.0)
         ref = u.conj().T @ restriction.matrix @ u
-        [form] = toeplitz._real_matrices(toeplitz._blocks(restriction.row))
+        [[form]] = toeplitz._real_matrices(toeplitz._blocks(restriction.row[None]), [[(0, 0)]])
         assert form.dtype == np.float64
         assert np.max(np.abs(form - ref)) <= 1e-15
 
@@ -1078,15 +1078,21 @@ def test_strided_views_match_fancy_index_references(n):
     h = i + j - n + 1
     form = row.real[np.abs(i - j)] + np.where(h >= 0, row.imag[np.abs(h)],
                                               -row.imag[np.abs(h)])
-    # spectrum passes the real part of a complex row, a strided view.
-    for line, refs in (((r + 0j).real, split), (row, [form])):
-        blocks = toeplitz._blocks(line)
+    # Each path reads a stack of two lines, the first a random one, and
+    # gives one stack per group of (line, block) pairs of one order, in the
+    # group's order; at even N a group may mix both blocks. spectrum passes
+    # the real part of complex rows, a strided view.
+    other = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for lines, refs in ((np.array([other, r + 0j]).real, split),
+                        (np.array([other, row]), [form])):
+        blocks = toeplitz._blocks(lines)
         assert blocks[0] == [len(ref) for ref in refs]
-        for keep in ((0, 1), (0,), (1,), ()):
-            mats = toeplitz._real_matrices(blocks, keep)
-            expect = [ref for b, ref in enumerate(refs) if b in keep]
-            assert len(mats) == len(expect)
-            assert all(same_bits(mat, ref) for mat, ref in zip(mats, expect))
+        groups = [[(1, b), (0, b)] for b in range(len(refs))]
+        if len(refs) == 2 and len(refs[0]) == len(refs[1]):
+            groups.append([(0, 1), (1, 1), (1, 0)])
+        for group, stack in zip(groups, toeplitz._real_matrices(blocks, groups), strict=True):
+            assert len(stack) == len(group)
+            assert all(same_bits(mat, refs[b]) for (k, b), mat in zip(group, stack) if k == 1)
 
     diff = j - i
     lag = np.abs(diff)
@@ -1220,6 +1226,71 @@ def test_stacked_gates_take_each_set_on_its_own_scale(monkeypatch):
     entropy_results([bright, faint])
 
 
+def _bits(result):
+    return (result.entropy.hex(), result.proxy.hex(), result.bracket.hex(),
+            result.plunge_blocks, result.dense_blocks)
+
+
+# Triples for one entropy_results call: split sets only (even N stacks both
+# blocks of every set together, odd N stacks each block order on its own),
+# real forms only, and both paths at once.
+MIXED_TRIPLES = {
+    "split": [SymbolFunction.indicator(K) for K in SPLIT_SETS.values()],
+    "real-form": list(FULL_SYMBOLS.values()),
+    "mixed": [FULL_SYMBOLS["asymmetric"], SymbolFunction.indicator(SPLIT_SETS["cantor5"]),
+              FULL_SYMBOLS["mixed"]],
+}
+
+
+@pytest.mark.parametrize("symbols", MIXED_TRIPLES.values(), ids=MIXED_TRIPLES.keys())
+def test_stacked_pass_is_each_restriction_alone_bit_for_bit(symbols):
+    # S, P and the bracket of a stacked call equal those of each restriction
+    # solved alone to the last bit, at every N from 1 to 130.
+    coeffs = [fourier_coefficients(f, 129) for f in symbols]
+    for n in range(1, 131):
+        restrictions = [restriction_from_coefficients(c, n) for c in coeffs]
+        stacked = [_bits(res) for res in entropy_results(restrictions)]
+        assert stacked == [_bits(entropy_result(r)) for r in restrictions], n
+
+
+def test_stacked_pass_with_a_plunge_and_a_dense_restriction_is_bit_for_bit():
+    # At N = 362 the translated interval takes the plunge path for both of its
+    # blocks and the Cantor set solves both densely, in one call.
+    restrictions = [build_restriction(SymbolFunction.indicator(K), 362)
+                    for K in (TRANSLATED, SPLIT_SETS["cantor5"])]
+    alone = [entropy_result(r) for r in restrictions]
+    assert [(r.plunge_blocks, r.dense_blocks) for r in alone] == [(2, 0), (0, 2)]
+    assert [_bits(res) for res in entropy_results(restrictions)] == [_bits(r) for r in alone]
+
+
+# A faint symbol without a centre: its real form has ||Q|| <= 0.003, so a
+# 1e-10 shift of one of its eigenvalues misses its gate of 1e-8 ||Q||.
+FAINT_FORM = SymbolFunction((0.0, 0.2, 0.45, 1.0), (0.003, 0.0, 0.001))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_raise_top(1e-10), r"trace moment 1 gap 1e-10 \(real-form charge [0-9.e-]+ included\) "
+                        r"exceeds 1e-8 \* \|\|Q\|\| = [0-9.e-]+ at N=16$"),
+    (_not_a_number, r"trace moment 1 gap nan \(real-form charge [0-9.e-]+ included\) "
+                    r"exceeds 1e-8 \* \|\|Q\|\| = nan at N=16$"),
+], ids=["shift", "nan"])
+def test_fault_in_the_real_form_block_of_a_mixed_stack(monkeypatch, fault, message):
+    # The split set's two blocks of order 8 form one stack; the two real forms
+    # of order 16 another, whose first slice is the faint set's. Only that
+    # slice is changed, and the faint set names the failure.
+    restrictions = [build_restriction(f, 16) for f in
+                    (SymbolFunction.indicator(TRANSLATED), FAINT_FORM, FULL_SYMBOLS["asymmetric"])]
+    assert not toeplitz._real_lines(np.array([r.row for r in restrictions]))[0][1]
+
+    def corrupt(w):
+        return _in_slice(0, fault)(w) if w.shape[-1] == 16 else w
+
+    seen = _spy_eigvalsh(monkeypatch, result=corrupt)
+    with pytest.raises(EigensolveError, match=f"^{message}"):
+        entropy_results(restrictions)
+    assert seen == [(np.float64, (2, 8, 8)), (np.float64, (2, 16, 16))]
+
+
 # ---------------------------------------------------------------------------
 # Certified plunge path of entropy_result
 # ---------------------------------------------------------------------------
@@ -1351,6 +1422,13 @@ def test_small_blocks_compute_no_plunge_trace(monkeypatch, K, largest):
     assert traces == [largest + 1]
 
 
+def _line(row):
+    """The line of the real blocks of one first row, as entropy_results
+    reads it off the stack of its rows."""
+    [split], paths, _ = toeplitz._real_lines(row[None])
+    return paths[split][0]
+
+
 # Which way a 1e-9 coupling of the (0, 1) pair goes at N = 1024: past the
 # sum-theta <= t check, or to the dense solve through a bracket past its budget.
 COUPLING_FAILS = {("split", 1e-9): False, ("split", -1e-9): True,
@@ -1368,7 +1446,7 @@ def test_plunge_block_off_its_coefficients_never_certifies(operator_coupling, la
     # sum-theta <= t check or sends its block to the dense solve; on each
     # layout one sign of the coupling reaches the check.
     restriction = build_restriction(SymbolFunction.indicator(K), 1024)
-    blocks = len(toeplitz._real_line(restriction.row)[1][0])
+    blocks = len(toeplitz._blocks(_line(restriction.row))[0])
     assert entropy_result(restriction).plunge_blocks == blocks
     operator_coupling(delta)
     if COUPLING_FAILS[layout, delta]:
@@ -1456,7 +1534,8 @@ def _mp_block_traces(line):
 def test_plunge_trace_matches_40_digit_blocks(K, n):
     # The O(N) t of the line against tr H - ||H||_F^2 of the blocks formed
     # from the line in 40 digits.
-    line, blocks, _ = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)
+    line = _line(build_restriction(SymbolFunction.indicator(K), n).row)
+    blocks = toeplitz._blocks(line)
     traces = toeplitz._plunge_traces(line)
     refs = _mp_block_traces(line)
     assert len(traces) == len(refs) == len(blocks[0])
@@ -1489,7 +1568,7 @@ def _mp_line_traces(line):
 @pytest.mark.parametrize("n", [511, 512, 1447, 1448, 2047, 2048])
 @pytest.mark.parametrize("K", [TRANSLATED, THREE], ids=["split", "real-form"])
 def test_plunge_trace_matches_40_digit_sums(K, n):
-    line = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)[0]
+    line = _line(build_restriction(SymbolFunction.indicator(K), n).row)
     for (t, charge), ref in zip(toeplitz._plunge_traces(line), _mp_line_traces(line),
                                 strict=True):
         assert abs(mpmath.mpf(t) - ref) <= charge
@@ -1546,7 +1625,8 @@ def _exact_product(rows, line, b):
 def test_plunge_operator_matches_the_blocks(K, n):
     # Each row of the FFT products lies within its charge, times the row's
     # norm, of the product with the block formed from the line.
-    line, blocks, _ = toeplitz._real_line(build_restriction(SymbolFunction.indicator(K), n).row)
+    line = _line(build_restriction(SymbolFunction.indicator(K), n).row)
+    blocks = toeplitz._blocks(line)
     op = toeplitz._PlungeOperator(blocks)
     charge = toeplitz._fft_charge(blocks)
     rng = np.random.default_rng(n)
@@ -1584,7 +1664,8 @@ def test_ritz_values_within_their_charge(monkeypatch, K, n):
     monkeypatch.setattr(toeplitz, "_certify", certify_spy)
     restriction = build_restriction(SymbolFunction.indicator(K), n)
     result = entropy_result(restriction)
-    line, blocks, _ = toeplitz._real_line(restriction.row)
+    line = _line(restriction.row)
+    blocks = toeplitz._blocks(line)
     assert result.plunge_blocks == len(bases) == len(solved) == len(blocks[0])
     for b, (basis, (ritz, charge)) in enumerate(zip(bases, solved)):
         image = _exact_product(basis, line, b)
