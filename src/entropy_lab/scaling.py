@@ -293,7 +293,7 @@ def fit_report(records, window=None, series="auto", cantor=None) -> dict:
     report = {
         "window": list(window),
         "series": series,
-        "n_points": len([r for r in records if window[0] <= r.n <= window[1]]),
+        "n_points": f.n_points,
         "fits": fits,
         "alpha": fits["power"]["slope"],
         "flags": {

@@ -44,7 +44,7 @@ of order p is
     D (T + s Hk) D,   T[i, j] = a(|i - j|),   Hk[i, j] = g(i + j),   i, j < p,
 
 and ``_blocks`` reads its column a, its Hankel line g, its sign s and D off
-the line of ``_real_line``. On the split a = r and g(k) = r(N - 1 - k), with
+the line of ``_real_lines``. On the split a = r and g(k) = r(N - 1 - k), with
 s = +1 for the even block, of order N - m, m = N // 2, and s = -1 for the
 odd one, of order m; on the real form a = Re q, g(k) = sgn(h) Im q(|h|) with
 h = k - N + 1, and s = +1. D is the identity but for the odd-N even block:
@@ -103,12 +103,12 @@ L >= 2 p - 1, T x is the circular convolution of x with the symmetric column
 c = a(min(j, L - j)), whose transform C is real (circulant embedding:
 Strang, Stud. Appl. Math. 74, 1986; Chan & Ng, SIAM Rev. 38, 1996), and
 Hk x that of g with x read backwards, whose transform is conj(X) for a real
-row x with transform X. So one rfft of the rows and one irfft of
-C X + s G conj(X) apply a block (``_PlungeOperator``). L is the smallest
-5-smooth integer >= 2 p - 1 for the larger order p: about N on the split,
-whose two blocks share C, G and, at even N, the transform of the start, and
-about 2 N on the order-N real form. The path holds O(N k) numbers, no
-p x p array, so it runs past any order a dense solve could take.
+row x with transform X. So one rfft of the rows of one block and one irfft
+of C X + s G conj(X) apply that block (``_PlungeOperator``), one block at a
+time. L is the smallest 5-smooth integer >= 2 p - 1 for the larger order p:
+about N on the split, whose two blocks share C and G, and about 2 N on the
+order-N real form. The path holds O(N k) numbers, no p x p array, so it runs
+past any order a dense solve could take.
 
 t is taken from the line the blocks are built from, in O(N). On the
 order-N real form t = P_N = N q(0) - sum_{|s| < N} (N - |s|) |q(s)|^2,
@@ -286,6 +286,8 @@ class SymbolFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in self.breakpoints):
+            raise ValueError(f"breakpoints must be finite, got {self.breakpoints}")
         if len(self.breakpoints) < 2 or self.breakpoints[0] != 0.0 \
                 or self.breakpoints[-1] != 1.0:
             raise ValueError("breakpoints must run from 0.0 to 1.0")
@@ -768,20 +770,21 @@ def _checked_eigenvalues(stacks, bounds: list[float], n: int) -> np.ndarray:
 # this (nats): each of the real blocks may use its share.
 CERTIFICATE_TOL = 1e-10
 # Selection rule of the plunge path, from the order p and the plunge trace t
-# alone. One block's share of the FFT Ritz pass over both blocks of the split
-# (t, operator and start included) over a dense eigvalsh of the same order,
-# first quartiles on 2 cores (numpy 2.4, OpenBLAS):
+# alone. One block's share of the FFT Ritz passes over both blocks of the
+# split (t, operator and start included) over a dense eigvalsh of the same
+# order, with k forced, on [0.1234, 0.6234) at N = 2 p, first quartiles of 12
+# runs on 2 cores (numpy 2.4, OpenBLAS):
 #
 #     p / k    p = 128   181   256   362   512   724   1024   2048
-#     8            0.78  0.78  0.53  0.60  0.56  0.68  0.54   0.26
-#     6            0.84  1.03  0.71  0.91  0.86  1.06  0.64   0.31
-#     5            0.88  1.17  0.96  1.16  1.11  1.18  0.71   0.38
-#     4            1.06  1.28  1.37  1.55  1.54  1.45  0.98   0.53
+#     8            0.80  0.61  0.47  0.63  0.56  0.77  0.58   0.28
+#     6            0.90  0.71  0.65  0.92  0.84  1.00  0.56   0.34
+#     5            0.95  0.87  0.93  1.20  1.19  1.19  0.77   0.41
+#     4            1.09  1.07  1.31  1.71  1.52  1.45  1.03   0.59
 #
 # The order-N real form, at twice the FFT length, reads 0.78 to 1.05 at
 # p / k = 6. The pass grows like p k^2 through its QR and like k p log p
 # through its FFTs, so 5 k <= p would cost about a dense solve or more from
-# p = 181 to 724; 6 k <= p stays, at about a dense solve's cost there and
+# p = 256 to 724; 6 k <= p stays, at about a dense solve's cost there and
 # well below it from p = 1024. A single interval's blocks take k = 27 to 31
 # from p = 181 to 1024, p / k from 6.7 to 33. With t from the coefficients,
 # a block pays O(N) for it, not O(p^2). The depth-5 q = 1/4
@@ -867,7 +870,7 @@ class _PlungeOperator:
     them, applied to rows through FFTs of length L, the smallest 5-smooth
     L >= 2 p - 1 for the largest order p, without forming them (module
     docstring): C and G are the transforms of the Toeplitz column a and of
-    the Hankel line g."""
+    the Hankel line g, shared by every block of the line."""
 
     def __init__(self, blocks):
         self.orders, a, g, self.border = blocks
@@ -879,49 +882,26 @@ class _PlungeOperator:
         self.toeplitz = np.fft.rfft(column).real
         self.hankel = np.fft.rfft(g, self.length)
 
-    def __call__(self, rows: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
-        """H_b x for each (block b, rows x of length p_b) pair: one rfft of
-        the distinct row arrays, zero-padded and scaled by D, and one irfft
-        of all the images. An array given for both blocks, as the start is
-        at even N, is transformed once."""
-        inputs = {}
-        for b, x in rows:
-            inputs.setdefault(id(x), (b, x))
-        inputs = list(inputs.values())
-        if len(inputs) == 1 and not self.border:
-            spectra = np.fft.rfft(inputs[0][1], self.length)
+    def __call__(self, b: int, x: np.ndarray) -> np.ndarray:
+        """H_b x for the rows x of block b, each of length p_b: one rfft of
+        the rows, zero-padded and scaled by D, and one irfft of
+        C X + s G conj(X), cut to p_b columns and scaled by D again."""
+        bordered = b == 0 and self.border
+        if bordered:
+            x = x.copy()
+            x[:, -1] *= _HALF_ROOT
+        spectra = np.fft.rfft(x, self.length)
+        cross = np.conj(spectra)
+        cross *= self.hankel
+        spectra *= self.toeplitz
+        if b:
+            spectra -= cross
         else:
-            stack = np.zeros((sum(len(x) for _, x in inputs), self.orders[0]))
-            i = 0
-            for b, x in inputs:
-                stack[i:i + len(x), :x.shape[1]] = x
-                if b == 0 and self.border:
-                    stack[i:i + len(x), -1] *= _HALF_ROOT
-                i += len(x)
-            spectra = np.fft.rfft(stack, self.length)
-            del stack
-        if len(inputs) < len(rows):
-            spectra = np.concatenate([spectra] * len(rows))
-        i = 0
-        for b, x in rows:
-            part = spectra[i:i + len(x)]
-            cross = np.conj(part)
-            cross *= self.hankel
-            part *= self.toeplitz
-            if b:
-                part -= cross
-            else:
-                part += cross
-            i += len(x)
-        out = np.fft.irfft(spectra, self.length)
-        images, i = [], 0
-        for b, x in rows:
-            y = out[i:i + len(x), :self.orders[b]]
-            if b == 0 and self.border:
-                y[:, -1] *= _HALF_ROOT
-            images.append(y)
-            i += len(x)
-        return images
+            spectra += cross
+        image = np.fft.irfft(spectra, self.length)[:, :self.orders[b]]
+        if bordered:
+            image[:, -1] *= _HALF_ROOT
+        return image
 
 
 def _plunge_entropies(line: np.ndarray, blocks,
@@ -934,14 +914,13 @@ def _plunge_entropies(line: np.ndarray, blocks,
 
     Called only when the largest block reaches _PLUNGE_MIN_ORDER (no t is
     computed below it); each t comes from ``_plunge_traces`` of ``line``.
-    The admitted blocks
-    run one Rayleigh-Ritz pass in step, through one ``_PlungeOperator``:
-    from one fixed-seed start of uniform rows on [-1, 1), their images
-    H W and H (H W), one QR each of the rows of M W = H W - H (H W), the
-    images H Z of the orthonormal rows Z, and the eigenvalues theta of the
-    k x k matrix Z M Z^T = ((Z - H Z) (H Z)^T + its transpose) / 2. Block b
-    takes the first p_b columns of the start and keeps the first k_b rows
-    of their images.
+    Each admitted block b of order p_b and rank k_b runs one Rayleigh-Ritz
+    pass through the line's ``_PlungeOperator``: from the first k_b rows and
+    p_b columns W of one fixed-seed start of uniform rows on [-1, 1), shared
+    by the blocks, the images H W and H (H W), one QR of the rows of
+    M W = H W - H (H W), the images H Z of the orthonormal rows Z, and the
+    eigenvalues theta of the k x k matrix
+    Z M Z^T = ((Z - H Z) (H Z)^T + its transpose) / 2.
 
     A LinAlgError of a QR or of a Ritz solve, a Ritz value above 1/4 plus
     its charge, and Ritz values summing to more than t plus the charges are
@@ -955,24 +934,20 @@ def _plunge_entropies(line: np.ndarray, blocks,
     ranks = [_plunge_rank(p, t, t_charge, charge, budget)
              for p, (t, t_charge), charge in zip(orders, traces, ritz_charges)]
     admitted = [b for b, k in enumerate(ranks) if k]
+    parts = [None] * len(orders)
     if not admitted:
-        return [None] * len(orders)
+        return parts
     op = _PlungeOperator(blocks)
     start = np.random.default_rng(_PLUNGE_SEED).uniform(
         -1.0, 1.0, (max(ranks[b] for b in admitted), orders[0]))
-    images = op([(b, start if orders[b] == orders[0] else start[:, :orders[b]])
-                 for b in admitted])
-    images = [image[:ranks[b]] for b, image in zip(admitted, images)]
-    again = op(list(zip(admitted, images)))
-    bases = []
-    for b, image, image2 in zip(admitted, images, again):
-        bases.append(_linalg(np.linalg.qr, (image - image2).T, n, orders[b], ranks[b])[0].T)
-    images = op(list(zip(admitted, bases)))
-    parts = [None] * len(orders)
-    for b, basis, image in zip(admitted, bases, images):
+    for b in admitted:
+        p, k = orders[b], ranks[b]
+        image = op(b, start[:k, :p])
+        basis = _linalg(np.linalg.qr, (image - op(b, image)).T, n, p, k)[0].T
+        image = op(b, basis)
         cross = (basis - image) @ image.T
-        ritz = _linalg(np.linalg.eigvalsh, (cross + cross.T) / 2, n, orders[b], ranks[b])
-        parts[b] = _certify(ritz, orders[b], *traces[b], ritz_charges[b], n, budget)
+        ritz = _linalg(np.linalg.eigvalsh, (cross + cross.T) / 2, n, p, k)
+        parts[b] = _certify(ritz, p, *traces[b], ritz_charges[b], n, budget)
     return parts
 
 

@@ -6,9 +6,8 @@ import pytest
 def ritz_fault(monkeypatch):
     """Installs a fault on the Ritz solves of the plunge path only: each
     np.linalg.qr call arms the fault for one later np.linalg.eigvalsh call,
-    so the blocks that take their QRs in step get their Ritz solves faulted
-    in step too. The fault gets the Ritz values and returns the ones to
-    report, or raises."""
+    so each block's Ritz solve, which follows its QR, is faulted. The fault
+    gets the Ritz values and returns the ones to report, or raises."""
     qr, eigvalsh = np.linalg.qr, np.linalg.eigvalsh
 
     def install(fault):
@@ -42,14 +41,12 @@ def operator_coupling(monkeypatch):
     call = toeplitz._PlungeOperator.__call__
 
     def install(delta, order=None):
-        def coupled(self, rows):
-            images = call(self, rows)
-            if order is None or sum(self.orders) == order:
-                for (b, x), y in zip(rows, images):
-                    if b == 0:
-                        y[:, 0] += delta * x[:, 1]
-                        y[:, 1] += delta * x[:, 0]
-            return images
+        def coupled(self, b, x):
+            y = call(self, b, x)
+            if b == 0 and (order is None or sum(self.orders) == order):
+                y[:, 0] += delta * x[:, 1]
+                y[:, 1] += delta * x[:, 0]
+            return y
 
         monkeypatch.setattr(toeplitz._PlungeOperator, "__call__", coupled)
 

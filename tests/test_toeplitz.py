@@ -612,6 +612,8 @@ def test_symbol_validation():
         SymbolFunction((0.0, 0.5, 0.4, 1.0), (1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         SymbolFunction((0.1, 1.0), (1.0,))        # must start at 0
+    with pytest.raises(ValueError, match=r"^breakpoints must be finite, got \(0\.0, nan, 1\.0\)$"):
+        SymbolFunction((0.0, math.nan, 1.0), (1.0, 0.0))
 
 
 _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0.0, 0.25)])), 4)
@@ -1458,17 +1460,19 @@ def test_plunge_block_off_its_coefficients_never_certifies(operator_coupling, la
 
 
 # Sets and sizes of the accuracy check, with the number of real blocks that
-# take the plunge path: the translated interval splits in two at every size;
-# the two asymmetric unions are one order-N block, and the three-interval one
-# is dense at N = 512 by the cost rule (6 k > p).
+# take the plunge path: the translated interval splits in two at every size,
+# and at odd N its even block carries the sqrt(1/2) border of D; the two
+# asymmetric unions are one order-N block, and the three-interval one is dense
+# at N = 512 by the cost rule (6 k > p).
 PLUNGE_CASES = [
     pytest.param(K, n, blocks, id=f"{name}-{n}")
-    for name, K, plunge in (
-        ("translated", TRANSLATED, (2, 2, 2)),
-        ("asymmetric", canonicalize([(0.05, 0.3), (0.5, 0.62)]), (1, 1, 1)),
-        ("three", canonicalize([(0.0, 0.1), (0.3, 0.45), (0.6, 0.9)]), (0, 1, 1)),
+    for name, K, sizes, plunge in (
+        ("translated", TRANSLATED, (512, 1023, 1024, 2047, 2048), (2, 2, 2, 2, 2)),
+        ("asymmetric", canonicalize([(0.05, 0.3), (0.5, 0.62)]), (512, 1024, 2048), (1, 1, 1)),
+        ("three", canonicalize([(0.0, 0.1), (0.3, 0.45), (0.6, 0.9)]), (512, 1024, 2048),
+         (0, 1, 1)),
     )
-    for n, blocks in zip((512, 1024, 2048), plunge)
+    for n, blocks in zip(sizes, plunge)
 ]
 
 
@@ -1632,7 +1636,7 @@ def test_plunge_operator_matches_the_blocks(K, n):
     rng = np.random.default_rng(n)
     for b, p in enumerate(blocks[0]):
         rows = rng.uniform(-1.0, 1.0, (3, p))
-        [image] = op([(b, rows)])
+        image = op(b, rows)
         error = np.sqrt(np.sum(((image - _exact_product(rows, line, b)) ** 2).astype(float),
                                axis=1))
         assert np.all(error <= charge * np.linalg.norm(rows, axis=1))
@@ -1678,7 +1682,7 @@ def test_ritz_values_within_their_charge(monkeypatch, K, n):
 def test_plunge_path_memory_stays_order_n():
     # [0.3, 0.55) at N = 4096: formed, its two order-2048 blocks would take
     # 64 MiB; the FFT products hold a few arrays of k = 35 rows of length
-    # L = 4096 instead (traced peak 13.6 MiB measured).
+    # L = 4096 instead (traced peak 6.0 MiB measured).
     restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 4096)
     tracemalloc.start()
     try:
