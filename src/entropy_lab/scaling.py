@@ -203,7 +203,10 @@ def scan(source, n_grid, mode: str = "both",
     return [records[n] for n in grid]
 
 
-def _series(records, series: str) -> tuple[np.ndarray, np.ndarray]:
+def _series(records, series: str) -> tuple[np.ndarray, np.ndarray, str]:
+    """The block sizes and values of ``series`` in ``records``, and the
+    series fitted: "auto" resolves to "entropy" when every record has one,
+    else to "proxy"."""
     ns = np.array([r.n for r in records], dtype=float)
     if series == "auto":
         series = "entropy" if all(r.entropy is not None for r in records) else "proxy"
@@ -215,7 +218,7 @@ def _series(records, series: str) -> tuple[np.ndarray, np.ndarray]:
         ys = np.array([r.proxy for r in records], dtype=float)
     else:
         raise ValueError(f"unknown series {series!r}")
-    return ns, ys
+    return ns, ys, series
 
 
 def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
@@ -231,7 +234,7 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
         raise ValueError(f"unknown model {model!r}; pick one of {MODELS}")
     records = sorted(records, key=lambda r: r.n)
     _counts(r.n for r in records)
-    ns, ys = _series(records, series)
+    ns, ys, _ = _series(records, series)
     repeated = ns[1:] == ns[:-1]
     if np.any(repeated):
         raise ValueError(f"each block size may appear once, got N = "
@@ -276,7 +279,8 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
 
 def fit_report(records, window=None, series="auto", cantor=None) -> dict:
     """All models fitted on one window, with the log-growth flags and, given
-    ``cantor`` = {"q": ..., "a": ...}, the predicted-exponent flags."""
+    ``cantor`` = {"q": ..., "a": ...}, the predicted-exponent flags. The
+    report names the series fitted, "auto" resolved."""
     fits = {}
     for model in MODELS:
         f = fit_exponent(records, model, window=window, series=series)
@@ -292,7 +296,7 @@ def fit_report(records, window=None, series="auto", cantor=None) -> dict:
         if fits["log"]["slope"] else float("inf")
     report = {
         "window": list(window),
-        "series": series,
+        "series": _series(records, series)[2],
         "n_points": f.n_points,
         "fits": fits,
         "alpha": fits["power"]["slope"],

@@ -13,6 +13,7 @@ from entropy_lab.scaling import (
     check_subadditivity,
     default_grid,
     fit_exponent,
+    fit_report,
     invariance_report,
     scan,
 )
@@ -174,6 +175,19 @@ def test_fit_exponent_window_handling():
         fit_exponent(recs[:3], "power", window=(2, 512))
     with pytest.raises(ValueError):
         fit_exponent(recs, "parabola")
+
+
+@pytest.mark.parametrize("proxy_only", [False, True], ids=["both", "proxy-only"])
+def test_fit_report_names_the_series_it_fitted(proxy_only):
+    # "auto" fits S_N when every record has it, else P_N, and the report says
+    # which.
+    records = [ScanRecord(n=n, entropy=None if proxy_only else math.log(n),
+                          proxy=2.0 * math.log(n), wall_time=0.0)
+               for n in default_grid(16, 4096)]
+    report = fit_report(records)
+    assert report["series"] == ("proxy" if proxy_only else "entropy")
+    assert report["fits"]["log"]["slope"] == pytest.approx(2.0 if proxy_only else 1.0)
+    assert fit_report(records, series="proxy")["series"] == "proxy"
 
 
 def test_predicted_alpha():

@@ -48,6 +48,7 @@ from entropy_lab.torus_sets import (
     canonicalize,
     cantor_depth_policy,
     cantor_generate,
+    empty_set,
     full_torus,
     random_disjoint_pair,
     random_interval_set,
@@ -1367,11 +1368,49 @@ def test_missed_ritz_value_falls_back_to_the_dense_value(ritz_fault, fault):
     assert result.entropy == dense
 
 
+def test_missed_first_step_grows_and_certifies(ritz_fault):
+    # Only the first Ritz solve, that of the even block's first step, has its
+    # top value lowered, so that its bracket misses: that block grows by
+    # _PLUNGE_PAD rows and certifies on all k of them, and the odd block
+    # certifies at its first step. The result brackets the dense value.
+    sizes = []
+
+    def first_lowered(w):
+        sizes.append(len(w))
+        return _top_lowered(w) if len(sizes) == 1 else w
+
+    ritz_fault(first_lowered)
+    excess, result = solver_gap(TRANSLATED, 1024)
+    assert (result.plunge_blocks, result.dense_blocks) == (2, 0)
+    assert len(sizes) == 3 and sizes[1] == sizes[0] + toeplitz._PLUNGE_PAD
+    assert 0.0 < result.bracket <= toeplitz.CERTIFICATE_TOL
+    assert excess <= SOLVER_TOL
+
+
+@pytest.mark.parametrize("K", [empty_set(), full_torus()], ids=["empty", "full"])
+def test_plunge_pass_without_plunge_trace(K):
+    # t = 0 gives k = _PLUNGE_PAD, so the first step would have no rows: it
+    # starts from one, and both blocks of order 256 certify S_N = 0.
+    result = entropy_result(build_restriction(SymbolFunction.indicator(K), 512))
+    assert result.entropy == 0.0
+    assert (result.plunge_blocks, result.dense_blocks) == (2, 0)
+    assert result.bracket <= toeplitz.CERTIFICATE_TOL
+
+
 def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     # No dense solve of order 181 or more in the fig-2 scan of [phi, phi + 1/2)
-    # over 8..1448, and no block formed from N = 362 on; the depth-5 Cantor
-    # set keeps its dense solves and forms its blocks.
+    # over 8..1448, no block formed from N = 362 on, and no plunge block that
+    # misses at its first step and grows; the depth-5 Cantor set keeps its
+    # dense solves and forms its blocks.
     seen = _spy_eigvalsh(monkeypatch)
+    missed, certify = [], toeplitz._certify
+
+    def certify_spy(*args):
+        part = certify(*args)
+        missed.append(part is None)
+        return part
+
+    monkeypatch.setattr(toeplitz, "_certify", certify_spy)
     formed, real_matrices = [], toeplitz._real_matrices
 
     def forming_spy(blocks, *args):
@@ -1385,6 +1424,7 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     scan(canonicalize([(phi, phi + 0.5)]), default_grid(8, 1448), mode="both")
     assert seen and max(shape[-1] for _, shape in seen) < 181
     assert formed and max(formed) < 362
+    assert missed and not any(missed)
     cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
     for n in (256, 1024):
         seen.clear()
@@ -1681,8 +1721,9 @@ def test_ritz_values_within_their_charge(monkeypatch, K, n):
 
 def test_plunge_path_memory_stays_order_n():
     # [0.3, 0.55) at N = 4096: formed, its two order-2048 blocks would take
-    # 64 MiB; the FFT products hold a few arrays of k = 35 rows of length
-    # L = 4096 instead (traced peak 6.0 MiB measured).
+    # 64 MiB; the FFT products hold a few arrays of k - 8 = 27 rows of length
+    # L = 4096 instead. Traced peak 4.8 MiB measured (5.1 MiB when the pass
+    # ran all k = 35 rows); the bound is 1.7 times that.
     restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 4096)
     tracemalloc.start()
     try:
@@ -1691,7 +1732,7 @@ def test_plunge_path_memory_stays_order_n():
     finally:
         tracemalloc.stop()
     assert result.plunge_blocks == 2
-    assert peak <= 20 * 2 ** 20
+    assert peak <= 8 * 2 ** 20
 
 
 def test_jin_korepin_anchor_at_16384():
@@ -1699,7 +1740,8 @@ def test_jin_korepin_anchor_at_16384():
     # residual against the Jin-Korepin asymptotics is the N^-2 term,
     # -0.1 / N^2 = -3.73e-10 (test_jin_korepin_correction_falls_as_n_minus_2
     # measures -0.10001 and -0.09999 at N = 256 and 1024). Gate: a quarter of
-    # that term; measured -3.99e-10 with a bracket of 3.0e-11.
+    # that term; measured -4.16e-10 with a bracket of 5.2e-11 (-3.99e-10 and
+    # 3.0e-11 with the pass at all k rows, which captured more of t).
     n = 16384
     [record] = scan(TRANSLATED, [n], mode="both")
     assert 0.0 < record.bracket <= toeplitz.CERTIFICATE_TOL
