@@ -113,6 +113,7 @@ class ExponentFit:
     window: tuple[int, int]
     n_points: int
     local_slopes: tuple[float, ...]
+    series: str
 
 
 def default_grid(n_min: int, n_max: int, ratio: float = DEFAULT_RATIO) -> list[int]:
@@ -203,13 +204,8 @@ def scan(source, n_grid, mode: str = "both",
     return [records[n] for n in grid]
 
 
-def _series(records, series: str) -> tuple[np.ndarray, np.ndarray, str]:
-    """The block sizes and values of ``series`` in ``records``, and the
-    series fitted: "auto" resolves to "entropy" when every record has one,
-    else to "proxy"."""
+def _series(records, series: str) -> tuple[np.ndarray, np.ndarray]:
     ns = np.array([r.n for r in records], dtype=float)
-    if series == "auto":
-        series = "entropy" if all(r.entropy is not None for r in records) else "proxy"
     if series == "entropy":
         if any(r.entropy is None for r in records):
             raise ValueError("entropy series requested but records are proxy-only")
@@ -218,7 +214,7 @@ def _series(records, series: str) -> tuple[np.ndarray, np.ndarray, str]:
         ys = np.array([r.proxy for r in records], dtype=float)
     else:
         raise ValueError(f"unknown series {series!r}")
-    return ns, ys, series
+    return ns, ys
 
 
 def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
@@ -227,14 +223,17 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
 
     ``window`` bounds N inclusively; by default sizes below DEFAULT_FIT_NMIN
     are discarded. Also reports slopes between consecutive grid points in the
-    same coordinates. A block size given twice and non-finite values inside
-    the window raise ValueError.
+    same coordinates. ``series`` "auto" fits S_N when every record has it,
+    else P_N; the fit names the series it used. A block size given twice and
+    non-finite values inside the window raise ValueError.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; pick one of {MODELS}")
     records = sorted(records, key=lambda r: r.n)
     _counts(r.n for r in records)
-    ns, ys, _ = _series(records, series)
+    if series == "auto":
+        series = "entropy" if all(r.entropy is not None for r in records) else "proxy"
+    ns, ys = _series(records, series)
     repeated = ns[1:] == ns[:-1]
     if np.any(repeated):
         raise ValueError(f"each block size may appear once, got N = "
@@ -274,13 +273,13 @@ def fit_exponent(records, model: str, window: tuple[int, int] | None = None,
                        residual_rms=math.sqrt(ss_res / len(ns)),
                        r_squared=float(min(max(r2, 0.0), 1.0)),
                        window=(int(lo), int(hi)), n_points=len(ns),
-                       local_slopes=local)
+                       local_slopes=local, series=series)
 
 
 def fit_report(records, window=None, series="auto", cantor=None) -> dict:
     """All models fitted on one window, with the log-growth flags and, given
     ``cantor`` = {"q": ..., "a": ...}, the predicted-exponent flags. The
-    report names the series fitted, "auto" resolved."""
+    report names the series fitted."""
     fits = {}
     for model in MODELS:
         f = fit_exponent(records, model, window=window, series=series)
@@ -296,7 +295,7 @@ def fit_report(records, window=None, series="auto", cantor=None) -> dict:
         if fits["log"]["slope"] else float("inf")
     report = {
         "window": list(window),
-        "series": _series(records, series)[2],
+        "series": f.series,
         "n_points": f.n_points,
         "fits": fits,
         "alpha": fits["power"]["slope"],

@@ -74,19 +74,13 @@ of a dense solve (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011): from a
 fixed-seed start W of uniform rows on [-1, 1), the orthonormal rows Z of
 the row space of W M (two products with H and one QR), then the eigenvalues
 theta_i of the matrix Z M Z^T (one more product). The pass runs on the
-first k - 8 rows of W (at least one) and grows to all k only when that
-bracket misses: the new rows of W M are projected off Z twice and
-orthonormalised, then projected and orthonormalised once more (block
-Gram-Schmidt with reorthogonalisation: Barlow & Smoktunowicz, Numer. Math.
-123, 2013), only they are multiplied by H, and the k x k Ritz matrix of
-the stacked rows is certified again. The stacked rows span the rows of
-W M for all k rows of W, so the grown pass is the one-shot pass at k up to
-rounding; t decides when to grow, as in the adaptive range finder of Halko,
-Martinsson & Tropp (section 4.4), capped at the rank k of the selection
-rule. Each theta maps back through h(v) = eta_tilde((1 - sqrt(1 - 4 v)) / 2),
-the entropy of the eigenvalue pair with l (1 - l) = v, so S_block = sum
-h(v_i) over all p eigenvalues. The result is certified, with k now the
-number of Ritz values the pass took:
+first k - 8 rows of W (at least one), and only when that bracket misses
+does it run again on all k rows; t decides when to rerun, as in the
+adaptive range finder of Halko, Martinsson & Tropp (section 4.4), capped at
+the rank k of the selection rule. Each theta maps back through
+h(v) = eta_tilde((1 - sqrt(1 - 4 v)) / 2), the entropy of the eigenvalue
+pair with l (1 - l) = v, so S_block = sum h(v_i) over all p eigenvalues.
+The result is certified, with k the number of rows of the pass:
 
     sum h(theta_i) <= S_block <= sum h(theta_i) + R (2 - ln(R / p)),
     R = t - sum theta_i.
@@ -118,8 +112,8 @@ of C X + s G conj(X) apply that block (``_PlungeOperator``), one block at a
 time. L is the smallest 5-smooth integer >= 2 p - 1 for the larger order p:
 about N on the split, whose two blocks share C and G, and about 2 N on the
 order-N real form. The path holds O(N k) numbers, no p x p array, so it runs
-past any order a dense solve could take; a pass that certifies at its first
-step holds k - 8 rows.
+past any order a dense solve could take; a block that certifies at its
+first pass holds k - 8 rows.
 
 t is taken from the line the blocks are built from, in O(N). On the
 order-N real form t = P_N = N q(0) - sum_{|s| < N} (N - |s|) |q(s)|^2,
@@ -804,21 +798,20 @@ CERTIFICATE_TOL = 1e-10
 # at N = 1448 (t = 2.5) the uncaptured trace was 2.2e-9 at 30 t, 7.1e-11 at
 # 35 t, 1.3e-12 at 40 t and 4.1e-14 at 45 t, and only the last certifies under
 # the rounding charges; single intervals need far less (1e-14 at 30 t).
-# The table was measured with the pass at all k rows. The pass runs the
-# first k - _PLUNGE_PAD rows and adds the last _PLUNGE_PAD, its growth step,
-# only when that bracket misses, so the rule's k and its cost test are an
-# upper bound. ceil(45 t) rows certify every admitted block of the fig-2 scan
-# (8..1448), of [0.123, 0.623) up to N = 4096 and of [0, .1) u [.3, .45) u
-# [.6, .9) and [0, .25) u [.5, .75) up to 2048; [0.05, 0.3) u [0.5, 0.62)
-# grows at N = 4096 (89 rows, 90 needed), and single intervals grow on some
-# blocks of order 2048 and more (from N = 4096 on [0.3, 0.55), from 5793 on
+# The table was measured with the pass at all k rows. The pass runs on the
+# first k - _PLUNGE_PAD rows and reruns on all k only when that bracket
+# misses, so the rule's k and its cost test bound the first pass from above.
+# ceil(45 t) rows certify every admitted block of the fig-2 scan (8..1448),
+# of [0.123, 0.623) up to N = 4096 and of [0, .1) u [.3, .45) u [.6, .9) and
+# [0, .25) u [.5, .75) up to 2048; [0.05, 0.3) u [0.5, 0.62) reruns at
+# N = 4096 (89 rows, 90 needed), and single intervals on some blocks of
+# order 2048 and more (from N = 4096 on [0.3, 0.55), from 5793 on
 # [0.123, 0.623)). The blocks of a single interval of length L first pass
 # the rule at p = 120 (L = 0.01), 132 (0.05), 144 (0.1), 156 (0.25) and 162
-# (0.5). A block of
-# order below 128, where a dense solve takes under 0.7 ms, goes straight to
-# eigvalsh without computing t (0.08 ms at N = 256), so the Cantor set's ~180
-# solves of order <= 64 per benchmark pass pay nothing; the fig-2 blocks of
-# order 128 pay for a t that the rule then rejects.
+# (0.5). A block of order below 128, where a dense solve takes under 0.7 ms,
+# goes straight to eigvalsh without computing t (0.08 ms at N = 256), so the
+# Cantor set's ~180 solves of order <= 64 per benchmark pass pay nothing; the
+# fig-2 blocks of order 128 pay for a t that the rule then rejects.
 _PLUNGE_MIN_ORDER = 128
 _PLUNGE_SCALE = 45
 _PLUNGE_PAD = 8
@@ -923,11 +916,6 @@ class _PlungeOperator:
             image[:, -1] *= _HALF_ROOT
         return image
 
-    def plunge(self, b: int, x: np.ndarray) -> np.ndarray:
-        """M_b x = H_b x - H_b (H_b x) for the rows x of block b."""
-        image = self(b, x)
-        return image - self(b, image)
-
 
 def _plunge_entropies(line: np.ndarray, blocks,
                       n: int) -> list[tuple[float, float, float] | None]:
@@ -946,14 +934,8 @@ def _plunge_entropies(line: np.ndarray, blocks,
     images H W and H (H W), one QR of the rows of M W = H W - H (H W), the
     images H Z of the orthonormal rows Z, and the eigenvalues theta of the
     matrix Z M Z^T = ((Z - H Z) (H Z)^T + its transpose) / 2. Only when
-    that bracket misses does the block take the start's next rows up to
-    k_b: their rows M W are projected off Z twice and QR'd, then projected
-    and QR'd once more (block Gram-Schmidt with reorthogonalisation), so
-    that they stay orthogonal to Z to rounding, and the k_b x k_b Ritz
-    matrix of the stacked rows, with H applied to the new rows only, is
-    certified again. The stacked rows span the rows of M W for the first
-    k_b rows of the start, so the grown pass is the one-shot pass at k_b up
-    to rounding.
+    that bracket misses does the block run the same pass again on the first
+    k_b rows of the start.
 
     A LinAlgError of a QR or of a Ritz solve, a Ritz value above 1/4 plus
     its charge, and Ritz values summing to more than t plus the charges are
@@ -975,30 +957,16 @@ def _plunge_entropies(line: np.ndarray, blocks,
         -1.0, 1.0, (max(ranks[b] for b in admitted), orders[0]))
     for b in admitted:
         p, k = orders[b], ranks[b]
-        head = max(k - _PLUNGE_PAD, 1)
-        basis = _linalg(np.linalg.qr, op.plunge(b, start[:head, :p]).T, n, p, head)[0].T
-        image = op(b, basis)
-        parts[b] = _certify(_ritz_values(basis, image, n, p), p, *traces[b],
-                            ritz_charges[b], n, budget)
-        if parts[b] is not None:
-            continue
-        # the next rows, projected off Z twice and QR'd, then once more
-        fresh = op.plunge(b, start[head:k, :p])
-        for projections in (2, 1):
-            for _ in range(projections):
-                fresh -= (fresh @ basis.T) @ basis
-            fresh = _linalg(np.linalg.qr, fresh.T, n, p, k)[0].T
-        basis, image = np.vstack([basis, fresh]), np.vstack([image, op(b, fresh)])
-        parts[b] = _certify(_ritz_values(basis, image, n, p), p, *traces[b],
-                            ritz_charges[b], n, budget)
+        for rows in (max(k - _PLUNGE_PAD, 1), k):
+            image = op(b, start[:rows, :p])
+            basis = _linalg(np.linalg.qr, (image - op(b, image)).T, n, p, rows)[0].T
+            image = op(b, basis)
+            cross = (basis - image) @ image.T
+            ritz = _linalg(np.linalg.eigvalsh, (cross + cross.T) / 2, n, p, rows)
+            parts[b] = _certify(ritz, p, *traces[b], ritz_charges[b], n, budget)
+            if parts[b] is not None:
+                break
     return parts
-
-
-def _ritz_values(basis: np.ndarray, image: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The eigenvalues of Z M Z^T = ((Z - H Z) (H Z)^T + its transpose) / 2
-    for the orthonormal rows Z of ``basis`` and their images H Z."""
-    cross = (basis - image) @ image.T
-    return _linalg(np.linalg.eigvalsh, (cross + cross.T) / 2, n, p, len(basis))
 
 
 def _linalg(solve, mat: np.ndarray, n: int, p: int, k: int):

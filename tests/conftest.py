@@ -4,25 +4,23 @@ import pytest
 
 @pytest.fixture
 def ritz_fault(monkeypatch):
-    """Installs a fault on the Ritz solves of the plunge path only: a
-    np.linalg.qr call arms the fault for the next np.linalg.eigvalsh call,
-    so each Ritz solve, which follows the QRs of its step, is faulted, and
-    the dense solve after them is not. The flag is set, not counted: the
-    two QRs of a growth step arm one fault. The fault gets the Ritz values
-    and returns the ones to report, or raises."""
+    """Installs a fault on the Ritz solves of the plunge path only: each
+    np.linalg.qr call arms the fault for one later np.linalg.eigvalsh call,
+    so each block's Ritz solve, which follows its QR, is faulted. The fault
+    gets the Ritz values and returns the ones to report, or raises."""
     qr, eigvalsh = np.linalg.qr, np.linalg.eigvalsh
 
     def install(fault):
-        armed = [False]
+        armed = []
 
         def qr_spy(mat):
-            armed[0] = True
+            armed.append(True)
             return qr(mat)
 
         def eigvalsh_spy(mat):
             w = eigvalsh(mat)
-            if armed[0]:
-                armed[0] = False
+            if armed:
+                armed.pop()
                 return fault(w)
             return w
 

@@ -186,6 +186,7 @@ def test_fit_report_names_the_series_it_fitted(proxy_only):
                for n in default_grid(16, 4096)]
     report = fit_report(records)
     assert report["series"] == ("proxy" if proxy_only else "entropy")
+    assert fit_exponent(records, "log").series == report["series"]
     assert report["fits"]["log"]["slope"] == pytest.approx(2.0 if proxy_only else 1.0)
     assert fit_report(records, series="proxy")["series"] == "proxy"
 

@@ -1368,11 +1368,11 @@ def test_missed_ritz_value_falls_back_to_the_dense_value(ritz_fault, fault):
     assert result.entropy == dense
 
 
-def test_missed_first_step_grows_and_certifies(ritz_fault):
-    # Only the first Ritz solve, that of the even block's first step, has its
-    # top value lowered, so that its bracket misses: that block grows by
-    # _PLUNGE_PAD rows and certifies on all k of them, and the odd block
-    # certifies at its first step. The result brackets the dense value.
+def test_missed_first_pass_reruns_and_certifies(ritz_fault):
+    # Only the first Ritz solve, that of the even block's first pass, has its
+    # top value lowered, so that its bracket misses: that block runs again on
+    # _PLUNGE_PAD more rows, all k, and certifies, and the odd block
+    # certifies at its first pass. The result brackets the dense value.
     sizes = []
 
     def first_lowered(w):
@@ -1389,7 +1389,7 @@ def test_missed_first_step_grows_and_certifies(ritz_fault):
 
 @pytest.mark.parametrize("K", [empty_set(), full_torus()], ids=["empty", "full"])
 def test_plunge_pass_without_plunge_trace(K):
-    # t = 0 gives k = _PLUNGE_PAD, so the first step would have no rows: it
+    # t = 0 gives k = _PLUNGE_PAD, so the first pass would have no rows: it
     # starts from one, and both blocks of order 256 certify S_N = 0.
     result = entropy_result(build_restriction(SymbolFunction.indicator(K), 512))
     assert result.entropy == 0.0
@@ -1400,8 +1400,8 @@ def test_plunge_pass_without_plunge_trace(K):
 def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     # No dense solve of order 181 or more in the fig-2 scan of [phi, phi + 1/2)
     # over 8..1448, no block formed from N = 362 on, and no plunge block that
-    # misses at its first step and grows; the depth-5 Cantor set keeps its
-    # dense solves and forms its blocks.
+    # misses at its first pass and runs again; the depth-5 Cantor set keeps
+    # its dense solves and forms its blocks.
     seen = _spy_eigvalsh(monkeypatch)
     missed, certify = [], toeplitz._certify
 
@@ -1721,9 +1721,10 @@ def test_ritz_values_within_their_charge(monkeypatch, K, n):
 
 def test_plunge_path_memory_stays_order_n():
     # [0.3, 0.55) at N = 4096: formed, its two order-2048 blocks would take
-    # 64 MiB; the FFT products hold a few arrays of k - 8 = 27 rows of length
-    # L = 4096 instead. Traced peak 4.8 MiB measured (5.1 MiB when the pass
-    # ran all k = 35 rows); the bound is 1.7 times that.
+    # 64 MiB; the FFT products hold a few arrays of at most k = 32 rows of
+    # length L = 4096 instead (the odd block misses at 24 rows and reruns on
+    # 32). Traced peak 5.1 MiB measured, 6.0 MiB on a first call in a fresh
+    # process; the bound is 1.3 times the larger.
     restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 4096)
     tracemalloc.start()
     try:
@@ -1740,8 +1741,7 @@ def test_jin_korepin_anchor_at_16384():
     # residual against the Jin-Korepin asymptotics is the N^-2 term,
     # -0.1 / N^2 = -3.73e-10 (test_jin_korepin_correction_falls_as_n_minus_2
     # measures -0.10001 and -0.09999 at N = 256 and 1024). Gate: a quarter of
-    # that term; measured -4.16e-10 with a bracket of 5.2e-11 (-3.99e-10 and
-    # 3.0e-11 with the pass at all k rows, which captured more of t).
+    # that term; measured -4.16e-10 with a bracket of 5.2e-11.
     n = 16384
     [record] = scan(TRANSLATED, [n], mode="both")
     assert 0.0 < record.bracket <= toeplitz.CERTIFICATE_TOL
