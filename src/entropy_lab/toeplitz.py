@@ -44,15 +44,15 @@ of order p is
     D (T + s Hk) D,   T[i, j] = a(|i - j|),   Hk[i, j] = g(i + j),   i, j < p,
 
 and ``_blocks`` reads its column a, its Hankel line g, its sign s and D off
-the line of ``_real_lines``. On the split a = r and g(k) = r(N - 1 - k), with
+the line of ``_real_line``. On the split a = r and g(k) = r(N - 1 - k), with
 s = +1 for the even block, of order N - m, m = N // 2, and s = -1 for the
 odd one, of order m; on the real form a = Re q, g(k) = sgn(h) Im q(|h|) with
 h = k - N + 1, and s = +1. D is the identity but for the odd-N even block:
 the middle site pairs with the even vectors only, and the last entry
 sqrt(1/2) of D gives the border column sqrt(2) r(m - i) and the corner r(0).
-A dense solve forms the blocks from two strided views of the lines of all
-restrictions of one N that take the same path (``_real_matrices``); the
-plunge pass below applies them through FFTs.
+Each restriction has its own line. A dense solve forms each block from
+two strided views of that line (``_real_matrix``); the plunge pass below
+applies them through FFTs.
 
 The eigenvalues w of each solved matrix H of order p are checked without
 eigenvectors: there must be p of them, and |sum w - tr H| and
@@ -62,9 +62,10 @@ rounding of the matrix entries, at most 1.5 N eps max |q(k)|) is added.
 Both moments cost O(p^2) against the O(p^3) solve. Every eigenvalue must
 then lie within 1e-9 of [0, 1]; one further out fails the solve as a missed
 moment does. The dense blocks of one order, from one restriction or from
-several of one N (``entropy_results``), are solved as one ``eigvalsh``
-stack, whose moments, counts and extremes are taken for all its blocks at
-once, and each restriction is checked on its own.
+several of one N (``entropy_results``), are formed into one stack and
+solved as one ``eigvalsh`` call, whose moments, counts and extremes are
+taken for all its blocks at once, and each restriction is checked on its
+own.
 
 ``entropy_result`` needs only the plunge eigenvalues, the few away from 0
 and 1, since eta_tilde vanishes at both ends. For a large block H of order p
@@ -204,7 +205,7 @@ beta is known before the operator is built, since L depends on p only: the
 selection rule charges it at once.
 The certified lower end takes each theta lowered by its charge, R takes the
 t charge on top, and the block is accepted when its bracket is within its
-share of CERTIFICATE_TOL; otherwise it is formed (``_real_matrices``) and
+share of CERTIFICATE_TOL; otherwise it is formed (``_real_matrix``) and
 solved densely, as before. ``spectrum`` always solves densely.
 
 Entropies are in nats throughout.
@@ -346,27 +347,40 @@ class SymbolFunction:
         return sum((b - a) * v for a, b, v in self.pieces())
 
 
+def _symbol_values(values, what: str) -> np.ndarray:
+    """A read-only copy of ``values``, the coefficients q(0), q(1), ... of a
+    symbol with values in [0, 1], with q(0) made real. They must be finite,
+    q(0) real within 1e-13 and inside [0, 1 + 1e-9], and every |q(k)| at
+    most q(0) + 1e-9; anything else raises ValueError, with ``what`` naming
+    the array."""
+    values = np.array(values)
+    if values.ndim != 1 or not len(values):
+        raise ValueError(f"{what} must be a 1-D array with at least one entry")
+    largest = np.abs(values).max()                  # not finite if any entry is not
+    if not np.isfinite(largest):
+        raise ValueError(f"{what} must be finite")
+    if abs(values[0].imag) > 1e-13:
+        raise ValueError(f"q(0) must be real, got {values[0]}: Q_N not Hermitian")
+    q0 = values[0].real
+    if not 0.0 <= q0 <= 1.0 + 1e-9:
+        raise ValueError(f"q(0) = {q0} outside [0, 1]; symbol not in [0, 1]")
+    if largest > q0 + 1e-9:
+        raise ValueError("|q(k)| exceeds q(0); symbol not in [0, 1]")
+    values[0] = q0
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(eq=False)
 class SymbolCoefficients:
     """Fourier coefficients q(0)..q(n_max), finite, with n_max + 1 the
-    length of ``values``; negative orders follow from q(-k) = conj(q(k))."""
+    length of ``values``; negative orders follow from q(-k) = conj(q(k)).
+    Stored as a read-only copy (``_symbol_values``)."""
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.values.ndim != 1 or not len(self.values):
-            raise ValueError("coefficients must be a 1-D array with at least one entry")
-        largest = np.abs(self.values).max()         # not finite if any entry is not
-        if not np.isfinite(largest):
-            raise ValueError("coefficients must be finite")
-        if abs(self.values[0].imag) > 1e-13:
-            raise ValueError(f"q(0) must be real, got {self.values[0]}")
-        q0 = self.values[0].real
-        if largest > q0 + 1e-9:
-            raise ValueError("|q(k)| exceeds q(0); symbol not in [0, 1]")
-        self.values = self.values.copy()
-        self.values[0] = q0
-        self.values.setflags(write=False)
+        self.values = _symbol_values(self.values, "coefficients")
 
     @property
     def n_max(self) -> int:
@@ -478,11 +492,8 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
         jumps = np.subtract(v, v[-1:] + v[:-1])      # v_j - v_{j-1}, wrapping at 0
         keep = jumps != 0.0
         parts.append((np.asarray(f.breakpoints[:-1])[keep], jumps[keep]))
-    if count == 1:
-        (x, c), = parts
-    else:
-        x, c = (np.concatenate(arrays) for arrays in zip(*parts))
-        owner = np.repeat(np.arange(count), [len(jumps) for _, jumps in parts])
+    x, c = (np.concatenate(arrays) for arrays in zip(*parts))
+    owner = np.repeat(np.arange(count), [len(jumps) for _, jumps in parts])
     block = math.isqrt(n_max) + 1
     rows = n_max // block + 1
     acc = np.zeros((rows, count * block), dtype=complex)
@@ -516,20 +527,17 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
 class ToeplitzRestriction:
     """Hermitian N x N block Q_N with entries Q[l, k] = q(k - l).
 
-    Stored as its first row q(0), ..., q(N - 1), N >= 1 the row's length,
-    from which ``spectrum`` and ``entropy_results`` build the line of its
-    real matrices. ``matrix`` builds the complex Q_N on first use, for the
+    Stored as a read-only copy of its first row q(0), ..., q(N - 1), N >= 1
+    the row's length, checked as ``SymbolCoefficients`` are, from which
+    ``spectrum`` and ``entropy_results`` build the line of its real
+    matrices. ``matrix`` builds the complex Q_N on first use, for the
     Fock-space oracle; the solve never forms it.
     """
 
     row: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.row.ndim != 1 or not len(self.row):
-            raise ValueError("first row must be a 1-D array with at least one entry")
-        if self.row[0].imag != 0.0:
-            raise ValueError(f"restriction not Hermitian: q(0) = {self.row[0]}")
-        self.row.setflags(write=False)
+        self.row = _symbol_values(self.row, "first row")
 
     @property
     def order(self) -> int:
@@ -560,50 +568,49 @@ RESIDUAL_TOL = 1e-8
 REAL_PATH_TOL = 1e-9
 
 
-def _centred_row(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real part of the demodulated rows r(k) = q(k) exp(2 pi i k c), with
-    c = -arg q(1) / (2 pi), of a first row or a stack of them (..., N), and
-    the Weyl bound (2N - 1) max |Im r(k)| of each on how far dropping Im r
-    moves any eigenvalue.
+def _centred_row(row: np.ndarray) -> tuple[np.ndarray, float]:
+    """Real part of the demodulated row r(k) = q(k) exp(2 pi i k c), with
+    c = -arg q(1) / (2 pi), of a first row of length N, and the Weyl bound
+    (2N - 1) max |Im r(k)| on how far dropping Im r moves any eigenvalue.
 
     A symbol symmetric about c (or c + 1/2) has every r(k) real; for any
     other the bound comes out large.
     """
-    n = rows.shape[-1]
+    n = len(row)
     # the phase of q(1); at N = 1 that of q(0) >= 0, which is 0
-    r = rows * np.exp(-1j * np.angle(rows[..., 1 % n, None]) * np.arange(n))
-    return r.real, (2 * n - 1) * np.abs(r.imag).max(axis=-1)
+    r = row * np.exp(-1j * np.angle(row[1 % n, None]) * np.arange(n))
+    return r.real, (2 * n - 1) * float(np.abs(r.imag).max())
 
 
 def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
-    """Read-only p x p views W[i, j] = line[i + j] (row_step 1) or
+    """Read-only p x p view W[i, j] = line[i + j] (row_step 1) or
     line[p - 1 - i + j] (row_step -1) of a C-contiguous line of length
-    2p - 1, or of each line of a stack of them (..., 2p - 1).
+    2p - 1.
 
-    Built as a strided ndarray on the lines' buffer: the same view as
+    Built as a strided ndarray on the line's buffer: the same view as
     ``sliding_window_view``, without its argument checks, which cost several
     times the view itself on small blocks.
     """
     size = line.itemsize
-    view = np.ndarray(line.shape[:-1] + (p, p), line.dtype, buffer=line,
+    view = np.ndarray((p, p), line.dtype, buffer=line,
                       offset=(p - 1) * size if row_step < 0 else 0,
-                      strides=line.strides[:-1] + (row_step * size, size))
+                      strides=(row_step * size, size))
     view.setflags(write=False)
     return view
 
 
 def _toeplitz(a: np.ndarray) -> np.ndarray:
     """Read-only view of the Toeplitz matrix T[i, j] = a(j - i) of the
-    Hermitian column a, a(-k) = conj a(k), or of each column of a stack
-    (..., p); symmetric for a real column."""
-    line = np.concatenate([a[..., :0:-1].conj(), a], axis=-1)  # a(t - p + 1), t < 2p - 1
-    return _window(line, a.shape[-1], -1)
+    Hermitian column a of length p, a(-k) = conj a(k); symmetric for a real
+    column."""
+    line = np.concatenate([a[:0:-1].conj(), a])     # a(t - p + 1), t < 2p - 1
+    return _window(line, len(a), -1)
 
 
 def _hankel(g: np.ndarray, p: int) -> np.ndarray:
     """Read-only view of the Hankel matrix H[i, j] = g(i + j) of order p,
-    or of each line of a stack (..., 2p - 1 or more)."""
-    return _window(np.ascontiguousarray(g[..., :2 * p - 1]), p, 1)
+    from a line g of length 2p - 1 or more."""
+    return _window(np.ascontiguousarray(g[:2 * p - 1]), p, 1)
 
 
 # Rounding charges of the real matrices. The similarities are exact, so a
@@ -625,13 +632,11 @@ _BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
 _FORM_ROUNDING = np.finfo(float).eps
 
 
-def _real_lines(rows: np.ndarray) -> tuple[list[bool], dict[bool, np.ndarray], list[float]]:
-    """The lines that the real symmetric matrices whose spectra together are
-    the spectra of the Q_N of a stack of first rows (R, N) are built from:
-    whether each row takes the half-order split, the stack of every row's
-    line on each path taken (the split first if the first row takes it), of
-    which only the rows on that path are read, and the bound for each row on
-    how far forming its matrices moves any eigenvalue.
+def _real_line(row: np.ndarray) -> tuple[np.ndarray, tuple, float]:
+    """The line that the real symmetric matrices whose spectra together are
+    the spectrum of the Q_N with first row ``row`` are built from, its
+    blocks as ``_blocks`` reads them, and the bound on how far forming those
+    matrices moves any eigenvalue.
 
     A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
     the real line r of the two half-order blocks, charged with Weyl's bound
@@ -639,56 +644,46 @@ def _real_lines(rows: np.ndarray) -> tuple[list[bool], dict[bool, np.ndarray], l
     form, charged with its rounding. A line is real exactly when it is that
     of the split.
     """
-    n = rows.shape[1]
-    r, weyl = _centred_row(rows)
-    split = (weyl <= REAL_PATH_TOL * r[:, 0]).tolist()
-    paths = {flag: r if flag else rows for flag in dict.fromkeys(split)}
-    tops = {flag: np.abs(lines).max(axis=1).tolist() for flag, lines in paths.items()}
-    bounds = [w + _BLOCK_ROUNDING * n * tops[True][i] if flag
-              else _FORM_ROUNDING * n * tops[False][i]
-              for i, (flag, w) in enumerate(zip(split, weyl.tolist()))]
-    return split, paths, bounds
+    row = row.astype(complex, copy=False)
+    n = len(row)
+    r, weyl = _centred_row(row)
+    if weyl <= REAL_PATH_TOL * r[0]:
+        line, bound = r, weyl + _BLOCK_ROUNDING * n * float(np.abs(r).max())
+    else:
+        line, bound = row, _FORM_ROUNDING * n * float(np.abs(row).max())
+    return line, _blocks(line), bound
 
 
 def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
-    """The real blocks of a line from ``_real_lines``, or of a stack of
-    lines of one path: their orders, largest first, the Toeplitz column a
-    of length p and the Hankel line g of length 2 p - 1 for the largest
-    order p (one of each per line of a stack), and whether D borders the
-    first block (odd N on the split). Block b is D (T + s Hk) D with
-    T[i, j] = a(|i - j|), Hk[i, j] = g(i + j) and s = (-1)^b; the module
-    docstring derives a and g of the half-order split of a real line and of
-    the order-N real form of a complex one."""
-    n = line.shape[-1]
+    """The real blocks of a line from ``_real_line``: their orders, largest
+    first, the Toeplitz column a of length p and the Hankel line g of length
+    2 p - 1 for the largest order p, and whether D borders the first block
+    (odd N on the split). Block b is D (T + s Hk) D with T[i, j] = a(|i - j|),
+    Hk[i, j] = g(i + j) and s = (-1)^b; the module docstring derives a and g
+    of the half-order split of a real line and of the order-N real form of a
+    complex one."""
+    n = len(line)
     if np.iscomplexobj(line):
-        return [n], line.real, np.concatenate([-line.imag[..., :0:-1], line.imag], axis=-1), False
+        return [n], line.real, np.concatenate([-line.imag[:0:-1], line.imag]), False
     p = n - n // 2
-    return [p, n // 2][:1 + (n > 1)], line[..., :p], line[..., ::-1][..., :2 * p - 1], n % 2 == 1
+    return [p, n // 2][:1 + (n > 1)], line[:p], line[::-1][:2 * p - 1], n % 2 == 1
 
 
-def _real_matrices(blocks, groups) -> list[np.ndarray]:
-    """The real blocks D (T + s Hk) D that ``_blocks`` describes for a stack
-    of lines: for each group of (line, block) pairs, all of one order, the
-    stack of those blocks in the group's order. Each is read from strided
-    windows over the stacked lines; a smaller block reads the leading corner
-    of the windows of the largest. D scales the last row and column of the
-    odd-N even block by sqrt(1/2), which gives the border fl(sqrt 2) r(m - i)
+def _real_matrix(blocks, b: int, out: np.ndarray) -> np.ndarray:
+    """Block b of ``blocks``, as ``_blocks`` describes it, formed into
+    ``out``: the sum T + Hk (the difference T - Hk for the odd block) of two
+    strided windows over the line, each the leading corner of order p_b of
+    the largest block's. D then scales the last row and column of the odd-N
+    even block by sqrt(1/2), which gives the border fl(sqrt 2) r(m - i)
     exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2, and its corner is a(0)."""
     orders, a, g, border = blocks
-    toeplitz, hankel = _toeplitz(a), _hankel(g, orders[0])
-    stacks = []
-    for group in groups:
-        lines, which = (list(column) for column in zip(*group))
-        p = orders[which[0]]
-        # s = (-1)^b, and t + (-h) is t - h exactly
-        mats = toeplitz[:, :p, :p].take(lines, axis=0)
-        mats += hankel[:, :p, :p].take(lines, axis=0) * np.power(-1.0, which)[:, None, None]
-        if border and not which[0]:         # odd N: the even block has its own order
-            mats[:, -1] *= _HALF_ROOT
-            mats[:, :, -1] *= _HALF_ROOT
-            mats[:, -1, -1] = a[lines, 0]
-        stacks.append(mats)
-    return stacks
+    p = orders[b]
+    (np.subtract if b else np.add)(_toeplitz(a[:p]), _hankel(g, p), out=out)
+    if border and not b:
+        out[-1] *= _HALF_ROOT
+        out[:, -1] *= _HALF_ROOT
+        out[-1, -1] = a[0]
+    return out
 
 
 def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
@@ -703,7 +698,7 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     half the order. Any other restriction is solved at order N as the real
     form U* Q_N U = A + (J B - B J) / 2. Each block is D (T + s Hk) D, as
     ``_blocks`` reads it off the line (module docstring), formed by
-    ``_real_matrices``.
+    ``_real_matrix``.
 
     Each solved matrix H of order p must give exactly p eigenvalues w, and
     both |sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||), plus the
@@ -715,30 +710,36 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
     This is ``_solve`` of the one restriction with every block dense.
     """
-    return _solve([restriction], plunge=False)[1][0, :restriction.order]
+    return _solve([restriction], plunge=False)[1][0]
 
 
-def _checked_eigenvalues(stacks, bounds: list[float], n: int) -> np.ndarray:
-    """The eigenvalues of the sets whose real blocks ``stacks`` holds,
-    checked and clipped as ``spectrum`` describes, as one array: row i holds
-    the eigenvalues of set i ascending, then NaN. Each stack is (the blocks
-    of one order, as ``_real_matrices`` forms them, and the (set, block)
-    pair of each); ``bounds`` are the sets' charges, and ``n`` names the
-    order in messages.
+def _checked_eigenvalues(kept, bounds: list[float], n: int) -> list[np.ndarray]:
+    """The eigenvalues of the real blocks ``kept``, (set, blocks, b) triples
+    naming block b of a set's ``_blocks``, checked and clipped as
+    ``spectrum`` describes: one ascending array per set. ``bounds`` are the
+    sets' charges, and ``n`` names the order in messages.
 
-    Each stack is solved as one ``eigvalsh`` call, and its count check, both
-    trace moments (``np.vecdot``) and the extremes of its eigenvalues are
-    taken for all its blocks at once. The gates are then applied per set:
-    the moment gaps of its blocks plus its own charge against RESIDUAL_TOL
-    times its own ||Q||, and the range check of its eigenvalues; the first
-    set that fails, in order, names its first failed check. A set without
-    blocks gets no eigenvalues and no check. A NaN eigenvalue makes its
-    block's gaps and extremes NaN, which fails the moment gates.
+    The blocks of one order are formed (``_real_matrix``) straight into
+    their slots of one stack, set-major, and solved as one ``eigvalsh``
+    call, whose count check, both trace moments (``np.vecdot``) and the
+    extremes of its eigenvalues are taken for all its blocks at once. The
+    gates are then applied per set: the moment gaps of its blocks plus its
+    own charge against RESIDUAL_TOL times its own ||Q||, and the range check
+    of its eigenvalues; the first set that fails, in order, names its first
+    failed check. A set without blocks gets no eigenvalues and no check. A
+    NaN eigenvalue makes its block's gaps and extremes NaN, which fails the
+    moment gates.
     """
+    groups = {}                                     # order -> its (set, blocks, b) triples
+    for i, blocks, b in kept:
+        groups.setdefault(blocks[0][b], []).append((i, blocks, b))
     stats = [[] for _ in bounds]                   # per set: each block's gaps and extremes
-    values = np.full((2 * len(bounds), n), np.nan)  # NaN sorts after every eigenvalue
-    for mats, pairs in stacks:
-        size, p = len(mats), mats.shape[-1]
+    values = [[] for _ in bounds]
+    for p, group in groups.items():
+        size = len(group)
+        mats = np.empty((size, p, p))
+        for mat, (_, blocks, b) in zip(mats, group):
+            _real_matrix(blocks, b, mat)
         try:
             w = np.linalg.eigvalsh(mats)
         except np.linalg.LinAlgError as exc:
@@ -751,10 +752,11 @@ def _checked_eigenvalues(stacks, bounds: list[float], n: int) -> np.ndarray:
         # sum w, tr H, sum w^2, ||H||_F^2 and the extremes of each block
         sums = (w.sum(axis=1), mats.trace(axis1=1, axis2=2), np.vecdot(w, w),
                 np.vecdot(*[mats.reshape(size, -1)] * 2), w.min(axis=1), w.max(axis=1))
-        for (i, _), s, tr, sq, fr, lo, hi in zip(pairs, *map(np.ndarray.tolist, sums)):
+        for (i, _, _), lam, s, tr, sq, fr, lo, hi in zip(group, w,
+                                                        *map(np.ndarray.tolist, sums)):
             top = max(-lo, hi)                      # ||H|| = max |w|
             stats[i].append((abs(s - tr), abs(sq - fr) / (2.0 * top or 1.0), top, lo, hi))
-        values[[2 * i + b for i, b in pairs], :p] = w
+            values[i].append(lam)
     for blocks, bound in ((blocks, bound) for blocks, bound in zip(stats, bounds) if blocks):
         firsts, seconds, tops, lows, highs = zip(*blocks)
         for moment, gaps in enumerate((firsts, seconds), start=1):
@@ -768,7 +770,8 @@ def _checked_eigenvalues(stacks, bounds: list[float], n: int) -> np.ndarray:
             raise EigensolveError(
                 f"eigenvalue outside [0, 1] by {max(-min(lows), max(highs) - 1.0):.3g}, "
                 f"beyond the clip tolerance {CLIP_TOL:g}, at N={n}")
-    return np.clip(np.sort(values.reshape(len(bounds), -1), axis=1), 0.0, 1.0)
+    return [np.clip(np.sort(np.concatenate(lams or [np.empty(0)])), 0.0, 1.0)
+            for lams in values]
 
 
 # The certified plunge path is taken only when the bracket of S_N is at most
@@ -1197,18 +1200,15 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
     their real blocks: each block from its certified plunge subspace
     (``_plunge_entropies``) when the selection rule admits it and its share
     of CERTIFICATE_TOL covers its bracket, the others densely; ``_solve``
-    does both. The rows of all the restrictions are demodulated as one
-    stack; only the blocks solved densely are formed, from strided windows
-    over the stacked lines of their path, and those of all the restrictions
-    go to one ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block
-    order, with every gate applied per restriction. S and P come from one
-    2-D array of all the dense eigenvalues, each restriction's sorted in its
-    own row; the rows with the same number of them are summed at once, each
-    as its own array would sum. With ``eig_cap`` given (a count of at least
-    0; None sets no cap), an N above it with a block that does not take the
-    plunge path raises ValueError as soon as that restriction's plunge pass
-    is done, before the passes of the restrictions after it and before any
-    dense solve starts.
+    does both. Each restriction is solved on its own line; only the blocks
+    solved densely are formed, and those of all the restrictions go to one
+    ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block order,
+    with every gate applied per restriction. S and P are summed over each
+    restriction's own array of dense eigenvalues. With ``eig_cap`` given (a
+    count of at least 0; None sets no cap), an N above it with a block that
+    does not take the plunge path raises ValueError as soon as that
+    restriction's plunge pass is done, before the passes of the
+    restrictions after it and before any dense solve starts.
     """
     restrictions = list(restrictions)
     if not restrictions:
@@ -1219,17 +1219,10 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
                          f"{sorted({r.order for r in restrictions})}")
     if eig_cap is not None:
         [eig_cap] = _counts([eig_cap], "eig_cap", 0)
-    parts, values = _solve(restrictions, plunge=True, eig_cap=eig_cap)
-    counts = np.count_nonzero(values == values, axis=1).tolist()    # not NaN
-    sums = {}
-    for count in set(counts):
-        rows = [i for i, c in enumerate(counts) if c == count]
-        lam = values[rows, :count]
-        sums.update(zip(rows, zip(_eta_tilde_unit(lam).sum(axis=1).tolist(),
-                                  (lam * (1.0 - lam)).sum(axis=1).tolist())))
     results = []
-    for i, plunge in enumerate(parts):
-        (entropy, proxy), bracket = sums[i], 0.0
+    for plunge, lam in zip(*_solve(restrictions, plunge=True, eig_cap=eig_cap)):
+        entropy, proxy = float(_eta_tilde_unit(lam).sum()), float((lam * (1.0 - lam)).sum())
+        bracket = 0.0
         certified = [part for part in plunge if part is not None]
         for part in certified:
             entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
@@ -1243,30 +1236,25 @@ def _solve(restrictions, *, plunge: bool, eig_cap: int | None = None):
     """The real blocks of ``restrictions``, all of one order N: per
     restriction its ``_plunge_entropies`` (None for every block without
     ``plunge``), and the checked eigenvalues of all the dense blocks, as
-    ``_checked_eigenvalues`` gives them. The rows are demodulated as one
-    stack (``_real_lines``). The plunge passes run in the order of the
-    restrictions, and an N above ``eig_cap`` that leaves a block dense raises
-    ValueError right after the pass of its restriction. The dense blocks of
-    one path and order are stacked restriction-major, formed by
-    ``_real_matrices`` from the stacked lines of that path."""
+    ``_checked_eigenvalues`` gives them. One loop over the restrictions
+    takes each one's line (``_real_line``), runs its plunge pass, raises
+    ValueError right after that pass when N is above ``eig_cap`` and a
+    block stays dense, and keeps its dense blocks for the shared solve."""
     n = restrictions[0].order
-    split, paths, bounds = _real_lines(np.array([r.row for r in restrictions], dtype=complex))
-    paths = {flag: (lines, _blocks(lines), {}) for flag, lines in paths.items()}
-    parts = []
-    for i, flag in enumerate(split):
-        lines, (orders, a, g, border), groups = paths[flag]
-        part = (_plunge_entropies(lines[i], (orders, a[i], g[i], border), n)
+    parts, kept, bounds = [], [], []
+    for i, restriction in enumerate(restrictions):
+        line, blocks, bound = _real_line(restriction.row)
+        orders = blocks[0]
+        part = (_plunge_entropies(line, blocks, n)
                 if plunge and orders[0] >= _PLUNGE_MIN_ORDER else [None] * len(orders))
         keep = [b for b, entry in enumerate(part) if entry is None]
         if eig_cap is not None and n > eig_cap and keep:
             raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
                              f"{orders[keep[0]]}, above eig_cap = {eig_cap}")
-        for b in keep:                              # order -> (row, block) pairs
-            groups.setdefault(orders[b], []).append((i, b))
+        kept += [(i, blocks, b) for b in keep]
         parts.append(part)
-    stacks = [stack for _, blocks, groups in paths.values()
-              for stack in zip(_real_matrices(blocks, list(groups.values())), groups.values())]
-    return parts, _checked_eigenvalues(stacks, bounds, n)
+        bounds.append(bound)
+    return parts, _checked_eigenvalues(kept, bounds, n)
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

@@ -827,7 +827,7 @@ def test_scan_refuses_a_dense_solve_above_the_eig_cap(tmp_path, monkeypatch):
     # plunge rule; sizes above the cap are solved first, so the refusal comes
     # before any eigensolve and before any block is formed.
     solved, formed = [], []
-    eigvalsh, real_matrices = np.linalg.eigvalsh, toeplitz._real_matrices
+    eigvalsh, real_matrix = np.linalg.eigvalsh, toeplitz._real_matrix
 
     def eigvalsh_spy(mat):
         solved.append(mat.shape)
@@ -835,10 +835,10 @@ def test_scan_refuses_a_dense_solve_above_the_eig_cap(tmp_path, monkeypatch):
 
     def forming_spy(blocks, *args):
         formed.append(sum(blocks[0]))
-        return real_matrices(blocks, *args)
+        return real_matrix(blocks, *args)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
-    monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
+    monkeypatch.setattr(toeplitz, "_real_matrix", forming_spy)
     spec = write_spec(tmp_path / "c.json",
                       {"version": 1, "type": "cantor", "q": 0.25, "a": 1.0, "depth": 5})
     res = run_cli("scan", "--set", spec, "--nmin", "8", "--nmax", "1448",

@@ -334,6 +334,14 @@ def test_restriction_validation():
     assert ToeplitzRestriction(np.array([0.5, 0.1j, 0.0])).order == 3
 
 
+def test_restriction_keeps_a_read_only_copy_of_its_row():
+    row = np.array([0.5, 0.1j, 0.0])
+    restriction = ToeplitzRestriction(row)
+    assert row.flags.writeable and not restriction.row.flags.writeable
+    row[1] = 0.2j
+    assert restriction.row[1] == 0.1j
+
+
 def test_constant_symbol_restriction_is_scaled_identity():
     f = SymbolFunction.constant(0.5)
     r = build_restriction(f, 5)
@@ -691,6 +699,16 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
     (lambda: fit_exponent([ScanRecord(n=n, entropy=None, proxy=1.0 + n, wall_time=0.0)
                            for n in (0, 16, 32, 64, 128)], "log", window=(16, 128)),
      ValueError, "^block size must be >= 1, got 0$"),
+    (lambda: ToeplitzRestriction(np.array([0.5, np.nan, 0.1j])),
+     ValueError, "^first row must be finite$"),
+    (lambda: ToeplitzRestriction(np.array([0.5, np.inf, 0.1j])),
+     ValueError, "^first row must be finite$"),
+    (lambda: ToeplitzRestriction(np.array([0.5, 0.6j])),
+     ValueError, r"^\|q\(k\)\| exceeds q\(0\); symbol not in \[0, 1\]$"),
+    (lambda: ToeplitzRestriction(np.array([-0.25, 0.0])),
+     ValueError, r"^q\(0\) = -0\.25 outside \[0, 1\]; symbol not in \[0, 1\]$"),
+    (lambda: SymbolCoefficients(np.array([2.0, 0.5j])),
+     ValueError, r"^q\(0\) = 2\.0 outside \[0, 1\]; symbol not in \[0, 1\]$"),
 ], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
         "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
         "restriction-order", "proxy-scan-size", "proxy-scan-order",
@@ -700,7 +718,9 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
         "subadditivity-fraction", "scan-bool", "series-fraction", "series-size",
         "symbol-source", "default-grid-fraction", "default-grid-bool",
         "coefficients-fraction", "coefficients-bool", "depth-policy-fraction",
-        "depth-policy-bool", "cantor-depth-bool", "fit-size-outside-window"])
+        "depth-policy-bool", "cantor-depth-bool", "fit-size-outside-window",
+        "restriction-nan", "restriction-inf", "restriction-exceeds-q0",
+        "restriction-negative-q0", "coeff-q0-above-one"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -1045,7 +1065,7 @@ def test_real_form_entries():
         restriction = build_restriction(FULL_SYMBOLS["asymmetric"], n)
         u = (np.eye(n) + 1j * np.eye(n)[::-1]) / math.sqrt(2.0)
         ref = u.conj().T @ restriction.matrix @ u
-        [[form]] = toeplitz._real_matrices(toeplitz._blocks(restriction.row[None]), [[(0, 0)]])
+        form = toeplitz._real_matrix(toeplitz._blocks(restriction.row), 0, np.empty((n, n)))
         assert form.dtype == np.float64
         assert np.max(np.abs(form - ref)) <= 1e-15
 
@@ -1081,24 +1101,27 @@ def test_strided_views_match_fancy_index_references(n):
     h = i + j - n + 1
     form = row.real[np.abs(i - j)] + np.where(h >= 0, row.imag[np.abs(h)],
                                               -row.imag[np.abs(h)])
-    # Each path reads a stack of two lines, the first a random one, and
-    # gives one stack per group of (line, block) pairs of one order, in the
-    # group's order; at even N a group may mix both blocks. spectrum passes
-    # the real part of complex rows, a strided view.
+    # Each block is formed into its slot of a stack of its order, after a
+    # block of the same order from another line, a random one, went into the
+    # slot before it; at even N both blocks of the split share one order.
+    # spectrum passes the real part of a complex row, a strided view.
     other = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for lines, refs in ((np.array([other, r + 0j]).real, split),
-                        (np.array([other, row]), [form])):
-        blocks = toeplitz._blocks(lines)
-        assert blocks[0] == [len(ref) for ref in refs]
-        groups = [[(1, b), (0, b)] for b in range(len(refs))]
-        if len(refs) == 2 and len(refs[0]) == len(refs[1]):
-            groups.append([(0, 1), (1, 1), (1, 0)])
-        for group, stack in zip(groups, toeplitz._real_matrices(blocks, groups), strict=True):
-            assert len(stack) == len(group)
-            assert all(same_bits(mat, refs[b]) for (k, b), mat in zip(group, stack) if k == 1)
+    for lines, refs in (((other + 0j).real, (r + 0j).real), split), ((other, row), [form]):
+        blocks = [toeplitz._blocks(line) for line in lines]
+        assert blocks[1][0] == [len(ref) for ref in refs]
+        shared = len(refs) == 2 and len(refs[0]) == len(refs[1])
+        for b, ref in enumerate(refs):
+            stack = np.empty((2,) + ref.shape)
+            first, slot = stack
+            toeplitz._real_matrix(blocks[0], 1 - b if shared else b, first)
+            assert toeplitz._real_matrix(blocks[1], b, slot) is slot
+            assert same_bits(slot, ref)
 
+    # A restriction takes only the row of a symbol in [0, 1]: |q(k)| <= q(0).
     diff = j - i
     lag = np.abs(diff)
+    row = row / (2.0 * np.abs(row).max())
+    row[0] = 0.5
     matrix = ToeplitzRestriction(row).matrix
     assert not matrix.flags.writeable
     assert same_bits(matrix, np.where(diff >= 0, row[lag], np.conj(row[lag])))
@@ -1283,7 +1306,7 @@ def test_fault_in_the_real_form_block_of_a_mixed_stack(monkeypatch, fault, messa
     # slice is changed, and the faint set names the failure.
     restrictions = [build_restriction(f, 16) for f in
                     (SymbolFunction.indicator(TRANSLATED), FAINT_FORM, FULL_SYMBOLS["asymmetric"])]
-    assert not toeplitz._real_lines(np.array([r.row for r in restrictions]))[0][1]
+    assert np.iscomplexobj(toeplitz._real_line(restrictions[1].row)[0])
 
     def corrupt(w):
         return _in_slice(0, fault)(w) if w.shape[-1] == 16 else w
@@ -1411,26 +1434,24 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
         return part
 
     monkeypatch.setattr(toeplitz, "_certify", certify_spy)
-    formed, real_matrices = [], toeplitz._real_matrices
+    formed, real_matrix = [], toeplitz._real_matrix
 
-    def forming_spy(blocks, *args):
-        mats = real_matrices(blocks, *args)
-        if mats:
-            formed.append(sum(blocks[0]))
-        return mats
+    def forming_spy(blocks, b, out):
+        formed.append((sum(blocks[0]), b))
+        return real_matrix(blocks, b, out)
 
-    monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
+    monkeypatch.setattr(toeplitz, "_real_matrix", forming_spy)
     phi = float(np.random.default_rng(1448).uniform(0.0, 0.5))
     scan(canonicalize([(phi, phi + 0.5)]), default_grid(8, 1448), mode="both")
     assert seen and max(shape[-1] for _, shape in seen) < 181
-    assert formed and max(formed) < 362
+    assert formed and max(n for n, _ in formed) < 362
     assert missed and not any(missed)
     cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
     for n in (256, 1024):
         seen.clear()
         formed.clear()
         result = entropy_result(build_restriction(cantor, n))
-        assert seen == _solves(n, True) and formed == [n]
+        assert seen == _solves(n, True) and formed == [(n, 0), (n, 1)]
         assert (result.plunge_blocks, result.dense_blocks) == (0, 2)
 
 
@@ -1466,9 +1487,8 @@ def test_small_blocks_compute_no_plunge_trace(monkeypatch, K, largest):
 
 def _line(row):
     """The line of the real blocks of one first row, as entropy_results
-    reads it off the stack of its rows."""
-    [split], paths, _ = toeplitz._real_lines(row[None])
-    return paths[split][0]
+    reads it."""
+    return toeplitz._real_line(row)[0]
 
 
 # Which way a 1e-9 coupling of the (0, 1) pair goes at N = 1024: past the
