@@ -28,9 +28,7 @@ from .toeplitz import (
     EntropyResult,
     SymbolCoefficients,
     SymbolFunction,
-    ToeplitzRestriction,
     block_entropy,
-    build_restriction,
     entropy_density,
     entropy_result,
     entropy_results,

@@ -150,7 +150,9 @@ def cmd_fit(args) -> int:
 
 def run_verification(seed: int = 0, quick: bool = False) -> dict:
     """Run the shared checks of ``scaling`` at the quick or the full sizes;
-    the acceptance criteria run the same checks at larger sizes."""
+    the acceptance criteria run the same checks at larger sizes. ``seed``
+    is a count of at least 0."""
+    [seed] = torus_sets._counts([seed], "seed", 0)
     rng = np.random.default_rng(seed)
     # name: (check, quick arguments, full arguments), after the generator
     table = {

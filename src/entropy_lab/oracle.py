@@ -2,9 +2,11 @@
 
 The reduced density matrix of an n-site block is assembled entry by entry
 from spin matrix units mapped through the Jordan-Wigner parity strings, using
-the entries of the two-point matrix Q only. The spectrum of Q is computed
-once, by ``toeplitz.spectrum``, only to validate Q (eigenvalue count, trace
-moments and range [0, 1]); no eigenvalue of Q enters the density matrix.
+the entries of the two-point matrix Q only. The complex Q = Q_n is built
+here, from the coefficients q(0..n - 1) of the symbol, and nowhere else in
+the package. Its spectrum is computed once, by ``toeplitz.spectrum`` on the
+same coefficients, only to validate Q (eigenvalue count, trace moments and
+range [0, 1]); no eigenvalue of Q enters the density matrix.
 Diagonalizing that 2^n x 2^n matrix, once, both checks that it is positive
 and gives the block entropy a second, independent way, which cross-checks
 Tr eta_tilde(Q_n) from the Toeplitz route.
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .toeplitz import SymbolFunction, build_restriction, eta, spectrum
+from .toeplitz import SymbolFunction, eta, fourier_coefficients, spectrum
 from .torus_sets import FailedCheckError, TorusIntervalSet, _counts
 
 MAX_WORD_LEN = 24
@@ -184,9 +186,18 @@ class FockDensityMatrix:
 def _validated_window(f: SymbolFunction, n: int) -> np.ndarray:
     """Q_n of ``f``, after ``spectrum`` has checked its eigenvalue count,
     trace moments and range [0, 1] (EigensolveError otherwise)."""
-    restriction = build_restriction(f, n)
-    spectrum(restriction)
-    return restriction.matrix
+    coeffs = fourier_coefficients(f, n - 1)
+    spectrum(coeffs)
+    return _hermitian_toeplitz(coeffs.values)
+
+
+def _hermitian_toeplitz(row: np.ndarray) -> np.ndarray:
+    """Read-only view of the complex Q[l, k] = q(k - l) with first row
+    ``row`` = q(0..n - 1): q(k - l) on and above the diagonal, conj q(l - k)
+    below it."""
+    n = len(row)
+    line = np.concatenate([row[:0:-1].conj(), row])     # q(t - n + 1), t < 2n - 1
+    return np.lib.stride_tricks.sliding_window_view(line, n)[::-1]
 
 
 @functools.lru_cache(maxsize=MAX_ORACLE_SITES)

@@ -26,7 +26,6 @@ from .toeplitz import (
     SymbolCoefficients,
     SymbolFunction,
     block_entropy,
-    build_restriction,
     entropy_result,
     entropy_results,
     eta_tilde,
@@ -35,7 +34,6 @@ from .toeplitz import (
     proxy_scan,
     purity_proxy_direct,
     purity_proxy_single_interval_series,
-    restriction_from_coefficients,
     spectrum,
 )
 from .torus_sets import (
@@ -156,7 +154,8 @@ def scan(source, n_grid, mode: str = "both",
     """Sweep block sizes and collect (S_N, P_N) records.
 
     ``mode`` is "both" or "proxy". The entropy of "both" comes from
-    ``entropy_result``; ``eig_cap``, a count of at least 0, passes the one
+    ``entropy_results`` at each N, on views of the one coefficient array;
+    ``eig_cap``, a count of at least 0, passes the one
     count check in either mode, and an N above it is refused with ValueError
     when a block of it would need the O(N^3) dense eigensolve, before that
     solve starts, and is solved when all its blocks take the plunge path.
@@ -165,7 +164,7 @@ def scan(source, n_grid, mode: str = "both",
     Coefficients and proxies are computed once up to the largest N and
     shared, and each record's ``wall_time`` is an equal share of that stage
     plus its own eigensolve and checks. In mode "both" each record carries
-    the certified bracket of ``entropy_result`` (0 when every block was
+    the certified bracket of ``entropy_results`` (0 when every block was
     solved densely), and the eigenvalue route for P_N is checked against the
     coefficient route: a disagreement beyond 1e-6 relative raises
     VerificationError. Records come back in grid order.
@@ -190,8 +189,7 @@ def scan(source, n_grid, mode: str = "both",
         p_direct = proxies[n]
         s_val = bracket = None
         if want_entropy:
-            res: EntropyResult = entropy_result(restriction_from_coefficients(coeffs, n),
-                                                eig_cap=eig_cap)
+            res = entropy_results([coeffs], n, eig_cap=eig_cap)[0]
             s_val, bracket = res.entropy, res.bracket
             if abs(res.proxy - p_direct) > ROUTE_TOL * abs(p_direct) + 1e-9:
                 raise VerificationError(
@@ -347,8 +345,7 @@ def _subadditivity_gaps(k1: TorusIntervalSet, k2: TorusIntervalSet, sizes) -> li
     gaps = []
     for n in sizes:
         s1, s2, s12 = (res.entropy for res in entropy_results(
-            (restriction_from_coefficients(c, n) for c in (c1, c2, union)),
-            eig_cap=DEFAULT_EIG_CAP))
+            (c1, c2, union), n, eig_cap=DEFAULT_EIG_CAP))
         gaps.append(s1 + s2 - s12)
     return gaps
 
@@ -447,7 +444,7 @@ def route_report(rng, n_sets: int, sizes, series_sizes=None) -> dict:
         for n in sizes:
             direct = purity_proxy_direct(coeffs, n)
             kernel = purity_proxy_kernel(K, n)
-            eig = entropy_result(restriction_from_coefficients(coeffs, n)).proxy
+            eig = entropy_results([coeffs], n)[0].proxy
             scale = max(abs(direct), abs(kernel), abs(eig))
             worst_rel = max(worst_rel,
                             abs(direct - kernel) / scale,
@@ -487,8 +484,7 @@ def invariance_report(rng, n_sets: int, size: int) -> dict:
         coeffs = joint_fourier_coefficients(
             [SymbolFunction.indicator(s) for s in (K, K.complement(), K.translate(phi))],
             size - 1)
-        base, *others = entropy_results(restriction_from_coefficients(c, size)
-                                        for c in coeffs)
+        base, *others = entropy_results(coeffs, size)
         for other in others:
             worst = max(worst, abs(base.entropy - other.entropy),
                         abs(base.proxy - other.proxy))
@@ -502,11 +498,12 @@ def solver_gap(source, n: int) -> tuple[float, EntropyResult]:
     at block size ``n``, negative when inside, and that result. When no
     block took the plunge path, S_N is the dense value itself and the
     distance is 0."""
-    restriction = build_restriction(SymbolFunction.of(source), n)
-    result = entropy_result(restriction)
+    [n] = _counts([n])
+    coeffs = fourier_coefficients(SymbolFunction.of(source), n - 1)
+    result = entropy_result(coeffs)
     if not result.plunge_blocks:
         return 0.0, result
-    dense = float(np.sum(eta_tilde(spectrum(restriction))))
+    dense = float(np.sum(eta_tilde(spectrum(coeffs))))
     return max(result.entropy - dense, dense - result.entropy - result.bracket), result
 
 

@@ -120,7 +120,7 @@ def parse_spec(obj) -> SetSpec:
     if not isinstance(obj, dict):
         raise SpecFormatError("spec must be a JSON object")
     version = obj.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:   # True == 1, 1.0 == 1
         raise SpecFormatError(f"unsupported spec version {version!r}")
     kind = obj.get("type")
     metadata = obj.get("metadata")

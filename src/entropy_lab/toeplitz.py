@@ -7,9 +7,12 @@ q^(theta) in [0, 1]. Its Fourier coefficients
 
 fill the Hermitian Toeplitz matrix Q_N with entries Q[l, k] = q(k - l), and
 the entropy of a block of N sites is S_N = sum of eta_tilde over the
-eigenvalues of Q_N. The quadratic proxy P_N = Tr Q_N(1 - Q_N) bounds S_N
-from below and shares its growth exponent; it is computable in O(N) from the
-coefficients alone.
+eigenvalues of Q_N. The first row of Q_N is q(0..N - 1), so one checked
+array of coefficients (``SymbolCoefficients``) of order N is the
+restriction Q_N, and a view of its first n entries is Q_n for every
+n <= N. The quadratic proxy P_N = Tr Q_N(1 - Q_N) bounds S_N from below and
+shares its growth exponent; it is computable in O(N) from the coefficients
+alone.
 
 The coefficients of a piecewise-constant symbol come from its jumps: with
 c_j the jump at breakpoint x_j, 2 pi i k q(k) = sum_j c_j e^{-2 pi i k x_j}
@@ -50,8 +53,10 @@ odd one, of order m; on the real form a = Re q, g(k) = sgn(h) Im q(|h|) with
 h = k - N + 1, and s = +1. D is the identity but for the odd-N even block:
 the middle site pairs with the even vectors only, and the last entry
 sqrt(1/2) of D gives the border column sqrt(2) r(m - i) and the corner r(0).
-Each restriction has its own line. A dense solve forms each block from
-two strided views of that line (``_real_matrix``); the plunge pass below
+Each restriction has its own line. ``_blocks`` turns it once into two
+contiguous lines of length 2 p - 1, p the largest order: the Toeplitz line
+a(|k - p + 1|) and the Hankel line g. A dense solve forms each block from
+two strided windows of those lines (``_real_matrix``); the plunge pass below
 applies them through FFTs.
 
 The eigenvalues w of each solved matrix H of order p are checked without
@@ -213,9 +218,9 @@ Entropies are in nats throughout.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -347,44 +352,52 @@ class SymbolFunction:
         return sum((b - a) * v for a, b, v in self.pieces())
 
 
-def _symbol_values(values, what: str) -> np.ndarray:
-    """A read-only copy of ``values``, the coefficients q(0), q(1), ... of a
-    symbol with values in [0, 1], with q(0) made real. They must be finite,
-    q(0) real within 1e-13 and inside [0, 1 + 1e-9], and every |q(k)| at
-    most q(0) + 1e-9; anything else raises ValueError, with ``what`` naming
-    the array."""
-    values = np.array(values)
-    if values.ndim != 1 or not len(values):
-        raise ValueError(f"{what} must be a 1-D array with at least one entry")
-    largest = np.abs(values).max()                  # not finite if any entry is not
-    if not np.isfinite(largest):
-        raise ValueError(f"{what} must be finite")
-    if abs(values[0].imag) > 1e-13:
-        raise ValueError(f"q(0) must be real, got {values[0]}: Q_N not Hermitian")
-    q0 = values[0].real
-    if not 0.0 <= q0 <= 1.0 + 1e-9:
-        raise ValueError(f"q(0) = {q0} outside [0, 1]; symbol not in [0, 1]")
-    if largest > q0 + 1e-9:
-        raise ValueError("|q(k)| exceeds q(0); symbol not in [0, 1]")
-    values[0] = q0
-    values.setflags(write=False)
-    return values
-
-
 @dataclass(eq=False)
 class SymbolCoefficients:
-    """Fourier coefficients q(0)..q(n_max), finite, with n_max + 1 the
-    length of ``values``; negative orders follow from q(-k) = conj(q(k)).
-    Stored as a read-only copy (``_symbol_values``)."""
+    """Fourier coefficients q(0)..q(N - 1) of a symbol with values in
+    [0, 1], N = ``order`` >= 1 the length of ``values``; negative orders
+    follow from q(-k) = conj(q(k)). As a whole they are the first row of the
+    Hermitian Toeplitz restriction Q_N, Q[l, k] = q(k - l), and their first
+    n are that of Q_n.
+
+    Stored as a read-only copy with q(0) made real, checked once here: the
+    coefficients must be finite, q(0) real within 1e-13 and inside
+    [0, 1 + 1e-9], and every |q(k)| at most q(0) + 1e-9; anything else
+    raises ValueError. The solves read views of the copy, at the order they
+    need, and neither copy nor check it again.
+    """
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values = _symbol_values(self.values, "coefficients")
+        values = np.array(self.values)
+        if values.ndim != 1 or not len(values):
+            raise ValueError("coefficients must be a 1-D array with at least one entry")
+        largest = np.abs(values).max()              # not finite if any entry is not
+        if not np.isfinite(largest):
+            raise ValueError("coefficients must be finite")
+        if abs(values[0].imag) > 1e-13:
+            raise ValueError(f"q(0) must be real, got {values[0]}: Q_N not Hermitian")
+        q0 = values[0].real
+        if not 0.0 <= q0 <= 1.0 + 1e-9:
+            raise ValueError(f"q(0) = {q0} outside [0, 1]; symbol not in [0, 1]")
+        if largest > q0 + 1e-9:
+            raise ValueError("|q(k)| exceeds q(0); symbol not in [0, 1]")
+        values[0] = q0
+        values.setflags(write=False)
+        self.values = values
 
     @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
+    def order(self) -> int:
+        return len(self.values)
+
+
+def _first_row(coeffs: SymbolCoefficients, n: int) -> np.ndarray:
+    """q(0)..q(n - 1) of ``coeffs``, the first row of Q_n, as a read-only
+    view; ValueError when the coefficients stop short of it."""
+    if coeffs.order < n:
+        raise ValueError(f"need coefficients up to {n - 1}, have {coeffs.order - 1}")
+    return coeffs.values[:n]
 
 
 # Phases are reduced mod 1 before the exponential: x is split into a head of
@@ -451,7 +464,8 @@ def _exp_table(head: np.ndarray, tail: np.ndarray, count: int, step: int) -> np.
 
 
 def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
-    """All of q(0)..q(n_max) as one blocked sum over the jumps of f.
+    """All of q(0)..q(n_max), coefficients of order n_max + 1, as one
+    blocked sum over the jumps of f.
 
     Summed over the pieces [a, b) with value v, the closed forms
     v (e^{-2 pi i k a} - e^{-2 pi i k b}) / (2 pi i k) telescope to
@@ -523,41 +537,14 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
 # Toeplitz restrictions and their spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class ToeplitzRestriction:
-    """Hermitian N x N block Q_N with entries Q[l, k] = q(k - l).
-
-    Stored as a read-only copy of its first row q(0), ..., q(N - 1), N >= 1
-    the row's length, checked as ``SymbolCoefficients`` are, from which
-    ``spectrum`` and ``entropy_results`` build the line of its real
-    matrices. ``matrix`` builds the complex Q_N on first use, for the
-    Fock-space oracle; the solve never forms it.
-    """
-
-    row: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.row = _symbol_values(self.row, "first row")
-
-    @property
-    def order(self) -> int:
-        return len(self.row)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _toeplitz(self.row)
-
-
-def restriction_from_coefficients(coeffs: SymbolCoefficients, n: int) -> ToeplitzRestriction:
+def restriction_from_coefficients(coeffs: SymbolCoefficients, n: int) -> SymbolCoefficients:
+    """The restriction Q_n of ``coeffs``: its first row q(0)..q(n - 1) as
+    coefficients of order n, a view of the checked array, neither copied
+    nor checked again."""
     [n] = _counts([n])
-    if coeffs.n_max < n - 1:
-        raise ValueError(f"need coefficients up to {n - 1}, have {coeffs.n_max}")
-    return ToeplitzRestriction(coeffs.values[:n])
-
-
-def build_restriction(f: SymbolFunction, n: int) -> ToeplitzRestriction:
-    [n] = _counts([n])
-    return restriction_from_coefficients(fourier_coefficients(f, n - 1), n)
+    prefix = copy.copy(coeffs)                      # no __post_init__: no second check
+    prefix.values = _first_row(coeffs, n)
+    return prefix
 
 
 # The eigenvalues pass when their first two trace moments, plus the rounding
@@ -584,8 +571,8 @@ def _centred_row(row: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
     """Read-only p x p view W[i, j] = line[i + j] (row_step 1) or
-    line[p - 1 - i + j] (row_step -1) of a C-contiguous line of length
-    2p - 1.
+    line[c - i + j] (row_step -1), c = len(line) // 2 the centre, of a
+    C-contiguous line of odd length at least 2p - 1.
 
     Built as a strided ndarray on the line's buffer: the same view as
     ``sliding_window_view``, without its argument checks, which cost several
@@ -593,24 +580,10 @@ def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
     """
     size = line.itemsize
     view = np.ndarray((p, p), line.dtype, buffer=line,
-                      offset=(p - 1) * size if row_step < 0 else 0,
+                      offset=len(line) // 2 * size if row_step < 0 else 0,
                       strides=(row_step * size, size))
     view.setflags(write=False)
     return view
-
-
-def _toeplitz(a: np.ndarray) -> np.ndarray:
-    """Read-only view of the Toeplitz matrix T[i, j] = a(j - i) of the
-    Hermitian column a of length p, a(-k) = conj a(k); symmetric for a real
-    column."""
-    line = np.concatenate([a[:0:-1].conj(), a])     # a(t - p + 1), t < 2p - 1
-    return _window(line, len(a), -1)
-
-
-def _hankel(g: np.ndarray, p: int) -> np.ndarray:
-    """Read-only view of the Hankel matrix H[i, j] = g(i + j) of order p,
-    from a line g of length 2p - 1 or more."""
-    return _window(np.ascontiguousarray(g[:2 * p - 1]), p, 1)
 
 
 # Rounding charges of the real matrices. The similarities are exact, so a
@@ -656,39 +629,45 @@ def _real_line(row: np.ndarray) -> tuple[np.ndarray, tuple, float]:
 
 def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
     """The real blocks of a line from ``_real_line``: their orders, largest
-    first, the Toeplitz column a of length p and the Hankel line g of length
-    2 p - 1 for the largest order p, and whether D borders the first block
-    (odd N on the split). Block b is D (T + s Hk) D with T[i, j] = a(|i - j|),
-    Hk[i, j] = g(i + j) and s = (-1)^b; the module docstring derives a and g
-    of the half-order split of a real line and of the order-N real form of a
-    complex one."""
+    first, two contiguous lines of length 2 p - 1 for the largest order p,
+    and whether D borders the first block (odd N on the split). The lines
+    are the Toeplitz line, a(|k - p + 1|) at k, whose second half
+    a(0)..a(p - 1) is the column a, and the Hankel line g. Block b is
+    D (T + s Hk) D with T[i, j] = a(|i - j|), Hk[i, j] = g(i + j) and
+    s = (-1)^b; the module docstring derives a and g of the half-order split
+    of a real line and of the order-N real form of a complex one."""
     n = len(line)
     if np.iscomplexobj(line):
-        return [n], line.real, np.concatenate([-line.imag[:0:-1], line.imag]), False
-    p = n - n // 2
-    return [p, n // 2][:1 + (n > 1)], line[:p], line[::-1][:2 * p - 1], n % 2 == 1
+        orders, a, border = [n], line.real, False
+        g = np.concatenate([-line.imag[:0:-1], line.imag])
+    else:
+        p = n - n // 2
+        orders, a, border = [p, n // 2][:1 + (n > 1)], line[:p], n % 2 == 1
+        g = line[::-1][:2 * p - 1].copy()
+    return orders, np.concatenate([a[:0:-1], a]), g, border
 
 
 def _real_matrix(blocks, b: int, out: np.ndarray) -> np.ndarray:
     """Block b of ``blocks``, as ``_blocks`` describes it, formed into
-    ``out``: the sum T + Hk (the difference T - Hk for the odd block) of two
-    strided windows over the line, each the leading corner of order p_b of
-    the largest block's. D then scales the last row and column of the odd-N
-    even block by sqrt(1/2), which gives the border fl(sqrt 2) r(m - i)
-    exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2, and its corner is a(0)."""
-    orders, a, g, border = blocks
+    ``out``: the sum T + Hk (the difference T - Hk for the odd block) of
+    strided windows of order p_b over the two lines. D then scales the last
+    row and column of the odd-N even block by sqrt(1/2), which gives the
+    border fl(sqrt 2) r(m - i) exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2,
+    and its corner is a(0)."""
+    orders, toeplitz, hankel, border = blocks
     p = orders[b]
-    (np.subtract if b else np.add)(_toeplitz(a[:p]), _hankel(g, p), out=out)
+    (np.subtract if b else np.add)(_window(toeplitz, p, -1), _window(hankel, p, 1), out=out)
     if border and not b:
         out[-1] *= _HALF_ROOT
         out[:, -1] *= _HALF_ROOT
-        out[-1, -1] = a[0]
+        out[-1, -1] = toeplitz[len(toeplitz) // 2]
     return out
 
 
-def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
-    """Ascending eigenvalues, checked by their first two trace moments and
-    by one range check, and clipped into [0, 1].
+def spectrum(restriction: SymbolCoefficients) -> np.ndarray:
+    """Ascending eigenvalues of Q_N, N = ``restriction.order``, whose first
+    row is the whole coefficient array; checked by their first two trace
+    moments and by one range check, and clipped into [0, 1].
 
     Every restriction is solved as real symmetric matrices with eigenvalues
     only (``np.linalg.eigvalsh``); no eigenvector and no complex matrix is
@@ -708,9 +687,9 @@ def spectrum(restriction: ToeplitzRestriction) -> np.ndarray:
     an eigenvalue further out is a failed solve and raises EigensolveError,
     like the checks before it. The checked eigenvalues are clipped into
     [0, 1], so ``_eta_tilde_unit`` applies to them without a second check.
-    This is ``_solve`` of the one restriction with every block dense.
+    This is ``_solve`` of the one row with every block dense.
     """
-    return _solve([restriction], plunge=False)[1][0]
+    return _solve([restriction.values], plunge=False)[1][0]
 
 
 def _checked_eigenvalues(kept, bounds: list[float], n: int) -> list[np.ndarray]:
@@ -853,9 +832,10 @@ def _fft_charge(blocks) -> float:
     ``blocks`` (module docstring): ||c||_1 counts a(0) once and every other
     lag of the column twice, and each bounds the largest entry of its
     transform at any length."""
-    _, a, g, _ = blocks
+    _, toeplitz, g, _ = blocks
+    a = toeplitz[len(toeplitz) // 2:]
     norms = 2.0 * float(np.abs(a).sum()) - abs(a[0]) + float(np.abs(g).sum())
-    return 2.0 * _UNIT * math.sqrt(2.0 * math.log2(_fft_length(2 * len(a) - 1)) + 1.0) * norms
+    return 2.0 * _UNIT * math.sqrt(2.0 * math.log2(_fft_length(len(toeplitz))) + 1.0) * norms
 
 
 def _ritz_charge(p: int, fft_charge: float) -> float:
@@ -889,12 +869,12 @@ class _PlungeOperator:
     the Hankel line g, shared by every block of the line."""
 
     def __init__(self, blocks):
-        self.orders, a, g, self.border = blocks
+        self.orders, toeplitz, g, self.border = blocks
         p = self.orders[0]
         self.length = _fft_length(2 * p - 1)
         column = np.zeros(self.length)
-        column[:p] = a
-        column[self.length - p + 1:] = a[p - 1:0:-1]
+        column[:p] = toeplitz[p - 1:]
+        column[self.length - p + 1:] = toeplitz[:p - 1]
         self.toeplitz = np.fft.rfft(column).real
         self.hankel = np.fft.rfft(g, self.length)
 
@@ -1189,38 +1169,37 @@ class EntropyResult:
     dense_blocks: int
 
 
-def entropy_result(restriction: ToeplitzRestriction, *,
+def entropy_result(restriction: SymbolCoefficients, *,
                    eig_cap: int | None = None) -> EntropyResult:
-    """``entropy_results`` of ``restriction`` alone."""
-    return entropy_results([restriction], eig_cap=eig_cap)[0]
+    """``entropy_results`` of ``restriction`` alone, at its whole order."""
+    return entropy_results([restriction], restriction.order, eig_cap=eig_cap)[0]
 
 
-def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[EntropyResult]:
-    """S_N and P_N of each of ``restrictions``, all of one order N, from
-    their real blocks: each block from its certified plunge subspace
+def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[EntropyResult]:
+    """S_N and P_N at N = ``n`` of each coefficient array of ``coeffs``,
+    from the real blocks of its restriction Q_n, whose first row is a view
+    of its q(0)..q(n - 1): an array that stops short of it raises
+    ValueError. Each block comes from its certified plunge subspace
     (``_plunge_entropies``) when the selection rule admits it and its share
     of CERTIFICATE_TOL covers its bracket, the others densely; ``_solve``
-    does both. Each restriction is solved on its own line; only the blocks
-    solved densely are formed, and those of all the restrictions go to one
+    does both. Each row is solved on its own line; only the blocks solved
+    densely are formed, and those of all the rows go to one
     ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block order,
-    with every gate applied per restriction. S and P are summed over each
-    restriction's own array of dense eigenvalues. With ``eig_cap`` given (a
-    count of at least 0; None sets no cap), an N above it with a block that
-    does not take the plunge path raises ValueError as soon as that
-    restriction's plunge pass is done, before the passes of the
-    restrictions after it and before any dense solve starts.
+    with every gate applied per row. S and P are summed over each row's own
+    array of dense eigenvalues. With ``eig_cap`` given (a count of at least
+    0; None sets no cap), an N above it with a block that does not take the
+    plunge path raises ValueError as soon as that row's plunge pass is
+    done, before the passes of the rows after it and before any dense solve
+    starts. No coefficients give an empty list.
     """
-    restrictions = list(restrictions)
-    if not restrictions:
-        return []
-    n = restrictions[0].order
-    if any(r.order != n for r in restrictions):
-        raise ValueError(f"restrictions of one order needed, got orders "
-                         f"{sorted({r.order for r in restrictions})}")
+    [n] = _counts([n])
+    rows = [_first_row(c, n) for c in coeffs]
     if eig_cap is not None:
         [eig_cap] = _counts([eig_cap], "eig_cap", 0)
+    if not rows:
+        return []
     results = []
-    for plunge, lam in zip(*_solve(restrictions, plunge=True, eig_cap=eig_cap)):
+    for plunge, lam in zip(*_solve(rows, plunge=True, eig_cap=eig_cap)):
         entropy, proxy = float(_eta_tilde_unit(lam).sum()), float((lam * (1.0 - lam)).sum())
         bracket = 0.0
         certified = [part for part in plunge if part is not None]
@@ -1232,18 +1211,19 @@ def entropy_results(restrictions, *, eig_cap: int | None = None) -> list[Entropy
     return results
 
 
-def _solve(restrictions, *, plunge: bool, eig_cap: int | None = None):
-    """The real blocks of ``restrictions``, all of one order N: per
-    restriction its ``_plunge_entropies`` (None for every block without
-    ``plunge``), and the checked eigenvalues of all the dense blocks, as
-    ``_checked_eigenvalues`` gives them. One loop over the restrictions
-    takes each one's line (``_real_line``), runs its plunge pass, raises
-    ValueError right after that pass when N is above ``eig_cap`` and a
-    block stays dense, and keeps its dense blocks for the shared solve."""
-    n = restrictions[0].order
+def _solve(rows, *, plunge: bool, eig_cap: int | None = None):
+    """The real blocks of the Q_N with first rows ``rows``, checked
+    coefficient views all of one length N: per row its
+    ``_plunge_entropies`` (None for every block without ``plunge``), and
+    the checked eigenvalues of all the dense blocks, as
+    ``_checked_eigenvalues`` gives them. One loop over the rows takes each
+    one's line (``_real_line``), runs its plunge pass, raises ValueError
+    right after that pass when N is above ``eig_cap`` and a block stays
+    dense, and keeps its dense blocks for the shared solve."""
+    n = len(rows[0])
     parts, kept, bounds = [], [], []
-    for i, restriction in enumerate(restrictions):
-        line, blocks, bound = _real_line(restriction.row)
+    for i, row in enumerate(rows):
+        line, blocks, bound = _real_line(row)
         orders = blocks[0]
         part = (_plunge_entropies(line, blocks, n)
                 if plunge and orders[0] >= _PLUNGE_MIN_ORDER else [None] * len(orders))
@@ -1258,7 +1238,8 @@ def _solve(restrictions, *, plunge: bool, eig_cap: int | None = None):
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:
-    return entropy_result(build_restriction(f, n)).entropy
+    [n] = _counts([n])
+    return entropy_results([fourier_coefficients(f, n - 1)], n)[0].entropy
 
 
 # ---------------------------------------------------------------------------
@@ -1282,8 +1263,7 @@ def proxy_scan(coeffs: SymbolCoefficients, grid) -> list[float]:
     if not grid:
         return []
     sizes = sorted(set(grid))
-    line = restriction_from_coefficients(coeffs, sizes[-1]).row
-    [(exact, rest)], _ = _proxies(line, sizes)
+    [(exact, rest)], _ = _proxies(_first_row(coeffs, sizes[-1]), sizes)
     proxies = dict(zip(sizes, (exact + rest).tolist()))
     return [proxies[n] for n in grid]
 

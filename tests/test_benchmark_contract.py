@@ -118,10 +118,10 @@ def test_traced_spectrum_spans_carry_their_counts(monkeypatch):
     half = entropy_lab.SymbolFunction.indicator(canonicalize([(0.0, 0.5)]))
     with tracing.Tracer() as tracer:
         for n in (8, 16):
-            entropy_lab.spectrum(entropy_lab.build_restriction(half, n))
+            entropy_lab.spectrum(entropy_lab.fourier_coefficients(half, n - 1))
         for K in (k1, k2, k1.union(k2)):
-            entropy_lab.spectrum(entropy_lab.build_restriction(
-                entropy_lab.SymbolFunction.indicator(K), 16))
+            entropy_lab.spectrum(entropy_lab.fourier_coefficients(
+                entropy_lab.SymbolFunction.indicator(K), 15))
     counts = [s[4] for s in tracer.spans if s[0] == "toeplitz.spectrum"]
     assert [c["n"] for c in counts] == [8, 16, 16, 16, 16]
     for c in counts:

@@ -467,6 +467,33 @@ def test_fit_cantor_report_includes_prediction(tmp_path):
     assert "alpha_ok" in report["flags"]
 
 
+@pytest.mark.parametrize("q, a", [(0.25, 1.0), (1 / 3, 0.9)], ids=["quarter", "third"])
+def test_fit_predicts_alpha_from_an_emitted_cantor_spec(tmp_path, q, a):
+    # The cantor emitter writes an intervals spec that carries q and a in its
+    # metadata; fit --set on it predicts alpha = log 2 / -log q. The same
+    # spec with that metadata gone predicts nothing.
+    spec, scan_out = tmp_path / "cantor.json", tmp_path / "scan.csv"
+    assert cli.main(["cantor", "--q", str(q), "--a", str(a), "--nmax", "4096",
+                     "--out", str(spec)]) == 0
+    payload = json.loads(spec.read_text())
+    assert payload["type"] == "intervals"
+    assert cli.main(["scan", "--set", str(spec), "--mode", "proxy", "--nmin", "128",
+                     "--nmax", "4096", "--out", str(scan_out)]) == 0
+    del payload["metadata"]["q"], payload["metadata"]["a"]
+    bare = write_spec(tmp_path / "bare.json", payload)
+    reports = []
+    for path in (str(spec), bare):
+        fit_out = tmp_path / "fit.json"
+        assert cli.main(["fit", "--csv", str(scan_out), "--set", path, "--series", "proxy",
+                         "--out", str(fit_out)]) == 0
+        reports.append(json.loads(fit_out.read_text()))
+    cantor, plain = reports
+    assert cantor["predicted_alpha"] == pytest.approx(math.log(2.0) / -math.log(q), abs=1e-15)
+    assert "alpha_ok" in cantor["flags"]
+    assert "predicted_alpha" not in plain and "alpha_ok" not in plain["flags"]
+    assert plain["alpha"] == cantor["alpha"]
+
+
 def test_fit_rejects_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n")
@@ -607,6 +634,9 @@ def test_verify_exit_2_on_a_failed_oracle_check(monkeypatch, capsys):
     (["scan", "--set", "{array_spec}"], "spec must be a JSON object"),
     (["scan", "--set", "{pairs_not_list}"], '"intervals" must be a list of [start, end] pairs'),
     (["scan", "--set", "{list_metadata}"], '"metadata" must be an object'),
+    (["scan", "--set", "{bool_version}"], "unsupported spec version True"),
+    (["verify", "--seed", "-1", "--quick"], "seed must be >= 0, got -1"),
+    (["scan", "--set", "{half}", "--nmin", "64", "--nmax", "8"], "bad grid bounds [64, 8]"),
 ])
 def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     files = {
@@ -672,6 +702,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
         "list_metadata": write_spec(tmp_path / "list_metadata.json", {
             "version": 1, "type": "intervals", "intervals": [[0, 0.5]],
             "metadata": ["q", 0.25]}),
+        "bool_version": write_spec(tmp_path / "bool_version.json", {
+            "version": True, "type": "intervals", "intervals": [[0, 0.5]]}),
     }
     (tmp_path / "blank.csv").write_text("")
     (tmp_path / "no_proxy_column.csv").write_text("N,S_N\n8,1.0\n")

@@ -1,7 +1,7 @@
 """Every count the library takes passes the one gate, torus_sets._counts.
 
 Each public entry point that takes a block size, a coefficient order, a
-Cantor depth or an eigensolve cap is listed here with the kind of count and
+Cantor depth, an eigensolve cap or a seed is listed here with the kind of count and
 its minimum. A bool,
 a fraction and the value one below the minimum must raise the gate's own
 ValueError, which names the kind and the value, so an entry point that
@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from entropy_lab.cli import run_verification
 from entropy_lab.fejer import fejer_kernel, kernel_zeros, purity_proxy_kernel
 from entropy_lab.oracle import (
     block_entropy_oracle,
@@ -29,7 +30,6 @@ from entropy_lab.specio import parse_spec
 from entropy_lab.toeplitz import (
     SymbolFunction,
     block_entropy,
-    build_restriction,
     entropy_result,
     entropy_results,
     fourier_coefficients,
@@ -58,7 +58,6 @@ def _fit(n):
 ENTRY_POINTS = {
     "restriction_from_coefficients": (lambda n: restriction_from_coefficients(COEFFS, n),
                                       "block size", 1),
-    "build_restriction": (lambda n: build_restriction(F_HALF, n), "block size", 1),
     "block_entropy": (lambda n: block_entropy(F_HALF, n), "block size", 1),
     "proxy_scan": (lambda n: proxy_scan(COEFFS, [2, n]), "block size", 1),
     "purity_proxy_direct": (lambda n: purity_proxy_direct(COEFFS, n), "block size", 1),
@@ -71,10 +70,11 @@ ENTRY_POINTS = {
     "default_grid-n_max": (lambda n: default_grid(1, n), "block size", 1),
     "scan": (lambda n: scan(HALF, [n, 16], mode="proxy"), "block size", 1),
     "scan-eig_cap": (lambda n: scan(HALF, [4, 8], eig_cap=n), "eig_cap", 0),
-    "entropy_results-eig_cap": (
-        lambda n: entropy_results([build_restriction(F_HALF, 8)], eig_cap=n), "eig_cap", 0),
+    "entropy_results": (lambda n: entropy_results([COEFFS], n), "block size", 1),
+    "entropy_results-eig_cap": (lambda n: entropy_results([COEFFS], 8, eig_cap=n), "eig_cap", 0),
     "entropy_result-eig_cap": (
-        lambda n: entropy_result(build_restriction(F_HALF, 8), eig_cap=n), "eig_cap", 0),
+        lambda n: entropy_result(restriction_from_coefficients(COEFFS, 8), eig_cap=n),
+        "eig_cap", 0),
     "fit_exponent": (_fit, "block size", 1),
     "check_subadditivity": (lambda n: check_subadditivity(QUARTER, NEAR, n), "block size", 1),
     "density_matrix": (lambda n: density_matrix(HALF, n), "block size", 1),
@@ -90,6 +90,7 @@ ENTRY_POINTS = {
                                    "coefficient order", 0),
     "CantorSpec": (lambda n: CantorSpec(0.25, 1.0, n), "cantor depth", 0),
     "parse_spec": (lambda n: parse_spec({**CANTOR, "depth": n}), "cantor depth", 0),
+    "run_verification": (lambda n: run_verification(n, quick=True), "seed", 0),
 }
 
 

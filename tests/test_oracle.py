@@ -18,7 +18,7 @@ from entropy_lab.oracle import (
     FockDensityMatrix,
 )
 from entropy_lab.scaling import ORACLE_TOL
-from entropy_lab.toeplitz import SymbolFunction, block_entropy, build_restriction
+from entropy_lab.toeplitz import SymbolFunction, block_entropy
 from entropy_lab.torus_sets import FailedCheckError, canonicalize, full_torus, random_interval_set
 
 HALF = canonicalize([(0.0, 0.5)])
@@ -29,7 +29,7 @@ SKEW = canonicalize([(0.05, 0.3), (0.45, 0.6), (0.7, 0.9)])
 
 
 def _window(K, n):
-    return build_restriction(SymbolFunction.indicator(K), n).matrix
+    return oracle._validated_window(SymbolFunction.indicator(K), n)
 
 
 def _random_two_point(rng, n):

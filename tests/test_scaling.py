@@ -61,9 +61,13 @@ def _grid_by_powers(n_min, n_max, ratio):
     return grid
 
 
-@pytest.mark.parametrize("bounds", [(8, 2048), (8, 1448), (128, 16384)])
+# The ratio is sqrt(2) but for the last bounds: at 1.01 the point after 50
+# is round(50.5) = 50, rounded half to even, so the step estimated from
+# logarithms falls one power short and is corrected upward.
+@pytest.mark.parametrize("bounds", [(8, 2048), (8, 1448), (128, 16384), (50, 60, 1.01)])
 def test_default_grid_matches_the_powers_of_the_ratio(bounds):
-    assert default_grid(*bounds) == _grid_by_powers(*bounds, math.sqrt(2.0))
+    n_min, n_max, ratio = (*bounds, math.sqrt(2.0))[:3]
+    assert default_grid(n_min, n_max, ratio) == _grid_by_powers(n_min, n_max, ratio)
 
 
 def test_default_grid_steps_per_point_not_per_power():

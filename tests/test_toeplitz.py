@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from entropy_lab import toeplitz
+from entropy_lab import oracle, toeplitz
 from entropy_lab.fejer import fejer_kernel, purity_proxy_kernel
 from entropy_lab.oracle import block_entropy_oracle
 from entropy_lab.toeplitz import (
@@ -18,9 +18,7 @@ from entropy_lab.toeplitz import (
     EntropyDomainError,
     SymbolCoefficients,
     SymbolFunction,
-    ToeplitzRestriction,
     block_entropy,
-    build_restriction,
     entropy_density,
     entropy_result,
     entropy_results,
@@ -80,6 +78,13 @@ P2_HALF = 0.5 - 2.0 / math.pi ** 2
 # Golden dual-route value for |K| = 1/4, N = 16 (direct and series routes
 # agree to 3.5e-11 at freeze time).
 GOLDEN_QUARTER_16 = 0.4756820424561736
+
+
+def _matrix(restriction):
+    """The complex Q_N whose first row is the coefficient array
+    ``restriction``, as the oracle builds it: the reference of the real
+    solves."""
+    return oracle._hermitian_toeplitz(restriction.values)
 
 
 def test_eta_tilde_anchors():
@@ -157,7 +162,7 @@ def test_fourier_coefficients_match_per_piece_sum_across_table_switches(jumps, n
     f = _jump_symbol(jumps)
     assert np.count_nonzero(np.subtract(f.values, f.values[-1:] + f.values[:-1])) == jumps
     coeffs = fourier_coefficients(f, n_max)
-    assert coeffs.n_max == n_max and coeffs.values[0] == f.mean
+    assert coeffs.order == n_max + 1 and coeffs.values[0] == f.mean
     np.testing.assert_allclose(coeffs.values[1:], _per_piece(f, n_max),
                                rtol=0, atol=1e-14)
 
@@ -315,54 +320,57 @@ def test_mixed_symbol_coefficients():
 
 
 def test_build_restriction_entries():
+    # The complex Q_n, which only the oracle builds, from q(0..n - 1).
     f = SymbolFunction.indicator(HALF)
-    one = build_restriction(f, 1)
-    assert one.matrix.shape == (1, 1)
-    assert one.matrix[0, 0] == pytest.approx(0.5)
-    two = build_restriction(f, 2)
+    one = oracle._validated_window(f, 1)
+    assert one.shape == (1, 1)
+    assert one[0, 0] == pytest.approx(0.5)
     expect = np.array([[0.5, -1j / math.pi], [1j / math.pi, 0.5]])
-    np.testing.assert_allclose(two.matrix, expect, atol=1e-15)
+    np.testing.assert_allclose(oracle._validated_window(f, 2), expect, atol=1e-15)
     with pytest.raises(ValueError):
-        build_restriction(f, 0)
+        restriction_from_coefficients(fourier_coefficients(f, 1), 0)
 
 
 def test_restriction_validation():
     with pytest.raises(ValueError, match="must be a 1-D array"):
-        ToeplitzRestriction(np.array([[0.5, 0.1j]]))
+        SymbolCoefficients(np.array([[0.5, 0.1j]]))
     with pytest.raises(ValueError, match="not Hermitian"):
-        ToeplitzRestriction(np.array([0.5 + 1e-3j, 0.1j]))
-    assert ToeplitzRestriction(np.array([0.5, 0.1j, 0.0])).order == 3
+        SymbolCoefficients(np.array([0.5 + 1e-3j, 0.1j]))
+    assert SymbolCoefficients(np.array([0.5, 0.1j, 0.0])).order == 3
 
 
 def test_restriction_keeps_a_read_only_copy_of_its_row():
     row = np.array([0.5, 0.1j, 0.0])
-    restriction = ToeplitzRestriction(row)
-    assert row.flags.writeable and not restriction.row.flags.writeable
+    restriction = SymbolCoefficients(row)
+    assert row.flags.writeable and not restriction.values.flags.writeable
     row[1] = 0.2j
-    assert restriction.row[1] == 0.1j
+    assert restriction.values[1] == 0.1j
+    # A restriction of lower order is a read-only view of that copy.
+    prefix = restriction_from_coefficients(restriction, 2)
+    assert prefix.order == 2 and not prefix.values.flags.writeable
+    assert prefix.values.base is restriction.values
 
 
 def test_constant_symbol_restriction_is_scaled_identity():
     f = SymbolFunction.constant(0.5)
-    r = build_restriction(f, 5)
-    np.testing.assert_allclose(r.matrix, 0.5 * np.eye(5), atol=1e-15)
+    np.testing.assert_allclose(oracle._validated_window(f, 5), 0.5 * np.eye(5), atol=1e-15)
 
 
 def test_restriction_hermitian_random():
     rng = np.random.default_rng(9)
     for _ in range(5):
         K = random_interval_set(rng)
-        mat = build_restriction(SymbolFunction.indicator(K), 24).matrix
+        mat = oracle._validated_window(SymbolFunction.indicator(K), 24)
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-15)
 
 
 def test_spectrum_examples():
-    lam = spectrum(build_restriction(SymbolFunction.constant(0.5), 3))
+    lam = spectrum(fourier_coefficients(SymbolFunction.constant(0.5), 2))
     np.testing.assert_allclose(lam, [0.5, 0.5, 0.5], atol=1e-14)
-    lam2 = spectrum(build_restriction(SymbolFunction.indicator(HALF), 2))
+    lam2 = spectrum(fourier_coefficients(SymbolFunction.indicator(HALF), 1))
     np.testing.assert_allclose(lam2, [0.5 - 1 / math.pi, 0.5 + 1 / math.pi],
                                atol=1e-12)
-    lam_full = spectrum(build_restriction(SymbolFunction.indicator(full_torus()), 4))
+    lam_full = spectrum(fourier_coefficients(SymbolFunction.indicator(full_torus()), 3))
     np.testing.assert_allclose(lam_full, np.ones(4), atol=1e-12)
     assert np.all(np.diff(lam2) >= 0)
 
@@ -386,7 +394,7 @@ def test_entropy_result_invariants():
     rng = np.random.default_rng(4)
     for _ in range(6):
         K = random_interval_set(rng)
-        restriction = build_restriction(SymbolFunction.indicator(K), 20)
+        restriction = fourier_coefficients(SymbolFunction.indicator(K), 19)
         res = entropy_result(restriction)
         assert res.proxy >= 0.0
         assert res.entropy >= res.proxy - 1e-12
@@ -596,9 +604,9 @@ def test_complement_and_translation_invariance():
     for _ in range(4):
         K = random_interval_set(rng)
         phi = float(rng.uniform())
-        base = entropy_result(build_restriction(SymbolFunction.indicator(K), 24))
+        base = entropy_result(fourier_coefficients(SymbolFunction.indicator(K), 23))
         for other in (K.complement(), K.translate(phi)):
-            res = entropy_result(build_restriction(SymbolFunction.indicator(other), 24))
+            res = entropy_result(fourier_coefficients(SymbolFunction.indicator(other), 23))
             assert res.entropy == pytest.approx(base.entropy, abs=1e-9)
             assert res.proxy == pytest.approx(base.proxy, abs=1e-9)
 
@@ -643,8 +651,8 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "coefficient order must be >= 0, got -1"),
     (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 0),
      ValueError, "block size must be >= 1, got 0"),
-    (lambda: ToeplitzRestriction(np.zeros(0)),
-     ValueError, "^first row must be a 1-D array with at least one entry$"),
+    (lambda: SymbolCoefficients(np.zeros(0)),
+     ValueError, "^coefficients must be a 1-D array with at least one entry$"),
     (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 6),
      ValueError, "need coefficients up to 5, have 4"),
     (lambda: proxy_scan(_QUARTER_COEFFS, [4, 0, 2]),
@@ -659,8 +667,6 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, "^block sizes must be integers, got True$"),
     (lambda: restriction_from_coefficients(_QUARTER_COEFFS, 2.5),
      ValueError, "^block sizes must be integers, got 2.5$"),
-    (lambda: build_restriction(SymbolFunction.indicator(HALF), True),
-     ValueError, "^block sizes must be integers, got True$"),
     (lambda: block_entropy(SymbolFunction.indicator(HALF), 2.5),
      ValueError, "^block sizes must be integers, got 2.5$"),
     (lambda: block_entropy_oracle(HALF, 2.5),
@@ -699,13 +705,13 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
     (lambda: fit_exponent([ScanRecord(n=n, entropy=None, proxy=1.0 + n, wall_time=0.0)
                            for n in (0, 16, 32, 64, 128)], "log", window=(16, 128)),
      ValueError, "^block size must be >= 1, got 0$"),
-    (lambda: ToeplitzRestriction(np.array([0.5, np.nan, 0.1j])),
-     ValueError, "^first row must be finite$"),
-    (lambda: ToeplitzRestriction(np.array([0.5, np.inf, 0.1j])),
-     ValueError, "^first row must be finite$"),
-    (lambda: ToeplitzRestriction(np.array([0.5, 0.6j])),
+    (lambda: SymbolCoefficients(np.array([0.5, np.nan, 0.1j])),
+     ValueError, "^coefficients must be finite$"),
+    (lambda: SymbolCoefficients(np.array([0.5, np.inf, 0.1j])),
+     ValueError, "^coefficients must be finite$"),
+    (lambda: SymbolCoefficients(np.array([0.5, 0.6j])),
      ValueError, r"^\|q\(k\)\| exceeds q\(0\); symbol not in \[0, 1\]$"),
-    (lambda: ToeplitzRestriction(np.array([-0.25, 0.0])),
+    (lambda: SymbolCoefficients(np.array([-0.25, 0.0])),
      ValueError, r"^q\(0\) = -0\.25 outside \[0, 1\]; symbol not in \[0, 1\]$"),
     (lambda: SymbolCoefficients(np.array([2.0, 0.5j])),
      ValueError, r"^q\(0\) = 2\.0 outside \[0, 1\]; symbol not in \[0, 1\]$"),
@@ -713,7 +719,7 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
         "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
         "restriction-order", "proxy-scan-size", "proxy-scan-order",
         "proxy-scan-fraction", "proxy-scan-string", "proxy-scan-bool",
-        "restriction-fraction", "build-restriction-bool", "block-entropy-fraction",
+        "restriction-fraction", "block-entropy-fraction",
         "oracle-fraction", "oracle-bool", "kernel-fraction", "fejer-kernel-bool",
         "subadditivity-fraction", "scan-bool", "series-fraction", "series-size",
         "symbol-source", "default-grid-fraction", "default-grid-bool",
@@ -753,20 +759,21 @@ def _solves(n, split):
 
 
 def _no_complex_solve(monkeypatch):
-    """Make eigenvector solves and the complex Q_N fail if anything uses them."""
+    """Make eigenvector solves fail if anything uses them. No complex Q_N
+    exists outside the oracle, and ``_spy_eigvalsh`` records the dtype of
+    every matrix solved."""
     def refuse(*args, **kwargs):
         raise AssertionError("complex or eigenvector solve on the solve path")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(ToeplitzRestriction, "matrix", property(refuse))
 
 
 @pytest.mark.parametrize("K, split", [pytest.param(TRANSLATED, True, id="K0-split"),
                                       pytest.param(THREE, False, id="K1-full"),
                                       pytest.param(TWO_QUARTERS, False, id="K2-full")])
 def test_spectrum_path_choice(monkeypatch, K, split):
-    restriction = build_restriction(SymbolFunction.indicator(K), 64)
-    ref = _EIGVALSH(restriction.matrix)
+    restriction = fourier_coefficients(SymbolFunction.indicator(K), 63)
+    ref = _EIGVALSH(_matrix(restriction))
     seen = _spy_eigvalsh(monkeypatch)
     _no_complex_solve(monkeypatch)
     lam = spectrum(restriction)
@@ -782,7 +789,7 @@ def test_spectrum_eigh_failure_raises(monkeypatch, K):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", broken)
     with pytest.raises(EigensolveError, match="eigensolve failed for N=32"):
-        spectrum(build_restriction(SymbolFunction.indicator(K), 32))
+        spectrum(fourier_coefficients(SymbolFunction.indicator(K), 31))
 
 
 @pytest.mark.parametrize("K, split", [pytest.param(TRANSLATED, True, id="K0"),
@@ -790,7 +797,7 @@ def test_spectrum_eigh_failure_raises(monkeypatch, K):
 def test_spectrum_residual_gate_catches_shifted_eigenvalues(monkeypatch, K, split):
     seen = _spy_eigvalsh(monkeypatch, result=lambda w: w + 1e-6)
     with pytest.raises(EigensolveError, match="trace moment 1 gap"):
-        spectrum(build_restriction(SymbolFunction.indicator(K), 32))
+        spectrum(fourier_coefficients(SymbolFunction.indicator(K), 31))
     assert seen == _solves(32, split)
 
 
@@ -879,7 +886,7 @@ def test_fault_matrix(monkeypatch, K, fault):
     n = 32 if K is TRANSLATED else 16
     _spy_eigvalsh(monkeypatch, result=corrupt)
     with pytest.raises(EigensolveError, match=f"{message}.* at N={n}"):
-        spectrum(build_restriction(SymbolFunction.indicator(K), n))
+        spectrum(fourier_coefficients(SymbolFunction.indicator(K), n - 1))
 
 
 def test_real_path_matches_complex_solve(monkeypatch):
@@ -890,9 +897,9 @@ def test_real_path_matches_complex_solve(monkeypatch):
              for spec in (CantorSpec(0.25, 1.0, 5), CantorSpec(1.0 / 3.0, 0.9, 4))]
     seen = _spy_eigvalsh(monkeypatch)
     for K in sets:
-        restriction = build_restriction(SymbolFunction.indicator(K), 256)
+        restriction = fourier_coefficients(SymbolFunction.indicator(K), 255)
         lam = spectrum(restriction)
-        ref = np.clip(_EIGVALSH(restriction.matrix), 0.0, 1.0)
+        ref = np.clip(_EIGVALSH(_matrix(restriction)), 0.0, 1.0)
         assert np.max(np.abs(lam - ref)) <= 1e-10
         assert abs(np.sum(eta_tilde(lam)) - np.sum(eta_tilde(ref))) <= 1e-10
     assert seen == _solves(256, True) * len(sets)
@@ -983,8 +990,8 @@ def test_real_path_charges_weyl_bound(monkeypatch):
     row = row.astype(complex)
     weyl = 0.9e-9 * 0.5
     row[2] += 1j * weyl / (2 * n - 1)
-    restriction = ToeplitzRestriction(row)
-    top = float(np.max(_EIGVALSH(restriction.matrix)))
+    restriction = SymbolCoefficients(row)
+    top = float(np.max(_EIGVALSH(_matrix(restriction))))
     # A first-moment gap that passes the gate alone but not with the bound.
     delta = 1e-8 * top - weyl / 2
     seen = _spy_eigvalsh(monkeypatch, result=_raise_top_of_slice(0, delta))
@@ -999,7 +1006,7 @@ def test_real_path_charges_block_rounding(monkeypatch, n):
     # the charge is the rounding charge 1.5 N eps max |r(k)| alone.
     k = np.arange(n)
     row = np.where(k == 0, 0.5, np.sin(0.5 * np.pi * k) / (np.pi * np.maximum(k, 1)))
-    restriction = ToeplitzRestriction(row.astype(complex))
+    restriction = SymbolCoefficients(row.astype(complex))
     charge = 1.5 * n * np.finfo(float).eps * 0.5
     _spy_eigvalsh(monkeypatch, result=lambda w: w + 1e-6)
     with pytest.raises(EigensolveError, match=f"real-form charge {charge:.3g} included"):
@@ -1010,8 +1017,8 @@ def test_real_path_charges_block_rounding(monkeypatch, n):
 def test_real_form_charges_its_rounding(monkeypatch, n):
     # THREE takes the order-N real form, charged N eps max |q(k)| = N eps q(0)
     # and nothing else.
-    restriction = build_restriction(SymbolFunction.indicator(THREE), n)
-    charge = n * np.finfo(float).eps * restriction.row[0].real
+    restriction = fourier_coefficients(SymbolFunction.indicator(THREE), n - 1)
+    charge = n * np.finfo(float).eps * restriction.values[0].real
     seen = _spy_eigvalsh(monkeypatch, result=lambda w: w + 1e-6)
     with pytest.raises(EigensolveError, match=f"real-form charge {charge:.3g} included"):
         spectrum(restriction)
@@ -1044,7 +1051,7 @@ def _assert_matches_full_solve(monkeypatch, f, split):
         lam = spectrum(restriction)
         # Demodulation makes any row of order 1 or 2 real, so those split.
         assert seen == _solves(n, split or n <= 2)
-        ref = _EIGVALSH(restriction.matrix)
+        ref = _EIGVALSH(_matrix(restriction))
         assert np.max(np.abs(lam - ref)) <= 1e-12, n
 
 
@@ -1062,10 +1069,10 @@ def test_real_form_entries():
     # M[l, k] = Re q(|k - l|) + sgn(h) Im q(|h|), h = l + k - N + 1, equals
     # U* Q_N U with U = (I + i J) / sqrt(2), formed here in complex arithmetic.
     for n in (1, 2, 7, 64):
-        restriction = build_restriction(FULL_SYMBOLS["asymmetric"], n)
+        restriction = fourier_coefficients(FULL_SYMBOLS["asymmetric"], n - 1)
         u = (np.eye(n) + 1j * np.eye(n)[::-1]) / math.sqrt(2.0)
-        ref = u.conj().T @ restriction.matrix @ u
-        form = toeplitz._real_matrix(toeplitz._blocks(restriction.row), 0, np.empty((n, n)))
+        ref = u.conj().T @ _matrix(restriction) @ u
+        form = toeplitz._real_matrix(toeplitz._blocks(restriction.values), 0, np.empty((n, n)))
         assert form.dtype == np.float64
         assert np.max(np.abs(form - ref)) <= 1e-15
 
@@ -1080,11 +1087,14 @@ def test_strided_views_match_fancy_index_references(n):
     rng = np.random.default_rng(n)
     i, j = np.indices((n, n))
     a, g = rng.standard_normal(n), rng.standard_normal(2 * n - 1)
-    for view, ref in ((toeplitz._toeplitz(a), a[np.abs(i - j)]),
-                      (toeplitz._hankel(g, n), g[i + j]),
-                      (toeplitz._hankel(g[::-1], n), g[::-1][i + j])):
-        assert not view.flags.writeable
-        assert same_bits(view, ref)
+    line = np.concatenate([a[:0:-1], a])            # a(|t - n + 1|), t < 2n - 1
+    # the whole order and the leading corners of both split orders
+    for p in {n, n - n // 2, n // 2} - {0}:
+        ip, jp = i[:p, :p], j[:p, :p]
+        for view, ref in ((toeplitz._window(line, p, -1), a[np.abs(ip - jp)]),
+                          (toeplitz._window(g, p, 1), g[ip + jp])):
+            assert not view.flags.writeable
+            assert same_bits(view, ref)
 
     r = rng.standard_normal(n)
     m = n // 2
@@ -1117,12 +1127,13 @@ def test_strided_views_match_fancy_index_references(n):
             assert toeplitz._real_matrix(blocks[1], b, slot) is slot
             assert same_bits(slot, ref)
 
-    # A restriction takes only the row of a symbol in [0, 1]: |q(k)| <= q(0).
+    # The oracle's complex Q_N of a checked row of a symbol in [0, 1]:
+    # |q(k)| <= q(0).
     diff = j - i
     lag = np.abs(diff)
     row = row / (2.0 * np.abs(row).max())
     row[0] = 0.5
-    matrix = ToeplitzRestriction(row).matrix
+    matrix = _matrix(SymbolCoefficients(row))
     assert not matrix.flags.writeable
     assert same_bits(matrix, np.where(diff >= 0, row[lag], np.conj(row[lag])))
 
@@ -1130,14 +1141,14 @@ def test_strided_views_match_fancy_index_references(n):
 def _odd_block(restriction):
     """r(|i - j|) - r(N - 1 - i - j) for i, j < N // 2, from the centred row."""
     n = restriction.order
-    r, _ = toeplitz._centred_row(restriction.row)
+    r, _ = toeplitz._centred_row(restriction.values)
     i, j = np.indices((n // 2, n // 2))
     return r[np.abs(i - j)] - r[n - 1 - i - j]
 
 
 @pytest.mark.parametrize("n", [32, 33])
 def test_residual_gate_catches_a_shift_of_the_odd_block_only(monkeypatch, n):
-    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), n)
+    restriction = fourier_coefficients(SymbolFunction.indicator(TRANSLATED), n - 1)
     odd = _odd_block(restriction)
     shifted = []
 
@@ -1159,7 +1170,7 @@ def test_residual_gate_catches_a_shift_of_the_odd_block_only(monkeypatch, n):
 def test_failure_of_the_second_block_names_the_full_order(monkeypatch, n):
     # The solve that holds the odd block fails: the stack of both blocks at
     # even N, the second stack at odd N.
-    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), n)
+    restriction = fourier_coefficients(SymbolFunction.indicator(TRANSLATED), n - 1)
     odd = _odd_block(restriction)
     calls = []
 
@@ -1182,7 +1193,7 @@ STACK_SYMBOLS = [SymbolFunction.indicator(K) for K in SPLIT_SETS.values()] + \
 
 
 def _stack_restrictions(n):
-    return [build_restriction(f, n) for f in STACK_SYMBOLS]
+    return [fourier_coefficients(f, n - 1) for f in STACK_SYMBOLS]
 
 
 # A disjoint pair with no shared centre, as check_subadditivity solves it:
@@ -1192,8 +1203,7 @@ PAIR = (canonicalize([(0.1, 0.3)]), canonicalize([(0.45, 0.5), (0.6, 0.8)]))
 
 def _pair_restrictions(n):
     c1, c2 = joint_fourier_coefficients([SymbolFunction.indicator(K) for K in PAIR], n - 1)
-    return [restriction_from_coefficients(c, n)
-            for c in (c1, c2, SymbolCoefficients(c1.values + c2.values))]
+    return [c1, c2, SymbolCoefficients(c1.values + c2.values)]
 
 
 # From N = 362 on some restrictions certify and others stack their dense
@@ -1207,7 +1217,7 @@ def test_entropy_results_equal_one_solve_per_restriction(monkeypatch, n, build):
     restrictions = build(n)
     alone = [entropy_result(r) for r in restrictions]
     seen = _spy_eigvalsh(monkeypatch)
-    assert entropy_results(restrictions) == alone
+    assert entropy_results(restrictions, n) == alone
     if n >= 362:
         assert any(r.plunge_blocks for r in alone) and any(r.dense_blocks for r in alone)
     # one dense solve per distinct block order, stacked over the restrictions;
@@ -1221,14 +1231,17 @@ def test_entropy_results_equal_one_solve_per_restriction(monkeypatch, n, build):
 
 
 def test_entropy_results_of_no_restriction_are_empty():
-    assert entropy_results([]) == []
-    assert entropy_results(iter([]), eig_cap=8) == []
+    assert entropy_results([], 8) == []
+    assert entropy_results(iter([]), 8, eig_cap=8) == []
 
 
 def test_entropy_results_need_one_order():
-    with pytest.raises(ValueError, match="one order"):
-        entropy_results([build_restriction(SymbolFunction.indicator(HALF), n)
-                         for n in (8, 9)])
+    # Every set is solved at the one order N: a longer array gives a view of
+    # its first N coefficients, a shorter one is refused.
+    coeffs = [fourier_coefficients(SymbolFunction.indicator(HALF), n - 1) for n in (9, 8)]
+    assert [res.n for res in entropy_results(coeffs, 8)] == [8, 8]
+    with pytest.raises(ValueError, match="^need coefficients up to 8, have 7$"):
+        entropy_results(coeffs, 9)
 
 
 def _raise_top_of_slice(k, delta):
@@ -1243,13 +1256,13 @@ def test_stacked_gates_take_each_set_on_its_own_scale(monkeypatch):
     # constant symbol 0.001 has ||Q|| = 0.001, so a 1e-10 shift of one of its
     # eigenvalues misses its gate of 1e-8 * 0.001; the same shift on the
     # other set, whose ||Q|| is near 1, stays inside that set's gate.
-    faint = build_restriction(SymbolFunction.constant(0.001), 16)
-    bright = build_restriction(SymbolFunction.indicator(TRANSLATED), 16)
+    faint = fourier_coefficients(SymbolFunction.constant(0.001), 15)
+    bright = fourier_coefficients(SymbolFunction.indicator(TRANSLATED), 15)
     seen = _spy_eigvalsh(monkeypatch, result=_raise_top_of_slice(0, 1e-10))
     with pytest.raises(EigensolveError, match="trace moment 1 gap .* at N=16"):
-        entropy_results([faint, bright])
+        entropy_results([faint, bright], 16)
     assert seen == [(np.float64, (4, 8, 8))]
-    entropy_results([bright, faint])
+    entropy_results([bright, faint], 16)
 
 
 def _bits(result):
@@ -1274,19 +1287,20 @@ def test_stacked_pass_is_each_restriction_alone_bit_for_bit(symbols):
     # solved alone to the last bit, at every N from 1 to 130.
     coeffs = [fourier_coefficients(f, 129) for f in symbols]
     for n in range(1, 131):
-        restrictions = [restriction_from_coefficients(c, n) for c in coeffs]
-        stacked = [_bits(res) for res in entropy_results(restrictions)]
-        assert stacked == [_bits(entropy_result(r)) for r in restrictions], n
+        stacked = [_bits(res) for res in entropy_results(coeffs, n)]
+        assert stacked == [_bits(entropy_result(restriction_from_coefficients(c, n)))
+                           for c in coeffs], n
 
 
 def test_stacked_pass_with_a_plunge_and_a_dense_restriction_is_bit_for_bit():
     # At N = 362 the translated interval takes the plunge path for both of its
     # blocks and the Cantor set solves both densely, in one call.
-    restrictions = [build_restriction(SymbolFunction.indicator(K), 362)
+    restrictions = [fourier_coefficients(SymbolFunction.indicator(K), 361)
                     for K in (TRANSLATED, SPLIT_SETS["cantor5"])]
     alone = [entropy_result(r) for r in restrictions]
     assert [(r.plunge_blocks, r.dense_blocks) for r in alone] == [(2, 0), (0, 2)]
-    assert [_bits(res) for res in entropy_results(restrictions)] == [_bits(r) for r in alone]
+    assert [_bits(res) for res in entropy_results(restrictions, 362)] == \
+        [_bits(r) for r in alone]
 
 
 # A faint symbol without a centre: its real form has ||Q|| <= 0.003, so a
@@ -1304,16 +1318,16 @@ def test_fault_in_the_real_form_block_of_a_mixed_stack(monkeypatch, fault, messa
     # The split set's two blocks of order 8 form one stack; the two real forms
     # of order 16 another, whose first slice is the faint set's. Only that
     # slice is changed, and the faint set names the failure.
-    restrictions = [build_restriction(f, 16) for f in
+    restrictions = [fourier_coefficients(f, 15) for f in
                     (SymbolFunction.indicator(TRANSLATED), FAINT_FORM, FULL_SYMBOLS["asymmetric"])]
-    assert np.iscomplexobj(toeplitz._real_line(restrictions[1].row)[0])
+    assert np.iscomplexobj(toeplitz._real_line(restrictions[1].values)[0])
 
     def corrupt(w):
         return _in_slice(0, fault)(w) if w.shape[-1] == 16 else w
 
     seen = _spy_eigvalsh(monkeypatch, result=corrupt)
     with pytest.raises(EigensolveError, match=f"^{message}"):
-        entropy_results(restrictions)
+        entropy_results(restrictions, 16)
     assert seen == [(np.float64, (2, 8, 8)), (np.float64, (2, 16, 16))]
 
 
@@ -1363,7 +1377,7 @@ def test_plunge_path_fault_matrix(ritz_fault, fault):
     # TRANSLATED splits at N = 1024 into two blocks of order 512, both on the
     # plunge path without faults.
     corrupt, message = PLUNGE_FAULTS[fault]
-    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 1024)
+    restriction = fourier_coefficients(SymbolFunction.indicator(TRANSLATED), 1023)
     ritz_fault(corrupt)
     with pytest.raises(EigensolveError, match=message):
         entropy_result(restriction)
@@ -1375,14 +1389,14 @@ def test_plunge_path_qr_failure_raises(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", broken)
     with pytest.raises(EigensolveError, match="eigensolve failed for N=1024: injected"):
-        entropy_result(build_restriction(SymbolFunction.indicator(TRANSLATED), 1024))
+        entropy_result(fourier_coefficients(SymbolFunction.indicator(TRANSLATED), 1023))
 
 
 @pytest.mark.parametrize("fault", [_drop_top, _top_lowered], ids=["dropped", "lowered"])
 def test_missed_ritz_value_falls_back_to_the_dense_value(ritz_fault, fault):
     # A Ritz value left out or under-estimated leaves plunge trace uncaptured,
     # the bracket exceeds its budget and the block is solved densely.
-    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 1024)
+    restriction = fourier_coefficients(SymbolFunction.indicator(TRANSLATED), 1023)
     dense = float(np.sum(eta_tilde(spectrum(restriction))))
     assert entropy_result(restriction).plunge_blocks == 2
     ritz_fault(fault)
@@ -1414,7 +1428,7 @@ def test_missed_first_pass_reruns_and_certifies(ritz_fault):
 def test_plunge_pass_without_plunge_trace(K):
     # t = 0 gives k = _PLUNGE_PAD, so the first pass would have no rows: it
     # starts from one, and both blocks of order 256 certify S_N = 0.
-    result = entropy_result(build_restriction(SymbolFunction.indicator(K), 512))
+    result = entropy_result(fourier_coefficients(SymbolFunction.indicator(K), 511))
     assert result.entropy == 0.0
     assert (result.plunge_blocks, result.dense_blocks) == (2, 0)
     assert result.bracket <= toeplitz.CERTIFICATE_TOL
@@ -1450,7 +1464,7 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     for n in (256, 1024):
         seen.clear()
         formed.clear()
-        result = entropy_result(build_restriction(cantor, n))
+        result = entropy_result(fourier_coefficients(cantor, n - 1))
         assert seen == _solves(n, True) and formed == [(n, 0), (n, 1)]
         assert (result.plunge_blocks, result.dense_blocks) == (0, 2)
 
@@ -1476,12 +1490,12 @@ def test_small_blocks_compute_no_plunge_trace(monkeypatch, K, largest):
     assert toeplitz._PLUNGE_MIN_ORDER == 128
     f = SymbolFunction.indicator(K)
     for n in (8, 64, largest):
-        entropy_result(build_restriction(f, n))
+        entropy_result(fourier_coefficients(f, n - 1))
     cantor = SymbolFunction.indicator(SPLIT_SETS["cantor5"])
     for n in range(1, 65):
-        entropy_result(build_restriction(cantor, n))
+        entropy_result(fourier_coefficients(cantor, n - 1))
     assert traces == [] and generators == []
-    entropy_result(build_restriction(f, largest + 1))
+    entropy_result(fourier_coefficients(f, largest))
     assert traces == [largest + 1]
 
 
@@ -1507,8 +1521,8 @@ def test_plunge_block_off_its_coefficients_never_certifies(operator_coupling, la
     # (0, 1) pair is coupled by 1e-9 more than the line says either fails the
     # sum-theta <= t check or sends its block to the dense solve; on each
     # layout one sign of the coupling reaches the check.
-    restriction = build_restriction(SymbolFunction.indicator(K), 1024)
-    blocks = len(toeplitz._blocks(_line(restriction.row))[0])
+    restriction = fourier_coefficients(SymbolFunction.indicator(K), 1023)
+    blocks = len(toeplitz._blocks(_line(restriction.values))[0])
     assert entropy_result(restriction).plunge_blocks == blocks
     operator_coupling(delta)
     if COUPLING_FAILS[layout, delta]:
@@ -1598,7 +1612,7 @@ def _mp_block_traces(line):
 def test_plunge_trace_matches_40_digit_blocks(K, n):
     # The O(N) t of the line against tr H - ||H||_F^2 of the blocks formed
     # from the line in 40 digits.
-    line = _line(build_restriction(SymbolFunction.indicator(K), n).row)
+    line = _line(fourier_coefficients(SymbolFunction.indicator(K), n - 1).values)
     blocks = toeplitz._blocks(line)
     traces = toeplitz._plunge_traces(line)
     refs = _mp_block_traces(line)
@@ -1632,7 +1646,7 @@ def _mp_line_traces(line):
 @pytest.mark.parametrize("n", [511, 512, 1447, 1448, 2047, 2048])
 @pytest.mark.parametrize("K", [TRANSLATED, THREE], ids=["split", "real-form"])
 def test_plunge_trace_matches_40_digit_sums(K, n):
-    line = _line(build_restriction(SymbolFunction.indicator(K), n).row)
+    line = _line(fourier_coefficients(SymbolFunction.indicator(K), n - 1).values)
     for (t, charge), ref in zip(toeplitz._plunge_traces(line), _mp_line_traces(line),
                                 strict=True):
         assert abs(mpmath.mpf(t) - ref) <= charge
@@ -1668,8 +1682,8 @@ def _exact_product(rows, line, b):
         p, a, g = (n - n // 2, n // 2)[b], line, line[::-1] * (-1.0 if b else 1.0)
     pieces = _slices(rows, axis=1)
     out = np.zeros((len(rows), p), dtype=np.longdouble)
-    for part, form in ((a, lambda x: toeplitz._toeplitz(x[:p])),
-                       (g, lambda x: toeplitz._hankel(x, p))):
+    i, j = np.indices((p, p))
+    for part, form in ((a, lambda x: x[np.abs(i - j)]), (g, lambda x: x[i + j])):
         # the pairs of slices whose products reach 2^-80 of the largest
         for t, piece in enumerate(_slices(np.ascontiguousarray(part[:2 * p - 1]))):
             product = np.concatenate(pieces[:3 - t]) @ form(piece)
@@ -1689,7 +1703,7 @@ def _exact_product(rows, line, b):
 def test_plunge_operator_matches_the_blocks(K, n):
     # Each row of the FFT products lies within its charge, times the row's
     # norm, of the product with the block formed from the line.
-    line = _line(build_restriction(SymbolFunction.indicator(K), n).row)
+    line = _line(fourier_coefficients(SymbolFunction.indicator(K), n - 1).values)
     blocks = toeplitz._blocks(line)
     op = toeplitz._PlungeOperator(blocks)
     charge = toeplitz._fft_charge(blocks)
@@ -1726,9 +1740,9 @@ def test_ritz_values_within_their_charge(monkeypatch, K, n):
 
     monkeypatch.setattr(np.linalg, "qr", qr_spy)
     monkeypatch.setattr(toeplitz, "_certify", certify_spy)
-    restriction = build_restriction(SymbolFunction.indicator(K), n)
+    restriction = fourier_coefficients(SymbolFunction.indicator(K), n - 1)
     result = entropy_result(restriction)
-    line = _line(restriction.row)
+    line = _line(restriction.values)
     blocks = toeplitz._blocks(line)
     assert result.plunge_blocks == len(bases) == len(solved) == len(blocks[0])
     for b, (basis, (ritz, charge)) in enumerate(zip(bases, solved)):
@@ -1745,7 +1759,7 @@ def test_plunge_path_memory_stays_order_n():
     # length L = 4096 instead (the odd block misses at 24 rows and reruns on
     # 32). Traced peak 5.1 MiB measured, 6.0 MiB on a first call in a fresh
     # process; the bound is 1.3 times the larger.
-    restriction = build_restriction(SymbolFunction.indicator(TRANSLATED), 4096)
+    restriction = fourier_coefficients(SymbolFunction.indicator(TRANSLATED), 4095)
     tracemalloc.start()
     try:
         result = entropy_result(restriction)
