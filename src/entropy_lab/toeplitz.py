@@ -555,33 +555,36 @@ RESIDUAL_TOL = 1e-8
 REAL_PATH_TOL = 1e-9
 
 
-def _centred_row(row: np.ndarray) -> tuple[np.ndarray, float]:
+def _centred_row(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real part of the demodulated row r(k) = q(k) exp(2 pi i k c), with
-    c = -arg q(1) / (2 pi), of a first row of length N, and the Weyl bound
-    (2N - 1) max |Im r(k)| on how far dropping Im r moves any eigenvalue.
+    c = -arg q(1) / (2 pi), of a first row of length N, or of each row of a
+    stack, and the Weyl bound (2N - 1) max |Im r(k)| on how far dropping
+    Im r moves any eigenvalue.
 
     A symbol symmetric about c (or c + 1/2) has every r(k) real; for any
     other the bound comes out large.
     """
-    n = len(row)
+    n = row.shape[-1]
     # the phase of q(1); at N = 1 that of q(0) >= 0, which is 0
-    r = row * np.exp(-1j * np.angle(row[1 % n, None]) * np.arange(n))
-    return r.real, (2 * n - 1) * float(np.abs(r.imag).max())
+    turn = row[..., 1 % n, None]
+    r = row * np.exp(-1j * np.arctan2(turn.imag, turn.real) * np.arange(n))
+    return r.real, (2 * n - 1) * np.abs(r.imag).max(axis=-1)
 
 
 def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
     """Read-only p x p view W[i, j] = line[i + j] (row_step 1) or
-    line[c - i + j] (row_step -1), c = len(line) // 2 the centre, of a
-    C-contiguous line of odd length at least 2p - 1.
+    line[c - i + j] (row_step -1), c = L // 2 the centre, of a C-contiguous
+    line of odd length L at least 2p - 1; of a C-contiguous stack of such
+    lines, the stack of their views.
 
     Built as a strided ndarray on the line's buffer: the same view as
     ``sliding_window_view``, without its argument checks, which cost several
     times the view itself on small blocks.
     """
     size = line.itemsize
-    view = np.ndarray((p, p), line.dtype, buffer=line,
-                      offset=len(line) // 2 * size if row_step < 0 else 0,
-                      strides=(row_step * size, size))
+    view = np.ndarray(line.shape[:-1] + (p, p), line.dtype, buffer=line,
+                      offset=line.shape[-1] // 2 * size if row_step < 0 else 0,
+                      strides=line.strides[:-1] + (row_step * size, size))
     view.setflags(write=False)
     return view
 
@@ -605,62 +608,88 @@ _BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
 _FORM_ROUNDING = np.finfo(float).eps
 
 
-def _real_line(row: np.ndarray) -> tuple[np.ndarray, tuple, float]:
-    """The line that the real symmetric matrices whose spectra together are
-    the spectrum of the Q_N with first row ``row`` are built from, its
-    blocks as ``_blocks`` reads them, and the bound on how far forming those
-    matrices moves any eigenvalue.
+def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
+    """For first rows ``rows``, all of one length N: per row the line that
+    the real symmetric matrices whose spectra together are the spectrum of
+    its Q_N are built from, its blocks as ``_blocks`` reads them, and the
+    bound on how far forming those matrices moves any eigenvalue.
 
     A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
     the real line r of the two half-order blocks, charged with Weyl's bound
     and their rounding; any other row is itself the line of the order-N real
     form, charged with its rounding. A line is real exactly when it is that
-    of the split.
+    of the split. The rows are demodulated as one stack, and the rows of
+    each path share one stack of lines and one ``_blocks`` call: each row's
+    line and blocks are views of those stacks.
     """
-    row = row.astype(complex, copy=False)
-    n = len(row)
-    r, weyl = _centred_row(row)
-    if weyl <= REAL_PATH_TOL * r[0]:
-        line, bound = r, weyl + _BLOCK_ROUNDING * n * float(np.abs(r).max())
-    else:
-        line, bound = row, _FORM_ROUNDING * n * float(np.abs(row).max())
-    return line, _blocks(line), bound
+    stack = np.array(rows, dtype=complex)
+    n = stack.shape[1]
+    r, weyl = _centred_row(stack)
+    split = (weyl <= REAL_PATH_TOL * r[:, 0]).tolist()
+    # Each path taken is described for every row, one call per path; the
+    # rows read the one they take.
+    paths = {}
+    if any(split):
+        paths[True] = r, weyl + _BLOCK_ROUNDING * n * np.abs(r).max(axis=1)
+    if not all(split):
+        paths[False] = stack, _FORM_ROUNDING * n * np.abs(stack).max(axis=1)
+    for flag, (lines, charges) in paths.items():
+        orders, toeplitz, hankel, border = _blocks(lines)
+        paths[flag] = lines, [(orders, t, g, border) for t, g in zip(toeplitz, hankel)], \
+            charges.tolist()
+    lines, blocks, bounds = [], [], []
+    for i, flag in enumerate(split):
+        path_lines, path_blocks, charges = paths[flag]
+        lines.append(path_lines[i])
+        blocks.append(path_blocks[i])
+        bounds.append(charges[i])
+    return lines, blocks, bounds
 
 
 def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
-    """The real blocks of a line from ``_real_line``: their orders, largest
-    first, two contiguous lines of length 2 p - 1 for the largest order p,
-    and whether D borders the first block (odd N on the split). The lines
-    are the Toeplitz line, a(|k - p + 1|) at k, whose second half
+    """The real blocks of a line from ``_real_lines``, or of a stack of
+    lines of one path: their orders, largest first, two contiguous lines of
+    length 2 p - 1 for the largest order p (one of each per line of a
+    stack), and whether D borders the first block (odd N on the split). The
+    lines are the Toeplitz line, a(|k - p + 1|) at k, whose second half
     a(0)..a(p - 1) is the column a, and the Hankel line g. Block b is
     D (T + s Hk) D with T[i, j] = a(|i - j|), Hk[i, j] = g(i + j) and
     s = (-1)^b; the module docstring derives a and g of the half-order split
     of a real line and of the order-N real form of a complex one."""
-    n = len(line)
+    n = line.shape[-1]
     if np.iscomplexobj(line):
         orders, a, border = [n], line.real, False
-        g = np.concatenate([-line.imag[:0:-1], line.imag])
+        g = np.concatenate([-line.imag[..., :0:-1], line.imag], axis=-1)
     else:
         p = n - n // 2
-        orders, a, border = [p, n // 2][:1 + (n > 1)], line[:p], n % 2 == 1
-        g = line[::-1][:2 * p - 1].copy()
-    return orders, np.concatenate([a[:0:-1], a]), g, border
+        orders, a, border = [p, n // 2][:1 + (n > 1)], line[..., :p], n % 2 == 1
+        g = line[..., ::-1][..., :2 * p - 1].copy()
+    return orders, np.concatenate([a[..., :0:-1], a], axis=-1), g, border
 
 
-def _real_matrix(blocks, b: int, out: np.ndarray) -> np.ndarray:
-    """Block b of ``blocks``, as ``_blocks`` describes it, formed into
-    ``out``: the sum T + Hk (the difference T - Hk for the odd block) of
-    strided windows of order p_b over the two lines. D then scales the last
-    row and column of the odd-N even block by sqrt(1/2), which gives the
-    border fl(sqrt 2) r(m - i) exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2,
-    and its corner is a(0)."""
-    orders, toeplitz, hankel, border = blocks
-    p = orders[b]
-    (np.subtract if b else np.add)(_window(toeplitz, p, -1), _window(hankel, p, 1), out=out)
-    if border and not b:
-        out[-1] *= _HALF_ROOT
-        out[:, -1] *= _HALF_ROOT
-        out[-1, -1] = toeplitz[len(toeplitz) // 2]
+def _real_matrices(group, p: int, out: np.ndarray) -> np.ndarray:
+    """The blocks of order p that ``group`` names, (blocks, b) pairs for
+    block b of a line's ``_blocks``, formed into the stack ``out`` in their
+    order: the sums T + Hk of strided windows of order p over the cuts of
+    length 2 p - 1 of their two lines, stacked, with Hk negated for the odd
+    blocks (t + (-h) is t - h exactly). D then scales the last row and
+    column of each odd-N even block by sqrt(1/2), which gives the border
+    fl(sqrt 2) r(m - i) exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2, and its
+    corner is a(0)."""
+    cuts, hankels, bordered = [], [], []
+    for slot, ((_, toeplitz, hankel, border), b) in enumerate(group):
+        centre = len(toeplitz) // 2
+        cuts.append(toeplitz[centre - p + 1:centre + p])
+        hankels.append(-hankel[:2 * p - 1] if b else hankel[:2 * p - 1])
+        if border and not b:
+            bordered.append(slot)
+    lines = np.concatenate(cuts + hankels).reshape(2, len(group), 2 * p - 1)
+    np.add(_window(lines[0], p, -1), _window(lines[1], p, 1), out=out)
+    for slot in bordered:
+        mat = out[slot]
+        mat[-1] *= _HALF_ROOT
+        mat[:, -1] *= _HALF_ROOT
+        mat[-1, -1] = lines[0, slot, p - 1]
     return out
 
 
@@ -692,33 +721,35 @@ def spectrum(restriction: SymbolCoefficients) -> np.ndarray:
     return _solve([restriction.values], plunge=False)[1][0]
 
 
-def _checked_eigenvalues(kept, bounds: list[float], n: int) -> list[np.ndarray]:
+def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
     """The eigenvalues of the real blocks ``kept``, (set, blocks, b) triples
     naming block b of a set's ``_blocks``, checked and clipped as
-    ``spectrum`` describes: one ascending array per set. ``bounds`` are the
-    sets' charges, and ``n`` names the order in messages.
+    ``spectrum`` describes, as one array: row i holds the eigenvalues of set
+    i ascending, then NaN. ``bounds`` are the sets' charges, and ``n`` names
+    the order in messages.
 
-    The blocks of one order are formed (``_real_matrix``) straight into
-    their slots of one stack, set-major, and solved as one ``eigvalsh``
-    call, whose count check, both trace moments (``np.vecdot``) and the
-    extremes of its eigenvalues are taken for all its blocks at once. The
-    gates are then applied per set: the moment gaps of its blocks plus its
-    own charge against RESIDUAL_TOL times its own ||Q||, and the range check
-    of its eigenvalues; the first set that fails, in order, names its first
-    failed check. A set without blocks gets no eigenvalues and no check. A
-    NaN eigenvalue makes its block's gaps and extremes NaN, which fails the
-    moment gates.
+    The blocks of one order are formed into one stack, set-major
+    (``_real_matrices``), and solved as one ``eigvalsh`` call, whose count
+    check, both trace moments (``np.vecdot``) and the extremes of its
+    eigenvalues are taken for all its blocks at once, as one array of
+    statistics. Each block's eigenvalues go to its set's row, block b at
+    b times the order of the set's first block, and every row is sorted and
+    clipped at once. The gates are applied per set: the moment gaps of its
+    blocks plus its own charge against RESIDUAL_TOL times its own ||Q||, and
+    the range check of its eigenvalues; the first set that fails, in order,
+    names its first failed check. A set without blocks gets no eigenvalues
+    and no check. A NaN eigenvalue makes its block's gaps and extremes NaN,
+    which fails the moment gates.
     """
     groups = {}                                     # order -> its (set, blocks, b) triples
     for i, blocks, b in kept:
         groups.setdefault(blocks[0][b], []).append((i, blocks, b))
     stats = [[] for _ in bounds]                   # per set: each block's gaps and extremes
-    values = [[] for _ in bounds]
+    values = np.full((len(bounds), n), np.nan)      # NaN sorts after every eigenvalue
     for p, group in groups.items():
         size = len(group)
-        mats = np.empty((size, p, p))
-        for mat, (_, blocks, b) in zip(mats, group):
-            _real_matrix(blocks, b, mat)
+        mats = _real_matrices([(blocks, b) for _, blocks, b in group], p,
+                              np.empty((size, p, p)))
         try:
             w = np.linalg.eigvalsh(mats)
         except np.linalg.LinAlgError as exc:
@@ -729,18 +760,24 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> list[np.ndarray]:
             raise EigensolveError(f"eigensolve returned {np.size(w)} eigenvalues for "
                                   f"{what} of order {p} at N={n}")
         # sum w, tr H, sum w^2, ||H||_F^2 and the extremes of each block
-        sums = (w.sum(axis=1), mats.trace(axis1=1, axis2=2), np.vecdot(w, w),
-                np.vecdot(*[mats.reshape(size, -1)] * 2), w.min(axis=1), w.max(axis=1))
-        for (i, _, _), lam, s, tr, sq, fr, lo, hi in zip(group, w,
-                                                        *map(np.ndarray.tolist, sums)):
+        sums = np.empty((6, size))
+        w.sum(axis=1, out=sums[0])
+        mats.trace(axis1=1, axis2=2, out=sums[1])
+        np.vecdot(w, w, out=sums[2])
+        np.vecdot(*[mats.reshape(size, -1)] * 2, out=sums[3])
+        w.min(axis=1, out=sums[4])
+        w.max(axis=1, out=sums[5])
+        for (i, blocks, b), lam, s, tr, sq, fr, lo, hi in zip(group, w, *sums.tolist()):
             top = max(-lo, hi)                      # ||H|| = max |w|
             stats[i].append((abs(s - tr), abs(sq - fr) / (2.0 * top or 1.0), top, lo, hi))
-            values[i].append(lam)
+            start = b * blocks[0][0]
+            values[i, start:start + p] = lam
     for blocks, bound in ((blocks, bound) for blocks, bound in zip(stats, bounds) if blocks):
         firsts, seconds, tops, lows, highs = zip(*blocks)
+        limit = RESIDUAL_TOL * max(tops)
         for moment, gaps in enumerate((firsts, seconds), start=1):
             # a NaN gap fails, and np.max, unlike max, keeps it in the message
-            if not all(gap + bound <= RESIDUAL_TOL * max(tops) for gap in gaps):
+            if not all(gap + bound <= limit for gap in gaps):
                 gap, norm = float(np.max(gaps)) + bound, float(np.max(tops))
                 raise EigensolveError(
                     f"trace moment {moment} gap {gap:.3g} (real-form charge {bound:.3g} "
@@ -749,8 +786,8 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> list[np.ndarray]:
             raise EigensolveError(
                 f"eigenvalue outside [0, 1] by {max(-min(lows), max(highs) - 1.0):.3g}, "
                 f"beyond the clip tolerance {CLIP_TOL:g}, at N={n}")
-    return [np.clip(np.sort(np.concatenate(lams or [np.empty(0)])), 0.0, 1.0)
-            for lams in values]
+    values.sort(axis=1)
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 # The certified plunge path is taken only when the bracket of S_N is at most
@@ -1182,15 +1219,18 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
     ValueError. Each block comes from its certified plunge subspace
     (``_plunge_entropies``) when the selection rule admits it and its share
     of CERTIFICATE_TOL covers its bracket, the others densely; ``_solve``
-    does both. Each row is solved on its own line; only the blocks solved
-    densely are formed, and those of all the rows go to one
-    ``_checked_eigenvalues`` call: one ``eigvalsh`` stack per block order,
-    with every gate applied per row. S and P are summed over each row's own
-    array of dense eigenvalues. With ``eig_cap`` given (a count of at least
-    0; None sets no cap), an N above it with a block that does not take the
-    plunge path raises ValueError as soon as that row's plunge pass is
-    done, before the passes of the rows after it and before any dense solve
-    starts. No coefficients give an empty list.
+    does both. The rows are demodulated as one stack, each row's plunge
+    pass runs on its own line, and the blocks solved densely, the only ones
+    formed, go to one ``_checked_eigenvalues`` call for all the rows: one
+    ``eigvalsh`` stack per block order, with every gate applied per row.
+    eta_tilde and l (1 - l) are taken in one pass each over all the rows'
+    dense eigenvalues, and summed over each row's own ascending eigenvalues,
+    so that a row's S and P do not depend on the other rows. With
+    ``eig_cap`` given (a count of at least 0; None sets no cap), an N above
+    it with a block that does not take the plunge path raises ValueError as
+    soon as that row's plunge pass is done, before the passes of the rows
+    after it and before any dense solve starts. No coefficients give an
+    empty list.
     """
     [n] = _counts([n])
     rows = [_first_row(c, n) for c in coeffs]
@@ -1198,43 +1238,45 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
         [eig_cap] = _counts([eig_cap], "eig_cap", 0)
     if not rows:
         return []
+    parts, lam, counts = _solve(rows, plunge=True, eig_cap=eig_cap)
     results = []
-    for plunge, lam in zip(*_solve(rows, plunge=True, eig_cap=eig_cap)):
-        entropy, proxy = float(_eta_tilde_unit(lam).sum()), float((lam * (1.0 - lam)).sum())
+    for part, etas, pairs, count in zip(parts, _eta_tilde_unit(lam), lam * (1.0 - lam), counts):
+        entropy, proxy = float(etas[:count].sum()), float(pairs[:count].sum())
         bracket = 0.0
-        certified = [part for part in plunge if part is not None]
-        for part in certified:
-            entropy, proxy, bracket = entropy + part[0], proxy + part[1], bracket + part[2]
+        certified = [entry for entry in part if entry is not None]
+        for entry in certified:
+            entropy, proxy, bracket = entropy + entry[0], proxy + entry[1], bracket + entry[2]
         results.append(EntropyResult(n=n, entropy=entropy, proxy=proxy, bracket=bracket,
                                      plunge_blocks=len(certified),
-                                     dense_blocks=len(plunge) - len(certified)))
+                                     dense_blocks=len(part) - len(certified)))
     return results
 
 
 def _solve(rows, *, plunge: bool, eig_cap: int | None = None):
     """The real blocks of the Q_N with first rows ``rows``, checked
     coefficient views all of one length N: per row its
-    ``_plunge_entropies`` (None for every block without ``plunge``), and
-    the checked eigenvalues of all the dense blocks, as
-    ``_checked_eigenvalues`` gives them. One loop over the rows takes each
-    one's line (``_real_line``), runs its plunge pass, raises ValueError
-    right after that pass when N is above ``eig_cap`` and a block stays
-    dense, and keeps its dense blocks for the shared solve."""
+    ``_plunge_entropies`` (None for every block without ``plunge``), the
+    checked eigenvalues of all the dense blocks, as
+    ``_checked_eigenvalues`` gives them, and per row the number of them.
+    ``_real_lines`` gives every row's line; one loop over the rows then runs
+    each one's plunge pass, raises ValueError right after that pass when N
+    is above ``eig_cap`` and a block stays dense, and keeps its dense blocks
+    for the shared solve."""
     n = len(rows[0])
-    parts, kept, bounds = [], [], []
-    for i, row in enumerate(rows):
-        line, blocks, bound = _real_line(row)
-        orders = blocks[0]
-        part = (_plunge_entropies(line, blocks, n)
+    lines, blocks, bounds = _real_lines(rows)
+    parts, kept, counts = [], [], []
+    for i, (line, row_blocks) in enumerate(zip(lines, blocks)):
+        orders = row_blocks[0]
+        part = (_plunge_entropies(line, row_blocks, n)
                 if plunge and orders[0] >= _PLUNGE_MIN_ORDER else [None] * len(orders))
         keep = [b for b, entry in enumerate(part) if entry is None]
         if eig_cap is not None and n > eig_cap and keep:
             raise ValueError(f"N={n} needs a dense eigensolve of a block of order "
                              f"{orders[keep[0]]}, above eig_cap = {eig_cap}")
-        kept += [(i, blocks, b) for b in keep]
+        kept += [(i, row_blocks, b) for b in keep]
         parts.append(part)
-        bounds.append(bound)
-    return parts, _checked_eigenvalues(kept, bounds, n)
+        counts.append(sum(orders[b] for b in keep))
+    return parts, _checked_eigenvalues(kept, bounds, n), counts
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

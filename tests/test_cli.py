@@ -859,18 +859,18 @@ def test_scan_refuses_a_dense_solve_above_the_eig_cap(tmp_path, monkeypatch):
     # plunge rule; sizes above the cap are solved first, so the refusal comes
     # before any eigensolve and before any block is formed.
     solved, formed = [], []
-    eigvalsh, real_matrix = np.linalg.eigvalsh, toeplitz._real_matrix
+    eigvalsh, real_matrices = np.linalg.eigvalsh, toeplitz._real_matrices
 
     def eigvalsh_spy(mat):
         solved.append(mat.shape)
         return eigvalsh(mat)
 
-    def forming_spy(blocks, *args):
-        formed.append(sum(blocks[0]))
-        return real_matrix(blocks, *args)
+    def forming_spy(group, *args):
+        formed.extend(sum(blocks[0]) for blocks, _ in group)
+        return real_matrices(group, *args)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
-    monkeypatch.setattr(toeplitz, "_real_matrix", forming_spy)
+    monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
     spec = write_spec(tmp_path / "c.json",
                       {"version": 1, "type": "cantor", "q": 0.25, "a": 1.0, "depth": 5})
     res = run_cli("scan", "--set", spec, "--nmin", "8", "--nmax", "1448",

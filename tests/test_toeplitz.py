@@ -1072,7 +1072,8 @@ def test_real_form_entries():
         restriction = fourier_coefficients(FULL_SYMBOLS["asymmetric"], n - 1)
         u = (np.eye(n) + 1j * np.eye(n)[::-1]) / math.sqrt(2.0)
         ref = u.conj().T @ _matrix(restriction) @ u
-        form = toeplitz._real_matrix(toeplitz._blocks(restriction.values), 0, np.empty((n, n)))
+        [form] = toeplitz._real_matrices([(toeplitz._blocks(restriction.values), 0)], n,
+                                         np.empty((1, n, n)))
         assert form.dtype == np.float64
         assert np.max(np.abs(form - ref)) <= 1e-15
 
@@ -1122,10 +1123,9 @@ def test_strided_views_match_fancy_index_references(n):
         shared = len(refs) == 2 and len(refs[0]) == len(refs[1])
         for b, ref in enumerate(refs):
             stack = np.empty((2,) + ref.shape)
-            first, slot = stack
-            toeplitz._real_matrix(blocks[0], 1 - b if shared else b, first)
-            assert toeplitz._real_matrix(blocks[1], b, slot) is slot
-            assert same_bits(slot, ref)
+            group = [(blocks[0], 1 - b if shared else b), (blocks[1], b)]
+            assert toeplitz._real_matrices(group, len(ref), stack) is stack
+            assert same_bits(stack[1], ref)
 
     # The oracle's complex Q_N of a checked row of a symbol in [0, 1]:
     # |q(k)| <= q(0).
@@ -1320,7 +1320,7 @@ def test_fault_in_the_real_form_block_of_a_mixed_stack(monkeypatch, fault, messa
     # slice is changed, and the faint set names the failure.
     restrictions = [fourier_coefficients(f, 15) for f in
                     (SymbolFunction.indicator(TRANSLATED), FAINT_FORM, FULL_SYMBOLS["asymmetric"])]
-    assert np.iscomplexobj(toeplitz._real_line(restrictions[1].values)[0])
+    assert np.iscomplexobj(toeplitz._real_lines([restrictions[1].values])[0][0])
 
     def corrupt(w):
         return _in_slice(0, fault)(w) if w.shape[-1] == 16 else w
@@ -1448,13 +1448,13 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
         return part
 
     monkeypatch.setattr(toeplitz, "_certify", certify_spy)
-    formed, real_matrix = [], toeplitz._real_matrix
+    formed, real_matrices = [], toeplitz._real_matrices
 
-    def forming_spy(blocks, b, out):
-        formed.append((sum(blocks[0]), b))
-        return real_matrix(blocks, b, out)
+    def forming_spy(group, p, out):
+        formed.extend((sum(blocks[0]), b) for blocks, b in group)
+        return real_matrices(group, p, out)
 
-    monkeypatch.setattr(toeplitz, "_real_matrix", forming_spy)
+    monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
     phi = float(np.random.default_rng(1448).uniform(0.0, 0.5))
     scan(canonicalize([(phi, phi + 0.5)]), default_grid(8, 1448), mode="both")
     assert seen and max(shape[-1] for _, shape in seen) < 181
@@ -1502,7 +1502,7 @@ def test_small_blocks_compute_no_plunge_trace(monkeypatch, K, largest):
 def _line(row):
     """The line of the real blocks of one first row, as entropy_results
     reads it."""
-    return toeplitz._real_line(row)[0]
+    return toeplitz._real_lines([row])[0][0]
 
 
 # Which way a 1e-9 coupling of the (0, 1) pair goes at N = 1024: past the
