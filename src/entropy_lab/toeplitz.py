@@ -219,6 +219,7 @@ Entropies are in nats throughout.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -373,12 +374,13 @@ class SymbolCoefficients:
         values = np.array(self.values)
         if values.ndim != 1 or not len(values):
             raise ValueError("coefficients must be a 1-D array with at least one entry")
-        largest = np.abs(values).max()              # not finite if any entry is not
-        if not np.isfinite(largest):
+        largest = float(np.abs(values).max())       # not finite if any entry is not
+        if not math.isfinite(largest):
             raise ValueError("coefficients must be finite")
-        if abs(values[0].imag) > 1e-13:
-            raise ValueError(f"q(0) must be real, got {values[0]}: Q_N not Hermitian")
-        q0 = values[0].real
+        first = values[0]
+        if abs(first.imag) > 1e-13:
+            raise ValueError(f"q(0) must be real, got {first}: Q_N not Hermitian")
+        q0 = first.real
         if not 0.0 <= q0 <= 1.0 + 1e-9:
             raise ValueError(f"q(0) = {q0} outside [0, 1]; symbol not in [0, 1]")
         if largest > q0 + 1e-9:
@@ -463,6 +465,20 @@ def _exp_table(head: np.ndarray, tail: np.ndarray, count: int, step: int) -> np.
     return (high[:, None, :] * low).reshape(-1, len(head))[:count]
 
 
+def _exp_tables(head: np.ndarray, tail: np.ndarray, rows: int,
+                block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables H = ``_exp_table(head, tail, rows, block)`` and
+    L = ``_exp_table(head, tail, block, 1)`` of one chunk of jumps, for
+    rows <= block. When L stays on one level, so does H, and both come from
+    one exponential pass over their phases, entry for entry as from their
+    own passes."""
+    if len(head) * block >= _TWO_LEVEL_MIN:
+        return _exp_table(head, tail, rows, block), _exp_table(head, tail, block, 1)
+    steps = np.concatenate([np.arange(0, rows * block, block), np.arange(block)])
+    table = np.exp(-2j * np.pi * _phase(steps[:, None], head, tail))
+    return table[:rows], table[rows:]
+
+
 def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     """All of q(0)..q(n_max), coefficients of order n_max + 1, as one
     blocked sum over the jumps of f.
@@ -500,37 +516,38 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
                          f"the limit of exact phase reduction; got {n_max}")
     symbols = list(symbols)
     count = len(symbols)
-    parts = []
-    for f in symbols:
-        v = f.values
-        jumps = np.subtract(v, v[-1:] + v[:-1])      # v_j - v_{j-1}, wrapping at 0
-        keep = jumps != 0.0
-        parts.append((np.asarray(f.breakpoints[:-1])[keep], jumps[keep]))
-    x, c = (np.concatenate(arrays) for arrays in zip(*parts))
-    owner = np.repeat(np.arange(count), [len(jumps) for _, jumps in parts])
+    if not count:
+        return []
+    # v_j - v_{j-1}, wrapping at 0, of every symbol in one pass
+    jumps = np.subtract(np.concatenate([f.values for f in symbols]),
+                        np.concatenate([f.values[-1:] + f.values[:-1] for f in symbols]))
+    keep = jumps != 0.0
+    x = np.concatenate([f.breakpoints[:-1] for f in symbols])[keep]
+    c = jumps[keep]
+    if count > 1:                                   # the jumps of symbol i: x[ends[i]:ends[i + 1]]
+        kept = np.cumsum(keep).tolist()
+        ends = [0, *(kept[last - 1] for last in itertools.accumulate(len(f.values)
+                                                                     for f in symbols))]
     block = math.isqrt(n_max) + 1
     rows = n_max // block + 1
     acc = np.zeros((rows, count * block), dtype=complex)
     for lo in range(0, len(x), _ENDPOINT_CHUNK):
-        head, tail = _split(x[lo:lo + _ENDPOINT_CHUNK])
-        cs = c[lo:lo + _ENDPOINT_CHUNK, None]
-        hmat = _exp_table(head, tail, rows, block)
+        hi = min(lo + _ENDPOINT_CHUNK, len(x))
+        hmat, low = _exp_tables(*_split(x[lo:hi]), rows, block)
         # C order, as L always had: one-level passes keep their bits
-        lmat = np.multiply(cs, _exp_table(head, tail, block, 1).T, order="C")
+        lmat = np.multiply(c[lo:hi, None], low.T, order="C")
         if count > 1:
-            wide = np.zeros((len(cs), count, block), dtype=complex)
-            wide[np.arange(len(cs)), owner[lo:lo + _ENDPOINT_CHUNK]] = lmat
-            lmat = wide.reshape(len(cs), -1)
+            wide = np.zeros((hi - lo, count, block), dtype=complex)
+            for i, (first, last) in enumerate(zip(ends, ends[1:])):
+                rows_i = slice(max(first, lo) - lo, max(min(last, hi) - lo, 0))
+                wide[rows_i, i] = lmat[rows_i]
+            lmat = wide.reshape(hi - lo, -1)
         acc += hmat @ lmat
-    divisor = 2j * np.pi * np.arange(1, n_max + 1)
-    out = []
-    for i, f in enumerate(symbols):
-        # a view of acc for one symbol, a copy of its columns for several
-        vals = acc[:, i * block:(i + 1) * block].ravel()[:n_max + 1]
-        vals[1:] /= divisor
-        vals[0] = f.mean
-        out.append(SymbolCoefficients(vals))
-    return out
+    # each symbol's q(0..n_max): a view of acc for one symbol, a copy for several
+    vals = acc.reshape(rows, count, block).transpose(1, 0, 2).reshape(count, -1)[:, :n_max + 1]
+    vals[:, 1:] /= 2j * np.pi * np.arange(1, n_max + 1)
+    vals[:, 0] = [f.mean for f in symbols]
+    return [SymbolCoefficients(v) for v in vals]
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +572,14 @@ RESIDUAL_TOL = 1e-8
 REAL_PATH_TOL = 1e-9
 
 
-def _centred_row(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real part of the demodulated row r(k) = q(k) exp(2 pi i k c), with
-    c = -arg q(1) / (2 pi), of a first row of length N, or of each row of a
-    stack, and the Weyl bound (2N - 1) max |Im r(k)| on how far dropping
-    Im r moves any eigenvalue.
-
-    A symbol symmetric about c (or c + 1/2) has every r(k) real; for any
-    other the bound comes out large.
-    """
-    n = row.shape[-1]
+def _centred_rows(rows: np.ndarray) -> np.ndarray:
+    """The demodulated rows r(k) = q(k) exp(2 pi i k c), with
+    c = -arg q(1) / (2 pi), of a stack of first rows of length N, one c per
+    row. A symbol symmetric about c (or c + 1/2) has every r(k) real."""
+    n = rows.shape[1]
     # the phase of q(1); at N = 1 that of q(0) >= 0, which is 0
-    turn = row[..., 1 % n, None]
-    r = row * np.exp(-1j * np.arctan2(turn.imag, turn.real) * np.arange(n))
-    return r.real, (2 * n - 1) * np.abs(r.imag).max(axis=-1)
+    turn = rows[:, 1 % n, None]
+    return rows * np.exp(-1j * np.arctan2(turn.imag, turn.real) * np.arange(n))
 
 
 def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
@@ -599,13 +610,13 @@ def _window(line: np.ndarray, p: int, row_step: int) -> np.ndarray:
 # most sqrt(2) ((1 + u)^2 - 1) rho < 3 u rho, and the corner r(0) is exact.
 # The error matrix D of a block of order p <= (N + 1)/2 <= N is symmetric, so
 # ||D||_2 <= ||D||_inf <= p * 3 u rho <= 1.5 N eps rho.
-_BLOCK_ROUNDING = 1.5 * np.finfo(float).eps
+_BLOCK_ROUNDING = 1.5 * float(np.finfo(float).eps)
 # On the order-N real form each entry is one rounded sum
 # fl(Re q(a) + sgn(h) Im q(b)), off by at most u (|Re q(a)| + |Im q(b)|)
 # <= 2 u rho = eps rho with rho = max |q(k)|; Re and Im are read exactly.
 # Its error matrix is symmetric of order N, so ||D||_2 <= ||D||_inf
 # <= N eps rho.
-_FORM_ROUNDING = np.finfo(float).eps
+_FORM_ROUNDING = float(np.finfo(float).eps)
 
 
 def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
@@ -614,35 +625,40 @@ def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
     its Q_N are built from, its blocks as ``_blocks`` reads them, and the
     bound on how far forming those matrices moves any eigenvalue.
 
-    A row that is real up to REAL_PATH_TOL * q(0) after demodulation gives
-    the real line r of the two half-order blocks, charged with Weyl's bound
-    and their rounding; any other row is itself the line of the order-N real
-    form, charged with its rounding. A line is real exactly when it is that
-    of the split. The rows are demodulated as one stack, and the rows of
-    each path share one stack of lines and one ``_blocks`` call: each row's
-    line and blocks are views of those stacks.
+    Dropping Im r of the demodulated row (``_centred_rows``) moves each
+    eigenvalue by at most the Weyl bound (2N - 1) max |Im r(k)|. A row whose
+    bound is at most REAL_PATH_TOL * q(0) gives the real line r of the two
+    half-order blocks, charged with that bound and their rounding; any other
+    row is itself the line of the order-N real form, charged with its
+    rounding. A line is real exactly when it is that of the split. The rows
+    are demodulated as one stack, max |Re r| and max |Im r| of every row
+    come from one pass over it, and the rows of each path share one stack
+    of lines and one ``_blocks`` call: each row's line and blocks are views
+    of those stacks.
     """
     stack = np.array(rows, dtype=complex)
     n = stack.shape[1]
-    r, weyl = _centred_row(stack)
-    split = (weyl <= REAL_PATH_TOL * r[:, 0]).tolist()
-    # Each path taken is described for every row, one call per path; the
-    # rows read the one they take.
-    paths = {}
-    if any(split):
-        paths[True] = r, weyl + _BLOCK_ROUNDING * n * np.abs(r).max(axis=1)
+    centred = _centred_rows(stack)
+    r = centred.real
+    extremes = np.abs(centred.view(float).reshape(len(stack), n, 2)).max(axis=1).tolist()
+    weyls = [(2 * n - 1) * imag for _, imag in extremes]
+    split = [weyl <= REAL_PATH_TOL * first
+             for weyl, first in zip(weyls, r[:, 0].tolist())]
+    charges = [weyl + _BLOCK_ROUNDING * n * real
+               for weyl, (real, _) in zip(weyls, extremes)]
+    paths = {True: r} if any(split) else {}
     if not all(split):
-        paths[False] = stack, _FORM_ROUNDING * n * np.abs(stack).max(axis=1)
-    for flag, (lines, charges) in paths.items():
+        paths[False] = stack
+        forms = (_FORM_ROUNDING * n * np.abs(stack).max(axis=1)).tolist()
+    for flag, lines in paths.items():
         orders, toeplitz, hankel, border = _blocks(lines)
-        paths[flag] = lines, [(orders, t, g, border) for t, g in zip(toeplitz, hankel)], \
-            charges.tolist()
+        paths[flag] = lines, [(orders, t, g, border) for t, g in zip(toeplitz, hankel)]
     lines, blocks, bounds = [], [], []
     for i, flag in enumerate(split):
-        path_lines, path_blocks, charges = paths[flag]
+        path_lines, path_blocks = paths[flag]
         lines.append(path_lines[i])
         blocks.append(path_blocks[i])
-        bounds.append(charges[i])
+        bounds.append(charges[i] if flag else forms[i])
     return lines, blocks, bounds
 
 
@@ -1239,9 +1255,14 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
     if not rows:
         return []
     parts, lam, counts = _solve(rows, plunge=True, eig_cap=eig_cap)
+    etas, pairs = _eta_tilde_unit(lam), lam * (1.0 - lam)
+    if min(counts) == n:                            # whole rows: one sum down each
+        sums = zip(etas.sum(axis=1).tolist(), pairs.sum(axis=1).tolist())
+    else:
+        sums = ((float(e[:count].sum()), float(v[:count].sum()))
+                for e, v, count in zip(etas, pairs, counts))
     results = []
-    for part, etas, pairs, count in zip(parts, _eta_tilde_unit(lam), lam * (1.0 - lam), counts):
-        entropy, proxy = float(etas[:count].sum()), float(pairs[:count].sum())
+    for part, (entropy, proxy) in zip(parts, sums):
         bracket = 0.0
         certified = [entry for entry in part if entry is not None]
         for entry in certified:

@@ -1141,7 +1141,7 @@ def test_strided_views_match_fancy_index_references(n):
 def _odd_block(restriction):
     """r(|i - j|) - r(N - 1 - i - j) for i, j < N // 2, from the centred row."""
     n = restriction.order
-    r, _ = toeplitz._centred_row(restriction.values)
+    r = toeplitz._centred_rows(restriction.values[None])[0].real
     i, j = np.indices((n // 2, n // 2))
     return r[np.abs(i - j)] - r[n - 1 - i - j]
 
