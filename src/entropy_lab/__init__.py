@@ -29,7 +29,6 @@ from .toeplitz import (
     SymbolCoefficients,
     SymbolFunction,
     block_entropy,
-    entropy_density,
     entropy_result,
     entropy_results,
     eta,
@@ -59,9 +58,6 @@ from .oracle import (
     OracleError,
     block_entropy_oracle,
     density_matrix,
-    density_matrix_from_matrix_units,
-    matrix_unit_word,
-    partial_trace_last_site,
     vn_entropy,
     wick_expectation,
 )

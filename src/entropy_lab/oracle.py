@@ -22,9 +22,9 @@ the permutation taking the word to C_1 A_1 C_2 A_2 ... Everything but Q in
 that recipe, the entries' places, signs, sites and deltas, depends on n
 alone and is built once per n (``_layout``, cached for n up to
 MAX_ORACLE_SITES, read-only); each call reads Q into it, one batch of
-determinants per word size. The Wick recursion ``wick_expectation`` and
-the literal ``density_matrix_from_matrix_units`` are the definitional
-reference that assembly is tested against.
+determinants per word size. The Wick recursion ``wick_expectation`` is the
+definitional reference that assembly is tested against, through a literal
+matrix-unit assembly kept with the tests.
 
 Conventions fixed here:
   * Basis index bit order: site 0 is the most significant bit.
@@ -47,9 +47,6 @@ from .torus_sets import FailedCheckError, TorusIntervalSet, _counts
 
 MAX_WORD_LEN = 24
 MAX_ORACLE_SITES = 8
-
-# (site, dagger) pairs; a word is a tuple of them, leftmost factor first.
-FermionOp = tuple[int, bool]
 
 
 class OracleError(ValueError):
@@ -121,37 +118,6 @@ def wick_expectation(word, q_window: np.ndarray) -> complex:
         return total
 
     return paired((1 << length) - 1)
-
-
-def matrix_unit_word(site: int, a: int, b: int, n: int):
-    """Expansion of the matrix unit E_ab at ``site`` into weighted fermion
-    words.
-
-    Diagonal units are single words c+c and cc+. Off-diagonal units carry the
-    parity string prod_{l<site} (2 c+_l c_l - 1), expanded termwise into at
-    most 2^site words with exactly representable +-2^j coefficients.
-    """
-    if not (0 <= site < n):
-        raise OracleError(f"site {site} outside window of {n}")
-    if a not in (1, 2) or b not in (1, 2):
-        raise OracleError(f"matrix-unit indices must be 1 or 2, got ({a}, {b})")
-    if a == 1 and b == 1:
-        return [(1, ((site, True), (site, False)))]
-    if a == 2 and b == 2:
-        return [(1, ((site, False), (site, True)))]
-    last: FermionOp = (site, True) if (a, b) == (1, 2) else (site, False)
-    expansion = []
-    for picks in itertools.product((False, True), repeat=site):
-        coeff = 1
-        ops: list[FermionOp] = []
-        for l, take_number_op in enumerate(picks):
-            if take_number_op:
-                coeff *= 2
-                ops += [(l, True), (l, False)]
-            else:
-                coeff *= -1
-        expansion.append((coeff, tuple(ops) + (last,)))
-    return expansion
 
 
 @dataclass(eq=False)
@@ -267,51 +233,9 @@ def density_matrix(source, n: int) -> FockDensityMatrix:
     return FockDensityMatrix(n=n, matrix=rho)
 
 
-def density_matrix_from_matrix_units(source, n: int) -> FockDensityMatrix:
-    """Literal assembly from products of matrix_unit_word expansions.
-
-    Exponentially more words than density_matrix (the parity strings are not
-    cancelled), so it is capped at 4 sites; it exists as the definitional
-    reference the optimized assembly is tested against.
-    """
-    [n] = _counts([n])
-    if n > 4:
-        raise OracleError(f"reference assembly is capped at 4 sites, got {n}")
-    q = _validated_window(SymbolFunction.of(source), n)
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for r in range(dim):
-        row_bits = [(r >> (n - 1 - k)) & 1 for k in range(n)]
-        for c in range(dim):
-            col_bits = [(c >> (n - 1 - k)) & 1 for k in range(n)]
-            factors = [matrix_unit_word(k, col_bits[k] + 1, row_bits[k] + 1, n)
-                       for k in range(n)]
-            value = 0j
-            for combo in itertools.product(*factors):
-                coeff = 1
-                word: tuple[FermionOp, ...] = ()
-                for cf, ops in combo:
-                    coeff *= cf
-                    word += ops
-                value += coeff * wick_expectation(word, q)
-            rho[r, c] = value
-    return FockDensityMatrix(n=n, matrix=rho)
-
-
 def vn_entropy(rho: FockDensityMatrix) -> float:
     """Von Neumann entropy (nats) of the density matrix."""
     return float(np.sum(eta(rho.eigenvalues)))
-
-
-def partial_trace_last_site(rho: FockDensityMatrix) -> FockDensityMatrix:
-    """Trace out the last site (the least significant bit)."""
-    if rho.n < 2:
-        raise OracleError("nothing left after tracing a single site")
-    dim = 1 << (rho.n - 1)
-    small = np.zeros((dim, dim), dtype=complex)
-    for s in (0, 1):
-        small += rho.matrix[s::2, s::2]
-    return FockDensityMatrix(n=rho.n - 1, matrix=small)
 
 
 def block_entropy_oracle(K: TorusIntervalSet | SymbolFunction, n: int) -> float:

@@ -247,14 +247,16 @@ class EigensolveError(FailedCheckError):
 
 def _clip_unit(x, what: str):
     x = np.asarray(x, dtype=float)
-    if np.any(x < -CLIP_TOL) or np.any(x > 1.0 + CLIP_TOL):
-        bad = x[(x < -CLIP_TOL) | (x > 1.0 + CLIP_TOL)]
-        raise EntropyDomainError(f"{what} outside [0, 1] beyond tolerance: {bad[:4]}")
+    inside = (x >= -CLIP_TOL) & (x <= 1.0 + CLIP_TOL)     # False for NaN
+    if not inside.all():
+        raise EntropyDomainError(f"{what} outside [0, 1] beyond tolerance, or NaN: "
+                                 f"{x[~inside][:4]}")
     return np.clip(x, 0.0, 1.0)
 
 
 def eta(x):
-    """-x log x, continuously extended by eta(0) = 0."""
+    """-x log x, continuously extended by eta(0) = 0. Arguments more than
+    CLIP_TOL outside [0, 1], and NaN, raise EntropyDomainError."""
     x = _clip_unit(x, "eta argument")
     out = np.zeros_like(x)
     pos = x > 0.0
@@ -265,8 +267,9 @@ def eta(x):
 def eta_tilde(x):
     """eta(x) + eta(1 - x): entropy of the (x, 1-x) pair, maximal log 2 at 1/2.
 
-    Arguments more than CLIP_TOL outside [0, 1] raise EntropyDomainError;
-    the rest are clipped into [0, 1] before ``_eta_tilde_unit``.
+    Arguments more than CLIP_TOL outside [0, 1], and NaN, raise
+    EntropyDomainError; the rest are clipped into [0, 1] before
+    ``_eta_tilde_unit``.
     """
     out = _eta_tilde_unit(_clip_unit(x, "eta_tilde argument"))
     return out if out.ndim else float(out)
@@ -1393,10 +1396,4 @@ def purity_proxy_single_interval_series(length: float, n: int) -> float:
     # Flat part of the remaining tail: sum_{m>=M} 1/(2 m^2) = trigamma(M)/2.
     tail_sum += 0.5 * _trigamma(cutoff)
     return (2.0 * n / math.pi ** 2) * tail_sum + term_head
-
-
-def entropy_density(f: SymbolFunction) -> float:
-    """Entropy per site of the infinite chain: integral of eta_tilde over the
-    symbol. Exactly zero for pure symbols."""
-    return float(sum((b - a) * eta_tilde(v) for a, b, v in f.pieces()))
 

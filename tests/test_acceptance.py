@@ -24,7 +24,6 @@ from entropy_lab import (
     cantor_generate,
     check_monotonicity,
     default_grid,
-    entropy_density,
     eta_tilde,
     fourier_coefficients,
     purity_proxy_direct,
@@ -42,6 +41,8 @@ from entropy_lab.scaling import (
     subadditivity_report,
 )
 from entropy_lab.torus_sets import random_interval_set
+
+from references import entropy_density
 
 SEED = 20250808
 HALF = canonicalize([(0.0, 0.5)])

@@ -14,11 +14,7 @@ import pytest
 
 from entropy_lab.cli import run_verification
 from entropy_lab.fejer import fejer_kernel, kernel_zeros, purity_proxy_kernel
-from entropy_lab.oracle import (
-    block_entropy_oracle,
-    density_matrix,
-    density_matrix_from_matrix_units,
-)
+from entropy_lab.oracle import block_entropy_oracle, density_matrix
 from entropy_lab.scaling import (
     ScanRecord,
     check_subadditivity,
@@ -40,6 +36,8 @@ from entropy_lab.toeplitz import (
     restriction_from_coefficients,
 )
 from entropy_lab.torus_sets import CantorSpec, canonicalize, cantor_depth_policy
+
+from references import density_matrix_from_matrix_units
 
 HALF = canonicalize([(0.0, 0.5)])
 F_HALF = SymbolFunction.indicator(HALF)

@@ -10,9 +10,6 @@ from entropy_lab.oracle import (
     OracleError,
     block_entropy_oracle,
     density_matrix,
-    density_matrix_from_matrix_units,
-    matrix_unit_word,
-    partial_trace_last_site,
     vn_entropy,
     wick_expectation,
     FockDensityMatrix,
@@ -20,6 +17,8 @@ from entropy_lab.oracle import (
 from entropy_lab.scaling import ORACLE_TOL
 from entropy_lab.toeplitz import SymbolFunction, block_entropy
 from entropy_lab.torus_sets import FailedCheckError, canonicalize, full_torus, random_interval_set
+
+from references import density_matrix_from_matrix_units, matrix_unit_word, partial_trace_last_site
 
 HALF = canonicalize([(0.0, 0.5)])
 S2_HALF = 0.9478932674675549

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -19,7 +20,6 @@ from entropy_lab.toeplitz import (
     SymbolCoefficients,
     SymbolFunction,
     block_entropy,
-    entropy_density,
     entropy_result,
     entropy_results,
     eta,
@@ -51,6 +51,8 @@ from entropy_lab.torus_sets import (
     random_disjoint_pair,
     random_interval_set,
 )
+
+from references import entropy_density
 
 HALF = canonicalize([(0.0, 0.5)])
 # Symmetric about 0.425: the spectrum is taken from the half-order split.
@@ -177,6 +179,17 @@ def test_two_level_exponential_table_matches_one_level(monkeypatch, count, step)
     two = toeplitz._exp_table(head, tail, count, step)
     assert two.shape == one.shape == (count, 5) and two.flags.c_contiguous
     np.testing.assert_allclose(two, one, rtol=0, atol=4e-15)
+
+
+@pytest.mark.parametrize("rows, block", [(1, 1), (2, 2), (3, 4), (8, 8), (40, 40)])
+def test_one_exponential_pass_gives_both_tables_bit_for_bit(rows, block):
+    # Below _TWO_LEVEL_MIN both tables come from one exponential pass; each
+    # entry is the one its own table would hold. Above it each is its own.
+    head, tail = toeplitz._split(np.random.default_rng(block).random(7))
+    h, low = toeplitz._exp_tables(head, tail, rows, block)
+    for got, ref in ((h, toeplitz._exp_table(head, tail, rows, block)),
+                     (low, toeplitz._exp_table(head, tail, block, 1))):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class _ExpCounter:
@@ -715,6 +728,13 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
      ValueError, r"^q\(0\) = -0\.25 outside \[0, 1\]; symbol not in \[0, 1\]$"),
     (lambda: SymbolCoefficients(np.array([2.0, 0.5j])),
      ValueError, r"^q\(0\) = 2\.0 outside \[0, 1\]; symbol not in \[0, 1\]$"),
+    (lambda: eta_tilde(np.nan),
+     EntropyDomainError, r"^eta_tilde argument outside \[0, 1\] beyond tolerance, or NaN: \[nan\]$"),
+    (lambda: eta([0.5, np.nan]),
+     EntropyDomainError, r"^eta argument outside \[0, 1\] beyond tolerance, or NaN: \[nan\]$"),
+    (lambda: eta_tilde([0.25, 1.0 + 1e-6, np.nan]),
+     EntropyDomainError, r"^eta_tilde argument outside \[0, 1\] beyond tolerance, or NaN: "
+                         r"\[1\.000001 +nan\]$"),
 ], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
         "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
         "restriction-order", "proxy-scan-size", "proxy-scan-order",
@@ -726,7 +746,8 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
         "coefficients-fraction", "coefficients-bool", "depth-policy-fraction",
         "depth-policy-bool", "cantor-depth-bool", "fit-size-outside-window",
         "restriction-nan", "restriction-inf", "restriction-exceeds-q0",
-        "restriction-negative-q0", "coeff-q0-above-one"])
+        "restriction-negative-q0", "coeff-q0-above-one", "eta-tilde-nan", "eta-nan",
+        "eta-tilde-past-one-and-nan"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -1235,6 +1256,11 @@ def test_entropy_results_of_no_restriction_are_empty():
     assert entropy_results(iter([]), 8, eig_cap=8) == []
 
 
+def test_coefficients_of_no_symbol_are_empty():
+    assert joint_fourier_coefficients([], 8) == []
+    assert joint_fourier_coefficients(iter([]), 0) == []
+
+
 def test_entropy_results_need_one_order():
     # Every set is solved at the one order N: a longer array gives a view of
     # its first N coefficients, a shorter one is refused.
@@ -1301,6 +1327,47 @@ def test_stacked_pass_with_a_plunge_and_a_dense_restriction_is_bit_for_bit():
     assert [(r.plunge_blocks, r.dense_blocks) for r in alone] == [(2, 0), (0, 2)]
     assert [_bits(res) for res in entropy_results(restrictions, 362)] == \
         [_bits(r) for r in alone]
+
+
+# Rows of every kind for one call: two split sets (both blocks of one order
+# at even N, two orders at odd N) and two order-N real forms.
+ROW_KINDS = [SymbolFunction.indicator(TRANSLATED), SymbolFunction.indicator(SPLIT_SETS["cantor5"]),
+             FULL_SYMBOLS["asymmetric"], FULL_SYMBOLS["mixed"]]
+
+
+@pytest.mark.parametrize("n, rows", [(4, 4), (17, 4), (64, 4), (362, 3)])
+def test_each_row_is_its_own_solve_in_any_order(n, rows):
+    # S, P, the bracket and the block counts of each restriction are the
+    # same to the last bit solved alone and with the others in one call, in
+    # every order: the stacked solves and the one eta_tilde pass over all the
+    # rows leave no trace of the other rows. At N = 362 the translated
+    # interval takes the plunge path for both blocks.
+    coeffs = [fourier_coefficients(f, n - 1) for f in ROW_KINDS[:rows]]
+    alone = [_bits(entropy_result(c)) for c in coeffs]
+    if n == 362:
+        assert [bits[3:] for bits in alone] == [(2, 0), (0, 2), (0, 1)]
+    for order in itertools.permutations(range(rows)):
+        together = entropy_results([coeffs[i] for i in order], n)
+        assert [_bits(res) for res in together] == [alone[i] for i in order], order
+
+
+@pytest.mark.parametrize("n, shapes", [(16, [(4, 8, 8), (2, 16, 16)]),
+                                       (17, [(2, 9, 9), (2, 8, 8), (2, 17, 17)])])
+def test_entropy_results_pays_its_fixed_costs_once_per_call(monkeypatch, n, shapes):
+    # Four rows, two split and two real forms: one eigvalsh stack per block
+    # order and one eta_tilde pass over all the rows' eigenvalues.
+    coeffs = [fourier_coefficients(f, n - 1) for f in ROW_KINDS]
+    seen = _spy_eigvalsh(monkeypatch)
+    passes, eta_tilde_unit = [], toeplitz._eta_tilde_unit
+
+    def counted(x):
+        passes.append(x.shape)
+        return eta_tilde_unit(x)
+
+    monkeypatch.setattr(toeplitz, "_eta_tilde_unit", counted)
+    entropy_results(coeffs, n)
+    assert seen == [(np.float64, shape) for shape in shapes]
+    assert passes == [(4, n)]
 
 
 # A faint symbol without a centre: its real form has ||Q|| <= 0.003, so a
