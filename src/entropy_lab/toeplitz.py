@@ -219,7 +219,6 @@ Entropies are in nats throughout.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -277,7 +276,7 @@ def eta_tilde(x):
 
 def _eta_tilde_unit(x: np.ndarray) -> np.ndarray:
     """eta_tilde of a float array already inside [0, 1]; 0 at both ends."""
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
     out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log1p(-xi)
@@ -527,10 +526,8 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
     keep = jumps != 0.0
     x = np.concatenate([f.breakpoints[:-1] for f in symbols])[keep]
     c = jumps[keep]
-    if count > 1:                                   # the jumps of symbol i: x[ends[i]:ends[i + 1]]
-        kept = np.cumsum(keep).tolist()
-        ends = [0, *(kept[last - 1] for last in itertools.accumulate(len(f.values)
-                                                                     for f in symbols))]
+    if count > 1:                                   # symbol i has the jumps x[ends[i]:ends[i + 1]]
+        ends = [0, *np.cumsum(keep)[np.cumsum([len(f.values) for f in symbols]) - 1].tolist()]
     block = math.isqrt(n_max) + 1
     rows = n_max // block + 1
     acc = np.zeros((rows, count * block), dtype=complex)
@@ -645,23 +642,20 @@ def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
     r = centred.real
     extremes = np.abs(centred.view(float).reshape(len(stack), n, 2)).max(axis=1).tolist()
     weyls = [(2 * n - 1) * imag for _, imag in extremes]
-    split = [weyl <= REAL_PATH_TOL * first
-             for weyl, first in zip(weyls, r[:, 0].tolist())]
-    charges = [weyl + _BLOCK_ROUNDING * n * real
-               for weyl, (real, _) in zip(weyls, extremes)]
-    paths = {True: r} if any(split) else {}
+    split = [weyl <= REAL_PATH_TOL * first for weyl, first in zip(weyls, r[:, 0].tolist())]
+    paths = {}                                      # path taken -> lines, blocks, charges
+    if any(split):
+        paths[True] = r, _blocks(r), [weyl + _BLOCK_ROUNDING * n * real
+                                      for weyl, (real, _) in zip(weyls, extremes)]
     if not all(split):
-        paths[False] = stack
-        forms = (_FORM_ROUNDING * n * np.abs(stack).max(axis=1)).tolist()
-    for flag, lines in paths.items():
-        orders, toeplitz, hankel, border = _blocks(lines)
-        paths[flag] = lines, [(orders, t, g, border) for t, g in zip(toeplitz, hankel)]
+        paths[False] = stack, _blocks(stack), \
+            (_FORM_ROUNDING * n * np.abs(stack).max(axis=1)).tolist()
     lines, blocks, bounds = [], [], []
     for i, flag in enumerate(split):
-        path_lines, path_blocks = paths[flag]
+        path_lines, (orders, toeplitz, hankel, border), charges = paths[flag]
         lines.append(path_lines[i])
-        blocks.append(path_blocks[i])
-        bounds.append(charges[i] if flag else forms[i])
+        blocks.append((orders, toeplitz[i], hankel[i], border))
+        bounds.append(charges[i])
     return lines, blocks, bounds
 
 
@@ -687,8 +681,8 @@ def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
 
 
 def _real_matrices(group, p: int, out: np.ndarray) -> np.ndarray:
-    """The blocks of order p that ``group`` names, (blocks, b) pairs for
-    block b of a line's ``_blocks``, formed into the stack ``out`` in their
+    """The blocks of order p that ``group`` names, (set, blocks, b) triples
+    for block b of a line's ``_blocks``, formed into the stack ``out`` in their
     order: the sums T + Hk of strided windows of order p over the cuts of
     length 2 p - 1 of their two lines, stacked, with Hk negated for the odd
     blocks (t + (-h) is t - h exactly). D then scales the last row and
@@ -696,7 +690,7 @@ def _real_matrices(group, p: int, out: np.ndarray) -> np.ndarray:
     fl(sqrt 2) r(m - i) exactly, as fl(sqrt(1/2)) = fl(sqrt 2) / 2, and its
     corner is a(0)."""
     cuts, hankels, bordered = [], [], []
-    for slot, ((_, toeplitz, hankel, border), b) in enumerate(group):
+    for slot, (_, (_, toeplitz, hankel, border), b) in enumerate(group):
         centre = len(toeplitz) // 2
         cuts.append(toeplitz[centre - p + 1:centre + p])
         hankels.append(-hankel[:2 * p - 1] if b else hankel[:2 * p - 1])
@@ -767,8 +761,7 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
     values = np.full((len(bounds), n), np.nan)      # NaN sorts after every eigenvalue
     for p, group in groups.items():
         size = len(group)
-        mats = _real_matrices([(blocks, b) for _, blocks, b in group], p,
-                              np.empty((size, p, p)))
+        mats = _real_matrices(group, p, np.empty((size, p, p)))
         try:
             w = np.linalg.eigvalsh(mats)
         except np.linalg.LinAlgError as exc:

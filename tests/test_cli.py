@@ -866,7 +866,7 @@ def test_scan_refuses_a_dense_solve_above_the_eig_cap(tmp_path, monkeypatch):
         return eigvalsh(mat)
 
     def forming_spy(group, *args):
-        formed.extend(sum(blocks[0]) for blocks, _ in group)
+        formed.extend(sum(blocks[0]) for _, blocks, _ in group)
         return real_matrices(group, *args)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)

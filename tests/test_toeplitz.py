@@ -1093,7 +1093,7 @@ def test_real_form_entries():
         restriction = fourier_coefficients(FULL_SYMBOLS["asymmetric"], n - 1)
         u = (np.eye(n) + 1j * np.eye(n)[::-1]) / math.sqrt(2.0)
         ref = u.conj().T @ _matrix(restriction) @ u
-        [form] = toeplitz._real_matrices([(toeplitz._blocks(restriction.values), 0)], n,
+        [form] = toeplitz._real_matrices([(0, toeplitz._blocks(restriction.values), 0)], n,
                                          np.empty((1, n, n)))
         assert form.dtype == np.float64
         assert np.max(np.abs(form - ref)) <= 1e-15
@@ -1144,7 +1144,7 @@ def test_strided_views_match_fancy_index_references(n):
         shared = len(refs) == 2 and len(refs[0]) == len(refs[1])
         for b, ref in enumerate(refs):
             stack = np.empty((2,) + ref.shape)
-            group = [(blocks[0], 1 - b if shared else b), (blocks[1], b)]
+            group = [(0, blocks[0], 1 - b if shared else b), (1, blocks[1], b)]
             assert toeplitz._real_matrices(group, len(ref), stack) is stack
             assert same_bits(stack[1], ref)
 
@@ -1518,7 +1518,7 @@ def test_plunge_path_guard_on_the_fig2_scan(monkeypatch):
     formed, real_matrices = [], toeplitz._real_matrices
 
     def forming_spy(group, p, out):
-        formed.extend((sum(blocks[0]), b) for blocks, b in group)
+        formed.extend((sum(blocks[0]), b) for _, blocks, b in group)
         return real_matrices(group, p, out)
 
     monkeypatch.setattr(toeplitz, "_real_matrices", forming_spy)
