@@ -376,7 +376,7 @@ class SymbolCoefficients:
         values = np.array(self.values)
         if values.ndim != 1 or not len(values):
             raise ValueError("coefficients must be a 1-D array with at least one entry")
-        largest = float(np.abs(values).max())       # not finite if any entry is not
+        largest = float(np.maximum.reduce(np.abs(values)))  # not finite if any entry is not
         if not math.isfinite(largest):
             raise ValueError("coefficients must be finite")
         first = values[0]
@@ -640,7 +640,8 @@ def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
     n = stack.shape[1]
     centred = _centred_rows(stack)
     r = centred.real
-    extremes = np.abs(centred.view(float).reshape(len(stack), n, 2)).max(axis=1).tolist()
+    extremes = np.maximum.reduce(np.abs(centred.view(float).reshape(len(stack), n, 2)),
+                                 axis=1).tolist()
     weyls = [(2 * n - 1) * imag for _, imag in extremes]
     split = [weyl <= REAL_PATH_TOL * first for weyl, first in zip(weyls, r[:, 0].tolist())]
     paths = {}                                      # path taken -> lines, blocks, charges
@@ -649,7 +650,7 @@ def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
                                       for weyl, (real, _) in zip(weyls, extremes)]
     if not all(split):
         paths[False] = stack, _blocks(stack), \
-            (_FORM_ROUNDING * n * np.abs(stack).max(axis=1)).tolist()
+            (_FORM_ROUNDING * n * np.maximum.reduce(np.abs(stack), axis=1)).tolist()
     lines, blocks, bounds = [], [], []
     for i, flag in enumerate(split):
         path_lines, (orders, toeplitz, hankel, border), charges = paths[flag]
@@ -773,12 +774,12 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
                                   f"{what} of order {p} at N={n}")
         # sum w, tr H, sum w^2, ||H||_F^2 and the extremes of each block
         sums = np.empty((6, size))
-        w.sum(axis=1, out=sums[0])
+        np.add.reduce(w, axis=1, out=sums[0])
         mats.trace(axis1=1, axis2=2, out=sums[1])
         np.vecdot(w, w, out=sums[2])
         np.vecdot(*[mats.reshape(size, -1)] * 2, out=sums[3])
-        w.min(axis=1, out=sums[4])
-        w.max(axis=1, out=sums[5])
+        np.minimum.reduce(w, axis=1, out=sums[4])
+        np.maximum.reduce(w, axis=1, out=sums[5])
         for (i, blocks, b), lam, s, tr, sq, fr, lo, hi in zip(group, w, *sums.tolist()):
             top = max(-lo, hi)                      # ||H|| = max |w|
             stats[i].append((abs(s - tr), abs(sq - fr) / (2.0 * top or 1.0), top, lo, hi))
@@ -1253,7 +1254,7 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
     parts, lam, counts = _solve(rows, plunge=True, eig_cap=eig_cap)
     etas, pairs = _eta_tilde_unit(lam), lam * (1.0 - lam)
     if min(counts) == n:                            # whole rows: one sum down each
-        sums = zip(etas.sum(axis=1).tolist(), pairs.sum(axis=1).tolist())
+        sums = zip(np.add.reduce(etas, axis=1).tolist(), np.add.reduce(pairs, axis=1).tolist())
     else:
         sums = ((float(e[:count].sum()), float(v[:count].sum()))
                 for e, v, count in zip(etas, pairs, counts))
