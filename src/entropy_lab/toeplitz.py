@@ -476,7 +476,7 @@ def _exp_tables(head: np.ndarray, tail: np.ndarray, rows: int,
     own passes."""
     if len(head) * block >= _TWO_LEVEL_MIN:
         return _exp_table(head, tail, rows, block), _exp_table(head, tail, block, 1)
-    steps = np.concatenate([np.arange(0, rows * block, block), np.arange(block)])
+    steps = np.array([*range(0, rows * block, block), *range(block)])
     table = np.exp(-2j * np.pi * _phase(steps[:, None], head, tail))
     return table[:rows], table[rows:]
 
@@ -520,14 +520,17 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
     count = len(symbols)
     if not count:
         return []
-    # v_j - v_{j-1}, wrapping at 0, of every symbol in one pass
-    jumps = np.subtract(np.concatenate([f.values for f in symbols]),
-                        np.concatenate([f.values[-1:] + f.values[:-1] for f in symbols]))
+    # v_j - v_{j-1}, wrapping at 0, and x_j of every symbol, as one array
+    values, before, starts = np.array([sum(parts, ()) for parts in zip(
+        *((f.values, f.values[-1:] + f.values[:-1], f.breakpoints[:-1]) for f in symbols))])
+    jumps = values - before
     keep = jumps != 0.0
-    x = np.concatenate([f.breakpoints[:-1] for f in symbols])[keep]
-    c = jumps[keep]
+    x, c = starts[keep], jumps[keep]
     if count > 1:                                   # symbol i has the jumps x[ends[i]:ends[i + 1]]
-        ends = [0, *np.cumsum(keep)[np.cumsum([len(f.values) for f in symbols]) - 1].tolist()]
+        flags, ends, start = keep.tolist(), [0], 0
+        for f in symbols:
+            ends.append(ends[-1] + sum(flags[start:start + len(f.values)]))
+            start += len(f.values)
     block = math.isqrt(n_max) + 1
     rows = n_max // block + 1
     acc = np.zeros((rows, count * block), dtype=complex)
