@@ -279,7 +279,8 @@ def _eta_tilde_unit(x: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
-    out[inner] = -xi * np.log(xi) - (1.0 - xi) * np.log1p(-xi)
+    neg = -xi
+    out[inner] = neg * np.log(xi) - (1.0 - xi) * np.log1p(neg)
     return out
 
 
