@@ -635,8 +635,7 @@ def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
     half-order blocks, charged with that bound and their rounding; any other
     row is itself the line of the order-N real form, charged with its
     rounding. A line is real exactly when it is that of the split. The rows
-    are demodulated as one stack, max |Re r| and max |Im r| of every row
-    come from one pass over it, and the rows of each path share one stack
+    are demodulated as one stack, and the rows of each path share one stack
     of lines and one ``_blocks`` call: each row's line and blocks are views
     of those stacks.
     """
@@ -644,14 +643,14 @@ def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
     n = stack.shape[1]
     centred = _centred_rows(stack)
     r = centred.real
-    extremes = np.maximum.reduce(np.abs(centred.view(float).reshape(len(stack), n, 2)),
-                                 axis=1).tolist()
-    weyls = [(2 * n - 1) * imag for _, imag in extremes]
+    weyls = [(2 * n - 1) * imag
+             for imag in np.maximum.reduce(np.abs(centred.imag), axis=1).tolist()]
     split = [weyl <= REAL_PATH_TOL * first for weyl, first in zip(weyls, r[:, 0].tolist())]
     paths = {}                                      # path taken -> lines, blocks, charges
     if any(split):
-        paths[True] = r, _blocks(r), [weyl + _BLOCK_ROUNDING * n * real
-                                      for weyl, (real, _) in zip(weyls, extremes)]
+        paths[True] = r, _blocks(r), [
+            weyl + _BLOCK_ROUNDING * n * real
+            for weyl, real in zip(weyls, np.maximum.reduce(np.abs(r), axis=1).tolist())]
     if not all(split):
         paths[False] = stack, _blocks(stack), \
             (_FORM_ROUNDING * n * np.maximum.reduce(np.abs(stack), axis=1)).tolist()
@@ -742,28 +741,28 @@ def spectrum(restriction: SymbolCoefficients) -> np.ndarray:
 def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
     """The eigenvalues of the real blocks ``kept``, (set, blocks, b) triples
     naming block b of a set's ``_blocks``, checked and clipped as
-    ``spectrum`` describes, as one array: row i holds the eigenvalues of set
-    i ascending, then NaN. ``bounds`` are the sets' charges, and ``n`` names
-    the order in messages.
+    ``spectrum`` describes, as one array whose row i holds the eigenvalues
+    of set i ascending, then NaN, and the number of them per set. ``bounds``
+    are the sets' charges, and ``n`` names the order in messages.
 
     The blocks of one order are formed into one stack, set-major
     (``_real_matrices``), and solved as one ``eigvalsh`` call, whose count
     check, both trace moments (``np.vecdot``) and the extremes of its
     eigenvalues are taken for all its blocks at once, as one array of
-    statistics. Each block's eigenvalues go to its set's row, block b at
-    b times the order of the set's first block, and every row is sorted and
-    clipped at once. The gates are applied per set: the moment gaps of its
+    statistics. Each block's eigenvalues go to its set's row, after those
+    of the set's dense block 0, and every row is sorted and clipped at once. The gates are applied per set: the moment gaps of its
     blocks plus its own charge against RESIDUAL_TOL times its own ||Q||, and
     the range check of its eigenvalues; the first set that fails, in order,
     names its first failed check. A set without blocks gets no eigenvalues
     and no check. A NaN eigenvalue makes its block's gaps and extremes NaN,
     which fails the moment gates.
     """
-    groups = {}                                     # order -> its (set, blocks, b) triples
+    groups, counts = {}, [0] * len(bounds)          # order -> its (set, blocks, b) triples
     for i, blocks, b in kept:
         groups.setdefault(blocks[0][b], []).append((i, blocks, b))
+        counts[i] += blocks[0][b]
     stats = [[] for _ in bounds]                   # per set: each block's gaps and extremes
-    values = np.full((len(bounds), n), np.nan)      # NaN sorts after every eigenvalue
+    values = np.full((len(bounds), max(counts)), np.nan)    # NaN sorts after every eigenvalue
     for p, group in groups.items():
         size = len(group)
         mats = _real_matrices(group, p, np.empty((size, p, p)))
@@ -787,7 +786,7 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
         for (i, blocks, b), lam, s, tr, sq, fr, lo, hi in zip(group, w, *sums.tolist()):
             top = max(-lo, hi)                      # ||H|| = max |w|
             stats[i].append((abs(s - tr), abs(sq - fr) / (2.0 * top or 1.0), top, lo, hi))
-            start = b * blocks[0][0]
+            start = blocks[0][0] if b and counts[i] > p else 0     # after a dense block 0
             values[i, start:start + p] = lam
     for blocks, bound in ((blocks, bound) for blocks, bound in zip(stats, bounds) if blocks):
         firsts, seconds, tops, lows, highs = zip(*blocks)
@@ -804,7 +803,7 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
                 f"eigenvalue outside [0, 1] by {max(-min(lows), max(highs) - 1.0):.3g}, "
                 f"beyond the clip tolerance {CLIP_TOL:g}, at N={n}")
     values.sort(axis=1)
-    return np.clip(values, 0.0, 1.0, out=values)
+    return np.clip(values, 0.0, 1.0, out=values), counts
 
 
 # The certified plunge path is taken only when the bracket of S_N is at most
@@ -1257,7 +1256,7 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
         return []
     parts, lam, counts = _solve(rows, plunge=True, eig_cap=eig_cap)
     etas, pairs = _eta_tilde_unit(lam), lam * (1.0 - lam)
-    if min(counts) == n:                            # whole rows: one sum down each
+    if min(counts) == lam.shape[1]:                 # whole rows: one sum down each
         sums = zip(np.add.reduce(etas, axis=1).tolist(), np.add.reduce(pairs, axis=1).tolist())
     else:
         sums = ((float(e[:count].sum()), float(v[:count].sum()))
@@ -1286,7 +1285,7 @@ def _solve(rows, *, plunge: bool, eig_cap: int | None = None):
     for the shared solve."""
     n = len(rows[0])
     lines, blocks, bounds = _real_lines(rows)
-    parts, kept, counts = [], [], []
+    parts, kept = [], []
     for i, (line, row_blocks) in enumerate(zip(lines, blocks)):
         orders = row_blocks[0]
         part = (_plunge_entropies(line, row_blocks, n)
@@ -1297,8 +1296,7 @@ def _solve(rows, *, plunge: bool, eig_cap: int | None = None):
                              f"{orders[keep[0]]}, above eig_cap = {eig_cap}")
         kept += [(i, row_blocks, b) for b in keep]
         parts.append(part)
-        counts.append(sum(orders[b] for b in keep))
-    return parts, _checked_eigenvalues(kept, bounds, n), counts
+    return parts, *_checked_eigenvalues(kept, bounds, n)
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:
