@@ -674,7 +674,7 @@ def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
     s = (-1)^b; the module docstring derives a and g of the half-order split
     of a real line and of the order-N real form of a complex one."""
     n = line.shape[-1]
-    if np.iscomplexobj(line):
+    if line.dtype.kind == "c":
         orders, a, border = [n], line.real, False
         g = np.concatenate([-line.imag[..., :0:-1], line.imag], axis=-1)
     else:
@@ -788,12 +788,14 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
             stats[i].append((abs(s - tr), abs(sq - fr) / (2.0 * top or 1.0), top, lo, hi))
             start = blocks[0][0] if b and counts[i] > p else 0     # after a dense block 0
             values[i, start:start + p] = lam
-    for blocks, bound in ((blocks, bound) for blocks, bound in zip(stats, bounds) if blocks):
+    for blocks, bound in zip(stats, bounds):
+        if not blocks:
+            continue
         firsts, seconds, tops, lows, highs = zip(*blocks)
         limit = RESIDUAL_TOL * max(tops)
-        for moment, gaps in enumerate((firsts, seconds), start=1):
+        for moment, gaps in (1, firsts), (2, seconds):
             # a NaN gap fails, and np.max, unlike max, keeps it in the message
-            if not all(gap + bound <= limit for gap in gaps):
+            if not all([gap + bound <= limit for gap in gaps]):
                 gap, norm = float(np.max(gaps)) + bound, float(np.max(tops))
                 raise EigensolveError(
                     f"trace moment {moment} gap {gap:.3g} (real-form charge {bound:.3g} "
@@ -803,7 +805,7 @@ def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
                 f"eigenvalue outside [0, 1] by {max(-min(lows), max(highs) - 1.0):.3g}, "
                 f"beyond the clip tolerance {CLIP_TOL:g}, at N={n}")
     values.sort(axis=1)
-    return np.clip(values, 0.0, 1.0, out=values), counts
+    return values.clip(0.0, 1.0, out=values), counts
 
 
 # The certified plunge path is taken only when the bracket of S_N is at most
