@@ -47,17 +47,18 @@ of order p is
     D (T + s Hk) D,   T[i, j] = a(|i - j|),   Hk[i, j] = g(i + j),   i, j < p,
 
 and ``_blocks`` reads its column a, its Hankel line g, its sign s and D off
-the line of ``_real_line``. On the split a = r and g(k) = r(N - 1 - k), with
+the line of ``_real_lines``. On the split a = r and g(k) = r(N - 1 - k), with
 s = +1 for the even block, of order N - m, m = N // 2, and s = -1 for the
 odd one, of order m; on the real form a = Re q, g(k) = sgn(h) Im q(|h|) with
 h = k - N + 1, and s = +1. D is the identity but for the odd-N even block:
 the middle site pairs with the even vectors only, and the last entry
 sqrt(1/2) of D gives the border column sqrt(2) r(m - i) and the corner r(0).
-Each restriction has its own line. ``_blocks`` turns it once into two
-contiguous lines of length 2 p - 1, p the largest order: the Toeplitz line
-a(|k - p + 1|) and the Hankel line g. A dense solve forms each block from
-two strided windows of those lines (``_real_matrix``); the plunge pass below
-applies them through FFTs.
+Each restriction has its own line; the lines of one N are demodulated as
+one stack. ``_blocks`` turns them once into two contiguous lines of length
+2 p - 1, p the largest order: the Toeplitz line a(|k - p + 1|) and the
+Hankel line g. A dense solve forms the blocks of one order from strided
+windows of those lines, cut and stacked (``_real_matrices``); the plunge
+pass below applies them through FFTs.
 
 The eigenvalues w of each solved matrix H of order p are checked without
 eigenvectors: there must be p of them, and |sum w - tr H| and
@@ -210,7 +211,7 @@ beta is known before the operator is built, since L depends on p only: the
 selection rule charges it at once.
 The certified lower end takes each theta lowered by its charge, R takes the
 t charge on top, and the block is accepted when its bracket is within its
-share of CERTIFICATE_TOL; otherwise it is formed (``_real_matrix``) and
+share of CERTIFICATE_TOL; otherwise it is formed (``_real_matrices``) and
 solved densely, as before. ``spectrum`` always solves densely.
 
 Entropies are in nats throughout.
@@ -723,7 +724,7 @@ def spectrum(restriction: SymbolCoefficients) -> np.ndarray:
     half the order. Any other restriction is solved at order N as the real
     form U* Q_N U = A + (J B - B J) / 2. Each block is D (T + s Hk) D, as
     ``_blocks`` reads it off the line (module docstring), formed by
-    ``_real_matrix``.
+    ``_real_matrices``.
 
     Each solved matrix H of order p must give exactly p eigenvalues w, and
     both |sum w - tr H| and |sum w^2 - ||H||_F^2| / (2 ||H||), plus the
@@ -738,24 +739,28 @@ def spectrum(restriction: SymbolCoefficients) -> np.ndarray:
     return _solve([restriction.values], plunge=False)[1][0]
 
 
-def _checked_eigenvalues(kept, bounds: list[float], n: int) -> np.ndarray:
+def _checked_eigenvalues(kept, bounds: list[float],
+                         n: int) -> tuple[np.ndarray, list[int]]:
     """The eigenvalues of the real blocks ``kept``, (set, blocks, b) triples
     naming block b of a set's ``_blocks``, checked and clipped as
-    ``spectrum`` describes, as one array whose row i holds the eigenvalues
-    of set i ascending, then NaN, and the number of them per set. ``bounds``
+    ``spectrum`` describes: one array whose row i holds the eigenvalues of
+    set i ascending, then NaN, and the number of them per set. ``bounds``
     are the sets' charges, and ``n`` names the order in messages.
 
-    The blocks of one order are formed into one stack, set-major
-    (``_real_matrices``), and solved as one ``eigvalsh`` call, whose count
-    check, both trace moments (``np.vecdot``) and the extremes of its
-    eigenvalues are taken for all its blocks at once, as one array of
-    statistics. Each block's eigenvalues go to its set's row, after those
-    of the set's dense block 0, and every row is sorted and clipped at once. The gates are applied per set: the moment gaps of its
-    blocks plus its own charge against RESIDUAL_TOL times its own ||Q||, and
-    the range check of its eigenvalues; the first set that fails, in order,
-    names its first failed check. A set without blocks gets no eigenvalues
-    and no check. A NaN eigenvalue makes its block's gaps and extremes NaN,
-    which fails the moment gates.
+    Each fixed cost is paid once per block order or once per call, not per
+    block or per set. The blocks of one order are formed into one stack,
+    set-major (``_real_matrices``), and solved as one ``eigvalsh`` call; its
+    count check, both trace moments (``np.vecdot``) and the extremes of its
+    eigenvalues are taken for all its blocks at once, into one array of
+    statistics read back with one ``tolist``. Each block's eigenvalues go to
+    its set's row, after those of the set's dense block 0, and all the rows
+    are sorted and clipped at once. The gates are applied per set: the
+    moment gaps of its blocks plus its own charge against RESIDUAL_TOL times
+    its own ||Q||, and the range check of its eigenvalues, from each block's
+    own minimum and maximum, so that an unsorted solver output cannot hide
+    one; the first set that fails, in order, names its first failed check.
+    A set without blocks gets no eigenvalues and no check. A NaN eigenvalue
+    makes its block's gaps and extremes NaN, which fails the moment gates.
     """
     groups, counts = {}, [0] * len(bounds)          # order -> its (set, blocks, b) triples
     for i, blocks, b in kept:
@@ -1237,13 +1242,16 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
     ValueError. Each block comes from its certified plunge subspace
     (``_plunge_entropies``) when the selection rule admits it and its share
     of CERTIFICATE_TOL covers its bracket, the others densely; ``_solve``
-    does both. The rows are demodulated as one stack, each row's plunge
-    pass runs on its own line, and the blocks solved densely, the only ones
-    formed, go to one ``_checked_eigenvalues`` call for all the rows: one
-    ``eigvalsh`` stack per block order, with every gate applied per row.
-    eta_tilde and l (1 - l) are taken in one pass each over all the rows'
-    dense eigenvalues, and summed over each row's own ascending eigenvalues,
-    so that a row's S and P do not depend on the other rows. With
+    does both. A call pays each fixed cost once, or once per block order,
+    whatever the number of rows: the rows are demodulated as one stack
+    (``_real_lines``), each row's plunge pass runs on its own line, and the
+    blocks solved densely, the only ones formed, go to one
+    ``_checked_eigenvalues`` call for all the rows: one ``eigvalsh`` stack
+    per block order, with every gate applied per row. eta_tilde and
+    l (1 - l) are taken in one pass each over all the rows' dense
+    eigenvalues, and summed over each row's own ascending eigenvalues in
+    their own order, so that a row's S and P are bit for bit those of the
+    row solved alone. With
     ``eig_cap`` given (a count of at least 0; None sets no cap), an N above
     it with a block that does not take the plunge path raises ValueError as
     soon as that row's plunge pass is done, before the passes of the rows

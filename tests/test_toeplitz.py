@@ -729,7 +729,8 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
     (lambda: SymbolCoefficients(np.array([2.0, 0.5j])),
      ValueError, r"^q\(0\) = 2\.0 outside \[0, 1\]; symbol not in \[0, 1\]$"),
     (lambda: eta_tilde(np.nan),
-     EntropyDomainError, r"^eta_tilde argument outside \[0, 1\] beyond tolerance, or NaN: \[nan\]$"),
+     EntropyDomainError,
+     r"^eta_tilde argument outside \[0, 1\] beyond tolerance, or NaN: \[nan\]$"),
     (lambda: eta([0.5, np.nan]),
      EntropyDomainError, r"^eta argument outside \[0, 1\] beyond tolerance, or NaN: \[nan\]$"),
     (lambda: eta_tilde([0.25, 1.0 + 1e-6, np.nan]),
