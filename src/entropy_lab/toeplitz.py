@@ -54,9 +54,9 @@ h = k - N + 1, and s = +1. D is the identity but for the odd-N even block:
 the middle site pairs with the even vectors only, and the last entry
 sqrt(1/2) of D gives the border column sqrt(2) r(m - i) and the corner r(0).
 Each restriction has its own line; the lines of one N are demodulated as
-one stack. ``_blocks`` turns them once into two contiguous lines of length
-2 p - 1, p the largest order: the Toeplitz line a(|k - p + 1|) and the
-Hankel line g. A dense solve forms the blocks of one order from strided
+one stack. ``_blocks`` turns each line once into two contiguous lines of
+length 2 p - 1, p the largest order: the Toeplitz line a(|k - p + 1|) and
+the Hankel line g. A dense solve forms the blocks of one order from strided
 windows of those lines, cut and stacked (``_real_matrices``); the plunge
 pass below applies them through FFTs.
 
@@ -249,8 +249,9 @@ def _clip_unit(x, what: str):
     x = np.asarray(x, dtype=float)
     inside = (x >= -CLIP_TOL) & (x <= 1.0 + CLIP_TOL)     # False for NaN
     if not inside.all():
-        raise EntropyDomainError(f"{what} outside [0, 1] beyond tolerance, or NaN: "
-                                 f"{x[~inside][:4]}")
+        bad = x[~inside]
+        nan = ", or NaN" if np.isnan(bad).any() else ""
+        raise EntropyDomainError(f"{what} outside [0, 1] beyond tolerance{nan}: {bad[:4]}")
     return np.clip(x, 0.0, 1.0)
 
 
@@ -302,6 +303,9 @@ class SymbolFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        # kept as tuples, whatever sequences were given
+        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
+        object.__setattr__(self, "values", tuple(self.values))
         if not all(math.isfinite(x) for x in self.breakpoints):
             raise ValueError(f"breakpoints must be finite, got {self.breakpoints}")
         if len(self.breakpoints) < 2 or self.breakpoints[0] != 0.0 \
@@ -469,20 +473,6 @@ def _exp_table(head: np.ndarray, tail: np.ndarray, count: int, step: int) -> np.
     return (high[:, None, :] * low).reshape(-1, len(head))[:count]
 
 
-def _exp_tables(head: np.ndarray, tail: np.ndarray, rows: int,
-                block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tables H = ``_exp_table(head, tail, rows, block)`` and
-    L = ``_exp_table(head, tail, block, 1)`` of one chunk of jumps, for
-    rows <= block. When L stays on one level, so does H, and both come from
-    one exponential pass over their phases, entry for entry as from their
-    own passes."""
-    if len(head) * block >= _TWO_LEVEL_MIN:
-        return _exp_table(head, tail, rows, block), _exp_table(head, tail, block, 1)
-    steps = np.array([*range(0, rows * block, block), *range(block)])
-    table = np.exp(-2j * np.pi * _phase(steps[:, None], head, tail))
-    return table[:rows], table[rows:]
-
-
 def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     """All of q(0)..q(n_max), coefficients of order n_max + 1, as one
     blocked sum over the jumps of f.
@@ -538,9 +528,10 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
     acc = np.zeros((rows, count * block), dtype=complex)
     for lo in range(0, len(x), _ENDPOINT_CHUNK):
         hi = min(lo + _ENDPOINT_CHUNK, len(x))
-        hmat, low = _exp_tables(*_split(x[lo:hi]), rows, block)
+        head, tail = _split(x[lo:hi])
+        hmat = _exp_table(head, tail, rows, block)
         # C order, as L always had: one-level passes keep their bits
-        lmat = np.multiply(c[lo:hi, None], low.T, order="C")
+        lmat = np.multiply(c[lo:hi, None], _exp_table(head, tail, block, 1).T, order="C")
         if count > 1:
             wide = np.zeros((hi - lo, count, block), dtype=complex)
             for i, (first, last) in enumerate(zip(ends, ends[1:])):
@@ -624,8 +615,8 @@ _BLOCK_ROUNDING = 1.5 * float(np.finfo(float).eps)
 _FORM_ROUNDING = float(np.finfo(float).eps)
 
 
-def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
-    """For first rows ``rows``, all of one length N: per row the line that
+def _real_lines(rows) -> list[tuple[np.ndarray, tuple, float]]:
+    """For first rows ``rows``, all of one length N, per row: the line that
     the real symmetric matrices whose spectra together are the spectrum of
     its Q_N are built from, its blocks as ``_blocks`` reads them, and the
     bound on how far forming those matrices moves any eigenvalue.
@@ -636,53 +627,45 @@ def _real_lines(rows) -> tuple[list[np.ndarray], list[tuple], list[float]]:
     half-order blocks, charged with that bound and their rounding; any other
     row is itself the line of the order-N real form, charged with its
     rounding. A line is real exactly when it is that of the split. The rows
-    are demodulated as one stack, and the rows of each path share one stack
-    of lines and one ``_blocks`` call: each row's line and blocks are views
-    of those stacks.
+    are demodulated as one stack, with max |Im r| and max |r| of every row
+    from one reduction each; each line is a view of its stack.
     """
     stack = np.array(rows, dtype=complex)
     n = stack.shape[1]
     centred = _centred_rows(stack)
     r = centred.real
-    weyls = [(2 * n - 1) * imag
-             for imag in np.maximum.reduce(np.abs(centred.imag), axis=1).tolist()]
-    split = [weyl <= REAL_PATH_TOL * first for weyl, first in zip(weyls, r[:, 0].tolist())]
-    paths = {}                                      # path taken -> lines, blocks, charges
-    if any(split):
-        paths[True] = r, _blocks(r), [
-            weyl + _BLOCK_ROUNDING * n * real
-            for weyl, real in zip(weyls, np.maximum.reduce(np.abs(r), axis=1).tolist())]
-    if not all(split):
-        paths[False] = stack, _blocks(stack), \
-            (_FORM_ROUNDING * n * np.maximum.reduce(np.abs(stack), axis=1)).tolist()
-    lines, blocks, bounds = [], [], []
-    for i, flag in enumerate(split):
-        path_lines, (orders, toeplitz, hankel, border), charges = paths[flag]
-        lines.append(path_lines[i])
-        blocks.append((orders, toeplitz[i], hankel[i], border))
-        bounds.append(charges[i])
-    return lines, blocks, bounds
+    imags = np.maximum.reduce(np.abs(centred.imag), axis=1).tolist()
+    reals = np.maximum.reduce(np.abs(r), axis=1).tolist()
+    out = []
+    for i, (imag, real, first) in enumerate(zip(imags, reals, r[:, 0].tolist())):
+        weyl = (2 * n - 1) * imag
+        if weyl <= REAL_PATH_TOL * first:
+            line, bound = r[i], weyl + _BLOCK_ROUNDING * n * real
+        else:
+            line = stack[i]
+            bound = _FORM_ROUNDING * n * float(np.abs(line).max())
+        out.append((line, _blocks(line), bound))
+    return out
 
 
 def _blocks(line: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, bool]:
-    """The real blocks of a line from ``_real_lines``, or of a stack of
-    lines of one path: their orders, largest first, two contiguous lines of
-    length 2 p - 1 for the largest order p (one of each per line of a
-    stack), and whether D borders the first block (odd N on the split). The
-    lines are the Toeplitz line, a(|k - p + 1|) at k, whose second half
+    """The real blocks of a line from ``_real_lines``: their orders, largest
+    first, two contiguous lines of length 2 p - 1 for the largest order p,
+    and whether D borders the first block (odd N on the split). The lines
+    are the Toeplitz line, a(|k - p + 1|) at k, whose second half
     a(0)..a(p - 1) is the column a, and the Hankel line g. Block b is
     D (T + s Hk) D with T[i, j] = a(|i - j|), Hk[i, j] = g(i + j) and
     s = (-1)^b; the module docstring derives a and g of the half-order split
     of a real line and of the order-N real form of a complex one."""
-    n = line.shape[-1]
+    n = len(line)
     if line.dtype.kind == "c":
         orders, a, border = [n], line.real, False
-        g = np.concatenate([-line.imag[..., :0:-1], line.imag], axis=-1)
+        g = np.concatenate([-line.imag[:0:-1], line.imag])
     else:
         p = n - n // 2
-        orders, a, border = [p, n // 2][:1 + (n > 1)], line[..., :p], n % 2 == 1
-        g = line[..., ::-1][..., :2 * p - 1].copy()
-    return orders, np.concatenate([a[..., :0:-1], a], axis=-1), g, border
+        orders, a, border = [p, n // 2][:1 + (n > 1)], line[:p], n % 2 == 1
+        g = line[::-1][:2 * p - 1].copy()
+    return orders, np.concatenate([a[:0:-1], a]), g, border
 
 
 def _real_matrices(group, p: int, out: np.ndarray) -> np.ndarray:
@@ -1251,12 +1234,11 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
     l (1 - l) are taken in one pass each over all the rows' dense
     eigenvalues, and summed over each row's own ascending eigenvalues in
     their own order, so that a row's S and P are bit for bit those of the
-    row solved alone. With
-    ``eig_cap`` given (a count of at least 0; None sets no cap), an N above
-    it with a block that does not take the plunge path raises ValueError as
-    soon as that row's plunge pass is done, before the passes of the rows
-    after it and before any dense solve starts. No coefficients give an
-    empty list.
+    row solved alone. With ``eig_cap`` given (a count of at least 0; None
+    sets no cap), an N above it with a block that does not take the plunge
+    path raises ValueError as soon as that row's plunge pass is done, before
+    the passes of the rows after it and before any dense solve starts. No
+    coefficients give an empty list.
     """
     [n] = _counts([n])
     rows = [_first_row(c, n) for c in coeffs]
@@ -1266,13 +1248,9 @@ def entropy_results(coeffs, n: int, *, eig_cap: int | None = None) -> list[Entro
         return []
     parts, lam, counts = _solve(rows, plunge=True, eig_cap=eig_cap)
     etas, pairs = _eta_tilde_unit(lam), lam * (1.0 - lam)
-    if min(counts) == lam.shape[1]:                 # whole rows: one sum down each
-        sums = zip(np.add.reduce(etas, axis=1).tolist(), np.add.reduce(pairs, axis=1).tolist())
-    else:
-        sums = ((float(e[:count].sum()), float(v[:count].sum()))
-                for e, v, count in zip(etas, pairs, counts))
     results = []
-    for part, (entropy, proxy) in zip(parts, sums):
+    for part, e, v, count in zip(parts, etas, pairs, counts):
+        entropy, proxy = float(np.add.reduce(e[:count])), float(np.add.reduce(v[:count]))
         bracket = 0.0
         certified = [entry for entry in part if entry is not None]
         for entry in certified:
@@ -1294,9 +1272,9 @@ def _solve(rows, *, plunge: bool, eig_cap: int | None = None):
     is above ``eig_cap`` and a block stays dense, and keeps its dense blocks
     for the shared solve."""
     n = len(rows[0])
-    lines, blocks, bounds = _real_lines(rows)
+    lines = _real_lines(rows)
     parts, kept = [], []
-    for i, (line, row_blocks) in enumerate(zip(lines, blocks)):
+    for i, (line, row_blocks, _) in enumerate(lines):
         orders = row_blocks[0]
         part = (_plunge_entropies(line, row_blocks, n)
                 if plunge and orders[0] >= _PLUNGE_MIN_ORDER else [None] * len(orders))
@@ -1306,7 +1284,7 @@ def _solve(rows, *, plunge: bool, eig_cap: int | None = None):
                              f"{orders[keep[0]]}, above eig_cap = {eig_cap}")
         kept += [(i, row_blocks, b) for b in keep]
         parts.append(part)
-    return parts, *_checked_eigenvalues(kept, bounds, n)
+    return parts, *_checked_eigenvalues(kept, [bound for *_, bound in lines], n)
 
 
 def block_entropy(f: SymbolFunction, n: int) -> float:

@@ -260,20 +260,20 @@ def _count_calls(monkeypatch, module, name):
 ])
 def test_subadditivity_makes_one_table_pass_and_one_solve_per_order(monkeypatch, n, shapes):
     k1, k2 = canonicalize([(0.1, 0.3)]), canonicalize([(0.45, 0.5), (0.6, 0.8)])
-    tables = _count_calls(monkeypatch, toeplitz, "_exp_tables")
+    tables = _count_calls(monkeypatch, toeplitz, "_exp_table")
     solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     check_subadditivity(k1, k2, n)
-    assert len(tables) == 1          # one pair of H and L tables for both sets
+    assert len(tables) == 2          # one H and one L table for both sets
     assert [a[0].shape for a in solves] == shapes
 
 
 def test_invariance_report_solves_each_set_triple_together(monkeypatch):
-    tables = _count_calls(monkeypatch, toeplitz, "_exp_tables")
+    tables = _count_calls(monkeypatch, toeplitz, "_exp_table")
     solves = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     report = invariance_report(np.random.default_rng(3), 1, 16)
     assert report["passed"]
     orders = [a[0].shape[-1] for a in solves]
-    assert len(tables) == 1 and len(orders) == len(set(orders))
+    assert len(tables) == 2 and len(orders) == len(set(orders))
     assert any(a[0].ndim == 3 for a in solves)
 
 

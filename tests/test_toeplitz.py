@@ -181,17 +181,6 @@ def test_two_level_exponential_table_matches_one_level(monkeypatch, count, step)
     np.testing.assert_allclose(two, one, rtol=0, atol=4e-15)
 
 
-@pytest.mark.parametrize("rows, block", [(1, 1), (2, 2), (3, 4), (8, 8), (40, 40)])
-def test_one_exponential_pass_gives_both_tables_bit_for_bit(rows, block):
-    # Below _TWO_LEVEL_MIN both tables come from one exponential pass; each
-    # entry is the one its own table would hold. Above it each is its own.
-    head, tail = toeplitz._split(np.random.default_rng(block).random(7))
-    h, low = toeplitz._exp_tables(head, tail, rows, block)
-    for got, ref in ((h, toeplitz._exp_table(head, tail, rows, block)),
-                     (low, toeplitz._exp_table(head, tail, block, 1))):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-
-
 class _ExpCounter:
     """numpy, with the elements passed to ``exp`` counted."""
 
@@ -736,6 +725,8 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
     (lambda: eta_tilde([0.25, 1.0 + 1e-6, np.nan]),
      EntropyDomainError, r"^eta_tilde argument outside \[0, 1\] beyond tolerance, or NaN: "
                          r"\[1\.000001 +nan\]$"),
+    (lambda: eta([0.5, -0.25]),
+     EntropyDomainError, r"^eta argument outside \[0, 1\] beyond tolerance: \[-0\.25\]$"),
 ], ids=["coeff-shape", "coeff-empty", "coeff-nan", "coeff-q0-complex",
         "coeff-exceeds-q0", "negative-n-max", "restriction-size", "restriction-empty-row",
         "restriction-order", "proxy-scan-size", "proxy-scan-order",
@@ -748,7 +739,7 @@ _QUARTER_COEFFS = fourier_coefficients(SymbolFunction.indicator(canonicalize([(0
         "depth-policy-bool", "cantor-depth-bool", "fit-size-outside-window",
         "restriction-nan", "restriction-inf", "restriction-exceeds-q0",
         "restriction-negative-q0", "coeff-q0-above-one", "eta-tilde-nan", "eta-nan",
-        "eta-tilde-past-one-and-nan"])
+        "eta-tilde-past-one-and-nan", "eta-below-zero"])
 def test_library_raises_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -1260,6 +1251,17 @@ def test_entropy_results_of_no_restriction_are_empty():
 def test_coefficients_of_no_symbol_are_empty():
     assert joint_fourier_coefficients([], 8) == []
     assert joint_fourier_coefficients(iter([]), 0) == []
+
+
+def test_a_symbol_given_as_lists_is_kept_as_tuples():
+    # Any sequences give the symbol of their tuples, and its coefficients.
+    listed = SymbolFunction([0.0, 0.2, 0.45, 1.0], [1.0, 0.0, 0.5])
+    given = SymbolFunction((0.0, 0.2, 0.45, 1.0), (1.0, 0.0, 0.5))
+    assert listed == given
+    assert (type(listed.breakpoints), type(listed.values)) == (tuple, tuple)
+    for one, other in zip(joint_fourier_coefficients([listed, SymbolFunction.indicator(HALF)], 40),
+                          joint_fourier_coefficients([given, SymbolFunction.indicator(HALF)], 40)):
+        assert one.values.tobytes() == other.values.tobytes()
 
 
 def test_entropy_results_need_one_order():
