@@ -124,8 +124,9 @@ def wick_expectation(word, q_window: np.ndarray) -> complex:
 class FockDensityMatrix:
     """Reduced density matrix on n sites in the occupation basis, with its
     ascending eigenvalues from the positivity check. A matrix of the wrong
-    shape raises ValueError; one that fails the Hermitian, unit-trace or
-    positivity check raises FailedCheckError."""
+    shape or with an entry that is not finite raises ValueError; one that
+    fails the Hermitian, unit-trace or positivity check raises
+    FailedCheckError."""
 
     n: int
     matrix: np.ndarray = field(repr=False)
@@ -135,6 +136,8 @@ class FockDensityMatrix:
         dim = 1 << self.n
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"expected {dim} x {dim} matrix for n={self.n}")
+        if not np.isfinite(self.matrix).all():      # NaN passes every check below
+            raise ValueError("density matrix has entries that are not finite")
         herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
         if herm > 1e-10:
             raise FailedCheckError(f"density matrix not Hermitian: deviation {herm:.3g}")

@@ -14,6 +14,7 @@ rejected. A missing "version" is read as 1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -112,6 +113,13 @@ def _number_pairs(obj: dict, key: str, what: str) -> list[tuple[float, float]]:
     if not isinstance(raw, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in raw):
         raise SpecFormatError(f'"{key}" must be a list of [{what}] pairs')
+    # One scan of the value types; the per-value loop of _number runs only
+    # to name the first value it refuses.
+    if set(map(type, itertools.chain.from_iterable(raw))) <= {float, int}:
+        try:
+            return [(float(a), float(b)) for a, b in raw]
+        except OverflowError:
+            pass
     message = f'"{key}" must hold numeric [{what}] pairs'
     return [(_number(a, message), _number(b, message)) for a, b in raw]
 

@@ -19,11 +19,13 @@ c_j the jump at breakpoint x_j, 2 pi i k q(k) = sum_j c_j e^{-2 pi i k x_j}
 for k != 0. Writing k = r B + s with B = isqrt(n_max) + 1 turns q(1..n_max)
 into one blocked matrix product of e^{-2 pi i r B x_j} against
 c_j e^{-2 pi i s x_j}. Each factor of a large pass is itself the outer
-product of two tables of about B^{1/2} exponentials, so m jumps cost about
-4 m n_max^{1/4} exponentials instead of 2 m n_max. Each phase k x is
+product of two tables of about B^{1/2} entries, the low one centred on 0 so
+that half its entries are conjugates of the others, so m jumps cost about
+3 m n_max^{1/4} exponentials instead of 2 m n_max. Each phase k x is
 reduced mod 1 exactly before its exponential, by splitting x into a 26-bit
 head (k * head is exact in a double for k < 2^27) and a tail, which keeps
-every q(k) correct to a few ulps; orders n_max >= 2^27 are refused.
+every q(k) correct to a few ulps, and the division by 2 pi k carries the
+tail of pi that np.pi drops; orders n_max >= 2^27 are refused.
 Several symbols can share one pass (``joint_fourier_coefficients``), since
 the tables depend on the jump positions only.
 
@@ -417,16 +419,29 @@ _HEAD_BITS = 26
 _MAX_ORDER = 2 ** (_HEAD_BITS + 1)
 # Jumps per matrix product. It bounds the (rows, chunk) and (chunk, block)
 # factors, so memory stays near the (rows, block) accumulator whatever the
-# jump count.
-_ENDPOINT_CHUNK = 64
+# jump count. On 2 cores (numpy 2.4, OpenBLAS), in process and interleaved,
+# the proxy scans to 16384 of the 127- and 511-interval Cantor truncations
+# (254 and 1022 jumps) took 0.92 of their 64-jump time at 128 jumps, and the
+# coefficient passes alone were slower at 80 or 96 than at either. The price
+# is memory: 128-jump tables hold 256 KiB each, and the peak traced memory of
+# the 1022-jump pass goes from 1.05 to 1.37 MiB (peak RSS +0.3 to 0.5 MiB).
+_ENDPOINT_CHUNK = 128
 # An exponential table with at least this many entries (jumps x length) is
 # built from two short tables; a smaller one takes one exponential per
 # entry, which is cheaper there. On 2 cores (numpy 2.4, OpenBLAS) a 64-jump
-# table of length 32 (2048 entries) took 108 us in two levels against 175 us
-# in one, while at 512 entries one level was as fast or faster. A single
-# interval up to N = 1448 (2 jumps, tables up to 39 long) and the depth-5
-# Cantor set up to order 255 (64 jumps, tables of 16) stay on one level.
+# table of length 32 (2048 entries) took 33 us in two levels against 65 us in
+# one, and one of length 8 (512 entries) 23 us against 19 us; at 1024 entries
+# two levels were 10-15% faster, too little to move the one-level tables of
+# smaller passes to other bits. A single interval up to N = 1448 (2 jumps,
+# tables up to 39 long) and the depth-5 Cantor set up to order 255 (64
+# jumps, tables of 16) stay on one level.
 _TWO_LEVEL_MIN = 2048
+# 2 pi as a head of 26 bits, whose product with an order k < 2^27 is exact,
+# and a tail that holds pi - np.pi = 1.2246467991473532e-16 as well, so that
+# head k + tail k is 2 pi k to within one rounding. 2 np.pi k alone falls
+# short by 3.9e-17 of itself, which makes every |q(k)|^2 high by 7.8e-17.
+_TWO_PI_HEAD = math.floor(2 * math.pi * 2 ** 23) / 2 ** 23
+_TWO_PI_TAIL = 2 * math.pi - _TWO_PI_HEAD + 2 * 1.2246467991473532e-16
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -440,7 +455,9 @@ def _phase(k: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """k * x mod 1 to about one ulp, for integers 0 <= k < _MAX_ORDER and
     x = head + tail with head a multiple of 2^-26 in [0, 1), as from
     ``_split``; the result lies in [0, 1 + k * tail)."""
-    return np.mod(k * head, 1.0) + k * tail
+    t = k * head
+    t -= np.floor(t)
+    return t + k * tail
 
 
 def _exp_table(head: np.ndarray, tail: np.ndarray, count: int, step: int) -> np.ndarray:
@@ -453,24 +470,35 @@ def _exp_table(head: np.ndarray, tail: np.ndarray, count: int, step: int) -> np.
     and head has 26 bits, so frac(step head) is again a 26-bit head, while
     step tail < 2^-12 is one rounded product; re-splitting a rounded step x
     instead would lose up to ``count`` ulps in t step x. With
-    w = ceil(sqrt(count)) and t = a w + d, E[t] is then the product of
-    e^{-2 pi i a w y} (a < ceil(count / w)) and e^{-2 pi i d y} (d < w), so
-    about 2 sqrt(count) exponentials per jump replace ``count``.
+    w = ceil(sqrt(count)), h = floor(w / 2) and t = a w + h + d, the low
+    part d centred in [-h, w - h), E[t] is then the product of
+    e^{-2 pi i (a w + h) y} (a < ceil(count / w)) and e^{-2 pi i d y}, whose
+    negative d are the exact conjugates of positive ones. So h + 1 +
+    ceil(count / w) exponentials per jump, about 1.5 sqrt(count), replace
+    ``count``; the first entries, t <= h, are h + 1 of them as they are, so
+    E[0] is exactly 1 on either branch.
 
-    Error: ``_phase`` reduces a w y and d y exactly but for two roundings
-    (k * tail and the sum), and both phases stay below 4, so each short-table
-    entry is within a few ulps of its exact value, as a one-level entry is.
-    Their product adds one rounded complex product (below 2.3 ulps), so an
-    entry of the long table is still within a few ulps.
+    Error: ``_phase`` reduces each (a w + h) y and d y exactly but for two
+    roundings (k * tail and the sum), and every phase stays below 4, so each
+    short-table entry is within a few ulps of its exact value, as a one-level
+    entry is, and conjugation is exact. Their product adds one rounded
+    complex product (below 2.3 ulps), so an entry of the long table is still
+    within a few ulps.
     """
     if len(head) * count < _TWO_LEVEL_MIN:
         return np.exp(-2j * np.pi * _phase(np.arange(0, count * step, step)[:, None],
                                            head, tail))
-    head, tail = np.mod(step * head, 1.0), step * tail
+    head, tail = step * head, step * tail
+    head -= np.floor(head)
     width = math.isqrt(count - 1) + 1
-    low = np.exp(-2j * np.pi * _phase(np.arange(width)[:, None], head, tail))
-    high = np.exp(-2j * np.pi * _phase(np.arange(0, count, width)[:, None], head, tail))
-    return (high[:, None, :] * low).reshape(-1, len(head))[:count]
+    half = width // 2
+    # d = 0..h, then the high offsets a w + h, from one exponential call
+    orders = np.array([*range(half + 1), *range(half, count + half, width)])
+    both = np.exp(-2j * np.pi * _phase(orders[:, None], head, tail))
+    low = np.concatenate((both[half:0:-1].conj(), both[:width - half]))
+    table = (both[half + 1:, None, :] * low).reshape(-1, len(head))[:count]
+    table[:half + 1] = both[:half + 1]
+    return table
 
 
 def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
@@ -488,10 +516,14 @@ def fourier_coefficients(f: SymbolFunction, n_max: int) -> SymbolCoefficients:
     (H @ L)[r, s] of H[r, j] = e^{-2 pi i r B x_j} and
     L[j, s] = c_j e^{-2 pi i s x_j}. Each factor comes from ``_exp_table``,
     which builds a large one from two tables of about B^{1/2} entries per
-    jump, so about 4 m n_max^{1/4} exponentials and one complex matrix
-    product replace 2 m n_max exponentials. Every phase is reduced mod 1
-    exactly before its exponential (see ``_phase``), which keeps q(k)
-    correct to a few ulps at any k and limits n_max to below 2^27.
+    jump, the low one centred so that half of it is conjugates: about
+    1.5 B^{1/2} exponentials per jump and factor, so about 3 m n_max^{1/4}
+    exponentials and one complex matrix product replace 2 m n_max
+    exponentials (36 per jump at n_max = 16383). Every phase is reduced
+    mod 1 exactly before its exponential (see ``_phase``), which keeps q(k)
+    correct to a few ulps at any k and limits n_max to below 2^27. The sums
+    are divided by 2 pi k to within one rounding (see _TWO_PI_HEAD), so the
+    q(k) lean neither way.
     """
     return joint_fourier_coefficients([f], n_max)[0]
 
@@ -530,8 +562,8 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
         hi = min(lo + _ENDPOINT_CHUNK, len(x))
         head, tail = _split(x[lo:hi])
         hmat = _exp_table(head, tail, rows, block)
-        # C order, as L always had: one-level passes keep their bits
-        lmat = np.multiply(c[lo:hi, None], _exp_table(head, tail, block, 1).T, order="C")
+        lmat = _exp_table(head, tail, block, 1)
+        lmat = np.multiply(lmat, c[lo:hi], out=lmat).T   # in place, and a view: no copy
         if count > 1:
             wide = np.zeros((hi - lo, count, block), dtype=complex)
             for i, (first, last) in enumerate(zip(ends, ends[1:])):
@@ -541,7 +573,10 @@ def joint_fourier_coefficients(symbols, n_max: int) -> list[SymbolCoefficients]:
         acc += hmat @ lmat
     # each symbol's q(0..n_max): a view of acc for one symbol, a copy for several
     vals = acc.reshape(rows, count, block).transpose(1, 0, 2).reshape(count, -1)[:, :n_max + 1]
-    vals[:, 1:] /= 2j * np.pi * np.arange(1, n_max + 1)
+    # q(k) = -i sum / (2 pi k), with 2 pi k to within one rounding
+    k = np.arange(1.0, n_max + 1)
+    vals[:, 1:] /= _TWO_PI_HEAD * k + _TWO_PI_TAIL * k
+    vals[:, 1:] *= -1j
     vals[:, 0] = [f.mean for f in symbols]
     return [SymbolCoefficients(v) for v in vals]
 

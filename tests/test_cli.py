@@ -783,6 +783,26 @@ def test_spec_parse_accepts_missing_version():
     assert spec.intervals.intervals == canonicalize([(0.0, 0.5)]).intervals
 
 
+def test_spec_parse_names_the_bad_value_deep_in_a_long_list():
+    # The value types are checked in one scan; the first bad value is still
+    # the one named, as is an integer too large for a float.
+    pairs = [[i / 1024, (i + 0.5) / 1024] for i in range(511)]
+    good = specio.parse_spec({"type": "intervals", "intervals": pairs})
+    assert len(good.intervals.intervals) == 511
+    pairs[400][1] = True
+    pairs[450][0] = "0.5"
+    with pytest.raises(specio.SpecFormatError,
+                       match=r'^"intervals" must hold numeric \[start, end\] pairs, got True$'):
+        specio.parse_spec({"type": "intervals", "intervals": pairs})
+    pairs[400][1] = 10 ** 400
+    pairs[450][0] = 450 / 1024
+    with pytest.raises(specio.SpecFormatError, match="integer too large for a float"):
+        specio.parse_spec({"type": "intervals", "intervals": pairs})
+    ints = specio.parse_spec({"type": "intervals", "intervals": [[0, 0.5]]})
+    assert ints.intervals.intervals == ((0.0, 0.5),)
+    assert all(type(x) is float for x in ints.intervals.intervals[0])
+
+
 def test_auto_depth_spec_needs_a_target_size():
     auto = specio.parse_spec({"type": "cantor", "q": 0.25, "a": 1.0, "depth": "auto"})
     with pytest.raises(specio.SpecFormatError, match='depth "auto" needs a target N_max'):

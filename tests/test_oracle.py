@@ -286,3 +286,8 @@ def test_density_matrix_validation():
         FockDensityMatrix(n=2, matrix=np.eye(2, dtype=complex) / 2)
     with pytest.raises(FailedCheckError, match="eigenvalue"):
         FockDensityMatrix(n=1, matrix=np.diag([1.5, -0.5]).astype(complex))
+    # NaN compares so that the Hermitian, trace and positivity checks pass
+    with pytest.raises(ValueError, match="not finite"):
+        FockDensityMatrix(n=1, matrix=np.full((2, 2), np.nan, complex))
+    with pytest.raises(ValueError, match="not finite"):
+        FockDensityMatrix(n=1, matrix=np.diag([np.inf, 0.5]).astype(complex))

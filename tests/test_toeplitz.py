@@ -126,16 +126,18 @@ def _per_piece(f, n_max):
     return sum(v * (np.exp(-w * a) - np.exp(-w * b)) / w for a, b, v in f.pieces())
 
 
-# More than the 64 jumps of one matrix-product chunk.
+# 128 jumps, one whole matrix-product chunk, and 256, two chunks.
 DEPTH6 = cantor_generate(CantorSpec(0.25, 1.0, 6)).translate(0.0123)
+DEPTH7 = cantor_generate(CantorSpec(0.25, 1.0, 7)).translate(0.0123)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 15, 16, 17, 255, 256])
 @pytest.mark.parametrize("f", [
     SymbolFunction.indicator(THREE),
     SymbolFunction.indicator(DEPTH6),
+    SymbolFunction.indicator(DEPTH7),
     SymbolFunction((0.0, 0.2, 0.55, 1.0), (0.5, 0.25, 0.0)),
-], ids=["three", "depth6", "mixed"])
+], ids=["three", "depth6", "depth7", "mixed"])
 def test_fourier_coefficients_match_per_piece_sum(f, n_max):
     coeffs = fourier_coefficients(f, n_max)
     assert coeffs.values[0] == f.mean
@@ -153,13 +155,17 @@ def _jump_symbol(jumps, seed=0):
 
 
 # B = isqrt(n_max) + 1 and rows = n_max // B + 1 are the lengths of the two
-# exponential tables. With 64 jumps in a chunk a table goes to two levels at
-# length 32: 960 keeps both on one level, 961 takes B = 32 to two, 992 both.
-# 1224..1297 straddle B = 36 = 6^2 (1295: B = rows = 36) and B^2 = 1296.
+# exponential tables, which go to two levels at 2048 entries per chunk. With
+# 64 jumps in a chunk that is length 32: 960 keeps both on one level, 961
+# takes B = 32 to two, 992 both. With 128 (a whole chunk) it is length 16:
+# 224 keeps both on one level, 225 and 239 take B = 16 to two, 240 both;
+# with 127 it is length 17, at 256, 271 and 272. 1224..1297 straddle
+# B = 36 = 6^2 (1295: B = rows = 36) and B^2 = 1296.
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 960, 961, 992, 1023, 1024,
-                                   1224, 1225, 1295, 1296, 1297])
-@pytest.mark.parametrize("jumps", [toeplitz._ENDPOINT_CHUNK - 1, toeplitz._ENDPOINT_CHUNK,
-                                   toeplitz._ENDPOINT_CHUNK + 1])
+                                   1224, 1225, 1295, 1296, 1297,
+                                   224, 225, 239, 240, 255, 256, 271, 272])
+@pytest.mark.parametrize("jumps", [63, 64, 65, toeplitz._ENDPOINT_CHUNK - 1,
+                                   toeplitz._ENDPOINT_CHUNK, toeplitz._ENDPOINT_CHUNK + 1])
 def test_fourier_coefficients_match_per_piece_sum_across_table_switches(jumps, n_max):
     f = _jump_symbol(jumps)
     assert np.count_nonzero(np.subtract(f.values, f.values[-1:] + f.values[:-1])) == jumps
@@ -169,7 +175,11 @@ def test_fourier_coefficients_match_per_piece_sum_across_table_switches(jumps, n
                                rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 31, 32, 33, 35, 36, 37, 48, 49, 50, 128])
+# The low factor is centred on 0 with width w = ceil(sqrt(count)): count = w^2
+# fills the last row of the outer product, w^2 + 1 opens a row with one entry
+# and takes the next w; odd and even w centre differently.
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 9, 10, 16, 17, 25, 26, 31, 32, 33, 35,
+                                   36, 37, 48, 49, 50, 64, 65, 121, 122, 128, 144, 145])
 @pytest.mark.parametrize("step", [1, 37, 11586])
 def test_two_level_exponential_table_matches_one_level(monkeypatch, count, step):
     head, tail = toeplitz._split(np.random.default_rng(count).random(5))
@@ -179,6 +189,22 @@ def test_two_level_exponential_table_matches_one_level(monkeypatch, count, step)
     two = toeplitz._exp_table(head, tail, count, step)
     assert two.shape == one.shape == (count, 5) and two.flags.c_contiguous
     np.testing.assert_allclose(two, one, rtol=0, atol=4e-15)
+    assert np.all(two[0] == 1.0)         # H[0] = 1 exactly, as on one level
+
+
+@pytest.mark.parametrize("count, step", [(1, 1), (2, 9), (16, 1), (16, 16), (39, 1),
+                                         (38, 39), (31, 1), (15, 16)])
+def test_one_level_exponential_table_keeps_its_arithmetic(count, step):
+    # A small table is exp(-2 pi i (frac(t step head) + t step tail)), with the
+    # fraction taken as np.mod took it, bit for bit: the tables of single
+    # intervals to N = 1448 and of the depth-5 Cantor set to order 255.
+    for jumps in (2, 64):
+        if jumps * count >= toeplitz._TWO_LEVEL_MIN:
+            continue
+        head, tail = toeplitz._split(np.random.default_rng(count + jumps).random(jumps))
+        t = np.arange(0, count * step, step)[:, None]
+        expect = np.exp(-2j * np.pi * (np.mod(t * head, 1.0) + t * tail))
+        assert np.array_equal(toeplitz._exp_table(head, tail, count, step), expect)
 
 
 class _ExpCounter:
@@ -204,10 +230,11 @@ def test_coefficient_pass_takes_order_n_to_the_quarter_exponentials(monkeypatch)
     counter = _ExpCounter()
     monkeypatch.setattr(toeplitz, "np", counter)
     fourier_coefficients(f, 16383)
-    # Two tables of about 2 n^{1/4} exponentials per jump; one-level tables
-    # would take 2 n^{1/2} = 256 per jump.
+    # Two tables of about 1.5 n^{1/4} exponentials per jump, 36 in all at
+    # n = 16383; uncentred low factors would take 46 and one-level tables
+    # 2 n^{1/2} = 256 per jump.
     assert jumps >= 1000
-    assert 0 < counter.elements < 5 * jumps * 16384 ** 0.25
+    assert 0 < counter.elements < 3.5 * jumps * 16384 ** 0.25
 
 
 def test_constant_symbol_has_no_higher_coefficients():
@@ -252,8 +279,9 @@ def test_union_coefficients_are_the_sum_of_the_parts(k1, k2):
 
 @pytest.mark.parametrize("n_max", [0, 63, 3000])
 def test_joint_pass_matches_one_pass_per_symbol(n_max):
-    # 64 + 4 + 64 jumps: chunks of 64 hold jumps of two symbols, one symbol
-    # spans two chunks, and at n_max = 3000 the tables have two levels.
+    # 64 + 4 + 64 jumps: the first chunk of 128 holds jumps of all three
+    # symbols, the third spans two chunks, and at n_max = 3000 the tables
+    # have two levels.
     cantor = cantor_generate(CantorSpec(0.25, 1.0, 5))
     symbols = [SymbolFunction.indicator(cantor.translate(0.0123)),
                SymbolFunction((0.0, 0.2, 0.45, 0.7, 1.0), (0.3, 1.0, 0.0, 0.6)),
@@ -309,6 +337,22 @@ def test_fourier_coefficients_match_40_digit_reference(K, n_max, gate):
     coeffs = fourier_coefficients(f, n_max)
     err = np.abs(coeffs.values[ks] - _reference_coefficients(f, ks.tolist()))
     assert np.max(err) <= gate
+
+
+def test_coefficients_do_not_lean_with_np_pi():
+    # |q(k)|^2 = sin^2(pi k L) / (pi k)^2 on [0.123, 0.623), k = 1..16383. The
+    # doubles 0.623 and 0.123 are exactly 1/2 apart, so q(k) is 0 at even k
+    # and the relative bias is taken over the 8192 odd k. Dividing by
+    # 2 np.pi k would make every |q(k)|^2 high: a median of 8.45e-17, that is
+    # 2 (pi - np.pi) / pi = 7.8e-17 plus rounding.
+    f = SymbolFunction.indicator(canonicalize([(0.123, 0.623)]))
+    q = fourier_coefficients(f, 16383).values
+    with mpmath.workdps(30):
+        length = mpmath.mpf(0.623) - mpmath.mpf(0.123)
+        rel = [float((mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2) * (mpmath.pi * k) ** 2
+                     / mpmath.sin(mpmath.pi * k * length) ** 2 - 1)
+               for k, z in zip(range(1, 16384, 2), q[1::2].tolist())]
+    assert abs(float(np.median(rel))) < 1e-17
 
 
 def test_mixed_symbol_coefficients():
